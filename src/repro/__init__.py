@@ -43,8 +43,7 @@ SIGCOMM 2022).  It contains:
   behind ``python -m repro.cli validate``: declarative
   :class:`~repro.validation.FigureSpec` encodings of the paper's key
   figures run as seeded trials with Wilson confidence intervals, gated
-  against committed ``VALID_<figure>.json`` envelopes, plus seed-paired
-  fast-path-vs-reference equivalence reruns.
+  against committed ``VALID_<figure>.json`` envelopes.
 """
 
 from repro.core.config import OFDMConfig, ProtocolConfig
@@ -76,7 +75,6 @@ from repro.validation import (
     FigureSpec,
     MonteCarloRunner,
     ValidationReport,
-    ab_compare,
 )
 
 __version__ = "1.5.0"
@@ -110,6 +108,5 @@ __all__ = [
     "FigureSpec",
     "MonteCarloRunner",
     "ValidationReport",
-    "ab_compare",
     "__version__",
 ]

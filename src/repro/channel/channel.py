@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.channel.motion import STATIC_MOTION, MotionModel, MotionState
 from repro.channel.multipath import ImageMethodGeometry, MultipathModel
@@ -73,7 +72,6 @@ class UnderwaterAcousticChannel:
         sample_rate_hz: float = 48000.0,
         extra_gain_db: float = 0.0,
         seed: int | np.random.Generator | None = None,
-        use_fast_path: bool = True,
     ) -> None:
         self.multipath = multipath
         self.noise = noise
@@ -85,12 +83,6 @@ class UnderwaterAcousticChannel:
         self.orientation_deg = float(orientation_deg)
         self.sample_rate_hz = float(sample_rate_hz)
         self.extra_gain_db = float(extra_gain_db)
-        #: When ``True`` (default) :meth:`transmit` propagates packets through
-        #: the frequency-domain fast path (cached transfer functions, one rFFT
-        #: -> complex multiply -> irFFT).  ``False`` keeps the original
-        #: per-call ``fftconvolve`` pipeline as a golden reference; the two
-        #: agree to ~1e-12 relative (see tests/test_fastpath_golden.py).
-        self.use_fast_path = bool(use_fast_path)
         self._rng = ensure_rng(seed)
         tx_case.check_depth(multipath.geometry.tx_depth_m)
         rx_case.check_depth(multipath.geometry.rx_depth_m)
@@ -219,10 +211,7 @@ class UnderwaterAcousticChannel:
         # response on purpose: the output length must be predictable before
         # the drifted channel is drawn.
         tail = self._impulse_response.size + self._device_fir.size
-        if self.use_fast_path:
-            received = self._propagate_fast(scaled, motion_state, doppler, duration_s, rng)
-        else:
-            received = self._propagate_reference(scaled, motion_state, doppler, duration_s, rng)
+        received = self._propagate(scaled, motion_state, doppler, duration_s, rng)
 
         # Pad to a predictable length: input + channel tail.
         total_length = waveform.size + tail
@@ -276,43 +265,7 @@ class UnderwaterAcousticChannel:
         fade = np.linspace(0.0, fade_end, length)
         return (1.0 - fade) * static_part + fade * drifted_part
 
-    def _propagate_reference(
-        self,
-        scaled: np.ndarray,
-        motion_state: MotionState,
-        doppler: float,
-        duration_s: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Seed propagation pipeline: 2-3 separate ``fftconvolve`` passes.
-
-        Retained as the golden reference for the frequency-domain fast path;
-        the equivalence is pinned by tests/test_fastpath_golden.py.
-        """
-        static_part = sp_signal.fftconvolve(scaled, self._impulse_response)
-        if motion_state.drift_rate_per_s > 0:
-            drifted_multipath = self._drifted_multipath(motion_state, rng)
-            drifted_response = drifted_multipath.impulse_response(self.sample_rate_hz)
-            drifted_part = sp_signal.fftconvolve(scaled, drifted_response)
-            propagated = self._drift_mix(static_part, drifted_part, motion_state, duration_s)
-            # The drift persists: the next transmission starts from the channel
-            # the devices have drifted into, so consecutive transmissions (e.g.
-            # the preamble and the later data burst) see different channels --
-            # exactly the effect the paper's Fig. 16 experiment measures.
-            self.multipath = drifted_multipath
-            self._impulse_response = drifted_response
-        else:
-            propagated = static_part
-
-        # Doppler time-scaling.
-        if abs(doppler - 1.0) > 1e-9:
-            propagated = apply_doppler(propagated, doppler)
-
-        # Receive chain: cascaded device/case frequency response.
-        received = sp_signal.fftconvolve(propagated, self._device_fir)
-        return received[self._device_fir_delay:]
-
-    def _propagate_fast(
+    def _propagate(
         self,
         scaled: np.ndarray,
         motion_state: MotionState,
@@ -343,6 +296,10 @@ class UnderwaterAcousticChannel:
                 scaled, (self._impulse_response, drifted_response)
             )
             propagated = self._drift_mix(static_part, drifted_part, motion_state, duration_s)
+            # The drift persists: the next transmission starts from the channel
+            # the devices have drifted into, so consecutive transmissions (e.g.
+            # the preamble and the later data burst) see different channels --
+            # exactly the effect the paper's Fig. 16 experiment measures.
             self.multipath = drifted_multipath
             self._impulse_response = drifted_response
         else:
@@ -390,7 +347,6 @@ class UnderwaterAcousticChannel:
             sample_rate_hz=self.sample_rate_hz,
             extra_gain_db=self.extra_gain_db,
             seed=rng,
-            use_fast_path=self.use_fast_path,
         )
 
     # ------------------------------------------------------------- diagnostics

@@ -387,12 +387,8 @@ def _add_validate_parser(subparsers) -> None:
         help="Monte-Carlo validation of the paper figures with CI gates",
         description="Run each figure spec as N seeded trials per grid "
                     "point, report 95% Wilson/normal confidence intervals "
-                    "per metric, optionally gate the headline metrics "
-                    "against the committed VALID_<figure>.json envelopes, "
-                    "and rerun link figures seed-paired against the "
-                    "reference implementations (fftconvolve channel, dense "
-                    "equalizer solve) to confirm fast-path equivalence "
-                    "end to end.",
+                    "per metric, and optionally gate the headline metrics "
+                    "against the committed VALID_<figure>.json envelopes.",
     )
     parser.add_argument("--figure", nargs="+", choices=available_figures(),
                         default=None, help="figures to run (default: all)")
@@ -403,7 +399,7 @@ def _add_validate_parser(subparsers) -> None:
                         help="base seed offsetting every trial seed")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: quick grid subsets, fewer "
-                             "trials/packets, A/B equivalence included")
+                             "trials/packets")
     parser.add_argument("--compare-reference", action="store_true",
                         help="gate headline metrics against the committed "
                              "VALID_<figure>.json envelopes (exit 1 on fail)")
@@ -413,11 +409,6 @@ def _add_validate_parser(subparsers) -> None:
     parser.add_argument("--reference-dir", metavar="DIR", default=".",
                         help="directory of the VALID_*.json envelopes "
                              "(default: current directory)")
-    parser.add_argument("--ab-compare", choices=["fast-path", "solver", "both", "none"],
-                        default=None,
-                        help="seed-paired reference rerun of the first "
-                             "selected link figure (default: both with "
-                             "--quick, none otherwise)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for link figures")
     parser.add_argument("--cache", metavar="DIR", default=None,
@@ -618,7 +609,11 @@ def _run_jobs(args) -> int:
         if job.done:
             print(service.result(job.job_id).to_table())
         return 0
-    jobs = service.list_jobs()
+    try:
+        jobs = service.list_jobs()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if not jobs:
         print("no jobs")
         return 0
@@ -690,7 +685,6 @@ def _run_validate(args) -> int:
         FigureReport,
         MonteCarloRunner,
         ValidationReport,
-        ab_compare,
         available_figures,
         check_against_envelope,
         get_figure,
@@ -715,9 +709,6 @@ def _run_validate(args) -> int:
         return 2
     figures = list(args.figure) if args.figure else list(available_figures())
     trials = args.trials if args.trials is not None else (2 if args.quick else 5)
-    ab_mode = args.ab_compare
-    if ab_mode is None:
-        ab_mode = "both" if args.quick else "none"
 
     runner = MonteCarloRunner(
         trials=trials,
@@ -746,31 +737,11 @@ def _run_validate(args) -> int:
             print(f"  envelope written: {path}", file=sys.stderr)
         report.add(figure_report)
 
-    if ab_mode != "none":
-        link_figures = [n for n in figures if get_figure(n).kind == "link"]
-        if not link_figures:
-            print("note: --ab-compare skipped (no link figure selected)")
-        else:
-            variants = ["fast-path", "solver"] if ab_mode == "both" else [ab_mode]
-            for variant in variants:
-                # Reusing the Monte-Carlo runner lets the A/B baseline come
-                # straight out of its record memo: only the reference
-                # variant's scenarios are simulated here.
-                report.ab_rows.extend(
-                    ab_compare(
-                        link_figures[0],
-                        variant=variant,
-                        quick=args.quick,
-                        runner=runner,
-                    )
-                )
-
     print(report.to_markdown())
     if args.json_path:
         path = report.save(args.json_path)
         print(f"report written to {path}")
-    gated = args.compare_reference or bool(report.ab_rows)
-    if gated:
+    if args.compare_reference:
         if report.passed:
             print("validation gate passed")
         else:
@@ -780,9 +751,6 @@ def _run_validate(args) -> int:
                     if not check.passed:
                         print(f"  {fig.result.figure}: {check.describe()}",
                               file=sys.stderr)
-            for row in report.ab_rows:
-                if not row.passed:
-                    print(f"  {row.describe()}", file=sys.stderr)
             return 1
     return 0
 

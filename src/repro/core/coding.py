@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.adaptation import BandSelection
 from repro.core.config import OFDMConfig, ProtocolConfig
-from repro.core.equalizer import EQUALIZER_SOLVERS, MMSEEqualizer
+from repro.core.equalizer import MMSEEqualizer
 from repro.core.ofdm import OFDMModulator
 from repro.dsp.filters import FIRBandpassFilter
 from repro.dsp.sequences import zadoff_chu
@@ -194,19 +194,12 @@ class DataDecoder:
         use_interleaving: bool = True,
         use_equalizer: bool = True,
         equalizer_num_taps: int | None = None,
-        equalizer_solver: str = "levinson",
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
         self.protocol_config = protocol_config or ProtocolConfig()
         self.use_differential = bool(use_differential)
         self.use_interleaving = bool(use_interleaving)
         self.use_equalizer = bool(use_equalizer)
-        if equalizer_solver not in EQUALIZER_SOLVERS:
-            raise ValueError(
-                f"equalizer_solver must be one of {EQUALIZER_SOLVERS}, "
-                f"got {equalizer_solver!r}"
-            )
-        self.equalizer_solver = str(equalizer_solver)
         self.equalizer_num_taps = int(
             equalizer_num_taps if equalizer_num_taps is not None
             else self.protocol_config.equalizer_num_taps
@@ -259,7 +252,6 @@ class DataDecoder:
         if self.use_equalizer:
             equalizer = MMSEEqualizer(
                 num_taps=min(self.equalizer_num_taps, extended - 1),
-                solver=self.equalizer_solver,
             )
             equalizer.fit(burst[:extended], reference_training)
             burst = equalizer.apply(burst)

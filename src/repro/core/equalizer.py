@@ -13,16 +13,10 @@ Wiener solution solves the Toeplitz normal equations
 
     R_yy g = r_xy
 
-Two solvers are available:
-
-* ``solver="levinson"`` (default): the Levinson-Durbin recursion from
-  :mod:`repro.dsp.levinson`, O(n^2) in the tap count, with the auto- and
-  cross-correlations computed by FFT instead of direct ``np.correlate``
-  (O(n log n) instead of O(n^2) in the training length).
-* ``solver="dense"``: builds the full Toeplitz matrix and calls
-  ``numpy.linalg.solve`` -- the O(n^3) reference implementation the fast
-  path is pinned against in tests/test_fastpath_golden.py (agreement is
-  ~1e-8 relative; the correlation values themselves agree to ~1e-12).
+with the Levinson-Durbin recursion from :mod:`repro.dsp.levinson`, O(n^2)
+in the tap count.  The auto- and cross-correlations are computed by FFT
+instead of direct ``np.correlate`` (O(n log n) instead of O(n^2) in the
+training length).
 
 :meth:`MMSEEqualizer.fit_apply_many` batches the training correlations of
 several bursts into shared FFT calls, which is what the batched packet
@@ -43,11 +37,6 @@ from repro.dsp.fastconv import (
 )
 from repro.dsp.levinson import solve_symmetric_toeplitz
 from repro.utils.validation import require_positive
-
-#: Toeplitz solvers :class:`MMSEEqualizer` accepts (public so callers that
-#: thread a solver choice through -- DataDecoder, ModemSpec -- can validate
-#: eagerly instead of failing deep inside the first decode).
-EQUALIZER_SOLVERS = ("levinson", "dense")
 
 #: Cache of time-reversal phase ramps keyed by (signal length, FFT length):
 #: ``rfft(y[::-1], nf) == conj(rfft(y, nf)) * exp(-2j pi k (n-1) / nf)``,
@@ -77,19 +66,15 @@ class MMSEEqualizer:
         num_taps: int = 480,
         regularization: float = 1e-3,
         delay: int = 0,
-        solver: str = "levinson",
     ) -> None:
         require_positive(num_taps, "num_taps")
         if regularization < 0:
             raise ValueError("regularization must be non-negative")
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        if solver not in EQUALIZER_SOLVERS:
-            raise ValueError(f"solver must be one of {EQUALIZER_SOLVERS}, got {solver!r}")
         self.num_taps = int(num_taps)
         self.regularization = float(regularization)
         self.delay = int(delay)
-        self.solver = solver
         self.coefficients: np.ndarray | None = None
 
     @property
@@ -138,15 +123,6 @@ class MMSEEqualizer:
         r_xy = cross[zero_lag:zero_lag + taps] / n
         return r_yy, r_xy
 
-    def _solve(self, r_yy: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
-        if self.solver == "dense":
-            indices = np.arange(r_yy.size)
-            matrix = r_yy[np.abs(indices[:, None] - indices[None, :])]
-            coefficients = np.linalg.solve(matrix, r_xy)
-        else:
-            coefficients = solve_symmetric_toeplitz(r_yy, r_xy)
-        return np.asarray(coefficients, dtype=float)
-
     # ------------------------------------------------------------------ single
     def fit(self, received_training: np.ndarray, reference_training: np.ndarray) -> np.ndarray:
         """Estimate the equalizer from a known training waveform.
@@ -171,7 +147,7 @@ class MMSEEqualizer:
         self._validate_training(y, x)
         x_target = self._delayed_reference(x, y.size)
         r_yy, r_xy = self._normal_equations(y, x_target)
-        self.coefficients = self._solve(r_yy, r_xy)
+        self.coefficients = solve_symmetric_toeplitz(r_yy, r_xy)
         return self.coefficients
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
@@ -247,6 +223,6 @@ class MMSEEqualizer:
             r_yy = autos[row, zero_lag:zero_lag + taps] / n
             r_yy[0] += self.regularization * r_yy[0] + 1e-12
             r_xy = crosses[row, zero_lag:zero_lag + taps] / n
-            self.coefficients = self._solve(r_yy, r_xy)
+            self.coefficients = solve_symmetric_toeplitz(r_yy, r_xy)
             equalized.append(self.apply(np.asarray(burst, dtype=float).ravel()))
         return equalized

@@ -66,7 +66,6 @@ class AquaModem:
         use_interleaving: bool = True,
         use_equalizer: bool = True,
         equalizer_num_taps: int | None = None,
-        equalizer_solver: str = "levinson",
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
         self.protocol_config = protocol_config or ProtocolConfig()
@@ -87,7 +86,6 @@ class AquaModem:
             use_interleaving=use_interleaving,
             use_equalizer=use_equalizer,
             equalizer_num_taps=equalizer_num_taps,
-            equalizer_solver=equalizer_solver,
         )
         self.bandpass = FIRBandpassFilter(
             self.ofdm_config.band_low_hz,

@@ -10,18 +10,17 @@ Two detectors are combined in the paper (section 2.2.1):
   the window energy.  The normalized metric is close to 1 for a true
   preamble regardless of SNR, and small (< 0.2) for impulsive noise.
 
-Both stages have a fast path and a retained reference implementation:
+Both stages are vectorized:
 
 * :class:`TemplateCorrelator` runs the coarse stage as overlap-save FFT
   cross-correlation against a cached conjugate spectrum of the template,
   equivalent to :func:`normalized_cross_correlation` within ~1e-10.
 * :func:`sliding_correlation_curve` evaluates the fine metric for *all*
   candidate offsets at once from two cumulative sums (the windowed
-  segment products telescope into prefix-sum differences), replacing the
-  per-offset Python loop now kept as
-  :func:`sliding_correlation_curve_reference`.  Agreement is ~1e-9
-  relative (cumulative sums reassociate the additions); both are pinned
-  by tests/test_fastpath_golden.py.
+  segment products telescope into prefix-sum differences) instead of
+  calling :func:`normalized_sliding_correlation` once per offset.
+  Agreement with that per-offset loop is ~1e-9 relative (cumulative sums
+  reassociate the additions); tests/test_fastpath_golden.py pins both.
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ class TemplateCorrelator:
         return out
 
     def correlate(self, received: np.ndarray) -> np.ndarray:
-        """Normalized cross-correlation (same output as the reference)."""
+        """Normalized cross-correlation (same output as :func:`normalized_cross_correlation`)."""
         received = np.asarray(received, dtype=float).ravel()
         raw = self.raw_correlation(received)
         squared = received ** 2
@@ -189,7 +188,7 @@ def _candidate_offsets(
     window_length: int,
     step: int,
 ) -> np.ndarray:
-    """Clamp the offset range like the reference loop does."""
+    """Window offsets ``start, start + step, ...`` clamped to the buffer."""
     start = max(0, int(start))
     stop = min(int(stop), received_size - window_length)
     if stop < start:
@@ -248,27 +247,6 @@ def sliding_correlation_curve(
         / num_segments
     )
     metric = correlation / np.maximum(energy, _EPS)
-    return offsets, metric
-
-
-def sliding_correlation_curve_reference(
-    received: np.ndarray,
-    start: int,
-    stop: int,
-    segment_length: int,
-    pn_signs: np.ndarray,
-    step: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-offset loop implementation, retained as the golden reference."""
-    received = np.asarray(received, dtype=float)
-    pn_signs = np.asarray(pn_signs, dtype=float)
-    window_length = segment_length * pn_signs.size
-    offsets = _candidate_offsets(received.size, start, stop, window_length, step)
-    metric = np.empty(offsets.size, dtype=float)
-    for i, offset in enumerate(offsets):
-        metric[i] = normalized_sliding_correlation(
-            received[offset:offset + window_length], segment_length, pn_signs
-        )
     return offsets, metric
 
 

@@ -13,9 +13,8 @@ the reflection-coefficient "Durbin" special case).
 :func:`solve_symmetric_toeplitz` is the entry point the equalizer uses:
 it delegates to SciPy's compiled implementation of the same recursion
 when available (identical algorithm, C speed) and falls back to
-:func:`levinson_solve` otherwise.  The dense O(n^3) solve is retained in
-:meth:`repro.core.equalizer.MMSEEqualizer` as the golden reference; the
-golden equivalence tests pin all three against each other.
+:func:`levinson_solve` otherwise.  The golden equivalence tests pin both
+against a dense O(n^3) solve kept in the test suite.
 """
 
 from __future__ import annotations

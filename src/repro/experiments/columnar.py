@@ -81,7 +81,6 @@ _SERIES_FIELDS = (
 #: Scenario fields kept as vectorizable per-unique-scenario columns.
 _SCENARIO_FLOAT_FIELDS = ("distance_m", "tx_depth_m", "orientation_deg")
 _SCENARIO_INT_FIELDS = ("num_packets", "seed")
-_SCENARIO_BOOL_FIELDS = ("use_fast_path",)
 #: Scenario fields matched through their canonical serialized form
 #: (object equality for these frozen dataclasses is field equality, which
 #: the sorted-key JSON of their serialized form captures exactly).
@@ -239,7 +238,8 @@ def _segment_median_finite(values: np.ndarray, offsets: np.ndarray) -> np.ndarra
     median = kept[low]
     even = low != high
     median[even] = 0.5 * (kept[high[even]] + median[even])
-    out[nonempty] = median
+    # + 0.0 turns -0.0 into +0.0, the signed zero np.median returns.
+    out[nonempty] = median + 0.0
     return out
 
 
@@ -272,7 +272,6 @@ class ColumnarResultSet:
         # ``_unique_array`` caches the ndarray form until the next intern).
         self._unique_float = {name: [] for name in _SCENARIO_FLOAT_FIELDS}
         self._unique_int = {name: [] for name in _SCENARIO_INT_FIELDS}
-        self._unique_bool = {name: [] for name in _SCENARIO_BOOL_FIELDS}
         self._unique_interned = {name: [] for name in _SCENARIO_INTERNED_FIELDS}
         self._interned_tables = {
             name: StringTable() for name in _SCENARIO_INTERNED_FIELDS
@@ -322,8 +321,6 @@ class ColumnarResultSet:
             self._unique_float[name].append(float(getattr(scenario, name)))
         for name in _SCENARIO_INT_FIELDS:
             self._unique_int[name].append(int(getattr(scenario, name)))
-        for name in _SCENARIO_BOOL_FIELDS:
-            self._unique_bool[name].append(bool(getattr(scenario, name)))
         for name in _SCENARIO_INTERNED_FIELDS:
             self._unique_interned[name].append(
                 self._interned_tables[name].intern(_canonical(data[name]))
@@ -437,11 +434,6 @@ class ColumnarResultSet:
         if name in _SCENARIO_INT_FIELDS:
             return _equals_mask(
                 self._unique_array(name, self._unique_int[name], np.int64),
-                wanted,
-            )
-        if name in _SCENARIO_BOOL_FIELDS:
-            return _equals_mask(
-                self._unique_array(name, self._unique_bool[name], np.bool_),
                 wanted,
             )
         if name == "rx_depth_m":

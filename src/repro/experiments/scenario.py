@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from repro.channel.motion import MOTION_PRESETS, STATIC_MOTION, MotionModel
 from repro.core.baselines import FIXED_BAND_SCHEMES, FixedBandScheme
 from repro.core.config import OFDMConfig, ProtocolConfig
-from repro.core.equalizer import EQUALIZER_SOLVERS
 from repro.core.modem import AquaModem
 from repro.devices.case import CASE_CATALOG, SOFT_POUCH, WaterproofCase
 from repro.devices.models import DEVICE_CATALOG, GALAXY_S9, DeviceModel
@@ -138,11 +137,6 @@ class ModemSpec:
         Modem feature toggles (the ablation knobs of Fig. 14 / Table 2).
     subcarrier_spacing_hz:
         Alternative subcarrier spacing (Fig. 17); ``None`` keeps 50 Hz.
-    equalizer_solver:
-        Toeplitz solver of the receive equalizer: ``"levinson"`` (the fast
-        path, default) or ``"dense"`` (the retained O(n^3) reference).
-        Exposed so the validation harness can rerun whole figures with the
-        reference solver and confirm end-to-end equivalence statistically.
     """
 
     payload_bits: int = 16
@@ -150,16 +144,6 @@ class ModemSpec:
     use_interleaving: bool = True
     use_equalizer: bool = True
     subcarrier_spacing_hz: float | None = None
-    equalizer_solver: str = "levinson"
-
-    def __post_init__(self) -> None:
-        # Fail at spec construction, not inside the first decode of a
-        # pool worker mid-sweep.
-        if self.equalizer_solver not in EQUALIZER_SOLVERS:
-            raise ValueError(
-                f"equalizer_solver must be one of {EQUALIZER_SOLVERS}, "
-                f"got {self.equalizer_solver!r}"
-            )
 
     def build(self) -> AquaModem:
         """Construct the modem this spec describes."""
@@ -173,7 +157,6 @@ class ModemSpec:
             use_differential=self.use_differential,
             use_interleaving=self.use_interleaving,
             use_equalizer=self.use_equalizer,
-            equalizer_solver=self.equalizer_solver,
         )
 
     def to_dict(self) -> dict:
@@ -217,11 +200,6 @@ class Scenario:
     seed:
         Base seed; the channel pair uses ``seed`` and the link session
         ``seed + 1``, exactly like the original benchmark harness.
-    use_fast_path:
-        Whether the channels run the frequency-domain fast path
-        (default) or the retained ``fftconvolve`` reference pipeline.
-        Seed-paired scenarios differing only in this flag are how the
-        validation harness confirms fast-path equivalence end-to-end.
     label:
         Optional human-readable tag carried through to records and tables.
     """
@@ -239,7 +217,6 @@ class Scenario:
     modem: ModemSpec = field(default_factory=ModemSpec)
     num_packets: int = 25
     seed: int = 0
-    use_fast_path: bool = True
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -314,7 +291,6 @@ class Scenario:
             "modem": self.modem.to_dict(),
             "num_packets": self.num_packets,
             "seed": self.seed,
-            "use_fast_path": self.use_fast_path,
             "label": self.label,
         }
 
@@ -351,9 +327,6 @@ class Scenario:
             self.scheme_key,
             f"{self.num_packets} pkt",
             f"seed {self.seed}",
-            None if self.use_fast_path else "ref-path",
-            None if self.modem.equalizer_solver == "levinson"
-            else f"eq-{self.modem.equalizer_solver}",
         ]
         return " | ".join(p for p in parts if p)
 
@@ -379,8 +352,6 @@ class Scenario:
             tx_case=self.case,
             rx_case=self.case,
         )
-        forward.use_fast_path = self.use_fast_path
-        backward.use_fast_path = self.use_fast_path
         return LinkSession(
             forward,
             backward,

@@ -43,8 +43,9 @@ from repro.experiments.records import ResultSet, RunRecord
 from repro.experiments.runner import ExperimentRunner, warn_cache_miss
 from repro.experiments.scenario import Scenario, content_hash
 
-#: Manifest schema version (bump on layout changes).
-MANIFEST_VERSION = 1
+#: Manifest schema version (bump on layout changes).  Version 1 scenario
+#: entries carry keys :meth:`Scenario.from_dict` no longer accepts.
+MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,6 @@ from repro.fec.convolutional import (
     trellis_tables,
 )
 from repro.fec.interleaver import SubcarrierInterleaver
-from repro.fec.reference import (
-    reference_decode,
-    reference_encode,
-    reference_punctured_decode,
-)
 
 __all__ = [
     "ConvolutionalCode",
@@ -28,8 +23,5 @@ __all__ = [
     "SubcarrierInterleaver",
     "Trellis",
     "hard_bits_to_soft",
-    "reference_decode",
-    "reference_encode",
-    "reference_punctured_decode",
     "trellis_tables",
 ]

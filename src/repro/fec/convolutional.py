@@ -21,9 +21,8 @@ select recursion exploits the trellis butterfly structure -- register
 ``r = (bit << (K-1)) | state`` maps to next state ``r >> 1``, so the two
 branches entering each next state are adjacent in register order and one
 ``(2, num_states)`` broadcast add plus a pairwise maximum per step replaces
-the per-state Python loops.  The slow loop implementation is retained in
-:mod:`repro.fec.reference` as the golden reference the test suite checks
-bit-identical equivalence against.
+the per-state Python loops.  The test suite keeps the loop implementation
+as its golden reference and checks bit-identical equivalence against it.
 """
 
 from __future__ import annotations

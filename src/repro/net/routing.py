@@ -189,34 +189,6 @@ class GreedyForwarding(RoutingProtocol):
             return (table.names[best],)
         return ()
 
-    def next_hops_reference(
-        self, node: str, packet: NetPacket, topology: AcousticNetTopology
-    ) -> tuple[str, ...]:
-        """Pre-vectorization greedy hop choice (per-neighbour scalar calls).
-
-        Kept as the parity oracle for :meth:`next_hops` and as the
-        baseline leg of the ``greedy_next_hops`` micro-benchmark pair.
-        """
-        destination = packet.destination
-        neighbors = topology.neighbors(node)
-        if not neighbors:
-            return ()
-        if destination in neighbors:
-            return (destination,)
-        if self.mode == "distance":
-            if destination not in topology or not topology.is_active(destination):
-                return ()
-            own = topology.distance_m(node, destination)
-            best = min(neighbors, key=lambda n: topology.distance_m(n, destination))
-            if topology.distance_m(best, destination) < own:
-                return (best,)
-            return ()
-        own_depth = topology.position(node).depth_m
-        best = min(neighbors, key=lambda n: topology.position(n).depth_m)
-        if topology.position(best).depth_m < own_depth:
-            return (best,)
-        return ()
-
 
 #: Routing protocols by CLI/catalog key (factories, so instances are fresh).
 ROUTING_CATALOG = {

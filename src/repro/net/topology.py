@@ -34,9 +34,6 @@ from repro.environments.sites import LAKE, Site
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive
 
-#: Draw-order modes for :meth:`AcousticNetTopology.step_mobility`.
-MOBILITY_DRAW_MODES = ("batched", "legacy")
-
 #: Initial node-array capacity; grows by doubling.
 _INITIAL_CAPACITY = 8
 
@@ -101,32 +98,17 @@ class AcousticNetTopology:
     comm_range_m:
         Maximum distance at which two nodes are considered neighbours.
         Defaults to the site's usable range.
-    mobility_draws:
-        ``"batched"`` (default) draws every node's mobility jitter in one
-        ``(N, 2)`` call; ``"legacy"`` replays the original two scalar
-        draws per node.  Both consume the generator stream identically
-        (numpy fills arrays element by element), so they are
-        bit-identical -- the legacy mode is the committed escape hatch
-        that keeps old VALID envelopes and trace fixtures reproducible
-        even if the batched path ever changes shape.
     """
 
     def __init__(
         self,
         site: Site = LAKE,
         comm_range_m: float | None = None,
-        mobility_draws: str = "batched",
     ) -> None:
         self.site = site
         range_m = site.max_range_m if comm_range_m is None else float(comm_range_m)
         require_positive(range_m, "comm_range_m")
-        if mobility_draws not in MOBILITY_DRAW_MODES:
-            raise ValueError(
-                f"mobility_draws must be one of {MOBILITY_DRAW_MODES}, "
-                f"got {mobility_draws!r}"
-            )
         self.comm_range_m = range_m
-        self.mobility_draws = mobility_draws
         self._count = 0
         self._names: list[str] = []
         self._index: dict[str, int] = {}
@@ -461,16 +443,10 @@ class AcousticNetTopology:
         rng = ensure_rng(rng)
         jitter = self.site.current_speed_m_s
         count = self._count
-        if self.mobility_draws == "legacy":
-            # The committed per-node draw order: two scalar normals per
-            # node, in insertion order.  Kept verbatim so old envelopes
-            # and trace fixtures replay against a frozen reference path.
-            draws = np.empty((count, 2))
-            for index in range(count):
-                draws[index, 0] = rng.normal(0.0, 0.3)
-                draws[index, 1] = rng.normal(0.0, 0.3)
-        else:
-            draws = rng.normal(0.0, 0.3, size=(count, 2))
+        # One (N, 2) draw consumes the stream exactly like two scalar draws
+        # per node in insertion order, the order the committed envelopes
+        # and trace fixtures were recorded with.
+        draws = rng.normal(0.0, 0.3, size=(count, 2))
         xyz = self._xyz[:count]
         vel = self._vel[:count]
         xyz[:, 0] += (vel[:, 0] + jitter * draws[:, 0]) * dt_s

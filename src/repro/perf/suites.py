@@ -3,22 +3,18 @@
 Nine suites cover the layers every figure reproduction funnels through:
 
 ``fec``
-    Viterbi decoding (vectorized and the retained loop reference, so the
-    speedup is measured rather than asserted), punctured packet decoding
-    and convolutional encoding.
+    Viterbi decoding, punctured packet decoding and convolutional
+    encoding.
 ``ofdm``
     OFDM symbol modulation and demodulation, single and batched.
 ``preamble``
-    Two-stage preamble detection over a noisy capture: the FFT fast path
-    (cached conjugate template spectrum + vectorized fine refinement) and
-    the retained per-offset reference so the speedup stays measured.
+    Two-stage preamble detection over a noisy capture (cached conjugate
+    template spectrum + vectorized fine refinement).
 ``channel``
-    The underwater channel propagation, both the frequency-domain fast
-    path (cached transfer functions) and the retained ``fftconvolve``
-    reference path.
+    The underwater channel propagation through cached transfer functions.
 ``equalizer``
-    MMSE equalizer fitting: Levinson fast path, the dense O(n^3)
-    reference solve, and the batched ``fit_apply_many`` pipeline.
+    MMSE equalizer fitting: the Levinson solve and the batched
+    ``fit_apply_many`` pipeline.
 ``link``
     End-to-end :class:`~repro.link.session.LinkSession` protocol
     exchanges, single-packet and through ``run_packets``.
@@ -54,7 +50,6 @@ def _repeats(quick: bool, full: int, fast: int = 2) -> int:
 def fec_suite(quick: bool = False) -> list[Benchmark]:
     """FEC benchmarks: the 1024-bit decode the acceptance criteria track."""
     from repro.fec.convolutional import ConvolutionalCode, PuncturedConvolutionalCode
-    from repro.fec.reference import reference_decode
 
     code = ConvolutionalCode()
     punctured = PuncturedConvolutionalCode()
@@ -66,7 +61,7 @@ def fec_suite(quick: bool = False) -> list[Benchmark]:
     packet_bits = rng.integers(0, 2, 16)
     packet_coded = punctured.encode(packet_bits).astype(float)
 
-    benchmarks = [
+    return [
         Benchmark(
             name="viterbi_decode_1024",
             func=lambda: code.decode(soft, num_data_bits=num_data_bits),
@@ -74,14 +69,6 @@ def fec_suite(quick: bool = False) -> list[Benchmark]:
             unit="coded bits",
             repeats=_repeats(quick, 20, 3),
             metadata={"coded_bits": int(coded.size), "implementation": "vectorized"},
-        ),
-        Benchmark(
-            name="viterbi_decode_1024_reference",
-            func=lambda: reference_decode(code, soft, num_data_bits=num_data_bits),
-            items_per_call=coded.size,
-            unit="coded bits",
-            repeats=_repeats(quick, 5, 1),
-            metadata={"coded_bits": int(coded.size), "implementation": "loop reference"},
         ),
         Benchmark(
             name="punctured_decode_packet",
@@ -100,7 +87,6 @@ def fec_suite(quick: bool = False) -> list[Benchmark]:
             metadata={"data_bits": num_data_bits},
         ),
     ]
-    return benchmarks
 
 
 def ofdm_suite(quick: bool = False) -> list[Benchmark]:
@@ -147,10 +133,6 @@ def ofdm_suite(quick: bool = False) -> list[Benchmark]:
 def preamble_suite(quick: bool = False) -> list[Benchmark]:
     """Two-stage preamble detection over a noisy capture."""
     from repro.core.preamble import PreambleDetector, PreambleGenerator
-    from repro.dsp.correlation import (
-        normalized_cross_correlation,
-        sliding_correlation_curve_reference,
-    )
 
     generator = PreambleGenerator()
     detector = PreambleDetector(generator)
@@ -168,18 +150,6 @@ def preamble_suite(quick: bool = False) -> list[Benchmark]:
     capture = rng.normal(0.0, 0.05, template.size * 3)
     capture[offset:offset + template.size] += template
 
-    def detect_reference() -> None:
-        """Seed detection pipeline: fresh template FFT + per-offset loop."""
-        correlation = normalized_cross_correlation(capture, template)
-        peak = int(np.argmax(correlation))
-        half = detector.ofdm_config.symbol_length // 2
-        sliding_correlation_curve_reference(
-            capture, peak - half, peak + half,
-            generator.symbol_length,
-            detector.protocol_config.pn_signs_array,
-            step=detector.protocol_config.sliding_correlation_step,
-        )
-
     return [
         Benchmark(
             name="detect_preamble",
@@ -188,14 +158,6 @@ def preamble_suite(quick: bool = False) -> list[Benchmark]:
             unit="samples",
             repeats=_repeats(quick, 10, 2),
             metadata={"capture_samples": int(capture.size), "implementation": "fft fast path"},
-        ),
-        Benchmark(
-            name="detect_preamble_reference",
-            func=detect_reference,
-            items_per_call=capture.size,
-            unit="samples",
-            repeats=_repeats(quick, 5, 1),
-            metadata={"capture_samples": int(capture.size), "implementation": "loop reference"},
         ),
         Benchmark(
             name="extract_preamble_symbols",
@@ -215,8 +177,6 @@ def channel_suite(quick: bool = False) -> list[Benchmark]:
     from repro.environments.sites import SITE_CATALOG
 
     channel = build_channel(site=SITE_CATALOG["lake"], distance_m=10.0, seed=3)
-    reference = build_channel(site=SITE_CATALOG["lake"], distance_m=10.0, seed=3)
-    reference.use_fast_path = False
     waveform = PreambleGenerator().waveform()
 
     return [
@@ -228,15 +188,6 @@ def channel_suite(quick: bool = False) -> list[Benchmark]:
             repeats=_repeats(quick, 10, 2),
             metadata={"site": "lake", "distance_m": 10.0, "samples": int(waveform.size),
                       "implementation": "frequency-domain fast path"},
-        ),
-        Benchmark(
-            name="channel_transmit_reference",
-            func=lambda: reference.transmit(waveform, rng=np.random.default_rng(5)),
-            items_per_call=waveform.size,
-            unit="samples",
-            repeats=_repeats(quick, 5, 1),
-            metadata={"site": "lake", "distance_m": 10.0, "samples": int(waveform.size),
-                      "implementation": "fftconvolve reference"},
         ),
     ]
 
@@ -277,7 +228,7 @@ def link_suite(quick: bool = False) -> list[Benchmark]:
 
 
 def equalizer_suite(quick: bool = False) -> list[Benchmark]:
-    """MMSE equalizer fitting: Levinson fast path vs dense reference."""
+    """MMSE equalizer fitting: single fits and the batched pipeline."""
     from repro.core.equalizer import MMSEEqualizer
 
     rng = np.random.default_rng(23)
@@ -285,7 +236,6 @@ def equalizer_suite(quick: bool = False) -> list[Benchmark]:
     reference = rng.normal(size=1027)
     bursts = [rng.normal(size=4135) for _ in range(8)]
     levinson = MMSEEqualizer(num_taps=480)
-    dense = MMSEEqualizer(num_taps=480, solver="dense")
     batch = MMSEEqualizer(num_taps=480)
 
     return [
@@ -296,14 +246,6 @@ def equalizer_suite(quick: bool = False) -> list[Benchmark]:
             unit="taps",
             repeats=_repeats(quick, 20, 3),
             metadata={"taps": 480, "training_samples": 1027, "solver": "levinson"},
-        ),
-        Benchmark(
-            name="equalizer_fit_480_dense_reference",
-            func=lambda: dense.fit(training, reference),
-            items_per_call=480,
-            unit="taps",
-            repeats=_repeats(quick, 5, 1),
-            metadata={"taps": 480, "training_samples": 1027, "solver": "dense"},
         ),
         Benchmark(
             name="equalizer_fit_apply_many_8",
@@ -387,11 +329,10 @@ def net_suite(quick: bool = False) -> list[Benchmark]:
     )
     throughput_events = throughput_scenario.run().num_events
 
-    # Micro-benchmark pair for the greedy hop choice: the production path
-    # (vectorized distance sweep + memo against the topology version --
-    # hop choices repeat constantly under ARQ traffic, which is exactly
-    # what the memo exploits) vs the retained per-neighbour scalar
-    # reference, on the same topology and (node, dest) pairs.
+    # Micro-benchmark of the greedy hop choice: a vectorized distance
+    # sweep + memo against the topology version (hop choices repeat
+    # constantly under ARQ traffic, which is exactly what the memo
+    # exploits).
     hop_topology = NetScenario(num_nodes=100, topology="grid").build_topology()
     hop_nodes = hop_topology.names
     hop_packet = NetPacket(
@@ -402,10 +343,6 @@ def net_suite(quick: bool = False) -> list[Benchmark]:
     def greedy_hops_vectorized() -> None:
         for node in hop_nodes[1:]:
             hop_routing.next_hops(node, hop_packet, hop_topology)
-
-    def greedy_hops_reference() -> None:
-        for node in hop_nodes[1:]:
-            hop_routing.next_hops_reference(node, hop_packet, hop_topology)
 
     return [
         Benchmark(
@@ -480,14 +417,6 @@ def net_suite(quick: bool = False) -> list[Benchmark]:
                 "nodes": 100, "destination": "n0",
                 "implementation": "memoized+vectorized",
             },
-        ),
-        Benchmark(
-            name="greedy_next_hops_reference",
-            func=greedy_hops_reference,
-            items_per_call=len(hop_nodes) - 1,
-            unit="hop choices",
-            repeats=_repeats(quick, 20, 3),
-            metadata={"nodes": 100, "destination": "n0", "implementation": "scalar"},
         ),
     ]
 

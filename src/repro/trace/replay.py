@@ -10,11 +10,10 @@ event interleaving -- and therefore its delivery records and metrics --
 bit for bit.  That exactness is what :func:`check_roundtrip` asserts and
 what makes committed traces usable as regression fixtures.
 
-:func:`compare_stacks` is the ``ab_compare`` of this layer (mirroring
-:mod:`repro.validation.ab`'s seed-paired idiom): one trace, two stack
-configurations, the same seed on both sides, scored into a
-:class:`~repro.trace.qoe.QoeDelta` of latency CDFs/percentiles, message
-QoE and SOS deadline misses.
+:func:`compare_stacks` is the seed-paired A/B comparison of this layer:
+one trace, two stack configurations, the same seed on both sides, scored
+into a :class:`~repro.trace.qoe.QoeDelta` of latency CDFs/percentiles,
+message QoE and SOS deadline misses.
 """
 
 from __future__ import annotations

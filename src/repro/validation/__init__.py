@@ -13,15 +13,11 @@ releases:
 * :mod:`~repro.validation.report` -- committed ``VALID_<figure>.json``
   envelopes (the expected behaviour) plus JSON/markdown
   :class:`~repro.validation.report.ValidationReport` rendering, and the
-  interval-overlap gate between a fresh run and the envelopes;
-* :func:`~repro.validation.ab.ab_compare` -- seed-paired reruns of whole
-  figures with ``use_fast_path=False`` or ``equalizer_solver="dense"``,
-  confirming fast-path equivalence end to end rather than per kernel.
+  interval-overlap gate between a fresh run and the envelopes.
 
 Driven by ``python -m repro.cli validate``.
 """
 
-from repro.validation.ab import AB_TOLERANCES, AB_VARIANTS, ABRow, ab_compare
 from repro.validation.figures import (
     FIGURE_REGISTRY,
     FigureSpec,
@@ -54,9 +50,6 @@ from repro.validation.stats import (
 )
 
 __all__ = [
-    "AB_TOLERANCES",
-    "AB_VARIANTS",
-    "ABRow",
     "FIGURE_REGISTRY",
     "FigureReport",
     "FigureResult",
@@ -67,7 +60,6 @@ __all__ = [
     "PointEstimate",
     "TrialOutcome",
     "ValidationReport",
-    "ab_compare",
     "available_figures",
     "check_against_envelope",
     "get_figure",

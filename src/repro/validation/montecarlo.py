@@ -169,10 +169,9 @@ class MonteCarloRunner:
         self.cache_dir = cache_dir
         self.progress = progress
         # In-process record memo keyed by scenario hash, shared across
-        # every run()/ab_compare call on this runner: figures with
-        # identical grids (ber_vs_snr and throughput_vs_distance sweep the
-        # same scenarios) and the A/B baselines reuse records instead of
-        # re-simulating the link PHY.
+        # every run() call on this runner: figures with identical grids
+        # (ber_vs_snr and throughput_vs_distance sweep the same scenarios)
+        # reuse records instead of re-simulating the link PHY.
         self._memo: dict[str, object] = {}
 
     def _emit(self, message: str) -> None:
@@ -221,19 +220,6 @@ class MonteCarloRunner:
         return [self.run(figure, quick=quick) for figure in figures]
 
     # ------------------------------------------------------------------- link
-    def scenarios_for(
-        self, spec: FigureSpec, grid=None, quick: bool = False
-    ):
-        """The seeded scenario grid of a link figure (points x trials)."""
-        if spec.kind != "link":
-            raise ValueError(f"figure {spec.name} is not a link figure")
-        grid = spec.grid(quick=quick) if grid is None else grid
-        return [
-            link_scenario(spec, axis_value, trial, self.base_seed, quick)
-            for axis_value in grid
-            for trial in range(self.trials)
-        ]
-
     def run_link_records(self, scenarios) -> list:
         """Run link scenarios through the runner, reusing memoized records.
 
@@ -261,7 +247,11 @@ class MonteCarloRunner:
     def _run_link(
         self, spec: FigureSpec, grid, quick: bool
     ) -> list[PointEstimate]:
-        scenarios = self.scenarios_for(spec, grid, quick)
+        scenarios = [
+            link_scenario(spec, axis_value, trial, self.base_seed, quick)
+            for axis_value in grid
+            for trial in range(self.trials)
+        ]
         known = sum(1 for s in scenarios if s.scenario_hash() in self._memo)
         records = self.run_link_records(scenarios)
         self._emit(

@@ -11,9 +11,9 @@ that preserve the physics therefore stay green across machine and
 sampling noise, while a genuine behaviour change (a decoder regression, a
 channel-model edit) pushes the intervals apart and fails the gate.
 
-:class:`ValidationReport` aggregates figure results, per-point checks and
-A/B equivalence rows into one object with JSON and markdown-table
-rendering for the CLI and CI.
+:class:`ValidationReport` aggregates figure results and per-point checks
+into one object with JSON and markdown-table rendering for the CLI and
+CI.
 """
 
 from __future__ import annotations
@@ -172,20 +172,17 @@ class FigureReport:
 
 @dataclass
 class ValidationReport:
-    """Aggregate of every figure (and A/B comparison) of one run."""
+    """Aggregate of every figure of one run."""
 
     figures: list[FigureReport] = field(default_factory=list)
-    ab_rows: list = field(default_factory=list)  # ABRow instances (repro.validation.ab)
 
     def add(self, report: FigureReport) -> None:
         self.figures.append(report)
 
     @property
     def passed(self) -> bool:
-        """Every envelope check and every A/B row passed."""
-        return all(f.passed for f in self.figures) and all(
-            row.passed for row in self.ab_rows
-        )
+        """Every envelope check passed."""
+        return all(f.passed for f in self.figures)
 
     @property
     def num_checks(self) -> int:
@@ -193,7 +190,7 @@ class ValidationReport:
 
     # ------------------------------------------------------------- rendering
     def to_markdown(self) -> str:
-        """Markdown tables: one per figure, plus the A/B table."""
+        """Markdown tables, one per figure."""
         lines: list[str] = []
         for fig in self.figures:
             spec = get_figure(fig.result.figure)
@@ -222,16 +219,6 @@ class ValidationReport:
                     )
                 lines.append("| " + " | ".join(row) + " |")
             lines.append("")
-        if self.ab_rows:
-            lines.append("### Seed-paired fast-path equivalence (A/B)")
-            lines.append("")
-            lines.append(
-                "| figure | variant | metric | mean delta | max abs delta | verdict |"
-            )
-            lines.append("|---|---|---|---|---|---|")
-            for row in self.ab_rows:
-                lines.append(row.to_markdown_row())
-            lines.append("")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -239,7 +226,6 @@ class ValidationReport:
             "schema_version": SCHEMA_VERSION,
             "passed": self.passed,
             "figures": [f.to_dict() for f in self.figures],
-            "ab": [row.to_dict() for row in self.ab_rows],
         }
 
     def save(self, path: str | Path) -> Path:

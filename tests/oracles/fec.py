@@ -1,12 +1,10 @@
-"""Loop-based reference Viterbi decoder (the pre-vectorization implementation).
+"""Loop-based reference encoder and Viterbi decoder.
 
 The production decoder in :mod:`repro.fec.convolutional` is fully
-vectorized; this module keeps the original per-state/per-bit Python loop
-implementation around as an executable specification.  The golden
-equivalence tests assert the two produce bit-identical decisions for every
-input class (hard, soft, erasures, punctured, terminated or not), and the
-``fec`` benchmark suite decodes the same stream with both to report the
-measured speedup.
+vectorized; this module keeps a per-state/per-bit Python loop
+implementation as an executable specification.  The golden equivalence
+tests assert the two produce bit-identical decisions for every input
+class (hard, soft, erasures, punctured, terminated or not).
 """
 
 from __future__ import annotations

@@ -154,6 +154,19 @@ def test_jobs_command_rejects_bad_requests(capsys, tmp_path):
     assert main(["jobs", "--jobs", str(root), "--fetch", "no-such-job",
                  "--out", str(tmp_path / "x.json")]) == 2
     assert "error" in capsys.readouterr().err
+    # A job root written by an older manifest version is refused, not
+    # listed with a traceback.
+    import json
+
+    from repro.experiments import Scenario, SweepService
+
+    job = SweepService(root).submit([Scenario(site="bridge", num_packets=1)])
+    manifest = root / "jobs" / job.job_id / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["manifest_version"] = 1
+    manifest.write_text(json.dumps(data))
+    assert main(["jobs", "--jobs", str(root)]) == 2
+    assert "unsupported manifest version 1" in capsys.readouterr().err
 
 
 def test_sweep_rejects_unknown_scheme():
@@ -198,8 +211,7 @@ def test_bench_command_writes_suite_json(capsys, tmp_path):
 
     suite, results = load_results(tmp_path / "BENCH_fec.json")
     assert suite == "fec"
-    assert {r.name for r in results} >= {"viterbi_decode_1024",
-                                         "viterbi_decode_1024_reference"}
+    assert "viterbi_decode_1024" in {r.name for r in results}
 
 
 def test_bench_command_compares_against_baseline(capsys, tmp_path):
@@ -271,24 +283,22 @@ def test_bench_fail_above_fails_on_regression(capsys, tmp_path):
 def test_validate_command_quick_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["validate", "--figure", "ber_vs_snr", "--trials", "1",
-                 "--quick", "--workers", "1", "--ab-compare", "fast-path",
-                 "--json", str(out)])
+                 "--quick", "--workers", "1", "--json", str(out)])
     assert code == 0
     output = capsys.readouterr().out
     assert "ber_vs_snr" in output
     assert "95% CI" in output
-    assert "fast-path" in output and "pass" in output
-    assert "validation gate passed" in output
+    assert "validation gate" not in output  # nothing gated without a reference
     import json
 
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
-    assert payload["ab"]
+    assert sorted(payload) == ["figures", "passed", "schema_version"]
 
 
 def test_validate_command_write_then_compare_reference(capsys, tmp_path):
     base = ["validate", "--figure", "sos_range", "--trials", "1",
-            "--reference-dir", str(tmp_path), "--ab-compare", "none"]
+            "--reference-dir", str(tmp_path)]
     # References come from full runs; the later quick comparison sweeps
     # the quick subset of the same grid against them.
     assert main(base + ["--write-reference"]) == 0
@@ -304,7 +314,7 @@ def test_validate_command_refuses_quick_reference_write(capsys, tmp_path):
     # A quick-grid envelope would make every later full-grid comparison
     # fail on the missing points, so writing one is an error.
     code = main(["validate", "--figure", "sos_range", "--trials", "1",
-                 "--quick", "--write-reference", "--ab-compare", "none",
+                 "--quick", "--write-reference",
                  "--reference-dir", str(tmp_path)])
     assert code == 2
     assert "full run" in capsys.readouterr().err
@@ -313,7 +323,7 @@ def test_validate_command_refuses_quick_reference_write(capsys, tmp_path):
 
 def test_validate_command_missing_envelope_errors(capsys, tmp_path):
     code = main(["validate", "--figure", "net_pdr_vs_hops", "--trials", "1",
-                 "--quick", "--compare-reference", "--ab-compare", "none",
+                 "--quick", "--compare-reference",
                  "--reference-dir", str(tmp_path)])
     assert code == 2
     assert "cannot read envelope" in capsys.readouterr().err
@@ -323,7 +333,7 @@ def test_validate_command_fails_on_shifted_envelope(capsys, tmp_path):
     import json
 
     base = ["validate", "--figure", "net_pdr_vs_hops", "--trials", "1",
-            "--reference-dir", str(tmp_path), "--ab-compare", "none"]
+            "--reference-dir", str(tmp_path)]
     assert main(base + ["--write-reference"]) == 0
     path = tmp_path / "VALID_net_pdr_vs_hops.json"
     data = json.loads(path.read_text())

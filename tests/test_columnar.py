@@ -10,13 +10,14 @@ artifact, and every query -- ``where``, ``to_table``, ``metric``,
 aggregations -- must agree with the object path bit for bit.
 """
 
+import json
 import math
 import tempfile
 import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import (
@@ -27,9 +28,9 @@ from repro.experiments import (
     Scenario,
     Sweep,
 )
+from repro.experiments.scenario import content_hash
 
-_slow = settings(max_examples=30, deadline=None,
-                 suppress_health_check=[HealthCheck.too_slow])
+_examples = settings(max_examples=30)
 
 # Any float a simulation metric could plausibly (or implausibly) carry:
 # the arenas must be lossless for all of them, NaN and +/-inf included.
@@ -44,7 +45,6 @@ _scenarios = st.builds(
     num_packets=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=999),
     label=st.text(max_size=8),  # unicode, including '' and whitespace
-    use_fast_path=st.booleans(),
     rx_depth_m=st.one_of(st.none(), st.sampled_from([0.5, 2.0])),
 )
 
@@ -94,7 +94,7 @@ def _float_equal(a: float, b: float) -> bool:
 
 
 # ------------------------------------------------------------- round-trip
-@_slow
+@_examples
 @given(_record_lists)
 def test_roundtrip_is_lossless(records):
     reference = ResultSet(list(records))
@@ -113,7 +113,7 @@ def test_roundtrip_is_lossless(records):
         assert rebuilt.delivered_flags == original.delivered_flags
 
 
-@_slow
+@_examples
 @given(_record_lists)
 def test_npz_roundtrip_is_lossless(records):
     columnar = ColumnarResultSet(list(records))
@@ -126,7 +126,7 @@ def test_npz_roundtrip_is_lossless(records):
         assert _float_equal(rebuilt.elapsed_s, original.elapsed_s)
 
 
-@_slow
+@_examples
 @given(_record_lists)
 def test_json_form_matches_object_path(records):
     reference = ResultSet(list(records))
@@ -136,9 +136,32 @@ def test_json_form_matches_object_path(records):
             == reference.to_json(include_timing=True))
 
 
+def _signed_zero_bitrates(bitrates):
+    """A record whose finite bitrates are all ``-0.0``."""
+    packets = len(bitrates)
+    return RunRecord(
+        scenario=Scenario(site="lake", num_packets=packets),
+        num_packets=packets,
+        delivered=packets,
+        packet_error_rate=0.0,
+        payload_bit_error_rate=0.0,
+        coded_bit_error_rate=0.0,
+        preamble_detection_rate=1.0,
+        feedback_error_rate=0.0,
+        bitrates_bps=bitrates,
+        band_starts_hz=(1000.0,) * packets,
+        band_ends_hz=(4000.0,) * packets,
+        min_band_snrs_db=(10.0,) * packets,
+        delivered_flags=(True,) * packets,
+        elapsed_s=0.0,
+    )
+
+
 # ---------------------------------------------------------------- queries
-@_slow
+@_examples
 @given(_record_lists)
+@example([_signed_zero_bitrates((-0.0,))])
+@example([_signed_zero_bitrates((-0.0, -0.0))])
 def test_to_table_matches_object_path(records):
     reference = ResultSet(list(records))
     columnar = ColumnarResultSet(list(records))
@@ -148,7 +171,7 @@ def test_to_table_matches_object_path(records):
     assert columnar.to_table(wide) == reference.to_table(wide)
 
 
-@_slow
+@_examples
 @given(_record_lists)
 def test_metrics_and_aggregations_match_object_path(records):
     reference = ResultSet(list(records))
@@ -178,7 +201,7 @@ def _records_with_criteria(draw):
     criteria = {}
     names = draw(st.sets(
         st.sampled_from(["site", "scheme", "distance_m", "seed",
-                         "use_fast_path", "label", "motion", "rx_depth_m"]),
+                         "label", "motion", "rx_depth_m"]),
         max_size=3,
     ))
     for name in names:
@@ -197,7 +220,6 @@ def _records_with_criteria(draw):
                 "scheme": st.sampled_from(["adaptive", "fixed-3k"]),
                 "distance_m": st.sampled_from([4.0, 5.0, 99.0]),
                 "seed": st.integers(0, 999),
-                "use_fast_path": st.booleans(),
                 "label": st.text(max_size=8),
                 "motion": st.sampled_from(["static", "slow"]),
                 "rx_depth_m": st.one_of(st.none(), st.sampled_from([0.5, 2.0])),
@@ -206,7 +228,7 @@ def _records_with_criteria(draw):
     return records, criteria
 
 
-@_slow
+@_examples
 @given(_records_with_criteria())
 def test_where_matches_object_path(records_and_criteria):
     records, criteria = records_and_criteria
@@ -216,7 +238,7 @@ def test_where_matches_object_path(records_and_criteria):
     assert filtered.to_table() == reference.to_table()
 
 
-@_slow
+@_examples
 @given(_record_lists)
 def test_where_predicate_matches_object_path(records):
     predicate = lambda r: r.delivered > 0  # noqa: E731
@@ -334,11 +356,24 @@ def test_load_npz_rejects_foreign_npz(tmp_path):
 def test_load_npz_rejects_wrong_version(tmp_path):
     columnar = ColumnarResultSet.from_result_set(_simulated(2))
     path = columnar.save_npz(tmp_path / "results.npz")
-    arrays = dict(np.load(path, allow_pickle=False))
-    arrays["version"] = np.asarray(99)
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError):
-        ColumnarResultSet.load_npz(path)
+    saved = dict(np.load(path, allow_pickle=False))
+    # An artifact written while Scenario still had the use_fast_path
+    # switch: its scenario entries carry the removed key, hashed to match.
+    old_scenarios = [
+        dict(json.loads(str(text)), use_fast_path=True)
+        for text in saved["scenario_json"]
+    ]
+    old_schema = {
+        "scenario_json": np.asarray(
+            [json.dumps(data, sort_keys=True) for data in old_scenarios]
+        ),
+        "scenario_hash": np.asarray([content_hash(data) for data in old_scenarios]),
+    }
+    for changes, reason in (({"version": np.asarray(99)}, "unsupported version"),
+                            (old_schema, "undecodable scenario")):
+        np.savez(path, **dict(saved, **changes))
+        with pytest.raises(ValueError, match=reason):
+            ColumnarResultSet.load_npz(path)
 
 
 def test_empty_set_roundtrips(tmp_path):

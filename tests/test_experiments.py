@@ -461,15 +461,6 @@ def test_scenario_results_survive_pickling():
     assert direct == pickled
 
 
-def test_modem_spec_rejects_unknown_solver_eagerly():
-    # The typo must fail at spec construction, not inside a pool worker
-    # during the first decode of a multi-point sweep.
-    with pytest.raises(ValueError, match="equalizer_solver"):
-        ModemSpec(equalizer_solver="levinsen")
-    with pytest.raises(ValueError, match="equalizer_solver"):
-        Scenario(site="bridge", modem=ModemSpec(equalizer_solver="qr"))
-
-
 def test_cross_process_determinism_matches_in_process_run():
     """Regression guard for the STATIC_MOTION pickling bug class.
 
@@ -479,10 +470,8 @@ def test_cross_process_determinism_matches_in_process_run():
     non-identical copy in the worker would silently change the physics or
     the cache key.  The grid deliberately crosses every axis that rides
     the pickle path: motion presets (the original bug), the fixed-band
-    scheme objects, and the PR-5 use_fast_path / equalizer_solver flags.
+    scheme objects and a non-default modem spec.
     """
-    import dataclasses
-
     from repro.experiments.runner import _execute_scenario
 
     scenarios = [
@@ -491,10 +480,9 @@ def test_cross_process_determinism_matches_in_process_run():
         Scenario(site="lake", distance_m=5.0, num_packets=2, seed=32,
                  motion="slow"),
         Scenario(site="bridge", distance_m=6.0, num_packets=2, seed=33,
-                 scheme="fixed-0.5k", use_fast_path=False),
+                 scheme="fixed-0.5k"),
         Scenario(site="bridge", distance_m=6.0, num_packets=2, seed=34,
-                 modem=dataclasses.replace(ModemSpec(),
-                                           equalizer_solver="dense")),
+                 modem=ModemSpec(use_interleaving=False)),
     ]
     in_process = [_execute_scenario(s) for s in scenarios]
     pooled = ExperimentRunner(max_workers=2).run(scenarios)

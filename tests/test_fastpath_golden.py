@@ -1,9 +1,10 @@
 """Golden equivalence tests pinning the fast paths to their references.
 
 Mirrors the pattern of tests/test_fec_golden.py: every frequency-domain /
-vectorized fast path introduced by the link-layer optimization PR is
-compared against the retained reference implementation on randomized
-inputs, with the tolerance of each comparison documented at the assert.
+vectorized fast path of the link layer is compared against a reference
+implementation (scipy, an inline seed version or :mod:`oracles`) on
+randomized inputs, with the tolerance of each comparison documented at
+the assert.
 
 Tolerances, and why they are what they are (PR-5 audit: every bound was
 measured over >= 8 fresh seeds and is quoted at the assert; the asserted
@@ -44,14 +45,17 @@ import pytest
 from scipy import signal as sp_signal
 
 from _golden_utils import assert_allclose_seeded
+from oracles.channel import FftconvolveChannel
+from oracles.dsp import dense_toeplitz_solve, sliding_correlation_curve_reference
 
+import repro.core.equalizer as equalizer_module
+import repro.environments.factory as factory_module
 from repro.channel.motion import MOTION_PRESETS
 from repro.core.equalizer import MMSEEqualizer
 from repro.dsp.correlation import (
     TemplateCorrelator,
     normalized_cross_correlation,
     sliding_correlation_curve,
-    sliding_correlation_curve_reference,
 )
 from repro.dsp.fastconv import (
     SpectrumCache,
@@ -63,6 +67,15 @@ from repro.dsp.fastconv import (
 from repro.dsp.levinson import levinson_solve, solve_symmetric_toeplitz
 from repro.environments.factory import build_channel
 from repro.environments.sites import SITE_CATALOG
+
+
+def _reference_channel(monkeypatch, **kwargs):
+    """``build_channel(**kwargs)`` built as an :class:`FftconvolveChannel`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(factory_module, "UnderwaterAcousticChannel", FftconvolveChannel)
+        channel = build_channel(**kwargs)
+    assert type(channel) is FftconvolveChannel  # else the comparison is vacuous
+    return channel
 
 
 # --------------------------------------------------------------------- fastconv
@@ -133,7 +146,7 @@ def test_spectrum_cache_hits_on_equal_content():
 
 # ---------------------------------------------------------------- channel path
 @pytest.mark.parametrize("motion", ["static", "slow", "fast"])
-def test_channel_fast_path_matches_reference(motion):
+def test_channel_fast_path_matches_reference(motion, monkeypatch):
     """Frequency-domain transmit vs the seed fftconvolve pipeline.
 
     ``include_noise=False`` isolates the deterministic propagation (the
@@ -141,11 +154,10 @@ def test_channel_fast_path_matches_reference(motion):
     test_channel_noise.py).  Both paths must also evolve the channel drift
     state identically, which the second transmit checks.
     """
-    fast = build_channel(site=SITE_CATALOG["lake"], distance_m=10.0, seed=3,
-                         motion=MOTION_PRESETS[motion])
-    reference = build_channel(site=SITE_CATALOG["lake"], distance_m=10.0, seed=3,
-                              motion=MOTION_PRESETS[motion])
-    reference.use_fast_path = False
+    channel = dict(site=SITE_CATALOG["lake"], distance_m=10.0, seed=3,
+                   motion=MOTION_PRESETS[motion])
+    fast = build_channel(**channel)
+    reference = _reference_channel(monkeypatch, **channel)
     waveform = np.sin(2 * np.pi * 2000.0 * np.arange(12000) / 48000.0)
     for trial in range(3):
         out_fast = fast.transmit(waveform, rng=np.random.default_rng(40 + trial),
@@ -163,11 +175,11 @@ def test_channel_fast_path_matches_reference(motion):
         assert out_fast.doppler == out_ref.doppler
 
 
-def test_channel_fast_path_matches_reference_with_noise():
+def test_channel_fast_path_matches_reference_with_noise(monkeypatch):
     """With noise the two paths share the same rng stream and stay close."""
     fast = build_channel(site=SITE_CATALOG["lake"], distance_m=5.0, seed=9)
-    reference = build_channel(site=SITE_CATALOG["lake"], distance_m=5.0, seed=9)
-    reference.use_fast_path = False
+    reference = _reference_channel(monkeypatch, site=SITE_CATALOG["lake"],
+                                   distance_m=5.0, seed=9)
     waveform = np.sin(2 * np.pi * 1500.0 * np.arange(9000) / 48000.0)
     out_fast = fast.transmit(waveform, rng=np.random.default_rng(77))
     out_ref = reference.transmit(waveform, rng=np.random.default_rng(77))
@@ -260,8 +272,7 @@ def test_levinson_recursion_matches_dense_solve():
             r = np.correlate(y, y, "full")[y.size - 1:y.size - 1 + n] / y.size
             r[0] *= 1.001  # diagonal loading keeps the system well conditioned
             b = rng.normal(size=n)
-            indices = np.arange(n)
-            dense = np.linalg.solve(r[np.abs(indices[:, None] - indices[None, :])], b)
+            dense = dense_toeplitz_solve(r, b)
             pure = levinson_solve(r, b)
             dispatched = solve_symmetric_toeplitz(r, b)
             # Measured max deviation between the O(n^2) recursion and the
@@ -283,14 +294,16 @@ def test_levinson_solve_rejects_bad_inputs():
         levinson_solve(np.array([0.0, 1.0]), np.ones(2))
 
 
-def test_equalizer_levinson_matches_dense_reference():
+def test_equalizer_levinson_matches_dense_reference(monkeypatch):
     rng = np.random.default_rng(8)
     reference_training = rng.normal(size=1027)
     channel = rng.normal(size=60) * np.exp(-np.arange(60) / 12.0)
     received = np.convolve(reference_training, channel)[:1027]
     received += 0.01 * rng.normal(size=received.size)
     taps_fast = MMSEEqualizer(num_taps=480).fit(received, reference_training)
-    taps_dense = MMSEEqualizer(num_taps=480, solver="dense").fit(received, reference_training)
+    monkeypatch.setattr(equalizer_module, "solve_symmetric_toeplitz", dense_toeplitz_solve)
+    taps_dense = MMSEEqualizer(num_taps=480).fit(received, reference_training)
+    assert not np.array_equal(taps_fast, taps_dense)  # the dense solve really ran
     scale = np.max(np.abs(taps_dense))
     # Measured max deviation: 1.7e-14 relative of the largest tap through
     # the 480-tap fit (seeds 0-7) -> asserted at 1e-11 (was 1e-6).

@@ -1,11 +1,11 @@
 """Golden-equivalence tests: vectorized Viterbi vs the loop reference.
 
 The vectorized decoder in :mod:`repro.fec.convolutional` must make the
-*same decisions* as the retained loop implementation in
-:mod:`repro.fec.reference` -- not just decode correctly, but be
-bit-identical on every input class: random codewords, hard and soft
-inputs, erasure (NaN) patterns, the punctured rate-2/3 configuration, and
-terminated as well as unterminated trellises.  Noise levels are chosen
+*same decisions* as the loop implementation in :mod:`oracles.fec` --
+not just decode correctly, but be bit-identical on every input class:
+random codewords, hard and soft inputs, erasure (NaN) patterns, the
+punctured rate-2/3 configuration, and terminated as well as unterminated
+trellises.  Noise levels are chosen
 high enough that many decodes contain residual errors, so the tests also
 pin down tie-breaking and traceback behaviour, not only the easy
 error-free paths.
@@ -25,16 +25,16 @@ import numpy as np
 import pytest
 
 from _golden_utils import assert_bit_identical_seeded
+from oracles.fec import (
+    reference_decode,
+    reference_encode,
+    reference_punctured_decode,
+)
 
 from repro.fec.convolutional import (
     ConvolutionalCode,
     PuncturedConvolutionalCode,
     hard_bits_to_soft,
-)
-from repro.fec.reference import (
-    reference_decode,
-    reference_encode,
-    reference_punctured_decode,
 )
 
 

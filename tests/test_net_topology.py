@@ -105,14 +105,13 @@ def test_builder_validation():
 # NeighborTable indistinguishable from a brute-force rebuild over the
 # *active* membership, and bump the version so greedy's memo refreshes.
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.net.packet import NetPacket  # noqa: E402
 from repro.net.routing import GreedyForwarding  # noqa: E402
 
-_slow = settings(max_examples=25, deadline=None,
-                 suppress_health_check=[HealthCheck.too_slow])
+_examples = settings(max_examples=25)
 
 
 def _live_brute_force(topology, name):
@@ -158,7 +157,7 @@ _ops = st.lists(
 )
 
 
-@_slow
+@_examples
 @given(seed=st.integers(min_value=0, max_value=50), ops=_ops)
 def test_membership_mutations_match_brute_force_rebuild(seed, ops):
     topology = AcousticNetTopology.random_deployment(
@@ -190,7 +189,7 @@ def test_membership_mutations_match_brute_force_rebuild(seed, ops):
         _assert_consistent(topology)
 
 
-@_slow
+@_examples
 @given(seed=st.integers(min_value=0, max_value=50))
 def test_remove_then_readd_round_trip_restores_tables(seed):
     topology = AcousticNetTopology.random_deployment(

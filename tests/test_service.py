@@ -175,7 +175,9 @@ def test_manifest_version_gate(tmp_path):
     job = service.submit(_scenarios(1))
     path = service.jobs_dir / job.job_id / "manifest.json"
     data = json.loads(path.read_text())
-    data["manifest_version"] = 99
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="manifest version"):
-        service.poll(job.job_id)
+    # Version 1 manifests hold scenario entries that no longer decode.
+    for version in (1, 99):
+        data["manifest_version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="manifest version"):
+            service.poll(job.job_id)

@@ -6,14 +6,12 @@ import math
 import pytest
 
 from repro.validation import (
-    AB_VARIANTS,
     FIGURE_REGISTRY,
     FigureReport,
     FigureSpec,
     MetricSummary,
     MonteCarloRunner,
     ValidationReport,
-    ab_compare,
     available_figures,
     check_against_envelope,
     get_figure,
@@ -242,30 +240,6 @@ def test_montecarlo_memo_reuses_records_across_figures(monkeypatch):
     assert first.points[0].axis_value == second.points[0].axis_value
 
 
-def test_ab_compare_reuses_runner_memo(monkeypatch):
-    import repro.validation.montecarlo as mc_module
-
-    executed = []
-    real_runner = mc_module.ExperimentRunner
-
-    class CountingRunner(real_runner):
-        def iter_run(self, scenarios, progress=None):
-            scenarios = list(scenarios)
-            executed.extend(scenarios)
-            return super().iter_run(scenarios, progress=progress)
-
-    monkeypatch.setattr(mc_module, "ExperimentRunner", CountingRunner)
-    runner = MonteCarloRunner(trials=1, max_workers=1)
-    runner.run("ber_vs_snr", quick=True)
-    baseline_runs = len(executed)
-    rows = ab_compare("ber_vs_snr", variant="fast-path", quick=True,
-                      runner=runner)
-    # Only the reference variant is new work; the baseline came from memo.
-    assert len(executed) == baseline_runs + 2
-    assert all(not s.use_fast_path for s in executed[baseline_runs:])
-    assert all(row.passed for row in rows)
-
-
 def test_montecarlo_rejects_bad_trials():
     with pytest.raises(ValueError):
         MonteCarloRunner(trials=0)
@@ -346,72 +320,26 @@ def test_validation_report_markdown_and_save(tiny_link_result, tmp_path):
     assert payload["figures"][0]["checks"]
 
 
-# ------------------------------------------------------------------------- ab
-def test_ab_compare_fast_path_is_equivalent():
-    """Acceptance criterion: the seed-paired fast-path rerun must agree on
-    link BER and preamble detection."""
-    rows = ab_compare("ber_vs_snr", variant="fast-path", trials=1, quick=True,
-                      max_workers=1)
-    by_metric = {row.metric: row for row in rows}
-    assert by_metric["coded_ber"].passed
-    assert by_metric["detection_rate"].passed
-    assert by_metric["coded_ber"].max_abs_delta <= 1e-12
-
-
-def test_ab_compare_solver_variant_is_equivalent():
-    rows = ab_compare("ber_vs_snr", variant="solver", trials=1, quick=True,
-                      max_workers=1)
-    assert all(row.passed for row in rows)
-
-
-def test_ab_variants_flip_the_right_flags():
-    scenario = link_scenario(get_figure("ber_vs_snr"), 5.0, 0)
-    reference = AB_VARIANTS["fast-path"](scenario)
-    assert scenario.use_fast_path and not reference.use_fast_path
-    dense = AB_VARIANTS["solver"](scenario)
-    assert dense.modem.equalizer_solver == "dense"
-    assert scenario.modem.equalizer_solver == "levinson"
-
-
-def test_ab_compare_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        ab_compare("sos_range", trials=1)  # not a link figure
-    with pytest.raises(ValueError):
-        ab_compare("ber_vs_snr", variant="warp-drive", trials=1)
-
-
-def test_ab_row_markdown_and_failure_detection():
-    from repro.validation import ABRow
-
-    row = ABRow(figure="f", variant="fast-path", metric="per", n_pairs=4,
-                mean_delta=0.0, max_abs_delta=0.5, tolerance=0.01)
-    assert not row.passed
-    assert "FAIL" in row.to_markdown_row()
-    nan_row = ABRow(figure="f", variant="fast-path", metric="per", n_pairs=0,
-                    mean_delta=float("nan"), max_abs_delta=float("nan"),
-                    tolerance=0.01)
-    assert not nan_row.passed  # no data must read as failure
-    # NaN deltas serialize as strict-JSON null, never bare NaN tokens.
-    payload = json.dumps(nan_row.to_dict(), allow_nan=False)
-    assert json.loads(payload)["mean_delta"] is None
-
-
 # -------------------------------------------------------------- fast vs slow
-def test_scenario_reference_path_produces_same_statistics():
-    """End-to-end spot check behind the A/B harness: flipping both
-    reference flags on one scenario reproduces the fast run's packet
-    outcomes exactly (decisions have margins ~1e9 times the path error)."""
-    import dataclasses
+def test_scenario_reference_path_produces_same_statistics(monkeypatch):
+    """End-to-end spot check of the fast paths: one scenario rerun with the
+    fftconvolve channel and the dense Toeplitz solve swapped in reproduces
+    the fast run's packet outcomes exactly (decisions have margins ~1e9
+    times the path error)."""
+    from oracles.channel import FftconvolveChannel
+    from oracles.dsp import dense_toeplitz_solve
 
+    import repro.core.equalizer as equalizer_module
+    from repro.channel.channel import UnderwaterAcousticChannel
     from repro.experiments import Scenario
 
-    fast = Scenario(site="lake", distance_m=10.0, num_packets=3, seed=91)
-    slow = fast.replace(
-        use_fast_path=False,
-        modem=dataclasses.replace(fast.modem, equalizer_solver="dense"),
-    )
-    fast_stats = fast.run()
-    slow_stats = slow.run()
+    scenario = Scenario(site="lake", distance_m=10.0, num_packets=3, seed=91)
+    fast_stats = scenario.run()
+    monkeypatch.setattr(UnderwaterAcousticChannel, "_propagate",
+                        FftconvolveChannel._propagate)
+    monkeypatch.setattr(equalizer_module, "solve_symmetric_toeplitz",
+                        dense_toeplitz_solve)
+    slow_stats = scenario.run()
     assert fast_stats.packet_error_rate == slow_stats.packet_error_rate
     assert fast_stats.coded_bit_error_rate == slow_stats.coded_bit_error_rate
     assert (fast_stats.preamble_detection_rate
