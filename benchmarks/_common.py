@@ -99,7 +99,7 @@ def run_link(
         rx_device=rx_device,
         case=case,
     )
-    return scenario.build_session(modem=modem).run_many(num_packets)
+    return scenario.build_session(modem=modem).run_packets(num_packets)
 
 
 def scheme_label(scheme: FixedBandScheme | str) -> str:

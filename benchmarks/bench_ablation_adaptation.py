@@ -27,7 +27,7 @@ DISTANCE_M = 20.0
 def _run_with_modem(modem, seed):
     forward, backward = build_link_pair(site=LAKE, distance_m=DISTANCE_M, seed=seed)
     session = LinkSession(forward, backward, modem=modem, seed=seed)
-    return session.run_many(NUM_PACKETS)
+    return session.run_packets(NUM_PACKETS)
 
 
 def _run_parameters():

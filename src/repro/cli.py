@@ -102,9 +102,10 @@ def _add_serve_parser(subparsers) -> None:
         help="submit a sweep to the streaming job service and stream results",
         description="Submit the parameter grid as a content-addressed job "
                     "under --jobs, stream its records as they complete, and "
-                    "leave results.npz/results.json artifacts behind.  "
-                    "Resubmitting an identical grid is served entirely from "
-                    "the artifacts (a 100% cache hit).",
+                    "leave a results.npz artifact behind (`jobs --fetch` "
+                    "exports it as .npz or JSON).  Resubmitting an identical "
+                    "grid is served entirely from the artifact (a 100% "
+                    "cache hit).",
     )
     _add_sweep_grid_args(parser)
     parser.add_argument("--jobs", metavar="DIR", dest="jobs_dir", required=True,

@@ -14,17 +14,18 @@ Python objects:
   offsets arena per series);
 * scenarios are interned: each distinct scenario is serialized once into
   a string table (canonical sorted-key JSON) alongside its content hash,
-  and records carry only an integer id.  Filter-relevant scenario fields
-  (site, scheme, distance, seed, ...) are kept as small per-unique
-  columns so :meth:`where` vectorizes without materializing a single
-  :class:`~repro.experiments.scenario.Scenario`.
+  and records carry only an integer id.  :meth:`where` therefore asks
+  :meth:`~repro.experiments.scenario.Scenario.matches` once per unique
+  scenario, not once per record.
 
 The round trip to the object representation is lossless --
 ``ColumnarResultSet.from_result_set(rs).to_result_set() == rs`` holds for
 any result set, including NaN/inf metric values and unicode scenario
-labels -- and :meth:`where` / :meth:`to_table` / :meth:`metric` agree
-with the object path by construction (the equivalence-oracle property
-suite in ``tests/test_columnar.py`` enforces this on randomized inputs).
+labels.  :meth:`where` has :meth:`Scenario.matches` semantics, and
+:meth:`to_table` / :meth:`to_json` / :meth:`save` render through
+:meth:`to_result_set`, so all of them agree with the object path; the
+equivalence-oracle property suite in ``tests/test_columnar.py`` also
+holds :meth:`metric` and the aggregations to it on randomized inputs.
 
 On disk a columnar result set is a ``.npz`` artifact
 (:meth:`save_npz` / :meth:`load_npz`) written beside the runner's JSON
@@ -41,20 +42,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.analysis.metrics import format_table
-from repro.channel.motion import MOTION_PRESETS
-from repro.devices.case import CASE_CATALOG
-from repro.devices.models import DEVICE_CATALOG
-from repro.environments.sites import SITE_CATALOG
 from repro.experiments.records import DEFAULT_TABLE_COLUMNS, ResultSet, RunRecord
-from repro.experiments.scenario import (
-    SCHEME_CATALOG,
-    ModemSpec,
-    Scenario,
-    _resolve,
-    _serialize_catalog_value,
-    content_hash,
-)
+from repro.experiments.scenario import Scenario, content_hash
 
 #: ``.npz`` artifact format marker and version (bump on layout changes).
 NPZ_FORMAT = "repro.columnar-results"
@@ -78,25 +67,6 @@ _SERIES_FIELDS = (
     "band_ends_hz",
     "min_band_snrs_db",
 )
-#: Scenario fields kept as vectorizable per-unique-scenario columns.
-_SCENARIO_FLOAT_FIELDS = ("distance_m", "tx_depth_m", "orientation_deg")
-_SCENARIO_INT_FIELDS = ("num_packets", "seed")
-#: Scenario fields matched through their canonical serialized form
-#: (object equality for these frozen dataclasses is field equality, which
-#: the sorted-key JSON of their serialized form captures exactly).
-_SCENARIO_INTERNED_FIELDS = (
-    "site", "motion", "tx_device", "rx_device", "case", "scheme", "modem",
-    "label",
-)
-#: Catalogs backing the string spellings ``where``/``matches`` accept.
-_CATALOGS = {
-    "site": SITE_CATALOG,
-    "motion": MOTION_PRESETS,
-    "tx_device": DEVICE_CATALOG,
-    "rx_device": DEVICE_CATALOG,
-    "case": CASE_CATALOG,
-    "scheme": SCHEME_CATALOG,
-}
 
 
 class _Arena:
@@ -189,24 +159,6 @@ class StringTable:
         return self.strings[index]
 
 
-def _canonical(value) -> str:
-    """Canonical JSON spelling used for interned scenario-field matching."""
-    return json.dumps(value, sort_keys=True, default=str)
-
-
-def _equals_mask(column: np.ndarray, wanted) -> np.ndarray:
-    """Elementwise ``column == wanted`` as a boolean mask.
-
-    Comparing a numpy column to an incomparable type yields a scalar
-    ``False``; broadcast it so callers always get a per-row mask (the
-    object path's ``getattr(...) != wanted`` likewise fails everywhere).
-    """
-    result = column == wanted
-    if np.ndim(result) == 0:
-        return np.full(column.shape, bool(result))
-    return np.asarray(result, dtype=np.bool_)
-
-
 def _segment_median_finite(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment median of the finite entries (NaN for empty segments).
 
@@ -267,19 +219,6 @@ class ColumnarResultSet:
         # scenarios are frozen/hashable, so repeat appends of the same
         # (or an equal) scenario skip to_dict + json.dumps entirely.
         self._scenario_memo: dict[Scenario, int] = {}
-        self._describe_cache: dict[int, str] = {}
-        # Per-unique-scenario filter columns (python lists while growing;
-        # ``_unique_array`` caches the ndarray form until the next intern).
-        self._unique_float = {name: [] for name in _SCENARIO_FLOAT_FIELDS}
-        self._unique_int = {name: [] for name in _SCENARIO_INT_FIELDS}
-        self._unique_interned = {name: [] for name in _SCENARIO_INTERNED_FIELDS}
-        self._interned_tables = {
-            name: StringTable() for name in _SCENARIO_INTERNED_FIELDS
-        }
-        # rx_depth_m is Optional: NaN stands in for None, with a mask beside.
-        self._unique_rx_depth: list[float] = []
-        self._unique_rx_depth_none: list[bool] = []
-        self._unique_arrays: dict[str, np.ndarray] = {}
         for record in records or ():
             self.append(record)
 
@@ -317,20 +256,6 @@ class ColumnarResultSet:
         sid = self._scenario_table.intern(key)
         self._scenario_hashes.append(content_hash(data))
         self._scenario_cache[sid] = scenario
-        for name in _SCENARIO_FLOAT_FIELDS:
-            self._unique_float[name].append(float(getattr(scenario, name)))
-        for name in _SCENARIO_INT_FIELDS:
-            self._unique_int[name].append(int(getattr(scenario, name)))
-        for name in _SCENARIO_INTERNED_FIELDS:
-            self._unique_interned[name].append(
-                self._interned_tables[name].intern(_canonical(data[name]))
-            )
-        rx_depth = scenario.rx_depth_m
-        self._unique_rx_depth.append(
-            float("nan") if rx_depth is None else float(rx_depth)
-        )
-        self._unique_rx_depth_none.append(rx_depth is None)
-        self._unique_arrays.clear()
         self._scenario_memo[scenario] = sid
         return sid
 
@@ -410,84 +335,6 @@ class ColumnarResultSet:
         return cls(results.records)
 
     # ------------------------------------------------------------ selection
-    def _unique_array(self, key: str, values, dtype) -> np.ndarray:
-        cached = self._unique_arrays.get(key)
-        if cached is None:
-            cached = np.asarray(values, dtype=dtype)
-            self._unique_arrays[key] = cached
-        return cached
-
-    def _criterion_mask(self, name: str, wanted) -> np.ndarray:
-        """Per-unique-scenario boolean mask for one ``where`` criterion.
-
-        Must agree exactly with :meth:`Scenario.matches` -- same catalog
-        key resolution, same errors on unknown spellings/fields.
-        """
-        count = len(self._scenario_hashes)
-        if name in _CATALOGS and isinstance(wanted, str):
-            wanted = _resolve(wanted, _CATALOGS[name], name)
-        if name in _SCENARIO_FLOAT_FIELDS:
-            return _equals_mask(
-                self._unique_array(name, self._unique_float[name], np.float64),
-                wanted,
-            )
-        if name in _SCENARIO_INT_FIELDS:
-            return _equals_mask(
-                self._unique_array(name, self._unique_int[name], np.int64),
-                wanted,
-            )
-        if name == "rx_depth_m":
-            if wanted is None:
-                return self._unique_array(
-                    "rx_depth_m__none", self._unique_rx_depth_none, np.bool_
-                ).copy()
-            # NaN stands in for None and never equals a wanted value.
-            return _equals_mask(
-                self._unique_array(
-                    "rx_depth_m", self._unique_rx_depth, np.float64
-                ),
-                wanted,
-            )
-        if name in _SCENARIO_INTERNED_FIELDS:
-            serialized = self._serialize_criterion(name, wanted)
-            if serialized is None:  # type can never equal the field
-                return np.zeros(count, dtype=np.bool_)
-            wanted_id = self._interned_tables[name].lookup(serialized)
-            if wanted_id is None:
-                return np.zeros(count, dtype=np.bool_)
-            return _equals_mask(
-                self._unique_array(
-                    f"interned:{name}", self._unique_interned[name], np.int64
-                ),
-                wanted_id,
-            )
-        # No fast column (record properties such as ``scheme_key``, future
-        # fields): object path per unique scenario.  Scenario.matches also
-        # supplies the AttributeError for unknown names, keeping error
-        # behavior identical to ResultSet.where.
-        mask = np.zeros(count, dtype=np.bool_)
-        for sid in range(count):
-            mask[sid] = self.scenario_for_id(sid).matches(**{name: wanted})
-        return mask
-
-    @staticmethod
-    def _serialize_criterion(name: str, wanted) -> str | None:
-        """Canonical serialized spelling of one interned-field criterion.
-
-        Returns ``None`` when ``wanted``'s type can never equal the field
-        (mirroring the object path, where ``!=`` then holds everywhere).
-        """
-        if name == "label":
-            return _canonical(wanted) if isinstance(wanted, str) else None
-        if name == "modem":
-            if not isinstance(wanted, ModemSpec):
-                return None
-            return _canonical(wanted.to_dict())
-        try:
-            return _canonical(_serialize_catalog_value(wanted, _CATALOGS[name]))
-        except TypeError:  # not a dataclass and not a catalog entry
-            return None
-
     def where(
         self,
         predicate: Callable[[RunRecord], bool] | None = None,
@@ -495,20 +342,22 @@ class ColumnarResultSet:
     ) -> "ColumnarResultSet":
         """Records whose scenario matches the criteria (and predicate).
 
-        Same semantics as :meth:`ResultSet.where` -- catalog keys are
-        accepted for site/motion/device/case/scheme -- but criteria are
-        evaluated on the per-unique-scenario columns, so filtering never
-        materializes records (unless a ``predicate`` needs them).
+        The criteria have :meth:`Scenario.matches` semantics, exactly as in
+        :meth:`ResultSet.where`: catalog keys are accepted for
+        site/motion/device/case/scheme, criteria are checked in keyword
+        order and a scenario stops at its first mismatch, and an unknown
+        field raises :class:`AttributeError`.  ``matches`` runs once per
+        unique scenario, so the cost scales with the number of distinct
+        scenarios, not records; records are only materialized when a
+        ``predicate`` needs them.
         """
-        if len(self) == 0:
-            # The object path never evaluates criteria on an empty set;
-            # neither do we (so an unknown spelling cannot raise here).
-            return ColumnarResultSet()
-        unique_mask = np.ones(len(self._scenario_hashes), dtype=np.bool_)
-        for name, wanted in criteria.items():
-            unique_mask &= self._criterion_mask(name, wanted)
-        mask = unique_mask[self._scenario_ids.view()]
-        indices = np.flatnonzero(mask)
+        count = len(self._scenario_hashes)
+        unique_mask = np.fromiter(
+            (self.scenario_for_id(sid).matches(**criteria) for sid in range(count)),
+            dtype=np.bool_,
+            count=count,
+        )
+        indices = np.flatnonzero(unique_mask[self._scenario_ids.view()])
         if predicate is not None:
             indices = np.asarray(
                 [i for i in indices if predicate(self.record(int(i)))],
@@ -597,55 +446,8 @@ class ColumnarResultSet:
 
     # --------------------------------------------------------------- export
     def to_table(self, columns=DEFAULT_TABLE_COLUMNS) -> str:
-        """Fixed-width text table, identical to :meth:`ResultSet.to_table`."""
-        n = len(self)
-        rendered: dict[str, list[str]] = {}
-        for column in columns:
-            if column == "scenario":
-                ids = self._scenario_ids.view()
-                for sid in {int(s) for s in ids}:
-                    if sid not in self._describe_cache:
-                        self._describe_cache[sid] = (
-                            self.scenario_for_id(sid).describe()
-                        )
-                rendered[column] = [self._describe_cache[int(s)] for s in ids]
-            elif column == "packets":
-                rendered[column] = [
-                    str(int(v)) for v in self._int_cols["num_packets"].view()
-                ]
-            elif column == "per":
-                rendered[column] = [
-                    f"{v:.2f}" for v in self._float_cols["packet_error_rate"].view()
-                ]
-            elif column == "coded_ber":
-                rendered[column] = [
-                    f"{v:.3f}"
-                    for v in self._float_cols["coded_bit_error_rate"].view()
-                ]
-            elif column == "median_bps":
-                rendered[column] = [
-                    f"{v:.0f}" for v in self.metric("median_bitrate_bps")
-                ]
-            elif column == "detect":
-                rendered[column] = [
-                    f"{v:.1%}"
-                    for v in self._float_cols["preamble_detection_rate"].view()
-                ]
-            elif column == "feedback_err":
-                rendered[column] = [
-                    f"{v:.1%}"
-                    for v in self._float_cols["feedback_error_rate"].view()
-                ]
-            elif column == "elapsed_s":
-                rendered[column] = [
-                    f"{v:.2f}" for v in self._float_cols["elapsed_s"].view()
-                ]
-            else:
-                rendered[column] = [
-                    str(getattr(self.record(i), column)) for i in range(n)
-                ]
-        rows = [[rendered[c][i] for c in columns] for i in range(n)]
-        return format_table(list(columns), rows)
+        """Fixed-width text table, rendered by :meth:`ResultSet.to_table`."""
+        return self.to_result_set().to_table(columns)
 
     def to_json(self, indent: int | None = None, include_timing: bool = False) -> str:
         """JSON form, identical to the object path's."""

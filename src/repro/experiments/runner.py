@@ -34,7 +34,6 @@ import contextlib
 import json
 import os
 import pathlib
-import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +42,7 @@ from typing import Callable, Iterable, Iterator
 from repro.experiments.columnar import ColumnarResultSet
 from repro.experiments.records import ResultSet, RunRecord
 from repro.experiments.scenario import Scenario, run_scenario
+from repro.utils.progress import progress_sink
 
 
 class CacheMissWarning(UserWarning):
@@ -90,9 +90,6 @@ class ExperimentRunner:
         Scenarios per dispatch chunk.  ``None`` balances chunks so every
         worker receives a few, amortizing pickling overhead on large
         sweeps without starving workers on small ones.
-    progress:
-        Optional callback invoked as ``progress(done, total, record)``
-        after every completed scenario (cache hits included).
     """
 
     def __init__(
@@ -100,14 +97,12 @@ class ExperimentRunner:
         max_workers: int | None = None,
         cache_dir: str | pathlib.Path | None = None,
         chunk_size: int | None = None,
-        progress: Callable[[int, int, RunRecord], None] | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 0:
             raise ValueError("max_workers must be non-negative")
         self.max_workers = max_workers
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir is not None else None
         self.chunk_size = chunk_size
-        self.progress = progress
         #: Number of cache hits during the most recent run/iter_run.
         self.last_cache_hits = 0
 
@@ -161,11 +156,9 @@ class ExperimentRunner:
         :attr:`last_cache_hits` is correct immediately); simulation work
         happens lazily as the generator is consumed.
 
-        ``progress`` follows the ``calibrate_from_phy`` idiom: ``True``
-        prints per-record lines with elapsed/ETA to stderr, a callable
-        receives the same lines, ``None`` is silent.  The structured
-        ``progress(done, total, record)`` constructor callback fires
-        either way.
+        ``progress`` emits one line per record (cache hits included)
+        with elapsed/ETA: ``True`` prints it to stderr, a callable
+        receives it, ``None`` is silent.
         """
         ordered = list(scenarios)
         slots: list[RunRecord | None] = [None] * len(ordered)
@@ -180,13 +173,7 @@ class ExperimentRunner:
             else:
                 pending.append((index, scenario))
 
-        if progress is True:
-            emit = lambda line: print(line, file=sys.stderr)  # noqa: E731
-        elif callable(progress):
-            emit = progress
-        else:
-            emit = None
-        return self._stream(ordered, slots, pending, emit)
+        return self._stream(ordered, slots, pending, progress_sink(progress))
 
     def _stream(
         self,
@@ -229,8 +216,6 @@ class ExperimentRunner:
                     slots[index] = record
                     self._store_cached(record)
                 done += 1
-                if self.progress is not None:
-                    self.progress(done, total, record)
                 if emit is not None:
                     elapsed = time.perf_counter() - started
                     eta = elapsed / done * (total - done)

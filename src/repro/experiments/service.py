@@ -13,10 +13,10 @@ SRMCA-style serving systems use for long-running simulation campaigns:
   records as they complete, updating the manifest's progress counters
   after every record so a concurrent :meth:`~SweepService.poll` sees the
   job advance;
-* on completion the service writes two artifacts beside the manifest --
-  ``results.npz`` (the columnar form) and ``results.json`` (the legacy
-  form) -- and later submissions of the same sweep are served from the
-  artifact without simulating anything.
+* on completion the service writes one artifact beside the manifest,
+  ``results.npz`` (the columnar form), and later submissions of the same
+  sweep are served from it without simulating anything;
+  :meth:`~SweepService.fetch` renders the JSON form from it on demand.
 
 Everything is content-addressed by the existing scenario hash: the job id
 is the hash of the ordered scenario-hash list (plus the package version,
@@ -112,11 +112,9 @@ class SweepService:
     def _manifest_path(self, job_id: str) -> pathlib.Path:
         return self._job_dir(job_id) / "manifest.json"
 
-    def artifact_path(self, job_id: str, kind: str = "npz") -> pathlib.Path:
-        """Path of a job's result artifact (``"npz"`` or ``"json"``)."""
-        if kind not in ("npz", "json"):
-            raise ValueError(f"artifact kind must be 'npz' or 'json', got {kind!r}")
-        return self._job_dir(job_id) / f"results.{kind}"
+    def artifact_path(self, job_id: str) -> pathlib.Path:
+        """Path of a job's columnar result artifact (``results.npz``)."""
+        return self._job_dir(job_id) / "results.npz"
 
     @staticmethod
     def job_id_for(scenarios: list[Scenario]) -> str:
@@ -160,7 +158,7 @@ class SweepService:
 
     def _load_artifact(self, job_id: str) -> ColumnarResultSet | None:
         """The job's columnar artifact, or ``None`` when absent/corrupt."""
-        path = self.artifact_path(job_id, "npz")
+        path = self.artifact_path(job_id)
         if not path.exists():
             return None
         try:
@@ -234,9 +232,9 @@ class SweepService:
         simulation).  Otherwise the runner's ``iter_run`` drives the
         sweep -- per-scenario cache hits included -- the manifest's
         ``completed`` counter advances after every yielded record, and
-        the ``results.npz`` / ``results.json`` artifacts are written when
-        the last record lands.  On an execution error the job is marked
-        ``failed`` (with the error recorded) and the exception re-raised.
+        the ``results.npz`` artifact is written when the last record
+        lands.  On an execution error the job is marked ``failed`` (with
+        the error recorded) and the exception re-raised.
         """
         data = self._read_manifest(job_id)
         if data["state"] == "done":
@@ -269,8 +267,7 @@ class SweepService:
             data["error"] = f"{type(error).__name__}: {error}"
             self._write_manifest(job_id, data)
             raise
-        results.save_npz(self.artifact_path(job_id, "npz"))
-        results.save(self.artifact_path(job_id, "json"), include_timing=True)
+        results.save_npz(self.artifact_path(job_id))
         data["state"] = "done"
         self._write_manifest(job_id, data)
 
@@ -290,8 +287,8 @@ class SweepService:
         """Export a finished job's artifact to ``out``.
 
         The format follows the suffix: ``.npz`` copies the columnar
-        artifact, anything else gets the legacy JSON form.  The job must
-        be ``done``.
+        artifact, anything else gets the JSON form rendered from it.  The
+        job must be ``done``.
         """
         job = self.poll(job_id)
         if not job.done:

@@ -484,17 +484,6 @@ class LinkSession:
             stats.add(self.run_packet(rng=rng))
         return stats
 
-    def run_many(
-        self,
-        num_packets: int,
-        rng: int | np.random.Generator | None = None,
-    ) -> LinkStatistics:
-        """Run ``num_packets`` exchanges and return the aggregate statistics.
-
-        Alias of :meth:`run_packets`, kept for backward compatibility.
-        """
-        return self.run_packets(num_packets, rng=rng)
-
     # --------------------------------------------------------------- probing
     def probe_channel_stability(
         self, rng: int | np.random.Generator | None = None

@@ -15,7 +15,7 @@ the existing channel/link machinery:
   forwarding);
 * :mod:`~repro.net.transport` -- sliding-window ARQ (Go-Back-N and
   selective repeat) generalizing the single-packet retry logic of
-  :mod:`repro.link.network`;
+  :class:`repro.app.messenger.Messenger`;
 * :mod:`~repro.net.links` -- interchangeable link models:
   :class:`PhysicalLink` runs the full PHY per packet, while
   :class:`CalibratedLink` replays a PER/bitrate-vs-distance table

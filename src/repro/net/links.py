@@ -21,7 +21,6 @@ tier-1 tests.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.environments.sites import LAKE, SITE_CATALOG, Site
+from repro.utils.progress import progress_sink
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive
 
@@ -204,12 +204,7 @@ def calibrate_from_phy(
         site = SITE_CATALOG[site]
     if packets_per_point < 1:
         raise ValueError("packets_per_point must be at least 1")
-    if progress is True:
-        emit: Callable[[str], None] | None = lambda line: print(line, file=sys.stderr)
-    elif callable(progress):
-        emit = progress
-    else:
-        emit = None
+    emit = progress_sink(progress)
     started = time.perf_counter()
     pers: list[float] = []
     bitrates: list[float] = []

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from repro.net.scheduler import Event, Scheduler
 from repro.net.topology import AcousticNetTopology
 from repro.net.traffic import AppMessage, TrafficGenerator
 from repro.net.transport import ArqConfig, ArqReceiver, ArqSender, FlowStats, Segment
+from repro.utils.progress import progress_sink
 from repro.utils.rng import ensure_rng
 
 #: Size of an ACK packet on the wire (bits).
@@ -396,14 +396,7 @@ class NetworkSimulator:
         progress: bool | Callable[[str], None],
     ) -> None:
         """Run the event queue, optionally emitting progress/ETA lines."""
-        if progress is True:
-            emit: Callable[[str], None] | None = (
-                lambda line: print(line, file=sys.stderr)
-            )
-        elif callable(progress):
-            emit = progress
-        else:
-            emit = None
+        emit = progress_sink(progress)
         if emit is None:
             self._scheduler.run(until_s=until_s, max_events=max_events)
             return

@@ -1,8 +1,8 @@
 """Reliable transport: sliding-window ARQ over lossy multi-hop paths.
 
 This generalizes the single-packet stop-and-wait retry of
-:mod:`repro.link.network` into proper windowed ARQ, in two flavours
-selected by :attr:`ArqConfig.mode`:
+:class:`repro.app.messenger.Messenger` into proper windowed ARQ, in two
+flavours selected by :attr:`ArqConfig.mode`:
 
 ``"go-back-n"``
     Cumulative ACKs ("next expected sequence"), a single retransmission
@@ -24,8 +24,8 @@ paths directly unit-testable and lets :class:`~repro.net.simulator.\
 NetworkSimulator` drive them from scheduler events.
 
 A segment whose retries exceed :attr:`ArqConfig.max_retries` aborts its
-flow (``sender.failed``), mirroring how the messaging network gives up on
-a packet after ``max_retransmissions``.
+flow (``sender.failed``), mirroring how the messenger gives up on a
+packet after ``max_retransmissions``.
 
 The *rate* at which a sender fills its window is delegated to a
 :class:`~repro.net.congestion.CongestionController`: the effective

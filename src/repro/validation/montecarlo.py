@@ -213,12 +213,6 @@ class MonteCarloRunner:
             elapsed_s=time.perf_counter() - started,
         )
 
-    def run_many(
-        self, figures, quick: bool = False
-    ) -> list[FigureResult]:
-        """Run several figures (names or specs) in order."""
-        return [self.run(figure, quick=quick) for figure in figures]
-
     # ------------------------------------------------------------------- link
     def run_link_records(self, scenarios) -> list:
         """Run link scenarios through the runner, reusing memoized records.

@@ -303,6 +303,12 @@ def test_where_rejects_unknown_fields_like_object_path():
         reference.where(site="atlantis")
     with pytest.raises(AttributeError):
         reference.where(depth_m=1.0)
+    # Scenario.matches stops at the first mismatching criterion, so an
+    # unknown spelling after one that already fails everywhere never raises.
+    for criteria in ({"distance_m": 99.0, "site": "atlantis"},
+                     {"seed": 7, "scheme": "fixed-9k"}):
+        assert reference.where(**criteria) == ResultSet()
+        assert columnar.where(**criteria) == ResultSet()
 
 
 def test_metric_views_are_zero_copy_and_read_only():

@@ -258,13 +258,12 @@ def test_runner_cache_ignores_stale_schema(tmp_path):
 
 
 def test_runner_progress_callback_counts():
-    seen = []
-    runner = ExperimentRunner(
-        max_workers=1, progress=lambda done, total, record: seen.append((done, total)))
-    results = runner.run(_tiny_sweep(4))
-    assert len(seen) == len(results) == 4
-    assert seen[-1] == (4, 4)
-    assert [done for done, _ in seen] == [1, 2, 3, 4]
+    lines = []
+    runner = ExperimentRunner(max_workers=1)
+    results = list(runner.iter_run(_tiny_sweep(4), progress=lines.append))
+    assert len(lines) == len(results) == 4
+    assert [line.split(":")[0] for line in lines] == [
+        "sweep 1/4", "sweep 2/4", "sweep 3/4", "sweep 4/4"]
 
 
 def test_runner_cache_is_invalidated_by_package_version(tmp_path, monkeypatch):
@@ -287,12 +286,12 @@ def test_runner_progress_counts_cache_hits(tmp_path):
     cache = tmp_path / "cache"
     sweep = _tiny_sweep(4)
     ExperimentRunner(max_workers=1, cache_dir=cache).run(sweep)
-    seen = []
-    runner = ExperimentRunner(
-        max_workers=1, cache_dir=cache,
-        progress=lambda done, total, record: seen.append((done, total)))
-    runner.run(sweep)
-    assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+    lines = []
+    runner = ExperimentRunner(max_workers=1, cache_dir=cache)
+    list(runner.iter_run(sweep, progress=lines.append))
+    assert runner.last_cache_hits == 4
+    assert [line.split(":")[0] for line in lines] == [
+        "sweep 1/4", "sweep 2/4", "sweep 3/4", "sweep 4/4"]
 
 
 def test_runner_rejects_negative_workers():

@@ -23,7 +23,7 @@ from repro.link.session import LinkSession
 def test_full_adaptive_exchange_at_bridge():
     forward, backward = build_link_pair(site=BRIDGE, distance_m=5.0, seed=101)
     session = LinkSession(forward, backward, seed=101)
-    stats = session.run_many(4)
+    stats = session.run_packets(4)
     assert stats.preamble_detection_rate == 1.0
     assert stats.packet_error_rate <= 0.25
     assert stats.median_bitrate_bps > 300.0
@@ -49,14 +49,14 @@ def test_bitrate_decreases_with_distance_at_lake():
     rates = []
     for distance in (5.0, 20.0):
         fwd, bwd = build_link_pair(site=LAKE, distance_m=distance, seed=77)
-        stats = LinkSession(fwd, bwd, seed=3).run_many(4)
+        stats = LinkSession(fwd, bwd, seed=3).run_packets(4)
         rates.append(stats.median_bitrate_bps)
     assert rates[1] < rates[0]
 
 
 def test_mobility_still_delivers_packets():
     fwd, bwd = build_link_pair(site=LAKE, distance_m=5.0, motion=FAST_MOTION, seed=55)
-    stats = LinkSession(fwd, bwd, seed=5).run_many(4)
+    stats = LinkSession(fwd, bwd, seed=5).run_packets(4)
     assert stats.preamble_detection_rate >= 0.75
     assert stats.packet_error_rate <= 0.5
 

@@ -29,7 +29,7 @@ def test_adaptive_packet_delivery_on_quiet_channel(quiet_session):
 
 
 def test_adaptive_many_packets_statistics(quiet_session):
-    stats = quiet_session.run_many(5)
+    stats = quiet_session.run_packets(5)
     assert stats.num_packets == 5
     assert stats.packet_error_rate <= 0.2
     assert stats.preamble_detection_rate == 1.0
@@ -66,12 +66,12 @@ def test_explicit_payload_is_used(quiet_session):
 
 def test_run_many_validates_count(quiet_session):
     with pytest.raises(ValueError):
-        quiet_session.run_many(0)
+        quiet_session.run_packets(0)
 
 
 def test_noisy_channel_selects_narrower_band(quiet_channel, noisy_channel):
-    quiet_stats = LinkSession(quiet_channel, seed=8, randomize_every=0).run_many(3)
-    noisy_stats = LinkSession(noisy_channel, seed=8, randomize_every=0).run_many(3)
+    quiet_stats = LinkSession(quiet_channel, seed=8, randomize_every=0).run_packets(3)
+    noisy_stats = LinkSession(noisy_channel, seed=8, randomize_every=0).run_packets(3)
     assert noisy_stats.median_bitrate_bps < quiet_stats.median_bitrate_bps
 
 
@@ -99,7 +99,7 @@ def test_empty_statistics_are_nan():
 
 
 def test_bitrate_cdf_monotone(quiet_session):
-    stats = quiet_session.run_many(4)
+    stats = quiet_session.run_packets(4)
     values, probabilities = stats.bitrate_cdf()
     assert values.size == probabilities.size
     assert np.all(np.diff(values) >= 0)
@@ -185,7 +185,7 @@ def test_failure_paths_aggregate_into_statistics(quiet_session, monkeypatch):
     monkeypatch.setattr(
         quiet_session.modem, "detect_preamble", lambda received: _NO_DETECTION
     )
-    stats = quiet_session.run_many(3)
+    stats = quiet_session.run_packets(3)
     assert stats.packet_error_rate == 1.0
     assert stats.preamble_detection_rate == 0.0
     assert stats.feedback_error_rate == 1.0
@@ -198,7 +198,7 @@ def test_failure_paths_aggregate_into_statistics(quiet_session, monkeypatch):
 @pytest.mark.parametrize("scheme", FIXED_BAND_SCHEMES, ids=lambda s: s.name)
 def test_fixed_band_schemes_use_their_band(quiet_channel, scheme):
     session = LinkSession(quiet_channel, scheme=scheme, seed=11)
-    stats = session.run_many(2)
+    stats = session.run_packets(2)
     expected = scheme.selection(session.modem.ofdm_config)
     for result in stats.results:
         assert result.receiver_band == expected

@@ -67,8 +67,9 @@ def test_stream_matches_blocking_runner(tmp_path):
     assert [r.scenario for r in records] == scenarios
     final = service.poll(job.job_id)
     assert final.done and final.completed == final.total == 3
-    assert service.artifact_path(job.job_id, "npz").exists()
-    assert service.artifact_path(job.job_id, "json").exists()
+    # One artifact per job: the JSON form is rendered on fetch, not stored.
+    job_dir = service.artifact_path(job.job_id).parent
+    assert sorted(p.name for p in job_dir.iterdir()) == ["manifest.json", "results.npz"]
     assert service.result(job.job_id) == reference
 
 
@@ -131,7 +132,7 @@ def test_corrupt_artifact_is_treated_as_a_miss(tmp_path):
     scenarios = _scenarios(2)
     service = SweepService(tmp_path, max_workers=1)
     job, records = _complete(service, scenarios)
-    service.artifact_path(job.job_id, "npz").write_bytes(b"rotten bytes")
+    service.artifact_path(job.job_id).write_bytes(b"rotten bytes")
     with pytest.warns(CacheMissWarning) as caught:
         resubmitted = service.submit(scenarios)
     assert caught[0].message.reason == "npz-corrupt"
