@@ -21,7 +21,7 @@ SIGCOMM 2022).  It contains:
 * :mod:`repro.app` -- the messaging application layer (240 hand-signal
   catalog, message codec, SoS beacons).
 * :mod:`repro.analysis` -- BER/PER/CDF analysis helpers used by the
-  benchmark harness.
+  figure benchmarks and result tables.
 * :mod:`repro.experiments` -- the declarative experiment layer: a frozen
   :class:`~repro.experiments.Scenario` describes one evaluation point, a
   :class:`~repro.experiments.Sweep` expands parameter grids, and an
@@ -35,10 +35,6 @@ SIGCOMM 2022).  It contains:
   sliding-window ARQ transport (Go-Back-N / selective repeat) and two
   interchangeable link models -- the full PHY per hop, or a fast
   PER-vs-distance table calibrated from it.
-* :mod:`repro.perf` -- the microbenchmark harness behind
-  ``python -m repro.cli bench``: suites over the FEC/OFDM/preamble/channel,
-  end-to-end link and network-simulator hot paths, persisted as
-  ``BENCH_<suite>.json`` for per-PR perf trajectories.
 * :mod:`repro.validation` -- the Monte-Carlo figure validation harness
   behind ``python -m repro.cli validate``: declarative
   :class:`~repro.validation.FigureSpec` encodings of the paper's key
@@ -70,7 +66,6 @@ from repro.net import (
     NetworkSimulator,
     PhysicalLink,
 )
-from repro.perf import Benchmark, BenchResult
 from repro.validation import (
     FigureSpec,
     MonteCarloRunner,
@@ -103,8 +98,6 @@ __all__ = [
     "NetworkResult",
     "NetworkSimulator",
     "PhysicalLink",
-    "Benchmark",
-    "BenchResult",
     "FigureSpec",
     "MonteCarloRunner",
     "ValidationReport",

@@ -13,7 +13,7 @@ def per_to_percent(per: float) -> str:
 
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:
-    """Render a simple fixed-width text table (used by the bench harness)."""
+    """Render a simple fixed-width text table (result sets, figure benchmarks)."""
     columns = [headers] + [[str(cell) for cell in row] for row in rows]
     widths = [max(len(row[i]) for row in columns) for i in range(len(headers))]
     lines = []

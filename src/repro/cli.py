@@ -10,18 +10,16 @@ code::
     python -m repro.cli trace compare --trace run.jsonl --b-link physical
     python -m repro.cli sos --distance 100 --rate 10 --repetitions 5
     python -m repro.cli mac --transmitters 3 --packets 120
-    python -m repro.cli bench --quick
     python -m repro.cli validate --quick --compare-reference
     python -m repro.cli sites
 
 Each subcommand prints a small report mirroring the metrics the paper uses
 (selected bitrate, PER, BER, detection rates, collision fractions).  The
 ``sweep`` subcommand expands a parameter grid with
-:mod:`repro.experiments` and runs it across worker processes; ``bench``
-runs the :mod:`repro.perf` microbenchmark suites and writes one
-``BENCH_<suite>.json`` per suite; ``validate`` runs the
-:mod:`repro.validation` Monte-Carlo figure harness against the committed
-``VALID_<figure>.json`` envelopes.
+:mod:`repro.experiments` and runs it across worker processes;
+``validate`` runs the :mod:`repro.validation` Monte-Carlo figure harness
+against the committed ``VALID_<figure>.json`` envelopes.  Timing lives
+outside the package, in the end-to-end benchmark ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -127,35 +125,6 @@ def _add_jobs_parser(subparsers) -> None:
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="destination for --fetch (.npz = columnar "
                              "artifact, anything else = JSON)")
-
-
-def _add_bench_parser(subparsers) -> None:
-    from repro.perf import available_suites
-
-    parser = subparsers.add_parser(
-        "bench",
-        help="run the microbenchmark suites and write BENCH_<suite>.json",
-        description="Time the FEC/DSP/link hot paths with warmup and "
-                    "repeats.  Each suite's results are printed and written "
-                    "to BENCH_<suite>.json so the perf trajectory "
-                    "accumulates across PRs.",
-    )
-    parser.add_argument("--suite", nargs="+", choices=sorted(available_suites()),
-                        default=None,
-                        help="suites to run (default: all)")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer repeats for CI smoke runs; workloads are "
-                             "unchanged so numbers stay comparable")
-    parser.add_argument("--json", metavar="DIR", dest="json_dir", default=".",
-                        help="directory receiving BENCH_<suite>.json "
-                             "(default: current directory)")
-    parser.add_argument("--compare", metavar="BASELINE", nargs="+", default=None,
-                        help="previously written BENCH_*.json files to "
-                             "compare against (percent-change report)")
-    parser.add_argument("--fail-above", metavar="PCT", type=float, default=None,
-                        help="exit non-zero if any compared benchmark's median "
-                             "regresses by more than PCT percent -- the perf "
-                             "ratchet CI runs against the committed baselines")
 
 
 def _add_net_scenario_args(parser) -> None:
@@ -476,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_parser(subparsers)
     _add_net_parser(subparsers)
     _add_trace_parser(subparsers)
-    _add_bench_parser(subparsers)
     _add_validate_parser(subparsers)
     _add_sos_parser(subparsers)
     _add_chaos_parser(subparsers)
@@ -621,63 +589,6 @@ def _run_jobs(args) -> int:
     for job in jobs:
         print(f"{job.job_id}  {job.state:9s} {job.completed}/{job.total}"
               + (f"  {job.label}" if job.label else ""))
-    return 0
-
-
-def _run_bench(args) -> int:
-    from repro.perf import (
-        available_suites,
-        compare_results,
-        format_comparison,
-        format_results,
-        gate_comparison,
-        load_results,
-        run_suite,
-        write_results,
-    )
-
-    if args.fail_above is not None and not args.compare:
-        print("error: --fail-above requires --compare baselines", file=sys.stderr)
-        return 2
-    if args.fail_above is not None and args.fail_above < 0:
-        print("error: --fail-above must be non-negative", file=sys.stderr)
-        return 2
-    suites = list(args.suite) if args.suite else list(available_suites())
-    baselines: dict[str, list] = {}
-    for path in args.compare or []:
-        try:
-            suite_name, results = load_results(path)
-        except (OSError, ValueError, KeyError, TypeError) as error:
-            print(f"error: cannot read baseline {path}: {error}", file=sys.stderr)
-            return 2
-        baselines[suite_name] = results
-    mode = "quick" if args.quick else "full"
-    regressions = []
-    for name in suites:
-        results = run_suite(name, quick=args.quick)
-        path = write_results(name, results, directory=args.json_dir, quick=args.quick)
-        print(f"suite {name} ({mode}, {len(results)} benchmarks) -> {path}")
-        print(format_results(results))
-        baseline = baselines.get(name)
-        if baseline is not None:
-            rows = compare_results(baseline, results)
-            print(format_comparison(rows, name))
-            if args.fail_above is not None:
-                regressions.extend((name, row) for row in gate_comparison(rows, args.fail_above))
-    unknown = set(baselines) - set(suites)
-    if unknown:
-        print(f"note: baselines for suites not run were ignored: {', '.join(sorted(unknown))}")
-    if regressions:
-        print(f"PERF GATE FAILED (threshold +{args.fail_above:g}%):", file=sys.stderr)
-        for suite_name, row in regressions:
-            print(
-                f"  {suite_name}/{row.name}: {row.baseline_s * 1000:.3f} ms -> "
-                f"{row.current_s * 1000:.3f} ms ({row.percent_change:+.1f}%)",
-                file=sys.stderr,
-            )
-        return 1
-    if args.fail_above is not None:
-        print(f"perf gate passed (no regression above +{args.fail_above:g}%)")
     return 0
 
 
@@ -1063,7 +974,6 @@ def main(argv: list[str] | None = None) -> int:
         "jobs": _run_jobs,
         "net": _run_net,
         "trace": _run_trace,
-        "bench": _run_bench,
         "validate": _run_validate,
         "sos": _run_sos,
         "chaos": _run_chaos,

@@ -116,8 +116,7 @@ class PreambleGenerator:
     def waveform(self) -> np.ndarray:
         """Return the full preamble waveform (eight signed symbols).
 
-        Cached and read-only, like :meth:`base_symbol`; the perf suite
-        asserts the no-per-call-allocation property.
+        Cached and read-only, like :meth:`base_symbol`.
         """
         if self._waveform_cache is None:
             base = self.base_symbol()

@@ -97,11 +97,6 @@ class TemplateCorrelator:
             self._spectra[n_fft] = spectrum
         return spectrum
 
-    @property
-    def template_length(self) -> int:
-        """Number of samples in the template."""
-        return self._template.size
-
     def raw_correlation(self, received: np.ndarray) -> np.ndarray:
         """Unnormalized valid-mode cross-correlation via overlap-save.
 

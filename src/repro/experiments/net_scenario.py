@@ -411,16 +411,6 @@ class NetScenario:
         """Run the scenario in this process."""
         return self.build_simulator().run(traffic=self.build_traffic())
 
-    def run_captured(self, progress: bool = False):
-        """Run the scenario with app-layer trace capture.
-
-        Returns ``(result, trace)``; see
-        :func:`repro.trace.capture.capture_scenario`.
-        """
-        from repro.trace.capture import capture_scenario
-
-        return capture_scenario(self, progress=progress)
-
 
 def run_net_scenario(scenario: NetScenario) -> NetworkResult:
     """Run one network scenario (pool-friendly module-level function)."""

@@ -60,11 +60,6 @@ class NeighborLivenessTracker:
         """Nodes currently believed dead."""
         return frozenset(self._dead)
 
-    def record_beacon(self, name: str, time_s: float) -> None:
-        """Note a beacon from ``name`` at ``time_s`` (does not rediscover)."""
-        if name in self._last_heard:
-            self._last_heard[name] = float(time_s)
-
     def tick(
         self, now_s: float, down: Set[str]
     ) -> tuple[list[str], list[str]]:

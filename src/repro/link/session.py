@@ -243,7 +243,6 @@ class LinkSession:
         backward_channel: UnderwaterAcousticChannel | None = None,
         modem: AquaModem | None = None,
         scheme: FixedBandScheme | str = "adaptive",
-        receiver_id: int = 1,
         silence_symbols: int = 2,
         randomize_every: int = 1,
         seed: int | np.random.Generator | None = None,
@@ -252,7 +251,6 @@ class LinkSession:
         self.backward_channel = backward_channel or forward_channel.reverse()
         self.modem = modem or AquaModem()
         self.scheme = scheme
-        self.receiver_id = int(receiver_id)
         self.silence_symbols = int(silence_symbols)
         self.randomize_every = max(0, int(randomize_every))
         self._rng = ensure_rng(seed)
@@ -285,9 +283,13 @@ class LinkSession:
 
     # ----------------------------------------------------------- cached state
     def _header(self):
-        """The preamble + receiver-ID header waveform, built once."""
+        """The preamble + receiver-ID header waveform, built once.
+
+        A session models one transmitter/receiver pair, so the header
+        always addresses receiver 1.
+        """
         if self._header_cache is None:
-            self._header_cache = self.modem.build_preamble_and_header(self.receiver_id)
+            self._header_cache = self.modem.build_preamble_and_header(1)
         return self._header_cache
 
     def _silence(self) -> np.ndarray:

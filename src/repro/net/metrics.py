@@ -423,13 +423,6 @@ class NetworkMetrics:
         """Delivered payload bits per registered flow."""
         return self._flow_bits[: self._flow_count].copy()
 
-    def flow_goodputs_bps(self) -> np.ndarray:
-        """Per-flow goodput over the recorded run duration."""
-        bits = self._flow_bits[: self._flow_count]
-        if not self.duration_s or self.duration_s <= 0:
-            return np.full(bits.shape, float("nan"))
-        return bits / self.duration_s
-
     @property
     def aggregate_goodput_bps(self) -> float:
         """Summed per-flow goodput over the recorded duration."""

@@ -67,7 +67,7 @@ class NeighborTable:
     scalars.
     """
 
-    __slots__ = ("names", "indices", "distances_m", "delays_s", "delays_list", "slot", "_snr_db")
+    __slots__ = ("names", "indices", "distances_m", "delays_s", "delays_list", "slot")
 
     def __init__(
         self,
@@ -82,7 +82,6 @@ class NeighborTable:
         self.delays_s = delays_s
         self.delays_list = delays_s.tolist()
         self.slot = {name: position for position, name in enumerate(names)}
-        self._snr_db: dict[float, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -269,12 +268,6 @@ class AcousticNetTopology:
         row = self._xyz[self.index_of(name)]
         return NodePosition(float(row[0]), float(row[1]), float(row[2]))
 
-    def positions_m(self) -> np.ndarray:
-        """Read-only ``(N, 3)`` view of all positions (x, y, depth)."""
-        view = self._xyz[: self._count]
-        view.flags.writeable = False
-        return view
-
     # --------------------------------------------------------------- geometry
     def distance_m(self, a: str, b: str) -> float:
         """3-D distance between two nodes."""
@@ -337,19 +330,6 @@ class AcousticNetTopology:
         distance = max(self.distance_m(a, b), 1e-3)
         loss_db = float(transmission_loss_db(distance, frequency_hz))
         return -loss_db - self.site.noise_level_db
-
-    def neighbor_snr_db(self, name: str, frequency_hz: float = 2500.0) -> np.ndarray:
-        """SNR toward each entry of :meth:`neighbor_table`, cached (dB)."""
-        table = self.neighbor_table(name)
-        cached = table._snr_db.get(frequency_hz)
-        if cached is None:
-            distances = np.maximum(table.distances_m, 1e-3)
-            loss_db = np.asarray(
-                transmission_loss_db(distances, frequency_hz), dtype=float
-            )
-            cached = -loss_db - self.site.noise_level_db
-            table._snr_db[frequency_hz] = cached
-        return cached
 
     # ----------------------------------------------------------- spatial hash
     def _cell_of(self, index: int) -> tuple[int, int]:

@@ -181,9 +181,6 @@ class QoeDelta:
     def sos_miss_delta(self) -> int:
         return self.b.sos_deadline_misses - self.a.sos_deadline_misses
 
-    def percentile_delta_s(self, q: float) -> float:
-        return self.percentiles_b[q] - self.percentiles_a[q]
-
     def to_dict(self) -> dict:
         """JSON-safe dictionary form."""
         return {

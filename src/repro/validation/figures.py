@@ -66,9 +66,6 @@ class TrialOutcome:
     counts: Mapping[str, tuple[int, int]]
     values: Mapping[str, float]
 
-    def metric_names(self) -> tuple[str, ...]:
-        return tuple(self.counts) + tuple(self.values)
-
 
 @dataclass(frozen=True)
 class FigureSpec:

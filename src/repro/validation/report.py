@@ -1,15 +1,15 @@
 """Validation reports and the committed ``VALID_*.json`` envelopes.
 
-The envelope files follow the ``BENCH_*.json`` conventions of
-:mod:`repro.perf`: one JSON file per figure at the repo root
-(``VALID_<figure>.json``), a ``schema_version`` field, the settings the
-reference run used, and per-point statistics.  A committed envelope is
-the *expected* behaviour of the reproduction: a fresh Monte-Carlo run
-passes a point when its headline confidence interval, widened by the
-figure's declared tolerance, overlaps the envelope's interval.  Refactors
-that preserve the physics therefore stay green across machine and
-sampling noise, while a genuine behaviour change (a decoder regression, a
-channel-model edit) pushes the intervals apart and fails the gate.
+The envelope files are one JSON file per figure at the repo root
+(``VALID_<figure>.json``), each with a ``schema_version`` field, the
+settings the reference run used, and per-point statistics.  A committed
+envelope is the *expected* behaviour of the reproduction: a fresh
+Monte-Carlo run passes a point when its headline confidence interval,
+widened by the figure's declared tolerance, overlaps the envelope's
+interval.  Refactors that preserve the physics therefore stay green
+across machine and sampling noise, while a genuine behaviour change (a
+decoder regression, a channel-model edit) pushes the intervals apart and
+fails the gate.
 
 :class:`ValidationReport` aggregates figure results and per-point checks
 into one object with JSON and markdown-table rendering for the CLI and
@@ -183,10 +183,6 @@ class ValidationReport:
     def passed(self) -> bool:
         """Every envelope check passed."""
         return all(f.passed for f in self.figures)
-
-    @property
-    def num_checks(self) -> int:
-        return sum(len(f.checks) for f in self.figures)
 
     # ------------------------------------------------------------- rendering
     def to_markdown(self) -> str:

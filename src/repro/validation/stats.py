@@ -116,11 +116,6 @@ class MetricSummary:
         if self.kind not in ("proportion", "continuous"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
 
-    @property
-    def ci_width(self) -> float:
-        """Width of the confidence interval."""
-        return self.ci_high - self.ci_low
-
     def format_value(self) -> str:
         """``mean [ci_low, ci_high]`` with kind-appropriate precision."""
         if self.kind == "proportion":

@@ -197,89 +197,6 @@ def test_invalid_site_rejected():
         main(["link", "--site", "atlantis"])
 
 
-def test_bench_command_writes_suite_json(capsys, tmp_path):
-    code = main(["bench", "--suite", "fec", "ofdm", "--quick",
-                 "--json", str(tmp_path)])
-    assert code == 0
-    output = capsys.readouterr().out
-    assert "suite fec (quick" in output
-    assert "viterbi_decode_1024" in output
-    assert (tmp_path / "BENCH_fec.json").exists()
-    assert (tmp_path / "BENCH_ofdm.json").exists()
-
-    from repro.perf import load_results
-
-    suite, results = load_results(tmp_path / "BENCH_fec.json")
-    assert suite == "fec"
-    assert "viterbi_decode_1024" in {r.name for r in results}
-
-
-def test_bench_command_compares_against_baseline(capsys, tmp_path):
-    assert main(["bench", "--suite", "ofdm", "--quick", "--json", str(tmp_path)]) == 0
-    capsys.readouterr()
-    code = main(["bench", "--suite", "ofdm", "--quick", "--json", str(tmp_path),
-                 "--compare", str(tmp_path / "BENCH_ofdm.json")])
-    assert code == 0
-    output = capsys.readouterr().out
-    assert "vs baseline" in output
-    assert "%" in output
-
-
-def test_bench_command_rejects_missing_baseline(capsys, tmp_path):
-    code = main(["bench", "--suite", "ofdm", "--quick", "--json", str(tmp_path),
-                 "--compare", str(tmp_path / "missing.json")])
-    assert code == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_bench_rejects_unknown_suite():
-    with pytest.raises(SystemExit):
-        main(["bench", "--suite", "warp-drive"])
-
-
-def test_bench_command_rejects_malformed_baseline(capsys, tmp_path):
-    bad = tmp_path / "BENCH_bad.json"
-    bad.write_text('{"suite": "ofdm", "results": ["not-a-dict"]}')
-    code = main(["bench", "--suite", "ofdm", "--quick", "--json", str(tmp_path),
-                 "--compare", str(bad)])
-    assert code == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_bench_fail_above_requires_compare(capsys):
-    code = main(["bench", "--suite", "ofdm", "--quick", "--fail-above", "10"])
-    assert code == 2
-    assert "--fail-above requires --compare" in capsys.readouterr().err
-
-
-def test_bench_fail_above_passes_when_within_threshold(capsys, tmp_path):
-    assert main(["bench", "--suite", "ofdm", "--quick", "--json", str(tmp_path)]) == 0
-    capsys.readouterr()
-    code = main(["bench", "--suite", "ofdm", "--quick", "--json", str(tmp_path),
-                 "--compare", str(tmp_path / "BENCH_ofdm.json"),
-                 "--fail-above", "100000"])
-    assert code == 0
-    assert "perf gate passed" in capsys.readouterr().out
-
-
-def test_bench_fail_above_fails_on_regression(capsys, tmp_path):
-    import json
-
-    assert main(["bench", "--suite", "ofdm", "--quick", "--json", str(tmp_path)]) == 0
-    capsys.readouterr()
-    # Rewrite the baseline with implausibly fast medians so the fresh run
-    # must regress beyond any threshold.
-    path = tmp_path / "BENCH_ofdm.json"
-    data = json.loads(path.read_text())
-    for entry in data["results"]:
-        entry["times_s"] = [1e-9] * len(entry["times_s"])
-    path.write_text(json.dumps(data))
-    code = main(["bench", "--suite", "ofdm", "--quick", "--json", str(tmp_path),
-                 "--compare", str(path), "--fail-above", "50"])
-    assert code == 1
-    assert "PERF GATE FAILED" in capsys.readouterr().err
-
-
 def test_validate_command_quick_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["validate", "--figure", "ber_vs_snr", "--trials", "1",

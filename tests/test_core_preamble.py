@@ -35,6 +35,16 @@ def test_preamble_symbols_follow_pn_signs(generator):
         np.testing.assert_allclose(segment, sign * base)
 
 
+def test_generator_returns_cached_read_only_arrays():
+    # Detection and packet loops call these per packet: they must not pay a
+    # fresh OFDM modulation (or even an allocation) each time.
+    generator = PreambleGenerator()
+    assert generator.waveform() is generator.waveform()
+    assert generator.base_symbol() is generator.base_symbol()
+    assert not generator.waveform().flags.writeable
+    assert not generator.base_symbol().flags.writeable
+
+
 def test_reference_bin_values_are_unit_magnitude(generator):
     np.testing.assert_allclose(np.abs(generator.reference_bin_values), 1.0)
 

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.fec.convolutional import ConvolutionalCode, PuncturedConvolutionalCode
+from repro.fec.convolutional import (
+    ConvolutionalCode,
+    PuncturedConvolutionalCode,
+    trellis_tables,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +143,11 @@ def test_punctured_terminated_variant_roundtrip():
     assert coded.size == code.coded_length(16) > 24  # tail bits add overhead
     decoded = code.decode(coded, num_data_bits=16)
     np.testing.assert_array_equal(decoded, bits)
+
+
+def test_trellis_tables_are_frozen():
+    trellis = trellis_tables(7, (0o133, 0o171))
+    with pytest.raises(ValueError):
+        trellis.next_state[0, 0] = 1
+    with pytest.raises(ValueError):
+        trellis.outputs[0, 0, 0] = 1
