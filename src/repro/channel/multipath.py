@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.channel.physics import absorption_db_per_km, sound_speed_m_s
-from repro.dsp.resample import fractional_delay
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive
 
@@ -338,8 +337,8 @@ class MultipathModel:
         if max_taps is not None:
             length = min(length, int(max_taps))
         response = np.zeros(max(length, 1))
-        # Linear interpolation spreads each tap over two samples, which is
-        # the time-domain counterpart of fractional_delay().  np.add.at
+        # Linear interpolation spreads each tap over its two neighbouring
+        # samples (a fractional delay of the path).  np.add.at
         # accumulates unbuffered in operand order, matching a per-path loop
         # even for coincident indices.
         indices = np.floor(relative_delays).astype(int)
@@ -379,14 +378,3 @@ class MultipathModel:
     def direct_path_delay_s(self) -> float:
         """Return the absolute delay of the earliest arrival in seconds."""
         return self.paths()[0].delay_s
-
-    def apply(self, samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-        """Convolve ``samples`` with the (delay-normalized) impulse response."""
-        impulse = self.impulse_response(sample_rate_hz)
-        return np.convolve(np.asarray(samples, dtype=float), impulse)[: len(samples)]
-
-    def delayed_apply(self, samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-        """Apply the channel including the absolute propagation delay."""
-        out = self.apply(samples, sample_rate_hz)
-        delay_samples = self.direct_path_delay_s() * sample_rate_hz
-        return fractional_delay(out, delay_samples)

@@ -31,11 +31,9 @@ import numpy as np
 
 from repro.app.sos import SosBeaconService
 from repro.channel.motion import MOTION_PRESETS
-from repro.core.baselines import FIXED_BAND_SCHEMES
-from repro.environments.factory import build_channel, build_link_pair
+from repro.environments.factory import build_channel
 from repro.environments.sites import SITE_CATALOG
 from repro.experiments import SCHEME_CATALOG, ExperimentRunner, Scenario, Sweep
-from repro.link.session import LinkSession
 from repro.mac.simulator import MacNetworkSimulator, TransmitterConfig
 
 
@@ -46,8 +44,7 @@ def _add_link_parser(subparsers) -> None:
     parser.add_argument("--depth", type=float, default=1.0, help="device depth in metres")
     parser.add_argument("--packets", type=int, default=20)
     parser.add_argument("--motion", choices=sorted(MOTION_PRESETS), default="static")
-    parser.add_argument("--scheme", choices=["adaptive", "fixed-3k", "fixed-1.5k", "fixed-0.5k"],
-                        default="adaptive")
+    parser.add_argument("--scheme", choices=sorted(SCHEME_CATALOG), default="adaptive")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -454,23 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------- commands
-def _scheme_from_name(name: str):
-    if name == "adaptive":
-        return "adaptive"
-    index = {"fixed-3k": 0, "fixed-1.5k": 1, "fixed-0.5k": 2}[name]
-    return FIXED_BAND_SCHEMES[index]
-
-
 def _run_link(args) -> int:
-    site = SITE_CATALOG[args.site]
-    forward, backward = build_link_pair(
-        site=site, distance_m=args.distance, tx_depth_m=args.depth,
-        motion=MOTION_PRESETS[args.motion], seed=args.seed,
-    )
-    session = LinkSession(forward, backward, scheme=_scheme_from_name(args.scheme),
-                          seed=args.seed + 1)
-    stats = session.run_packets(args.packets)
-    print(f"site={site.name} distance={args.distance} m depth={args.depth} m "
+    try:
+        scenario = Scenario(
+            site=args.site, distance_m=args.distance, tx_depth_m=args.depth,
+            motion=args.motion, scheme=args.scheme, num_packets=args.packets,
+            seed=args.seed,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    stats = scenario.run()
+    print(f"site={scenario.site.name} distance={args.distance} m depth={args.depth} m "
           f"motion={args.motion} scheme={args.scheme} packets={args.packets}")
     print(f"  packet error rate        : {stats.packet_error_rate:.1%}")
     print(f"  median coded bitrate     : {stats.median_bitrate_bps:.0f} bps")
@@ -853,9 +845,14 @@ def _run_trace(args) -> int:
 
 def _run_sos(args) -> int:
     site = SITE_CATALOG[args.site]
-    channel = build_channel(site=site, distance_m=args.distance, seed=args.seed)
-    service = SosBeaconService(channel, bit_rate_bps=args.rate, seed=args.seed + 1)
-    receptions = service.broadcast_many(args.user_id, args.repetitions)
+    try:
+        channel = build_channel(site=site, distance_m=args.distance, seed=args.seed)
+        service = SosBeaconService(channel, bit_rate_bps=args.rate, seed=args.seed + 1)
+        # Rejects a bad repetition count or user id before transmitting.
+        receptions = service.broadcast_many(args.user_id, args.repetitions)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     correct = sum(r.user_id == args.user_id for r in receptions)
     errors = sum(r.bit_errors for r in receptions)
     confidence = float(np.mean([r.mean_confidence_db for r in receptions]))
@@ -874,7 +871,11 @@ def _run_mac(args) -> int:
                           num_packets=args.packets)
         for i in range(args.transmitters)
     ]
-    simulator = MacNetworkSimulator(transmitters, carrier_sense=not args.no_carrier_sense)
+    try:
+        simulator = MacNetworkSimulator(transmitters, carrier_sense=not args.no_carrier_sense)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     result = simulator.run(seed=args.seed)
     mode = "disabled" if args.no_carrier_sense else "enabled"
     print(f"{args.transmitters} transmitters x {args.packets} packets, carrier sense {mode}")

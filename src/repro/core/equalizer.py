@@ -16,25 +16,16 @@ Wiener solution solves the Toeplitz normal equations
 with the Levinson-Durbin recursion from :mod:`repro.dsp.levinson`, O(n^2)
 in the tap count.  The auto- and cross-correlations are computed by FFT
 instead of direct ``np.correlate`` (O(n log n) instead of O(n^2) in the
-training length).
-
-:meth:`MMSEEqualizer.fit_apply_many` batches the training correlations of
-several bursts into shared FFT calls, which is what the batched packet
-pipeline uses when many packets of the same shape are decoded together.
+training length).  The decoder fits once per packet on its training
+symbol (:meth:`MMSEEqualizer.fit`) and then equalizes the data burst
+(:meth:`MMSEEqualizer.apply`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.fastconv import (
-    CHANNEL_SPECTRUM_CACHE,
-    irfft,
-    irfft_n,
-    next_fast_len,
-    rfft,
-    rfft_n,
-)
+from repro.dsp.fastconv import CHANNEL_SPECTRUM_CACHE, irfft_n, next_fast_len, rfft_n
 from repro.dsp.levinson import solve_symmetric_toeplitz
 from repro.utils.validation import require_positive
 
@@ -123,7 +114,6 @@ class MMSEEqualizer:
         r_xy = cross[zero_lag:zero_lag + taps] / n
         return r_yy, r_xy
 
-    # ------------------------------------------------------------------ single
     def fit(self, received_training: np.ndarray, reference_training: np.ndarray) -> np.ndarray:
         """Estimate the equalizer from a known training waveform.
 
@@ -170,59 +160,3 @@ class MMSEEqualizer:
         if self.delay:
             equalized = equalized[self.delay:]
         return equalized[: samples.size]
-
-    def fit_apply(
-        self,
-        received: np.ndarray,
-        training_slice: slice,
-        reference_training: np.ndarray,
-    ) -> np.ndarray:
-        """Fit on ``received[training_slice]`` and equalize all of ``received``."""
-        self.fit(np.asarray(received)[training_slice], reference_training)
-        return self.apply(received)
-
-    # ------------------------------------------------------------------- batch
-    def fit_apply_many(
-        self,
-        bursts: list[np.ndarray],
-        training_slice: slice,
-        reference_training: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Fit-and-equalize several bursts, batching the FFT correlations.
-
-        Every burst is treated exactly like :meth:`fit_apply` (fit on its
-        own training segment against the shared reference, then equalize the
-        whole burst), but the auto-/cross-correlation FFTs of all training
-        segments run as one batched transform.  After the call
-        :attr:`coefficients` holds the taps of the *last* burst, mirroring a
-        sequential loop.
-
-        Returns the list of equalized bursts, in input order.
-        """
-        if not bursts:
-            return []
-        x = np.asarray(reference_training, dtype=float).ravel()
-        trainings = []
-        for burst in bursts:
-            y = np.asarray(burst, dtype=float).ravel()[training_slice]
-            # Every segment must match the shared reference length, which
-            # also guarantees the stack below is rectangular.
-            self._validate_training(y, x)
-            trainings.append(y)
-        n = trainings[0].size
-        taps = self.num_taps
-        zero_lag = n - 1
-        n_fft = next_fast_len(2 * n - 1)
-        stacked = np.vstack(trainings)
-        x_target = self._delayed_reference(x, n)
-        reversed_spectra = rfft(stacked[:, ::-1], n_fft, axis=1)
-        autos = irfft(rfft(stacked, n_fft, axis=1) * reversed_spectra, n_fft, axis=1)
-        crosses = irfft(rfft(x_target, n_fft)[None, :] * reversed_spectra, n_fft, axis=1)
-        equalized = []
-        for row, burst in enumerate(bursts):
-            r_yy = autos[row, zero_lag:zero_lag + taps] / n
-            r_yy[0] += self.regularization * r_yy[0] + 1e-12
-            r_xy = crosses[row, zero_lag:zero_lag + taps] / n
-            self.coefficients = solve_symmetric_toeplitz(r_yy, r_xy)
-            equalized.append(self.apply(np.asarray(burst, dtype=float).ravel()))
-        return equalized

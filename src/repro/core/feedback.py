@@ -164,30 +164,17 @@ class FeedbackCodec:
         return FeedbackDecodeResult(found, start_bin, end_bin, best_offset, best_ratio)
 
     @staticmethod
-    def _top_two_tones(spectrum: np.ndarray) -> tuple[int, int]:
-        """Return the indices of the two strongest, non-adjacent tones.
+    def _top_two_tones_batch(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two strongest non-adjacent tones per row of ``spectra`` (index arrays).
 
-        The bin next to the strongest tone is excluded when picking the
+        The bins next to the strongest tone are excluded when picking the
         second tone, because a slight symbol-timing offset leaks energy of a
         strong tone into its immediate neighbours and that leakage can
         otherwise outweigh a genuinely transmitted tone sitting in a fade.
-        A second tone more than ~26 dB below the first is treated as absent,
-        which is how a single-bin band (one transmitted tone) is recognized.
+        A second tone more than ~26 dB below the first is treated as absent
+        (the row's second index repeats the first), which is how a
+        single-bin band (one transmitted tone) is recognized.
         """
-        first = int(np.argmax(spectrum))
-        masked = spectrum.copy()
-        low = max(0, first - 1)
-        masked[low:first + 2] = -np.inf
-        if np.all(~np.isfinite(masked)):
-            return first, first
-        second = int(np.argmax(masked))
-        if spectrum[second] < 0.0025 * spectrum[first]:
-            return first, first
-        return first, second
-
-    @staticmethod
-    def _top_two_tones_batch(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_top_two_tones` over rows of ``spectra``."""
         num_rows, num_bins = spectra.shape
         rows = np.arange(num_rows)
         firsts = np.argmax(spectra, axis=1)

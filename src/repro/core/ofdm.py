@@ -50,26 +50,13 @@ class OFDMModulator:
         normalize_power:
             Scale the symbol so its mean power equals ``symbol_power``.
             Disable for silence symbols or externally-scaled signals.
+
+        The one-row case of :meth:`modulate_many`.
         """
         bin_values = np.asarray(bin_values, dtype=complex).ravel()
-        bin_indices = np.asarray(bin_indices, dtype=int).ravel()
-        if bin_values.shape != bin_indices.shape:
-            raise ValueError("bin_values and bin_indices must have the same length")
-        if bin_indices.size and (
-            bin_indices.min() < 0 or bin_indices.max() >= self.num_spectrum_bins
-        ):
-            raise ValueError("bin index out of range for the configured symbol length")
-        spectrum = np.zeros(self.num_spectrum_bins, dtype=complex)
-        spectrum[bin_indices] = bin_values
-        symbol = np.fft.irfft(spectrum, n=self.config.symbol_length)
-        if normalize_power and bin_indices.size:
-            power = float(np.mean(symbol ** 2))
-            if power > 0:
-                symbol = symbol * np.sqrt(self.symbol_power / power)
-        if add_cyclic_prefix and self.config.cyclic_prefix_length > 0:
-            prefix = symbol[-self.config.cyclic_prefix_length:]
-            symbol = np.concatenate([prefix, symbol])
-        return symbol
+        return self.modulate_many(
+            bin_values[None, :], bin_indices, add_cyclic_prefix, normalize_power
+        )[0]
 
     def modulate_many(
         self,
@@ -82,10 +69,8 @@ class OFDMModulator:
 
         ``bin_values`` has shape ``(num_symbols, len(bin_indices))``; every
         row becomes one symbol on the same set of subcarriers.  Returns a
-        ``(num_symbols, symbol_length[+cyclic_prefix])`` array whose rows
-        are bit-identical to calling :meth:`modulate` row by row -- the
-        batch inverse FFT and per-row power normalization are what make the
-        encoder's per-symbol Python loop disappear.
+        ``(num_symbols, symbol_length[+cyclic_prefix])`` array; each row is
+        normalized to ``symbol_power`` on its own.
         """
         bin_values = np.asarray(bin_values, dtype=complex)
         bin_indices = np.asarray(bin_indices, dtype=int).ravel()
@@ -128,27 +113,11 @@ class OFDMModulator:
         bin_indices:
             Subcarrier indices to return.  ``None`` returns the full
             one-sided spectrum.
+
+        The one-symbol case of :meth:`demodulate_many`; samples past the
+        symbol are ignored.
         """
-        symbol = np.asarray(symbol, dtype=float).ravel()
-        if has_cyclic_prefix:
-            if symbol.size < self.config.extended_symbol_length:
-                raise ValueError(
-                    f"expected at least {self.config.extended_symbol_length} samples, "
-                    f"got {symbol.size}"
-                )
-            symbol = symbol[self.config.cyclic_prefix_length:
-                            self.config.cyclic_prefix_length + self.config.symbol_length]
-        else:
-            if symbol.size < self.config.symbol_length:
-                raise ValueError(
-                    f"expected at least {self.config.symbol_length} samples, got {symbol.size}"
-                )
-            symbol = symbol[: self.config.symbol_length]
-        spectrum = np.fft.rfft(symbol)
-        if bin_indices is None:
-            return spectrum
-        bin_indices = np.asarray(bin_indices, dtype=int).ravel()
-        return spectrum[bin_indices]
+        return self.demodulate_many(symbol, 1, bin_indices, has_cyclic_prefix)[0]
 
     def demodulate_many(
         self,
@@ -161,8 +130,7 @@ class OFDMModulator:
 
         ``samples`` must hold the symbols back to back (cyclic prefixes
         included when ``has_cyclic_prefix``).  Returns a
-        ``(num_symbols, len(bin_indices))`` array of subcarrier values,
-        bit-identical to slicing and calling :meth:`demodulate` per symbol.
+        ``(num_symbols, len(bin_indices))`` array of subcarrier values.
         """
         samples = np.asarray(samples, dtype=float).ravel()
         if num_symbols < 0:
@@ -201,11 +169,3 @@ class OFDMModulator:
         length = self.config.extended_symbol_length if with_prefix else self.config.symbol_length
         return np.zeros(num_symbols * length)
 
-    def split_symbols(self, samples: np.ndarray, num_symbols: int) -> list[np.ndarray]:
-        """Split a buffer into consecutive extended (CP-included) symbols."""
-        samples = np.asarray(samples, dtype=float).ravel()
-        step = self.config.extended_symbol_length
-        needed = num_symbols * step
-        if samples.size < needed:
-            raise ValueError(f"need {needed} samples for {num_symbols} symbols, got {samples.size}")
-        return [samples[i * step:(i + 1) * step] for i in range(num_symbols)]

@@ -135,8 +135,8 @@ class PreambleDetector:
         self.protocol_config = generator.protocol_config
         self.ofdm_config = generator.ofdm_config
         self._template = generator.waveform()
-        # Conjugate spectrum of the template, cached for the overlap-save
-        # coarse search (shared across every packet of a session).
+        # Conjugate spectrum of the template, cached for the FFT coarse
+        # search (shared across every packet of a session).
         self._correlator = TemplateCorrelator(self._template)
 
     def coarse_candidates(self, received: np.ndarray, max_candidates: int = 4) -> list[tuple[int, float]]:

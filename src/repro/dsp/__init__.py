@@ -3,18 +3,16 @@
 The modules here implement the generic building blocks the modem is
 assembled from: constant-amplitude zero-autocorrelation (CAZAC) sequences,
 pseudo-noise sign sequences, linear frequency modulated chirps, FIR filters,
-correlation-based detection primitives, spectrum estimation helpers and
-fractional resampling used to model Doppler.
+spectrum estimation helpers and the resampling used to model Doppler.  The
+preamble detector's correlators (:mod:`repro.dsp.correlation`), the
+cached-spectrum FFT convolutions (:mod:`repro.dsp.fastconv`) and the
+equalizer's Toeplitz solver (:mod:`repro.dsp.levinson`) are imported from
+their modules.
 """
 
 from repro.dsp.chirp import lfm_chirp
-from repro.dsp.correlation import (
-    normalized_cross_correlation,
-    normalized_sliding_correlation,
-    sliding_correlation_peak,
-)
 from repro.dsp.filters import FIRBandpassFilter, design_bandpass_fir
-from repro.dsp.resample import apply_doppler, fractional_delay
+from repro.dsp.resample import apply_doppler
 from repro.dsp.sequences import pn_sign_sequence, zadoff_chu
 from repro.dsp.spectrum import band_power, magnitude_spectrum_db, power_spectral_density
 
@@ -24,12 +22,8 @@ __all__ = [
     "lfm_chirp",
     "design_bandpass_fir",
     "FIRBandpassFilter",
-    "normalized_cross_correlation",
-    "normalized_sliding_correlation",
-    "sliding_correlation_peak",
     "power_spectral_density",
     "band_power",
     "magnitude_spectrum_db",
     "apply_doppler",
-    "fractional_delay",
 ]

@@ -12,79 +12,45 @@ Two detectors are combined in the paper (section 2.2.1):
 
 Both stages are vectorized:
 
-* :class:`TemplateCorrelator` runs the coarse stage as overlap-save FFT
-  cross-correlation against a cached conjugate spectrum of the template,
-  equivalent to :func:`normalized_cross_correlation` within ~1e-10.
+* :class:`TemplateCorrelator` runs the coarse stage as one FFT
+  cross-correlation per capture against a cached conjugate spectrum of the
+  template.
 * :func:`sliding_correlation_curve` evaluates the fine metric for *all*
   candidate offsets at once from two cumulative sums (the windowed
   segment products telescope into prefix-sum differences) instead of
-  calling :func:`normalized_sliding_correlation` once per offset.
-  Agreement with that per-offset loop is ~1e-9 relative (cumulative sums
-  reassociate the additions); tests/test_fastpath_golden.py pins both.
+  evaluating one window at a time.
+
+The plain references both stages are pinned against (``fftconvolve``
+cross-correlation and the per-offset loop) live in ``tests/oracles/dsp.py``;
+tests/test_fastpath_golden.py compares them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.dsp.fastconv import irfft_n, next_fast_len, rfft_n
 
 _EPS = 1e-12
 
 
-def normalized_cross_correlation(received: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Return the template-normalized cross-correlation of ``received``.
-
-    The output has one value per alignment of the template inside the
-    received buffer (``len(received) - len(template) + 1`` values).  Each
-    value is normalized by the energy of the template and of the
-    corresponding received window, so it lies in ``[-1, 1]``.
-    """
-    received = np.asarray(received, dtype=float)
-    template = np.asarray(template, dtype=float)
-    if template.size == 0 or received.size < template.size:
-        raise ValueError("received signal must be at least as long as the template")
-    # FFT-based correlation: much faster than np.correlate for the long
-    # preamble templates used here.
-    raw = sp_signal.fftconvolve(received, template[::-1], mode="valid")
-    template_energy = float(np.sqrt(np.sum(template ** 2)))
-    # Rolling energy of the received windows, via cumulative sums.
-    squared = received ** 2
-    cumulative = np.concatenate([[0.0], np.cumsum(squared)])
-    window_energy = np.sqrt(cumulative[template.size:] - cumulative[: received.size - template.size + 1])
-    return raw / (template_energy * np.maximum(window_energy, _EPS))
-
-
 class TemplateCorrelator:
     """Normalized FFT cross-correlation against one fixed template.
 
     The conjugate spectrum of the template (the rFFT of the time-reversed
-    waveform) and the template energy are computed once; every
-    :meth:`correlate` call then runs overlap-save block convolution, so the
-    per-call cost is independent of how many times the same preamble is
-    searched for.  Output matches :func:`normalized_cross_correlation`
-    within ~1e-10 (same arithmetic, different FFT block sizes).
+    waveform) is cached per FFT size and the template energy is computed
+    once, so every :meth:`correlate` call costs one forward FFT, one
+    complex multiply and one inverse FFT of the capture.  The normalized
+    output lies in ``[-1, 1]``.
     """
 
-    def __init__(self, template: np.ndarray, block_size: int | None = None) -> None:
+    def __init__(self, template: np.ndarray) -> None:
         self._template = np.asarray(template, dtype=float).ravel()
         if self._template.size == 0:
             raise ValueError("template must be non-empty")
-        m = self._template.size
-        if block_size is None:
-            # Blocks of ~2x the template keep single-search latency low for
-            # packet-sized captures while amortizing well on long ones.
-            block_size = 2 * m
-        self._n_fft = next_fast_len(max(int(block_size), 2 * m))
-        # Buffers up to ~4 template lengths are correlated in one shot (the
-        # in-session packet captures); anything longer streams block-wise.
-        self._single_shot_limit = next_fast_len(4 * m)
-        #: Cached conjugate spectra (rfft of the reversed template) per FFT
-        #: size: the overlap-save block size plus the single-shot sizes of
-        #: the packet lengths this correlator has seen.
+        #: Cached conjugate spectra (rfft of the reversed template), one per
+        #: FFT size of the capture lengths this correlator has seen.
         self._spectra: dict[int, np.ndarray] = {}
-        self._spectrum = self._spectrum_for(self._n_fft)
         self._energy = float(np.sqrt(np.sum(self._template ** 2)))
 
     def _spectrum_for(self, n_fft: int) -> np.ndarray:
@@ -98,43 +64,28 @@ class TemplateCorrelator:
         return spectrum
 
     def raw_correlation(self, received: np.ndarray) -> np.ndarray:
-        """Unnormalized valid-mode cross-correlation via overlap-save.
+        """Unnormalized valid-mode cross-correlation in one FFT round trip.
 
-        Circular wrap-around only contaminates output indices below
-        ``m - 1`` as long as the FFT size is at least the chunk length, so a
-        buffer no longer than the block size is correlated in one shot at
-        ``next_fast_len(len(received))``; longer buffers stream through
-        fixed-size overlap-save blocks against the cached block spectrum.
+        The transform runs at ``next_fast_len(len(received))``: circular
+        wrap-around then only contaminates output indices below ``m - 1``
+        (``m`` the template length), which valid mode discards.
         """
         received = np.asarray(received, dtype=float).ravel()
         m = self._template.size
         if received.size < m:
             raise ValueError("received signal must be at least as long as the template")
         num_valid = received.size - m + 1
-        single_shot = next_fast_len(received.size)
-        if single_shot <= self._single_shot_limit:
-            segment = irfft_n(
-                rfft_n(received, single_shot) * self._spectrum_for(single_shot),
-                single_shot,
-            )
-            return segment[m - 1:m - 1 + num_valid]
-        n_fft = self._n_fft
-        spectrum = self._spectrum
-        step = n_fft - m + 1
-        out = np.empty(num_valid)
-        position = 0
-        while position < num_valid:
-            chunk = received[position:position + n_fft]
-            segment = irfft_n(rfft_n(chunk, n_fft) * spectrum, n_fft)
-            take = min(step, num_valid - position)
-            # The first m-1 outputs of each block are circular wrap-around;
-            # the linear-convolution region starts at index m-1.
-            out[position:position + take] = segment[m - 1:m - 1 + take]
-            position += take
-        return out
+        n_fft = next_fast_len(received.size)
+        segment = irfft_n(rfft_n(received, n_fft) * self._spectrum_for(n_fft), n_fft)
+        return segment[m - 1:m - 1 + num_valid]
 
     def correlate(self, received: np.ndarray) -> np.ndarray:
-        """Normalized cross-correlation (same output as :func:`normalized_cross_correlation`)."""
+        """Cross-correlation normalized by template and window energy.
+
+        One value per alignment of the template inside ``received``
+        (``len(received) - len(template) + 1`` values); raises
+        ``ValueError`` when ``received`` is shorter than the template.
+        """
         received = np.asarray(received, dtype=float).ravel()
         raw = self.raw_correlation(received)
         squared = received ** 2
@@ -144,36 +95,6 @@ class TemplateCorrelator:
             cumulative[m:] - cumulative[: received.size - m + 1]
         )
         return raw / (self._energy * np.maximum(window_energy, _EPS))
-
-
-def normalized_sliding_correlation(
-    window: np.ndarray,
-    segment_length: int,
-    pn_signs: np.ndarray,
-) -> float:
-    """Return the normalized sliding-correlation metric for one window.
-
-    The window is divided into ``len(pn_signs)`` segments of
-    ``segment_length`` samples.  Each segment is multiplied by its PN sign
-    and neighbouring segments are correlated; the summed correlations are
-    normalized by the window energy.  A true preamble (identical repeated
-    symbols with those signs) yields a value near 1.
-    """
-    window = np.asarray(window, dtype=float)
-    pn_signs = np.asarray(pn_signs, dtype=float)
-    num_segments = pn_signs.size
-    needed = segment_length * num_segments
-    if window.size < needed:
-        raise ValueError(
-            f"window of {window.size} samples too short for {num_segments} "
-            f"segments of {segment_length} samples"
-        )
-    segments = window[:needed].reshape(num_segments, segment_length) * pn_signs[:, None]
-    correlation = 0.0
-    for i in range(num_segments - 1):
-        correlation += float(np.dot(segments[i], segments[i + 1]))
-    energy = float(np.sum(window[:needed] ** 2)) * (num_segments - 1) / num_segments
-    return correlation / max(energy, _EPS)
 
 
 def _candidate_offsets(
@@ -204,7 +125,8 @@ def sliding_correlation_curve(
     Returns ``(offsets, metric)`` where ``offsets`` are the candidate start
     indices (spaced by ``step`` samples, matching the computational-cost
     compromise described in the paper) and ``metric`` the corresponding
-    normalized sliding-correlation values.
+    normalized sliding-correlation values.  Both arrays are empty when no
+    window of ``len(pn_signs)`` segments fits inside the range.
 
     Vectorized: for offset ``o`` the metric numerator is
     ``sum_i s_i s_{i+1} <seg_i, seg_{i+1}>`` where ``<seg_i, seg_{i+1}>``
@@ -244,20 +166,3 @@ def sliding_correlation_curve(
     metric = correlation / np.maximum(energy, _EPS)
     return offsets, metric
 
-
-def sliding_correlation_peak(
-    received: np.ndarray,
-    start: int,
-    stop: int,
-    segment_length: int,
-    pn_signs: np.ndarray,
-    step: int = 8,
-) -> tuple[int, float]:
-    """Return ``(best_offset, best_metric)`` over the candidate range."""
-    offsets, metric = sliding_correlation_curve(
-        received, start, stop, segment_length, pn_signs, step
-    )
-    if offsets.size == 0:
-        return -1, 0.0
-    best = int(np.argmax(metric))
-    return int(offsets[best]), float(metric[best])

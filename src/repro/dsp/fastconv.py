@@ -28,25 +28,13 @@ import hashlib
 from collections import OrderedDict
 
 import numpy as np
+from scipy.fft import next_fast_len as _next_fast_len
 
-try:  # scipy's pocketfft is bit-identical to numpy's and faster; the
-    # next_fast_len helper finds 5-smooth sizes.  Fall back to numpy + powers
-    # of two when scipy is unavailable.
-    from scipy import fft as _fft
-    from scipy.fft import next_fast_len as _next_fast_len
 
-    def next_fast_len(n: int) -> int:
-        """Smallest efficient real-FFT length >= ``n``."""
-        return int(_next_fast_len(int(n), real=True))
-except ImportError:  # pragma: no cover - scipy is a hard dependency elsewhere
-    from numpy import fft as _fft
+def next_fast_len(n: int) -> int:
+    """Smallest efficient (5-smooth) real-FFT length >= ``n``."""
+    return int(_next_fast_len(int(n), real=True))
 
-    def next_fast_len(n: int) -> int:
-        """Smallest power of two >= ``n`` (scipy-free fallback)."""
-        return 1 << max(int(n) - 1, 0).bit_length()
-
-rfft = _fft.rfft
-irfft = _fft.irfft
 
 try:
     # Raw pocketfft bindings: bit-identical to scipy.fft.rfft/irfft but
@@ -69,6 +57,8 @@ try:
         spectrum = np.ascontiguousarray(spectrum, dtype=np.complex128)
         return _ppf.c2r(spectrum, axes=(0,), lastsize=n_fft, forward=False, inorm=2)
 except ImportError:  # pragma: no cover - depends on scipy internals
+    from scipy.fft import irfft, rfft
+
     def rfft_n(x: np.ndarray, n_fft: int) -> np.ndarray:
         """``rfft(x, n_fft)`` fallback through the public API."""
         return rfft(np.asarray(x, dtype=float), n_fft)

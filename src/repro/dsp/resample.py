@@ -1,4 +1,4 @@
-"""Fractional delay and Doppler resampling.
+"""Doppler resampling.
 
 Motion of a diver holding the phone compresses or dilates the received
 waveform.  At the speeds relevant to the paper (relative speeds below
@@ -66,18 +66,3 @@ def apply_doppler(
     warped_index = original_index * factor
     return np.interp(warped_index, original_index, samples, left=0.0, right=0.0)
 
-
-def fractional_delay(samples: np.ndarray, delay_samples: float) -> np.ndarray:
-    """Delay ``samples`` by a possibly fractional number of samples.
-
-    Uses linear interpolation, which is adequate for building multipath
-    impulse responses where tap positions do not fall on integer sample
-    boundaries.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if delay_samples < 0:
-        raise ValueError("delay must be non-negative")
-    if samples.size == 0:
-        return samples.copy()
-    index = np.arange(samples.size) - delay_samples
-    return np.interp(index, np.arange(samples.size), samples, left=0.0, right=0.0)

@@ -257,7 +257,7 @@ class LinkSession:
         self._packet_counter = 0
         # Per-session packet-pipeline state reused across packets: the
         # preamble+header waveform and the silence gap are deterministic for
-        # a session, so :meth:`run_packets` builds them once.  (The channel
+        # a session, so the first packet builds them.  (The channel
         # transfer-function and preamble template spectra live in the shared
         # caches of repro.dsp.fastconv / TemplateCorrelator.)
         self._header_cache = None
@@ -463,20 +463,18 @@ class LinkSession:
         num_packets: int,
         rng: int | np.random.Generator | None = None,
     ) -> LinkStatistics:
-        """Run ``num_packets`` exchanges through the batched packet pipeline.
+        """Run ``num_packets`` exchanges, one :meth:`run_packet` call each.
 
-        The per-session state every packet needs -- the preamble+header
-        waveform, the silence gap, the preamble template's conjugate
-        spectrum, the channel transfer-function spectra and the modem's
-        batched FEC/OFDM paths -- is derived once and reused across the
-        whole batch rather than per packet.  Results are identical to
-        calling :meth:`run_packet` ``num_packets`` times with the same
-        generator (the protocol itself is sequential: each packet's channel
-        state depends on the previous one).
+        The protocol is sequential (each packet's channel state depends on
+        the previous one), so this is a plain per-packet loop.  What makes
+        later packets cheap is per-session state cached on first use -- the
+        preamble+header waveform, the silence gap, the preamble template's
+        conjugate spectrum and the channel transfer-function spectra --
+        which every packet of the session reuses.
 
-        This is the entry point the experiment runner,
-        :class:`repro.net.links.PhysicalLink` calibration and the benchmark
-        suites drive.
+        This is the entry point :meth:`repro.experiments.Scenario.run` (and
+        so the experiment runner) and
+        :func:`repro.net.links.calibrate_from_phy` drive.
         """
         if num_packets <= 0:
             raise ValueError("num_packets must be positive")

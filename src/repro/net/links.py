@@ -186,8 +186,8 @@ def calibrate_from_phy(
 
     For each distance a fresh channel pair and
     :class:`~repro.link.session.LinkSession` (seeds derived from ``seed``)
-    runs ``packets_per_point`` adaptive exchanges through the batched
-    packet pipeline (:meth:`~repro.link.session.LinkSession.run_packets`);
+    runs ``packets_per_point`` adaptive exchanges
+    (:meth:`~repro.link.session.LinkSession.run_packets`);
     the observed packet error rate and median selected bitrate become one
     table row.
 
@@ -354,7 +354,7 @@ class PhysicalLink(LinkModel):
     the per-session packet-pipeline state (preamble header, template
     spectra, channel transfer functions) lives on the cached
     :class:`~repro.link.session.LinkSession`, every delivery after the
-    first at a given distance rides the batched fast path.
+    first at a given distance reuses those caches.
     """
 
     name = "physical"

@@ -52,6 +52,12 @@ ACK_SIZE_BITS = 8
 #: Events between two progress emissions of :meth:`NetworkSimulator.run`.
 PROGRESS_CHUNK_EVENTS = 20_000
 
+#: Relays wait a uniform random delay up to this bound (seconds) before
+#: re-transmitting.  Without it, equidistant relays of the same flood
+#: rebroadcast at the identical instant and their copies collide
+#: deterministically (the broadcast-storm pathology).
+FORWARD_JITTER_S = 0.15
+
 
 class NetObserver:
     """App-layer instrumentation hooks on :class:`NetworkSimulator`.
@@ -184,11 +190,6 @@ class NetworkSimulator:
         Hop budget per packet copy.
     collisions:
         Model receiver-side collisions of overlapping receptions.
-    forward_jitter_s:
-        Relays wait a uniform random delay up to this bound before
-        re-transmitting.  Without it, equidistant relays of the same
-        flood rebroadcast at the identical instant and their copies
-        collide deterministically (the broadcast-storm pathology).
     mobility_interval_s:
         When set, apply one topology mobility step (and re-prepare the
         routing tables) at this period.
@@ -229,7 +230,6 @@ class NetworkSimulator:
         arq: ArqConfig | None = None,
         ttl: int = DEFAULT_TTL,
         collisions: bool = True,
-        forward_jitter_s: float = 0.15,
         mobility_interval_s: float | None = None,
         seed: int | np.random.Generator | None = None,
         observer: NetObserver | None = None,
@@ -246,7 +246,6 @@ class NetworkSimulator:
         self.arq = arq
         self.ttl = int(ttl)
         self.collisions = bool(collisions)
-        self.forward_jitter_s = float(forward_jitter_s)
         self.mobility_interval_s = mobility_interval_s
         if not callable(cc) and cc not in CC_KINDS:
             raise ValueError(f"cc must be one of {CC_KINDS} or a factory, got {cc!r}")
@@ -731,12 +730,6 @@ class NetworkSimulator:
         if pending is not None and not pending.reason:
             pending.reason = cause
 
-    def _targets_for(self, node_name: str, packet: NetPacket) -> tuple[str, ...]:
-        if packet.destination == BROADCAST:
-            # Broadcasts always flood, whatever unicast routing is in use.
-            return self._broadcast_routing.next_hops(node_name, packet, self.topology)
-        return self.routing.next_hops(node_name, packet, self.topology)
-
     def _service(self, node: _NodeState) -> None:
         """Start transmitting the head-of-queue packet if the node is idle.
 
@@ -775,7 +768,7 @@ class NetworkSimulator:
                 metrics.ttl_drops += 1
                 self._note_copy_drop(packet, "ttl")
                 continue
-            # _targets_for, inlined (this loop runs once per queued packet).
+            # Broadcasts always flood, whatever unicast routing is in use.
             if packet.destination == BROADCAST:
                 targets = self._broadcast_routing.next_hops(
                     node.name, packet, topology
@@ -1003,14 +996,11 @@ class NetworkSimulator:
 
     def _relay(self, node: _NodeState, packet: NetPacket) -> None:
         """Re-queue a packet for forwarding, after the de-sync jitter."""
-        if self.forward_jitter_s > 0.0:
-            scheduler = self._scheduler
-            delay = float(self._rng.uniform(0.0, self.forward_jitter_s))
-            scheduler.at(
-                scheduler._now_s + delay, lambda: self._enqueue(node.name, packet)
-            )
-        else:
-            self._enqueue(node.name, packet)
+        scheduler = self._scheduler
+        delay = float(self._rng.uniform(0.0, FORWARD_JITTER_S))
+        scheduler.at(
+            scheduler._now_s + delay, lambda: self._enqueue(node.name, packet)
+        )
 
     def _record_delivery(
         self, node_name: str, uid: int, hop_count: int, now: float

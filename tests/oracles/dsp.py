@@ -3,8 +3,56 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import signal as sp_signal
 
-from repro.dsp.correlation import normalized_sliding_correlation
+_EPS = 1e-12
+
+
+def normalized_cross_correlation(received: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """Template-normalized cross-correlation via ``fftconvolve``.
+
+    The reference for :class:`repro.dsp.correlation.TemplateCorrelator`:
+    one value per alignment of the template inside ``received``, each
+    normalized by the energy of the template and of the received window.
+    """
+    received = np.asarray(received, dtype=float)
+    template = np.asarray(template, dtype=float)
+    if template.size == 0 or received.size < template.size:
+        raise ValueError("received signal must be at least as long as the template")
+    raw = sp_signal.fftconvolve(received, template[::-1], mode="valid")
+    template_energy = float(np.sqrt(np.sum(template ** 2)))
+    cumulative = np.concatenate([[0.0], np.cumsum(received ** 2)])
+    window_energy = np.sqrt(cumulative[template.size:] - cumulative[: received.size - template.size + 1])
+    return raw / (template_energy * np.maximum(window_energy, _EPS))
+
+
+def normalized_sliding_correlation(
+    window: np.ndarray,
+    segment_length: int,
+    pn_signs: np.ndarray,
+) -> float:
+    """The normalized sliding-correlation metric of one window.
+
+    The window is divided into ``len(pn_signs)`` segments of
+    ``segment_length`` samples.  Each segment is multiplied by its PN sign
+    and neighbouring segments are correlated; the summed correlations are
+    normalized by the window energy.
+    """
+    window = np.asarray(window, dtype=float)
+    pn_signs = np.asarray(pn_signs, dtype=float)
+    num_segments = pn_signs.size
+    needed = segment_length * num_segments
+    if window.size < needed:
+        raise ValueError(
+            f"window of {window.size} samples too short for {num_segments} "
+            f"segments of {segment_length} samples"
+        )
+    segments = window[:needed].reshape(num_segments, segment_length) * pn_signs[:, None]
+    correlation = 0.0
+    for i in range(num_segments - 1):
+        correlation += float(np.dot(segments[i], segments[i + 1]))
+    energy = float(np.sum(window[:needed] ** 2)) * (num_segments - 1) / num_segments
+    return correlation / max(energy, _EPS)
 
 
 def sliding_correlation_curve_reference(

@@ -107,22 +107,3 @@ def test_direct_path_delay_matches_geometry():
     model = _model()
     expected = 10.0 / model.sound_speed_m_s
     assert model.direct_path_delay_s() == pytest.approx(expected, rel=1e-3)
-
-
-def test_apply_convolves_signal():
-    model = _model()
-    impulse_in = np.zeros(2000)
-    impulse_in[0] = 1.0
-    out = model.apply(impulse_in, 48000.0)
-    assert out.size == impulse_in.size
-    np.testing.assert_allclose(out[: model.impulse_response(48000.0).size],
-                               model.impulse_response(48000.0)[:2000][: out.size][: model.impulse_response(48000.0).size])
-
-
-def test_delayed_apply_adds_propagation_delay():
-    model = _model()
-    impulse_in = np.zeros(4000)
-    impulse_in[0] = 1.0
-    delayed = model.delayed_apply(impulse_in, 48000.0)
-    expected_delay = int(round(model.direct_path_delay_s() * 48000.0))
-    assert abs(int(np.argmax(np.abs(delayed))) - expected_delay) <= 1

@@ -197,6 +197,16 @@ def test_invalid_site_rejected():
         main(["link", "--site", "atlantis"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["link", "--site", "bay", "--distance", "50"],
+    ["sos", "--repetitions", "0"],
+    ["mac", "--transmitters", "0"],
+])
+def test_bad_run_parameters_exit_2_with_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_validate_command_quick_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["validate", "--figure", "ber_vs_snr", "--trials", "1",

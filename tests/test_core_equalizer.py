@@ -90,7 +90,8 @@ def test_fit_apply_convenience(rng):
     channel = np.array([1.0, 0.3])
     received = sp_signal.lfilter(channel, 1.0, data)
     eq = MMSEEqualizer(num_taps=64)
-    out = eq.fit_apply(received, slice(0, x.size), x)
+    eq.fit(received[: x.size], x)
+    out = eq.apply(received)
     assert out.size == received.size
     assert eq.is_fitted
 

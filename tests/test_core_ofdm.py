@@ -97,17 +97,6 @@ def test_silence_generation(modulator, config):
     assert modulator.silence(0).size == 0
 
 
-def test_split_symbols(modulator, config):
-    values = np.ones(config.num_data_bins, dtype=complex)
-    one = modulator.modulate(values, config.data_bins)
-    buffer = np.concatenate([one, 2 * one, 3 * one])
-    symbols = modulator.split_symbols(buffer, 3)
-    assert len(symbols) == 3
-    np.testing.assert_allclose(symbols[1], 2 * one)
-    with pytest.raises(ValueError):
-        modulator.split_symbols(buffer, 4)
-
-
 def test_constructor_rejects_bad_power(config):
     with pytest.raises(ValueError):
         OFDMModulator(config, symbol_power=0.0)

@@ -1,4 +1,4 @@
-"""Tests for Doppler resampling and fractional delay."""
+"""Tests for Doppler resampling."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.dsp.resample import (
     SOUND_SPEED_WATER_M_S,
     apply_doppler,
     doppler_factor,
-    fractional_delay,
 )
 
 
@@ -53,22 +52,3 @@ def test_apply_doppler_preserves_length():
     x = np.random.default_rng(0).standard_normal(5000)
     assert apply_doppler(x, 1.001).size == x.size
 
-
-def test_fractional_delay_integer_shift():
-    x = np.zeros(10)
-    x[3] = 1.0
-    delayed = fractional_delay(x, 2.0)
-    assert np.argmax(delayed) == 5
-
-
-def test_fractional_delay_half_sample_splits_energy():
-    x = np.zeros(10)
-    x[4] = 1.0
-    delayed = fractional_delay(x, 0.5)
-    assert delayed[4] == pytest.approx(0.5)
-    assert delayed[5] == pytest.approx(0.5)
-
-
-def test_fractional_delay_rejects_negative():
-    with pytest.raises(ValueError):
-        fractional_delay(np.ones(4), -1.0)

@@ -11,7 +11,6 @@ from repro.core.config import OFDMConfig, ProtocolConfig
 from repro.core.feedback import FeedbackCodec
 from repro.core.ofdm import OFDMModulator
 from repro.core.tones import ToneCodec
-from repro.dsp.resample import fractional_delay
 from repro.dsp.sequences import zadoff_chu
 from repro.fec.convolutional import PuncturedConvolutionalCode
 from repro.fec.interleaver import SubcarrierInterleaver
@@ -163,17 +162,6 @@ def test_zadoff_chu_constant_amplitude_property(length, root):
     seq = zadoff_chu(length, root)
     assert seq.size == length
     np.testing.assert_allclose(np.abs(seq), 1.0, atol=1e-10)
-
-
-# ---------------------------------------------------------------- resample
-@_examples
-@given(st.floats(min_value=0.0, max_value=20.0))
-def test_fractional_delay_conserves_peak_location_property(delay):
-    x = np.zeros(64)
-    x[10] = 1.0
-    delayed = fractional_delay(x, delay)
-    if 10 + delay <= 62:
-        assert abs(int(np.argmax(delayed)) - (10 + delay)) <= 1.0
 
 
 # ------------------------------------------------------------------- codec
