@@ -84,8 +84,8 @@ def _add_sweep_parser(subparsers) -> None:
     parser.add_argument("--json", metavar="FILE", dest="json_path", default=None,
                         help="also write the result set to FILE as JSON")
     parser.add_argument("--npz", metavar="FILE", dest="npz_path", default=None,
-                        help="also write the columnar result arenas to FILE "
-                             "as a .npz artifact")
+                        help="also write the result set to FILE as a "
+                             "columnar .npz artifact")
     parser.add_argument("--stream", action="store_true",
                         help="print a progress/ETA line to stderr as each "
                              "scenario completes")
@@ -662,6 +662,8 @@ def _run_validate(args) -> int:
 def _run_net(args) -> int:
     import json
 
+    from repro.utils.jsonsafe import nan_to_none
+
     try:
         forced = dict(
             calibration_packets_per_point=args.packets_per_point,
@@ -679,7 +681,7 @@ def _run_net(args) -> int:
     print(result.describe())
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
+            json.dump(nan_to_none(result.to_dict()), handle, indent=2)
         print(f"  results written to       : {args.json_path}")
     return 0
 

@@ -17,7 +17,7 @@ experiment) are obtained with :meth:`OFDMConfig.with_subcarrier_spacing`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np

@@ -28,6 +28,11 @@ Every scenario carries its own seed, so a parallel run is bit-identical
 to a serial run of the same sweep, and the runner's optional on-disk JSON
 cache (``cache_dir=...``) makes re-running a partially finished campaign
 free for the points already computed.
+
+:class:`ResultSet` is the one result store and query path.  Its subclass
+:class:`ColumnarResultSet` (from :meth:`ExperimentRunner.run_columnar`)
+adds the compact ``.npz`` artifact form, which :class:`SweepService`
+keeps beside each finished job.
 """
 
 from repro.experiments.columnar import ColumnarResultSet

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -192,18 +192,14 @@ class RunRecord:
 
 
 class ResultSet:
-    """Ordered collection of run records with export helpers.
+    """Ordered collection of run records with query and export helpers.
 
-    This is the per-record object form; large campaigns are better
-    served by its columnar twin,
-    :class:`~repro.experiments.columnar.ColumnarResultSet`, which is
-    observationally identical (same ``where``/``metric``/``to_table``
-    surface, gated by an equivalence oracle in the test suite) but
-    aggregates vectorized over numpy arenas.  Convert with
-    :meth:`to_columnar`.
+    Selections (:meth:`where`, slicing) keep the collection's class, so a
+    :class:`~repro.experiments.columnar.ColumnarResultSet` stays one and
+    can still write its ``.npz`` form.
     """
 
-    def __init__(self, records: list[RunRecord] | None = None) -> None:
+    def __init__(self, records: Iterable[RunRecord] | None = None) -> None:
         self.records: list[RunRecord] = list(records or [])
 
     # ------------------------------------------------------------- protocol
@@ -215,7 +211,7 @@ class ResultSet:
 
     def __getitem__(self, index):
         picked = self.records[index]
-        return ResultSet(picked) if isinstance(index, slice) else picked
+        return type(self)(picked) if isinstance(index, slice) else picked
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResultSet):
@@ -233,7 +229,7 @@ class ResultSet:
             r for r in self.records
             if r.scenario.matches(**criteria) and (predicate is None or predicate(r))
         ]
-        return ResultSet(picked)
+        return type(self)(picked)
 
     def lookup(self, **criteria) -> RunRecord:
         """The single record matching the criteria; raises otherwise."""
@@ -249,13 +245,6 @@ class ResultSet:
         return np.asarray([getattr(r, name) for r in self.records], dtype=float)
 
     # --------------------------------------------------------------- export
-    def to_columnar(self):
-        """This result set in columnar arena form (lossless)."""
-        # Deferred import: columnar builds on this module.
-        from repro.experiments.columnar import ColumnarResultSet
-
-        return ColumnarResultSet.from_result_set(self)
-
     def to_dicts(self, include_timing: bool = False) -> list[dict]:
         """List-of-dictionaries form."""
         return [r.to_dict(include_timing=include_timing) for r in self.records]

@@ -25,7 +25,9 @@ yields records one by one as pool futures complete, in deterministic
 submission order, so consumers (the streaming sweep service, live
 progress displays) see results while later scenarios are still running.
 The blocking :meth:`ExperimentRunner.run` /
-:meth:`ExperimentRunner.run_columnar` are thin collectors over it.
+:meth:`ExperimentRunner.run_columnar` are thin collectors over it; the
+second returns a :class:`~repro.experiments.columnar.ColumnarResultSet`,
+which can also be saved as ``.npz``.
 """
 
 from __future__ import annotations
@@ -242,12 +244,9 @@ class ExperimentRunner:
         scenarios: Iterable[Scenario],
         progress: bool | Callable[[str], None] | None = None,
     ) -> ColumnarResultSet:
-        """Execute the scenarios straight into columnar arenas.
+        """Execute the scenarios into a :class:`ColumnarResultSet`.
 
-        Equivalent to ``ColumnarResultSet(self.run(scenarios))`` but the
-        records are appended as they stream in, never held as a list.
+        The same records as :meth:`run`, in a result set that can also
+        write the ``.npz`` artifact (:meth:`ColumnarResultSet.save_npz`).
         """
-        results = ColumnarResultSet()
-        for record in self.iter_run(scenarios, progress=progress):
-            results.append(record)
-        return results
+        return ColumnarResultSet(self.iter_run(scenarios, progress=progress))

@@ -14,9 +14,10 @@ SRMCA-style serving systems use for long-running simulation campaigns:
   after every record so a concurrent :meth:`~SweepService.poll` sees the
   job advance;
 * on completion the service writes one artifact beside the manifest,
-  ``results.npz`` (the columnar form), and later submissions of the same
-  sweep are served from it without simulating anything;
-  :meth:`~SweepService.fetch` renders the JSON form from it on demand.
+  ``results.npz`` (the ``.npz`` form of
+  :class:`~repro.experiments.columnar.ColumnarResultSet`), and later
+  submissions of the same sweep are served from it without simulating
+  anything; :meth:`~SweepService.fetch` exports it as ``.npz`` or JSON.
 
 Everything is content-addressed by the existing scenario hash: the job id
 is the hash of the ordered scenario-hash list (plus the package version,
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.experiments.columnar import ColumnarResultSet
-from repro.experiments.records import ResultSet, RunRecord
+from repro.experiments.records import RunRecord
 from repro.experiments.runner import ExperimentRunner, warn_cache_miss
 from repro.experiments.scenario import Scenario, content_hash
 
@@ -113,7 +114,7 @@ class SweepService:
         return self._job_dir(job_id) / "manifest.json"
 
     def artifact_path(self, job_id: str) -> pathlib.Path:
-        """Path of a job's columnar result artifact (``results.npz``)."""
+        """Path of a job's result artifact (``results.npz``)."""
         return self._job_dir(job_id) / "results.npz"
 
     @staticmethod
@@ -157,7 +158,7 @@ class SweepService:
         )
 
     def _load_artifact(self, job_id: str) -> ColumnarResultSet | None:
-        """The job's columnar artifact, or ``None`` when absent/corrupt."""
+        """The job's result artifact, or ``None`` when absent/corrupt."""
         path = self.artifact_path(job_id)
         if not path.exists():
             return None
@@ -278,25 +279,18 @@ class SweepService:
             artifact = self._load_artifact(job_id)
             if artifact is not None:
                 return artifact
-        results = ColumnarResultSet()
-        for record in self.stream(job_id):
-            results.append(record)
-        return results
+        return ColumnarResultSet(self.stream(job_id))
 
     def fetch(self, job_id: str, out: str | pathlib.Path) -> pathlib.Path:
-        """Export a finished job's artifact to ``out``.
+        """Export a finished job's results to ``out``, timing included.
 
-        The format follows the suffix: ``.npz`` copies the columnar
-        artifact, anything else gets the JSON form rendered from it.  The
-        job must be ``done``.
+        The format follows the suffix (:meth:`ColumnarResultSet.save`):
+        ``.npz`` writes the artifact form, anything else JSON.  The job
+        must be ``done``.
         """
         job = self.poll(job_id)
         if not job.done:
             raise RuntimeError(
                 f"job {job_id} is {job.state}; stream it to completion first"
             )
-        out = pathlib.Path(out)
-        results = self.result(job_id)
-        if out.suffix == ".npz":
-            return results.save_npz(out)
-        return results.save(out, include_timing=True)
+        return self.result(job_id).save(out, include_timing=True)

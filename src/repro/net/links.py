@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.environments.sites import LAKE, SITE_CATALOG, Site
 from repro.utils.progress import progress_sink
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive
 
 #: Fixed per-packet protocol overhead (preamble, feedback, training) used

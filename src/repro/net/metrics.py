@@ -279,23 +279,6 @@ class NetworkMetrics:
         latencies = self.latencies_s()
         return float(np.percentile(latencies, 95.0)) if latencies.size else float("nan")
 
-    def latency_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """Empirical latency CDF over *offered* payloads.
-
-        Returns ``(latencies, fraction)`` where ``fraction[i]`` is the
-        share of all offered payloads delivered within ``latencies[i]``
-        seconds.  Normalizing by offered (not delivered) payloads makes
-        losses visible: the curve plateaus at the PDR instead of 1.0,
-        which is the form QoE comparisons need -- a stack that delivers
-        fast but drops half the traffic must not dominate one that
-        delivers everything slowly.
-        """
-        latencies = np.sort(self.latencies_s())
-        if not self.offered:
-            return latencies, np.zeros(0)
-        fraction = np.arange(1, latencies.size + 1, dtype=float) / self.offered
-        return latencies, fraction
-
     # ------------------------------------------------------------------ hops
     def hop_counts(self) -> np.ndarray:
         """Hop counts of delivered payloads."""

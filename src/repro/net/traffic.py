@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.net.packet import BROADCAST
 from repro.net.topology import AcousticNetTopology
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive
 
 

@@ -38,7 +38,7 @@ to the pre-congestion-control sender.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.congestion import CongestionController, FixedWindow
 

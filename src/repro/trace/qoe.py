@@ -31,7 +31,7 @@ DEFAULT_LATENCY_TAU_S = 30.0
 #: Delivery deadline for SOS broadcast alerts (seconds).
 DEFAULT_SOS_DEADLINE_S = 60.0
 
-#: Percentiles reported by :meth:`QoeReport.latency_percentiles_s`.
+#: Percentiles reported by :func:`latency_percentiles_s`.
 REPORT_PERCENTILES = (50.0, 90.0, 95.0, 99.0)
 
 

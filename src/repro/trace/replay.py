@@ -12,7 +12,7 @@ what makes committed traces usable as regression fixtures.
 
 :func:`compare_stacks` is the seed-paired A/B comparison of this layer:
 one trace, two stack configurations, the same seed on both sides, scored
-into a :class:`~repro.trace.qoe.QoeDelta` of latency CDFs/percentiles,
+into a :class:`~repro.trace.qoe.QoeDelta` of latency percentiles,
 message QoE and SOS deadline misses.
 """
 

@@ -14,9 +14,19 @@ from __future__ import annotations
 import math
 
 
-def nan_to_none(value: float) -> float | None:
-    """Strict-JSON float: NaN becomes ``None``."""
-    return None if isinstance(value, float) and math.isnan(value) else value
+def nan_to_none(value):
+    """Strict-JSON value: NaN becomes ``None``.
+
+    Dictionaries, lists and tuples are converted element by element, so a
+    whole report payload can be passed through before ``json.dump``.
+    """
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    if isinstance(value, dict):
+        return {key: nan_to_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [nan_to_none(item) for item in value]
+    return value
 
 
 def none_to_nan(value) -> float:

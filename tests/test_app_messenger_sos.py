@@ -1,9 +1,7 @@
 """Tests for the messenger and SoS beacon applications."""
 
-import numpy as np
 import pytest
 
-from repro.app.codec import MessageCodec
 from repro.app.messenger import MessageDeliveryReport, Messenger
 from repro.app.sos import SosBeaconService
 from repro.link.session import LinkSession
@@ -44,7 +42,7 @@ def test_latency_estimate_positive_when_delivered(messenger):
 
 
 def test_messenger_requires_matching_payload_size(quiet_channel):
-    from repro.core.config import OFDMConfig, ProtocolConfig
+    from repro.core.config import ProtocolConfig
 
     session = LinkSession(
         quiet_channel,

@@ -83,8 +83,7 @@ def test_sweep_command_writes_npz_artifact(capsys, tmp_path):
 
     results = ColumnarResultSet.load_npz(out)
     assert len(results) == 2
-    assert {results.scenario(i).scheme_key for i in range(2)} == \
-        {"adaptive", "fixed-0.5k"}
+    assert {r.scenario.scheme_key for r in results} == {"adaptive", "fixed-0.5k"}
 
 
 def test_sweep_command_stream_prints_progress(capsys):
@@ -293,3 +292,24 @@ def test_net_command_packets_per_point_rebuilds_table(capsys):
     captured = capsys.readouterr()
     assert "calibrate[lake]" in captured.err
     assert "eta" in captured.err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_net_command_json_is_strict_when_nothing_is_delivered(capsys, tmp_path):
+    import json
+
+    out = tmp_path / "net.json"
+    # Relays 30 m apart with a 12 m range: no payload reaches n2, so the
+    # mean latency is undefined and must be written as null, not NaN.
+    code = main(["net", "--nodes", "3", "--topology", "line", "--spacing", "30",
+                 "--range", "12", "--routing", "shortest-path", "--arq", "none",
+                 "--traffic", "cbr", "--rate", "0.05", "--duration", "60",
+                 "--destination", "n2", "--seed", "1", "--json", str(out)])
+    assert code == 0
+    data = json.loads(out.read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
+    assert data["offered"] == 6 and data["delivered"] == 0
+    assert data["mean_latency_s"] is None

@@ -1,13 +1,12 @@
-"""Equivalence oracle for the columnar result arenas.
+"""The ``.npz`` codec of :class:`~repro.experiments.columnar.ColumnarResultSet`.
 
-The object path (:class:`~repro.experiments.records.ResultSet`) is the
-legacy reference implementation; :class:`~repro.experiments.columnar.\
-ColumnarResultSet` must be observationally identical to it.  The
-hypothesis suite here is the gate: randomized records (NaN/inf metrics,
-unicode scenario labels, ragged per-packet series) must round-trip
-losslessly between the two representations and through the ``.npz``
-artifact, and every query -- ``where``, ``to_table``, ``metric``,
-aggregations -- must agree with the object path bit for bit.
+:class:`ColumnarResultSet` is a :class:`~repro.experiments.records.ResultSet`
+plus the versioned ``.npz`` artifact form.  Randomized records (NaN/inf
+metrics, signed zeros, unicode scenario labels, ragged per-packet series)
+must round-trip losslessly through both on-disk forms, an artifact written
+before the result store became one record list must still load (the
+golden files under ``tests/data/``), and the loader must refuse every kind
+of corrupt or foreign file.
 """
 
 import json
@@ -32,8 +31,13 @@ from repro.experiments.scenario import content_hash
 
 _examples = settings(max_examples=30)
 
+#: ``save_npz`` and ``save(include_timing=True)`` output of the CI serve
+#: grid (bridge, 4/5/6 m, 2 packets, seed 7), written by the arena-based
+#: store that preceded the record-list one.
+GOLDEN = pathlib.Path(__file__).parent / "data" / "serve_grid_results"
+
 # Any float a simulation metric could plausibly (or implausibly) carry:
-# the arenas must be lossless for all of them, NaN and +/-inf included.
+# both codecs must be lossless for all of them, NaN and +/-inf included.
 _metric = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 _scenarios = st.builds(
@@ -76,180 +80,111 @@ def _records(draw):
 
 _record_lists = st.lists(_records(), max_size=8)
 
-_SCALAR_METRICS = (
+#: A record whose every float is ``-0.0``: equality cannot see a lost sign.
+_SIGNED_ZEROS = RunRecord(
+    scenario=Scenario(site="lake", num_packets=2),
+    num_packets=2,
+    delivered=2,
+    packet_error_rate=-0.0,
+    payload_bit_error_rate=-0.0,
+    coded_bit_error_rate=-0.0,
+    preamble_detection_rate=-0.0,
+    feedback_error_rate=-0.0,
+    bitrates_bps=(-0.0, -0.0),
+    band_starts_hz=(-0.0, -0.0),
+    band_ends_hz=(-0.0, -0.0),
+    min_band_snrs_db=(-0.0, -0.0),
+    delivered_flags=(True, False),
+    elapsed_s=-0.0,
+)
+
+_FLOAT_FIELDS = (
     "packet_error_rate",
     "payload_bit_error_rate",
     "coded_bit_error_rate",
     "preamble_detection_rate",
     "feedback_error_rate",
     "elapsed_s",
-    "num_packets",
-    "delivered",
-    "median_bitrate_bps",
 )
+_SERIES_FIELDS = ("bitrates_bps", "band_starts_hz", "band_ends_hz", "min_band_snrs_db")
 
 
-def _float_equal(a: float, b: float) -> bool:
-    return (math.isnan(a) and math.isnan(b)) or a == b
+def _same_float(a: float, b: float) -> bool:
+    """Equal as stored: NaN matches NaN, and zeros keep their sign."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _assert_identical(loaded, records):
+    """Record for record, field for field -- timing included."""
+    assert loaded == ResultSet(list(records))
+    for rebuilt, original in zip(loaded, records):
+        for name in _FLOAT_FIELDS:
+            assert _same_float(getattr(rebuilt, name), getattr(original, name)), name
+        for name in _SERIES_FIELDS:
+            got, want = getattr(rebuilt, name), getattr(original, name)
+            assert len(got) == len(want), name
+            assert all(_same_float(g, w) for g, w in zip(got, want)), name
+        assert rebuilt.delivered_flags == original.delivered_flags
 
 
 # ------------------------------------------------------------- round-trip
 @_examples
 @given(_record_lists)
+@example([_SIGNED_ZEROS])
 def test_roundtrip_is_lossless(records):
-    reference = ResultSet(list(records))
-    columnar = ColumnarResultSet.from_result_set(reference)
-    assert len(columnar) == len(reference)
-    assert columnar.to_result_set() == reference
-    assert columnar == reference
-    for rebuilt, original in zip(columnar, reference):
-        assert rebuilt == original
-        # Record equality excludes timing; losslessness must not.
-        assert _float_equal(rebuilt.elapsed_s, original.elapsed_s)
-        # Series come back as the exact same tuples (NaN/inf preserved).
-        assert len(rebuilt.bitrates_bps) == len(original.bitrates_bps)
-        for got, want in zip(rebuilt.bitrates_bps, original.bitrates_bps):
-            assert _float_equal(got, want)
-        assert rebuilt.delivered_flags == original.delivered_flags
+    # A non-.npz suffix writes the JSON form, which ResultSet.load reads.
+    with tempfile.TemporaryDirectory(prefix="results-json-") as tmp:
+        path = ColumnarResultSet(records).save(
+            pathlib.Path(tmp) / "results.json", include_timing=True
+        )
+        loaded = ResultSet.load(path)
+    _assert_identical(loaded, records)
 
 
 @_examples
 @given(_record_lists)
+@example([_SIGNED_ZEROS])
 def test_npz_roundtrip_is_lossless(records):
-    columnar = ColumnarResultSet(list(records))
     with tempfile.TemporaryDirectory(prefix="columnar-npz-") as tmp:
-        path = columnar.save_npz(pathlib.Path(tmp) / "results.npz")
+        path = ColumnarResultSet(records).save_npz(pathlib.Path(tmp) / "results.npz")
         loaded = ColumnarResultSet.load_npz(path)
-    assert loaded == columnar
-    assert loaded.to_result_set() == ResultSet(list(records))
-    for rebuilt, original in zip(loaded, records):
-        assert _float_equal(rebuilt.elapsed_s, original.elapsed_s)
+    assert isinstance(loaded, ColumnarResultSet)
+    _assert_identical(loaded, records)
 
 
-@_examples
-@given(_record_lists)
-def test_json_form_matches_object_path(records):
-    reference = ResultSet(list(records))
-    columnar = ColumnarResultSet(list(records))
-    assert columnar.to_json() == reference.to_json()
-    assert (columnar.to_json(include_timing=True)
-            == reference.to_json(include_timing=True))
+def test_save_dispatches_on_suffix(tmp_path):
+    results = ColumnarResultSet(_simulated(2))
+    npz = results.save(tmp_path / "r.npz", include_timing=False)
+    assert ColumnarResultSet.load_npz(npz) == results
+    text = results.save(tmp_path / "r.json").read_text(encoding="utf-8")
+    assert text == ResultSet(results).to_json(indent=2)
 
 
-def _signed_zero_bitrates(bitrates):
-    """A record whose finite bitrates are all ``-0.0``."""
-    packets = len(bitrates)
-    return RunRecord(
-        scenario=Scenario(site="lake", num_packets=packets),
-        num_packets=packets,
-        delivered=packets,
-        packet_error_rate=0.0,
-        payload_bit_error_rate=0.0,
-        coded_bit_error_rate=0.0,
-        preamble_detection_rate=1.0,
-        feedback_error_rate=0.0,
-        bitrates_bps=bitrates,
-        band_starts_hz=(1000.0,) * packets,
-        band_ends_hz=(4000.0,) * packets,
-        min_band_snrs_db=(10.0,) * packets,
-        delivered_flags=(True,) * packets,
-        elapsed_s=0.0,
-    )
+# ----------------------------------------------------------- golden files
+def test_golden_npz_loads_like_its_json_twin():
+    loaded = ColumnarResultSet.load_npz(GOLDEN.with_suffix(".npz"))
+    reference = ResultSet.load(GOLDEN.with_suffix(".json"))
+    assert len(loaded) == len(reference) == 3
+    _assert_identical(loaded, reference)
+
+
+def test_golden_npz_resaves_array_for_array(tmp_path):
+    golden = GOLDEN.with_suffix(".npz")
+    resaved = ColumnarResultSet.load_npz(golden).save_npz(tmp_path / "again.npz")
+    with np.load(golden, allow_pickle=False) as want, \
+            np.load(resaved, allow_pickle=False) as got:
+        assert sorted(got.files) == sorted(want.files)
+        for name in want.files:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].shape == want[name].shape, name
+            assert np.array_equal(
+                got[name], want[name], equal_nan=want[name].dtype.kind == "f"
+            ), name
 
 
 # ---------------------------------------------------------------- queries
-@_examples
-@given(_record_lists)
-@example([_signed_zero_bitrates((-0.0,))])
-@example([_signed_zero_bitrates((-0.0, -0.0))])
-def test_to_table_matches_object_path(records):
-    reference = ResultSet(list(records))
-    columnar = ColumnarResultSet(list(records))
-    assert columnar.to_table() == reference.to_table()
-    wide = ("scenario", "packets", "per", "coded_ber", "median_bps",
-            "detect", "feedback_err", "elapsed_s", "delivered")
-    assert columnar.to_table(wide) == reference.to_table(wide)
-
-
-@_examples
-@given(_record_lists)
-def test_metrics_and_aggregations_match_object_path(records):
-    reference = ResultSet(list(records))
-    columnar = ColumnarResultSet(list(records))
-    for name in _SCALAR_METRICS:
-        want = reference.metric(name)
-        got = np.asarray(columnar.metric(name), dtype=float)
-        assert np.array_equal(got, want, equal_nan=True), name
-        if want.size:
-            assert _float_equal(columnar.mean(name), float(np.mean(want)))
-            assert _float_equal(columnar.sum(name), float(np.sum(want)))
-        else:
-            assert math.isnan(columnar.mean(name))
-            assert columnar.sum(name) == 0.0
-    assert _float_equal(columnar.total_elapsed_s, reference.total_elapsed_s)
-    offered = sum(r.num_packets for r in records)
-    if offered:
-        want_ratio = sum(r.delivered for r in records) / offered
-        assert _float_equal(columnar.delivery_ratio(), want_ratio)
-    else:
-        assert math.isnan(columnar.delivery_ratio())
-
-
-@st.composite
-def _records_with_criteria(draw):
-    records = draw(_record_lists)
-    criteria = {}
-    names = draw(st.sets(
-        st.sampled_from(["site", "scheme", "distance_m", "seed",
-                         "label", "motion", "rx_depth_m"]),
-        max_size=3,
-    ))
-    for name in names:
-        if records and draw(st.booleans()):
-            # Bias towards values actually present so matches happen.
-            record = draw(st.sampled_from(records))
-            value = getattr(record.scenario, name)
-            if name in ("site", "motion"):
-                value = draw(st.sampled_from([value, value.name]))
-            if name == "scheme":
-                value = draw(st.sampled_from(
-                    [value, record.scenario.scheme_key]))
-        else:
-            value = draw({
-                "site": st.sampled_from(["bridge", "lake"]),
-                "scheme": st.sampled_from(["adaptive", "fixed-3k"]),
-                "distance_m": st.sampled_from([4.0, 5.0, 99.0]),
-                "seed": st.integers(0, 999),
-                "label": st.text(max_size=8),
-                "motion": st.sampled_from(["static", "slow"]),
-                "rx_depth_m": st.one_of(st.none(), st.sampled_from([0.5, 2.0])),
-            }[name])
-        criteria[name] = value
-    return records, criteria
-
-
-@_examples
-@given(_records_with_criteria())
-def test_where_matches_object_path(records_and_criteria):
-    records, criteria = records_and_criteria
-    reference = ResultSet(list(records)).where(**criteria)
-    filtered = ColumnarResultSet(list(records)).where(**criteria)
-    assert filtered == reference
-    assert filtered.to_table() == reference.to_table()
-
-
-@_examples
-@given(_record_lists)
-def test_where_predicate_matches_object_path(records):
-    predicate = lambda r: r.delivered > 0  # noqa: E731
-    reference = ResultSet(list(records)).where(predicate)
-    filtered = ColumnarResultSet(list(records)).where(predicate)
-    assert filtered == reference
-    combined = ColumnarResultSet(list(records)).where(predicate, site="bridge")
-    assert combined == ResultSet(list(records)).where(predicate, site="bridge")
-
-
-# --------------------------------------------------- directed unit checks
 def _simulated(num_scenarios=4, packets=2):
     sweep = (
         Sweep(Scenario(site="bridge", num_packets=packets))
@@ -262,43 +197,45 @@ def _simulated(num_scenarios=4, packets=2):
 
 def test_simulated_records_roundtrip_and_agree(tmp_path):
     reference = _simulated()
-    columnar = ColumnarResultSet.from_result_set(reference)
-    assert columnar == reference
-    assert columnar.to_table() == reference.to_table()
-    assert columnar.to_json() == reference.to_json()
-    loaded = ColumnarResultSet.load_npz(columnar.save_npz(tmp_path / "r.npz"))
+    loaded = ColumnarResultSet.load_npz(
+        ColumnarResultSet(reference).save_npz(tmp_path / "r.npz")
+    )
     assert loaded == reference
-    adaptive = columnar.where(scheme="adaptive")
+    assert loaded.to_table() == reference.to_table()
+    assert loaded.to_json(include_timing=True) == reference.to_json(include_timing=True)
+    adaptive = loaded.where(scheme="adaptive")
+    assert isinstance(adaptive, ColumnarResultSet)
     assert adaptive == reference.where(scheme="adaptive")
-    record = columnar.lookup(distance_m=4.0, scheme="fixed-0.5k")
+    record = loaded.lookup(distance_m=4.0, scheme="fixed-0.5k")
     assert record == reference.lookup(distance_m=4.0, scheme="fixed-0.5k")
 
 
-def test_result_set_to_columnar_bridge():
-    reference = _simulated()
-    columnar = reference.to_columnar()
-    assert isinstance(columnar, ColumnarResultSet)
-    assert columnar == reference
-    assert columnar.to_result_set() == reference
+@_examples
+@given(_record_lists)
+def test_where_predicate_matches_object_path(records):
+    predicate = lambda r: r.delivered > 0  # noqa: E731
+    results = ColumnarResultSet(records)
+    picked = results.where(predicate)
+    assert isinstance(picked, ColumnarResultSet)
+    assert picked.records == [r for r in records if predicate(r)]
+    combined = results.where(predicate, site="bridge")
+    assert combined.records == [
+        r for r in records if r.scenario.site.name == "bridge" and predicate(r)
+    ]
 
 
 def test_lookup_raises_like_object_path():
-    columnar = ColumnarResultSet.from_result_set(_simulated())
+    reference = _simulated()
     with pytest.raises(LookupError):
-        columnar.lookup(scheme="adaptive")  # two matches
+        reference.lookup(scheme="adaptive")  # two matches
     with pytest.raises(LookupError):
-        columnar.lookup(distance_m=999.0)  # zero matches
+        reference.lookup(distance_m=999.0)  # zero matches
 
 
 def test_where_rejects_unknown_fields_like_object_path():
     reference = _simulated()
-    columnar = ColumnarResultSet.from_result_set(reference)
     # Unknown catalog spellings raise ValueError, unknown fields
     # AttributeError -- exactly as Scenario.matches does.
-    with pytest.raises(ValueError, match="unknown"):
-        columnar.where(site="atlantis")
-    with pytest.raises(AttributeError):
-        columnar.where(depth_m=1.0)
     with pytest.raises(ValueError, match="unknown"):
         reference.where(site="atlantis")
     with pytest.raises(AttributeError):
@@ -308,35 +245,23 @@ def test_where_rejects_unknown_fields_like_object_path():
     for criteria in ({"distance_m": 99.0, "site": "atlantis"},
                      {"seed": 7, "scheme": "fixed-9k"}):
         assert reference.where(**criteria) == ResultSet()
-        assert columnar.where(**criteria) == ResultSet()
-
-
-def test_metric_views_are_zero_copy_and_read_only():
-    columnar = ColumnarResultSet.from_result_set(_simulated())
-    view = columnar.metric("packet_error_rate")
-    assert not view.flags.writeable
-    with pytest.raises(ValueError):
-        view[0] = 0.5
-    # Appending must not invalidate what the view exposed.
-    before = view.copy()
-    columnar.append(columnar.record(0))
-    assert np.array_equal(columnar.metric("packet_error_rate")[:len(before)],
-                          before, equal_nan=True)
 
 
 def test_record_indexing_matches_object_path():
     reference = _simulated()
-    columnar = ColumnarResultSet.from_result_set(reference)
-    assert columnar.record(-1) == reference[len(reference) - 1]
-    assert columnar[0] == reference[0]
+    results = ColumnarResultSet(reference)
+    assert results[-1] == reference[len(reference) - 1]
+    assert results[0] == reference[0]
+    tail = results[1:]
+    assert isinstance(tail, ColumnarResultSet)
+    assert tail == reference[1:]
     with pytest.raises(IndexError):
-        columnar.record(len(reference))
+        results[len(reference)]
 
 
 # -------------------------------------------------------- artifact safety
 def test_load_npz_rejects_truncated_file(tmp_path):
-    columnar = ColumnarResultSet.from_result_set(_simulated(2))
-    path = columnar.save_npz(tmp_path / "results.npz")
+    path = ColumnarResultSet(_simulated(2)).save_npz(tmp_path / "results.npz")
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="corrupt or unreadable"):
@@ -360,8 +285,7 @@ def test_load_npz_rejects_foreign_npz(tmp_path):
 
 
 def test_load_npz_rejects_wrong_version(tmp_path):
-    columnar = ColumnarResultSet.from_result_set(_simulated(2))
-    path = columnar.save_npz(tmp_path / "results.npz")
+    path = ColumnarResultSet(_simulated(2)).save_npz(tmp_path / "results.npz")
     saved = dict(np.load(path, allow_pickle=False))
     # An artifact written while Scenario still had the use_fast_path
     # switch: its scenario entries carry the removed key, hashed to match.
@@ -389,5 +313,32 @@ def test_empty_set_roundtrips(tmp_path):
     assert empty.where(site="atlantis") == ResultSet()  # never evaluated
     loaded = ColumnarResultSet.load_npz(empty.save_npz(tmp_path / "e.npz"))
     assert loaded == empty
-    assert empty.to_table() == ResultSet().to_table()
-    assert math.isnan(empty.delivery_ratio())
+    assert loaded.to_table() == ResultSet().to_table()
+
+
+def _corruptions():
+    """One edit per consistency check of the loader, with its message."""
+    return [
+        (lambda a: a.pop("delivered"), "missing arrays: delivered"),
+        (lambda a: a.update(num_records=np.asarray(5)), "scenario_ids length"),
+        (lambda a: a.update(scenario_hash=a["scenario_hash"][:1]), "differ in length"),
+        (lambda a: a.update(scenario_ids=a["scenario_ids"] + 7), "out of range"),
+        (lambda a: a.update(elapsed_s=a["elapsed_s"][:1]), "column elapsed_s"),
+        (lambda a: a.update(scenario_hash=a["scenario_hash"][::-1]), "hashes disagree"),
+        (lambda a: a.update(bitrates_bps__offsets=a["bitrates_bps__offsets"][::-1]),
+         "ragged column bitrates_bps"),
+        (lambda a: a.update(delivered_flags__values=a["delivered_flags__values"][:-1]),
+         "ragged column delivered_flags"),
+    ]
+
+
+@pytest.mark.parametrize("edit, reason", _corruptions(),
+                         ids=[reason for _, reason in _corruptions()])
+def test_load_npz_rejects_inconsistent_arrays(tmp_path, edit, reason):
+    path = GOLDEN.with_suffix(".npz")
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    edit(arrays)
+    np.savez(tmp_path / "bad.npz", **arrays)
+    with pytest.raises(ValueError, match=reason):
+        ColumnarResultSet.load_npz(tmp_path / "bad.npz")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptation import BandSelection, select_frequency_band, selection_from_bins
+from repro.core.adaptation import select_frequency_band, selection_from_bins
 from repro.core.config import OFDMConfig, ProtocolConfig
 
 

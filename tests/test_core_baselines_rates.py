@@ -1,6 +1,5 @@
 """Tests for the fixed-band baselines and bitrate accounting."""
 
-import numpy as np
 import pytest
 
 from repro.core.baselines import (
@@ -10,7 +9,7 @@ from repro.core.baselines import (
     FIXED_NARROW_BAND,
 )
 from repro.core.adaptation import selection_from_bins
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import OFDMConfig
 from repro.core.rates import (
     bitrate_for_selection,
     coded_bitrate_bps,

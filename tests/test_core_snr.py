@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import OFDMConfig
 from repro.core.preamble import PreambleDetector, PreambleGenerator
 from repro.core.snr import ChannelEstimate, estimate_channel_and_snr
 

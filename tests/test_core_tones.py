@@ -1,6 +1,5 @@
 """Tests for single-tone device ID / ACK encoding."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import OFDMConfig

@@ -59,7 +59,6 @@ from repro.dsp.fastconv import (
     convolve_cascade,
     convolve_full,
     convolve_shared,
-    next_fast_len,
 )
 from repro.dsp.levinson import solve_symmetric_toeplitz
 from repro.environments.factory import build_channel

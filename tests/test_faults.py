@@ -3,7 +3,6 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from repro.experiments.net_scenario import NetScenario

@@ -6,7 +6,6 @@ individual modules, using small packet counts so the suite stays fast.
 """
 
 import numpy as np
-import pytest
 
 from repro.app.codec import MessageCodec
 from repro.app.messenger import Messenger

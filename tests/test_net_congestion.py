@@ -35,7 +35,7 @@ from repro.net.congestion import (
 from repro.net.scheduler import Scheduler
 from repro.net.topology import AcousticNetTopology
 from repro.net.traffic import convergecast_sources
-from repro.net.transport import ArqConfig, ArqReceiver, ArqSender, Segment
+from repro.net.transport import ArqConfig, ArqReceiver, ArqSender
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "net_multiflow_24flow.json"
 

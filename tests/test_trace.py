@@ -446,21 +446,6 @@ def test_metrics_p95_latency():
     assert np.isnan(NetworkMetrics().p95_latency_s)
 
 
-def test_latency_cdf_plateaus_at_pdr():
-    metrics = NetworkMetrics(records=[
-        DeliveryRecord(0, "a", "b", 0.0, delivered_s=1.0),
-        DeliveryRecord(1, "a", "b", 0.0, delivered_s=3.0),
-        DeliveryRecord(2, "a", "b", 0.0),  # lost
-        DeliveryRecord(3, "a", "b", 0.0),  # lost
-    ])
-    latencies, fraction = metrics.latency_cdf()
-    assert latencies.tolist() == [1.0, 3.0]
-    # Normalized by offered payloads: the curve tops out at the PDR.
-    assert fraction.tolist() == [0.25, 0.5]
-    empty_latencies, empty_fraction = NetworkMetrics().latency_cdf()
-    assert empty_latencies.size == 0 and empty_fraction.size == 0
-
-
 def test_run_progress_callback_receives_eta_lines():
     scenario = _small_scenario()
     lines: list[str] = []
