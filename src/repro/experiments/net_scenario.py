@@ -173,6 +173,10 @@ class NetScenario:
             )
         if self.num_nodes < 2:
             raise ValueError("num_nodes must be at least 2")
+        if self.spacing_m <= 0:
+            raise ValueError("spacing_m must be positive")
+        if self.ttl < 1:
+            raise ValueError("ttl must be at least 1")
         if self.num_flows is not None:
             if self.num_flows < 1:
                 raise ValueError("num_flows must be at least 1")

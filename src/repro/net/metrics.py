@@ -6,26 +6,24 @@ numbers the evaluation reports: packet delivery ratio, end-to-end
 latency, hop counts, goodput and an energy proxy based on the acoustic
 modem power figures the underwater-routing literature uses.
 
-Storage is *columnar*: payload fates land in preallocated numpy arenas
-(uid/created/delivered/hop plus interned string ids) grown by doubling,
-so million-message runs append without allocating a Python object per
-message and the latency/hop aggregates reduce over the arrays directly.
-:class:`DeliveryRecord` remains the row-level interchange type -- the
-:attr:`NetworkMetrics.records` property materializes rows on demand for
-observers and reports that want objects.
+Storage is a plain row list.  :attr:`NetworkMetrics.records` holds the
+delivery rows in the order payloads were settled, and
+:attr:`NetworkMetrics.flows` holds one :class:`FlowRecord` per ARQ flow
+epoch: offered and delivered payloads, delivered bits, queue drops,
+losses, retransmissions, timeouts, the abort flag and the sampled cwnd
+trajectory.  Each aggregate is a numpy reduction over an array built
+from the rows in that order.  A 250-node run settles a few hundred
+payloads, so the rows cost little.
 
-When the congestion-control subsystem is engaged (a non-fixed
-controller, a relay-queue bound, or explicit flow accounting), metrics
-additionally keep a *per-flow* columnar arena -- goodput, retransmission
-and queue-drop counts, abort flags and sampled cwnd trajectories per ARQ
-flow epoch -- plus the :meth:`NetworkMetrics.jain_fairness` aggregate.
-Reports only include these fields while :attr:`NetworkMetrics.\
-congestion_enabled` is set, so legacy ``cc="fixed"`` runs keep their
-committed report schema byte for byte.
+The congestion report fields (queue drops, per-flow rows and the
+:meth:`NetworkMetrics.jain_fairness` aggregate) only appear while
+:attr:`NetworkMetrics.congestion_enabled` is set, so legacy
+``cc="fixed"`` runs keep their committed report schema byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +36,10 @@ from repro.net.congestion import CwndTrajectory, jain_fairness_index
 TX_POWER_W = 2.8
 RX_POWER_W = 1.3
 
-#: Initial arena capacity; grows by doubling.
-_INITIAL_CAPACITY = 64
+
+def format_reasons(counts: dict[str, int]) -> str:
+    """``"name count, ..."`` in name order, as the reports print causes."""
+    return ", ".join(f"{name} {count}" for name, count in sorted(counts.items()))
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class DeliveryRecord:
     @property
     def delivered(self) -> bool:
         """Whether the payload arrived."""
-        return bool(np.isfinite(self.delivered_s))
+        return math.isfinite(self.delivered_s)
 
     @property
     def latency_s(self) -> float:
@@ -82,8 +82,30 @@ class DeliveryRecord:
         return self.delivered_s - self.created_s if self.delivered else float("nan")
 
 
+@dataclass(slots=True)
+class FlowRecord:
+    """Books of one ARQ flow epoch.
+
+    The simulator counts payloads and queue drops as they happen and
+    copies the sender's end-of-run state (retransmissions, timeouts,
+    abort flag, cwnd trajectory) in when the run finishes.
+    """
+
+    source: str
+    destination: str
+    offered: int = 0
+    delivered: int = 0
+    delivered_bits: float = 0.0
+    queue_drops: int = 0
+    lost: int = 0
+    retransmissions: int = 0
+    timeouts: int = 0
+    aborted: bool = False
+    cwnd: CwndTrajectory | None = None
+
+
 class NetworkMetrics:
-    """Aggregate statistics of one network run (columnar storage)."""
+    """Aggregate statistics of one network run."""
 
     def __init__(
         self,
@@ -98,6 +120,10 @@ class NetworkMetrics:
         rx_airtime_s: float = 0.0,
         queue_drops: int = 0,
     ) -> None:
+        #: Fate of every payload, in the order the run settled them.
+        self.records: list[DeliveryRecord] = list(records or ())
+        #: Books of every ARQ flow epoch, keyed by flow id.
+        self.flows: dict[str, FlowRecord] = {}
         self.transmissions = transmissions
         self.collisions = collisions
         self.link_drops = link_drops
@@ -135,52 +161,8 @@ class NetworkMetrics:
         #: Run duration recorded by the simulator; per-flow goodputs need
         #: it (``None`` until a run finishes).
         self.duration_s: float | None = None
-        self._count = 0
-        # Per-flow columnar arena (grown by doubling, like deliveries).
-        self._flow_count = 0
-        self._flow_ids: list[str] = []
-        self._flow_slots: dict[str, int] = {}
-        self._flow_source_id = np.empty(_INITIAL_CAPACITY, dtype=np.int32)
-        self._flow_dest_id = np.empty(_INITIAL_CAPACITY, dtype=np.int32)
-        self._flow_offered = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._flow_delivered = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._flow_bits = np.zeros(_INITIAL_CAPACITY, dtype=float)
-        self._flow_retrans = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._flow_timeouts = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._flow_queue_drops = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._flow_lost = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._flow_aborted = np.zeros(_INITIAL_CAPACITY, dtype=np.int8)
-        self._flow_cwnd: list[CwndTrajectory | None] = []
-        self._uid = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
-        self._created_s = np.empty(_INITIAL_CAPACITY, dtype=float)
-        self._delivered_s = np.empty(_INITIAL_CAPACITY, dtype=float)
-        self._hops = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
-        self._source_id = np.empty(_INITIAL_CAPACITY, dtype=np.int32)
-        self._dest_id = np.empty(_INITIAL_CAPACITY, dtype=np.int32)
-        self._kind_id = np.empty(_INITIAL_CAPACITY, dtype=np.int32)
-        self._strings: list[str] = []
-        self._string_ids: dict[str, int] = {}
-        self._rows: list[DeliveryRecord] | None = None
-        for record in records or ():
-            self.add(record)
 
     # -------------------------------------------------------------- recording
-    def _intern(self, value: str) -> int:
-        interned = self._string_ids.get(value)
-        if interned is None:
-            interned = len(self._strings)
-            self._string_ids[value] = interned
-            self._strings.append(value)
-        return interned
-
-    def _grow(self) -> None:
-        for name in (
-            "_uid", "_created_s", "_delivered_s", "_hops",
-            "_source_id", "_dest_id", "_kind_id",
-        ):
-            arena = getattr(self, name)
-            setattr(self, name, np.concatenate([arena, np.empty_like(arena)]))
-
     def record_delivery(
         self,
         uid: int,
@@ -191,74 +173,42 @@ class NetworkMetrics:
         hop_count: int = 0,
         kind: str = "data",
     ) -> None:
-        """Record the fate of one payload (columnar fast path)."""
-        row = self._count
-        if row == self._uid.shape[0]:
-            self._grow()
-        self._uid[row] = uid
-        self._created_s[row] = created_s
-        self._delivered_s[row] = delivered_s
-        self._hops[row] = hop_count
-        self._source_id[row] = self._intern(source)
-        self._dest_id[row] = self._intern(destination)
-        self._kind_id[row] = self._intern(kind)
-        self._count = row + 1
-        self._rows = None
+        """Record the fate of one payload from its fields."""
+        self.add(
+            DeliveryRecord(
+                uid, source, destination, created_s, delivered_s, hop_count, kind
+            )
+        )
 
     def add(self, record: DeliveryRecord) -> None:
         """Record the fate of one payload."""
-        self.record_delivery(
-            record.uid,
-            record.source,
-            record.destination,
-            record.created_s,
-            record.delivered_s,
-            record.hop_count,
-            record.kind,
-        )
-
-    @property
-    def records(self) -> list[DeliveryRecord]:
-        """Row-object view of the columnar store (materialized on demand)."""
-        if self._rows is None:
-            strings = self._strings
-            self._rows = [
-                DeliveryRecord(
-                    uid=int(self._uid[row]),
-                    source=strings[self._source_id[row]],
-                    destination=strings[self._dest_id[row]],
-                    created_s=float(self._created_s[row]),
-                    delivered_s=float(self._delivered_s[row]),
-                    hop_count=int(self._hops[row]),
-                    kind=strings[self._kind_id[row]],
-                )
-                for row in range(self._count)
-            ]
-        return self._rows
+        self.records.append(record)
 
     # -------------------------------------------------------------- delivery
     @property
     def offered(self) -> int:
         """Payloads that entered the network."""
-        return self._count
+        return len(self.records)
 
     @property
     def delivered(self) -> int:
         """Payloads that reached their destination."""
-        return int(np.count_nonzero(np.isfinite(self._delivered_s[: self._count])))
+        return sum(record.delivered for record in self.records)
 
     @property
     def packet_delivery_ratio(self) -> float:
         """Delivered over offered (PDR)."""
-        if not self._count:
+        if not self.records:
             return float("nan")
         return self.delivered / self.offered
 
     # --------------------------------------------------------------- latency
     def latencies_s(self) -> np.ndarray:
         """End-to-end latencies of delivered payloads."""
-        count = self._count
-        values = self._delivered_s[:count] - self._created_s[:count]
+        values = np.array(
+            [record.delivered_s - record.created_s for record in self.records],
+            dtype=float,
+        )
         return values[np.isfinite(values)]
 
     @property
@@ -282,9 +232,10 @@ class NetworkMetrics:
     # ------------------------------------------------------------------ hops
     def hop_counts(self) -> np.ndarray:
         """Hop counts of delivered payloads."""
-        count = self._count
-        mask = np.isfinite(self._delivered_s[:count])
-        return self._hops[:count][mask].astype(int)
+        return np.array(
+            [record.hop_count for record in self.records if record.delivered],
+            dtype=int,
+        )
 
     @property
     def mean_hop_count(self) -> float:
@@ -306,55 +257,80 @@ class NetworkMetrics:
         return self.delivered * size_bits / duration_s
 
     # ------------------------------------------------------------- per flow
-    def _grow_flows(self) -> None:
-        for name in (
-            "_flow_source_id", "_flow_dest_id", "_flow_offered",
-            "_flow_delivered", "_flow_bits", "_flow_retrans",
-            "_flow_timeouts", "_flow_queue_drops", "_flow_lost",
-            "_flow_aborted",
-        ):
-            arena = getattr(self, name)
-            setattr(
-                self, name, np.concatenate([arena, np.zeros_like(arena)])
-            )
+    def register_flow(self, flow_id: str, source: str, destination: str) -> FlowRecord:
+        """Open one flow epoch's books."""
+        flow = self.flows[flow_id] = FlowRecord(source, destination)
+        return flow
 
-    def register_flow(self, flow_id: str, source: str, destination: str) -> int:
-        """Open one flow epoch's accounting row; returns its slot."""
-        existing = self._flow_slots.get(flow_id)
-        if existing is not None:
-            return existing
-        slot = self._flow_count
-        if slot == self._flow_offered.shape[0]:
-            self._grow_flows()
-        self._flow_ids.append(flow_id)
-        self._flow_slots[flow_id] = slot
-        self._flow_source_id[slot] = self._intern(source)
-        self._flow_dest_id[slot] = self._intern(destination)
-        self._flow_cwnd.append(None)
-        self._flow_count = slot + 1
-        return slot
+    @property
+    def num_flows(self) -> int:
+        """Registered ARQ flow epochs."""
+        return len(self.flows)
 
-    def flow_slot(self, flow_id: str) -> int | None:
-        """Slot of a registered flow, or ``None``."""
-        return self._flow_slots.get(flow_id)
+    def flow_delivered_bits(self) -> np.ndarray:
+        """Delivered payload bits per registered flow."""
+        return np.array(
+            [flow.delivered_bits for flow in self.flows.values()], dtype=float
+        )
 
-    def flow_offered(self, slot: int, bits: int) -> None:
-        """One payload entered this flow."""
-        self._flow_offered[slot] += 1
-        del bits  # offered bits are not currently aggregated
+    @property
+    def aggregate_goodput_bps(self) -> float:
+        """Summed per-flow goodput over the recorded duration."""
+        if not self.duration_s or self.duration_s <= 0:
+            return float("nan")
+        return float(np.sum(self.flow_delivered_bits())) / self.duration_s
 
-    def flow_delivered(self, slot: int, bits: int) -> None:
-        """One payload of this flow reached its destination."""
-        self._flow_delivered[slot] += 1
-        self._flow_bits[slot] += bits
+    def pair_delivered_bits(self) -> np.ndarray:
+        """Delivered bits per (source, destination) *pair*.
 
-    def flow_queue_drop(self, slot: int) -> None:
-        """A segment of this flow was refused by a full node buffer."""
-        self._flow_queue_drops[slot] += 1
+        An aborted flow restarts as a new epoch (new flow id) for the
+        same pair; fairness is about the pair's total service, so epochs
+        of one pair are summed rather than counted as separate flows.
+        """
+        totals: dict[tuple[str, str], float] = {}
+        for flow in self.flows.values():
+            pair = (flow.source, flow.destination)
+            totals[pair] = totals.get(pair, 0.0) + flow.delivered_bits
+        return np.asarray(list(totals.values()), dtype=float)
 
-    def flow_lost(self, slot: int) -> None:
-        """One payload of this flow was finalized as lost."""
-        self._flow_lost[slot] += 1
+    def jain_fairness(self, values=None) -> float:
+        """Jain index over per-pair delivered bits (or explicit values).
+
+        Scale-invariant, so delivered bits and goodput give the same
+        index; 1.0 is a perfectly fair share, ``1/n`` total starvation
+        of all but one flow.  Epochs of the same (source, destination)
+        pair are pooled first -- see :meth:`pair_delivered_bits`.
+        """
+        if values is None:
+            values = self.pair_delivered_bits()
+        return jain_fairness_index(values)
+
+    def per_flow(self) -> dict[str, dict]:
+        """JSON-safe per-flow counters keyed by flow id."""
+        out: dict[str, dict] = {}
+        duration = self.duration_s if self.duration_s else None
+        for flow_id, flow in self.flows.items():
+            bits = flow.delivered_bits
+            entry = {
+                "source": flow.source,
+                "destination": flow.destination,
+                "offered": flow.offered,
+                "delivered": flow.delivered,
+                "delivered_bits": bits,
+                "goodput_bps": (bits / duration) if duration else None,
+                "retransmissions": flow.retransmissions,
+                "timeouts": flow.timeouts,
+                "queue_drops": flow.queue_drops,
+                "aborted": flow.aborted,
+            }
+            if self.resilience_enabled:
+                entry["lost"] = flow.lost
+            trajectory = flow.cwnd
+            if trajectory is not None and len(trajectory):
+                entry["final_cwnd"] = trajectory.cwnds[-1]
+                entry["cwnd_samples"] = len(trajectory)
+            out[flow_id] = entry
+        return out
 
     # ------------------------------------------------------------- resilience
     def record_drop_reason(self, reason: str) -> None:
@@ -382,99 +358,6 @@ class NetworkMetrics:
         if not self.churn_offered:
             return float("nan")
         return self.churn_delivered / self.churn_offered
-
-    def finalize_flow(
-        self,
-        slot: int,
-        retransmissions: int,
-        timeouts: int,
-        aborted: bool,
-        cwnd_trajectory: CwndTrajectory | None = None,
-    ) -> None:
-        """Copy one flow's end-of-run sender state into the arena."""
-        self._flow_retrans[slot] = retransmissions
-        self._flow_timeouts[slot] = timeouts
-        self._flow_aborted[slot] = 1 if aborted else 0
-        self._flow_cwnd[slot] = cwnd_trajectory
-
-    @property
-    def num_flows(self) -> int:
-        """Registered ARQ flow epochs."""
-        return self._flow_count
-
-    def flow_delivered_bits(self) -> np.ndarray:
-        """Delivered payload bits per registered flow."""
-        return self._flow_bits[: self._flow_count].copy()
-
-    @property
-    def aggregate_goodput_bps(self) -> float:
-        """Summed per-flow goodput over the recorded duration."""
-        if not self.duration_s or self.duration_s <= 0:
-            return float("nan")
-        return float(np.sum(self._flow_bits[: self._flow_count])) / self.duration_s
-
-    def pair_delivered_bits(self) -> np.ndarray:
-        """Delivered bits per (source, destination) *pair*.
-
-        An aborted flow restarts as a new epoch (new flow id) for the
-        same pair; fairness is about the pair's total service, so epochs
-        of one pair are summed rather than counted as separate flows.
-        """
-        totals: dict[tuple[int, int], float] = {}
-        for slot in range(self._flow_count):
-            pair = (
-                int(self._flow_source_id[slot]),
-                int(self._flow_dest_id[slot]),
-            )
-            totals[pair] = totals.get(pair, 0.0) + float(self._flow_bits[slot])
-        return np.asarray(list(totals.values()), dtype=float)
-
-    def jain_fairness(self, values=None) -> float:
-        """Jain index over per-pair delivered bits (or explicit values).
-
-        Scale-invariant, so delivered bits and goodput give the same
-        index; 1.0 is a perfectly fair share, ``1/n`` total starvation
-        of all but one flow.  Epochs of the same (source, destination)
-        pair are pooled first -- see :meth:`pair_delivered_bits`.
-        """
-        if values is None:
-            values = self.pair_delivered_bits()
-        return jain_fairness_index(values)
-
-    def cwnd_trajectory(self, flow_id: str) -> CwndTrajectory | None:
-        """Sampled (time, cwnd) trajectory of one flow, if recorded."""
-        slot = self._flow_slots.get(flow_id)
-        if slot is None:
-            return None
-        return self._flow_cwnd[slot]
-
-    def per_flow(self) -> dict[str, dict]:
-        """JSON-safe per-flow counters keyed by flow id."""
-        strings = self._strings
-        out: dict[str, dict] = {}
-        duration = self.duration_s if self.duration_s else None
-        for slot, flow_id in enumerate(self._flow_ids):
-            bits = float(self._flow_bits[slot])
-            trajectory = self._flow_cwnd[slot]
-            entry = {
-                "source": strings[self._flow_source_id[slot]],
-                "destination": strings[self._flow_dest_id[slot]],
-                "offered": int(self._flow_offered[slot]),
-                "delivered": int(self._flow_delivered[slot]),
-                "delivered_bits": bits,
-                "goodput_bps": (bits / duration) if duration else None,
-                "retransmissions": int(self._flow_retrans[slot]),
-                "timeouts": int(self._flow_timeouts[slot]),
-                "queue_drops": int(self._flow_queue_drops[slot]),
-                "aborted": bool(self._flow_aborted[slot]),
-            }
-            if self.resilience_enabled:
-                entry["lost"] = int(self._flow_lost[slot])
-            if trajectory is not None and len(trajectory):
-                entry["final_cwnd"] = trajectory.cwnds[-1]
-                entry["cwnd_samples"] = len(trajectory)
-            out[flow_id] = entry
-        return out
 
     # --------------------------------------------------------------- energy
     @property
@@ -543,16 +426,16 @@ class NetworkMetrics:
         ]
         if self.congestion_enabled:
             lines.append(f"  queue drops              : {self.queue_drops}")
-            if self._flow_count:
-                aborted = int(np.sum(self._flow_aborted[: self._flow_count]))
+            if self.flows:
+                aborted = sum(flow.aborted for flow in self.flows.values())
                 lines.append(
-                    f"  flows                    : {self._flow_count} "
+                    f"  flows                    : {len(self.flows)} "
                     f"({aborted} aborted) | jain {self.jain_fairness():.3f} | "
                     f"aggregate goodput {self.aggregate_goodput_bps:.1f} bps"
                 )
                 # Per-flow rows stay readable for small deployments and
                 # collapse to the aggregate line beyond that.
-                if self._flow_count <= 8:
+                if len(self.flows) <= 8:
                     for flow_id, row in self.per_flow().items():
                         goodput = row["goodput_bps"]
                         goodput_text = (
@@ -582,15 +465,11 @@ class NetworkMetrics:
                     f"{self.churn_offered} (PDR {self.pdr_under_churn:.1%})"
                 )
             if self.drop_reasons:
-                reasons = ", ".join(
-                    f"{name} {count}"
-                    for name, count in sorted(self.drop_reasons.items())
+                lines.append(
+                    f"  drop reasons             : {format_reasons(self.drop_reasons)}"
                 )
-                lines.append(f"  drop reasons             : {reasons}")
             if self.abort_reasons:
-                reasons = ", ".join(
-                    f"{name} {count}"
-                    for name, count in sorted(self.abort_reasons.items())
+                lines.append(
+                    f"  abort reasons            : {format_reasons(self.abort_reasons)}"
                 )
-                lines.append(f"  abort reasons            : {reasons}")
         return "\n".join(lines)

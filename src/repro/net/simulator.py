@@ -29,14 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.net.congestion import (
-    CC_KINDS,
-    CongestionController,
-    RelayQueueConfig,
-    build_controller,
-)
+from repro.net.congestion import CC_KINDS, RelayQueueConfig, build_controller
 from repro.net.links import CalibratedLink, LinkModel
-from repro.net.metrics import DeliveryRecord, NetworkMetrics
+from repro.net.metrics import DeliveryRecord, FlowRecord, NetworkMetrics, format_reasons
 from repro.net.packet import BROADCAST, DEFAULT_TTL, NetPacket
 from repro.net.routing import FloodingRouting, RoutingProtocol
 from repro.net.scheduler import Event, Scheduler
@@ -153,7 +148,7 @@ class NetworkResult:
         if self.aborted_flows:
             lines.append(
                 f"  arq flows aborted        : {self.aborted_flows} "
-                f"(max retries exhausted)"
+                f"({format_reasons(self.metrics.abort_reasons)})"
             )
         return "\n".join(lines)
 
@@ -200,20 +195,22 @@ class NetworkSimulator:
         Optional :class:`NetObserver` receiving app-layer hooks (sends,
         deliveries, drops, flow aborts) -- how :mod:`repro.trace`
         captures a run without the simulator knowing about traces.
+        Observing a run never changes it: each delivery and drop is one
+        :class:`~repro.net.metrics.DeliveryRecord`, stored in the
+        metrics and then passed to the hook.
     cc:
-        Congestion controller per ARQ flow: a kind name from
-        :data:`~repro.net.congestion.CC_KINDS` or a zero-argument factory
-        returning a fresh
-        :class:`~repro.net.congestion.CongestionController`.  The default
-        ``"fixed"`` is bit-identical to the pre-congestion simulator.
+        Congestion controller per ARQ flow, a kind name from
+        :data:`~repro.net.congestion.CC_KINDS`; every flow epoch gets a
+        fresh :func:`~repro.net.congestion.build_controller` instance.
+        The default ``"fixed"`` is bit-identical to the pre-congestion
+        simulator.  Every ARQ flow keeps its books in
+        :attr:`NetworkMetrics.flows`; reports show them when ``cc`` is
+        not ``"fixed"`` or a relay queue is set.
     relay_queue:
         Bounded per-node transmit buffer
         (:class:`~repro.net.congestion.RelayQueueConfig`); packets
         refused admission are counted as ``queue_drops``.  ``None``
         (default) keeps the legacy unbounded queues.
-    flow_accounting:
-        Force per-flow metrics on/off; ``None`` enables them
-        automatically when ``cc`` is non-fixed or a relay queue is set.
     faults:
         Optional fault injector (duck-typed: anything with an
         ``install(simulator)`` method, canonically
@@ -233,9 +230,8 @@ class NetworkSimulator:
         mobility_interval_s: float | None = None,
         seed: int | np.random.Generator | None = None,
         observer: NetObserver | None = None,
-        cc: str | Callable[[], CongestionController] = "fixed",
+        cc: str = "fixed",
         relay_queue: RelayQueueConfig | None = None,
-        flow_accounting: bool | None = None,
         faults: object | None = None,
     ) -> None:
         if topology.num_nodes < 2:
@@ -247,19 +243,11 @@ class NetworkSimulator:
         self.ttl = int(ttl)
         self.collisions = bool(collisions)
         self.mobility_interval_s = mobility_interval_s
-        if not callable(cc) and cc not in CC_KINDS:
-            raise ValueError(f"cc must be one of {CC_KINDS} or a factory, got {cc!r}")
+        if cc not in CC_KINDS:
+            raise ValueError(f"cc must be one of {CC_KINDS}, got {cc!r}")
         self.cc = cc
         self.relay_queue = relay_queue
-        cc_is_fixed = not callable(cc) and cc == "fixed"
-        if flow_accounting is None:
-            flow_accounting = not cc_is_fixed or relay_queue is not None
-        self._flow_accounting = bool(flow_accounting) and arq is not None
-        self._cc_is_fixed = cc_is_fixed
         self.observer = observer if observer is not None else NetObserver()
-        # Delivery/drop hooks need row objects; without an observer the
-        # metrics arena is appended to directly (no per-payload object).
-        self._observed = type(self.observer) is not NetObserver
         self._rng = ensure_rng(seed)
         self._scheduler = Scheduler()
         self._nodes = {name: _NodeState(name) for name in topology.names}
@@ -273,12 +261,12 @@ class NetworkSimulator:
         self._uids = itertools.count()
         self._metrics = NetworkMetrics()
         self._metrics.congestion_enabled = (
-            self._flow_accounting or relay_queue is not None
-        )
+            arq is not None and cc != "fixed"
+        ) or relay_queue is not None
         self._pending: dict[tuple[str, int], _PendingDelivery] = {}
         self._payload_sizes: dict[int, int] = {}
-        # payload uid -> metrics flow slot (only under flow accounting).
-        self._payload_flow: dict[int, int] = {}
+        # ARQ payload uid -> its flow's books, until delivered or lost.
+        self._payload_flow: dict[int, FlowRecord] = {}
         self._broadcast_routing = FloodingRouting()
         # Current-epoch sender per (source, destination); an aborted flow is
         # replaced by a fresh epoch (new flow_id) on the next message, like a
@@ -357,17 +345,12 @@ class NetworkSimulator:
         self._drain(until_s, max_events, progress)
         self._finalize_lost()
         self._metrics.duration_s = self._scheduler.now_s
-        if self._flow_accounting:
-            for flow_id, sender in self._senders_by_id.items():
-                slot = self._metrics.flow_slot(flow_id)
-                if slot is not None:
-                    self._metrics.finalize_flow(
-                        slot,
-                        sender.stats.retransmissions,
-                        sender.stats.timeouts,
-                        sender.failed,
-                        sender.controller.trajectory,
-                    )
+        for flow_id, sender in self._senders_by_id.items():
+            flow = self._metrics.flows[flow_id]
+            flow.retransmissions = sender.stats.retransmissions
+            flow.timeouts = sender.stats.timeouts
+            flow.aborted = sender.failed
+            flow.cwnd = sender.controller.trajectory
         sender_stats = {
             flow_id: sender.stats for flow_id, sender in self._senders_by_id.items()
         }
@@ -431,9 +414,9 @@ class NetworkSimulator:
             # In-flight payloads are charged to their flow as losses, not
             # leaked as forever-pending epoch state: a destination that
             # disappeared mid-flight still settles its flow's books.
-            slot = self._payload_flow.pop(pending.uid, None)
-            if slot is not None:
-                metrics.flow_lost(slot)
+            flow = self._payload_flow.pop(pending.uid, None)
+            if flow is not None:
+                flow.lost += 1
             self._payload_sizes.pop(pending.uid, None)
             reason = pending.reason
             if not reason:
@@ -442,21 +425,15 @@ class NetworkSimulator:
                 else:
                     reason = "expired"
             metrics.record_drop_reason(reason)
-            if self._observed:
-                record = DeliveryRecord(
-                    uid=pending.uid,
-                    source=pending.source,
-                    destination=pending.destination,
-                    created_s=pending.created_s,
-                    kind=pending.kind,
-                )
-                metrics.add(record)
-                self.observer.on_drop(record, now, reason)
-            else:
-                metrics.record_delivery(
-                    pending.uid, pending.source, pending.destination,
-                    pending.created_s, kind=pending.kind,
-                )
+            record = DeliveryRecord(
+                uid=pending.uid,
+                source=pending.source,
+                destination=pending.destination,
+                created_s=pending.created_s,
+                kind=pending.kind,
+            )
+            metrics.add(record)
+            self.observer.on_drop(record, now, reason)
         self._pending.clear()
 
     # -------------------------------------------------------------- app layer
@@ -528,12 +505,12 @@ class NetworkSimulator:
             epoch = self._flow_epochs.get(key, -1) + 1
             self._flow_epochs[key] = epoch
             sender = ArqSender(
-                f"{key[0]}>{key[1]}#{epoch}", self.arq, self._make_controller()
+                f"{key[0]}>{key[1]}#{epoch}", self.arq,
+                build_controller(self.cc, self.arq),
             )
             self._senders[key] = sender
             self._senders_by_id[sender.flow_id] = sender
-            if self._flow_accounting:
-                self._metrics.register_flow(sender.flow_id, key[0], key[1])
+            self._metrics.register_flow(sender.flow_id, key[0], key[1])
         uid = next(self._uids)
         self._pending[(message.destination, uid)] = _PendingDelivery(
             uid, message.source, message.destination, now, "data", churn=churn
@@ -541,22 +518,12 @@ class NetworkSimulator:
         if churn:
             self._metrics.churn_offered += 1
         self._payload_sizes[uid] = message.size_bits
-        if self._flow_accounting:
-            slot = self._metrics.flow_slot(sender.flow_id)
-            self._metrics.flow_offered(slot, message.size_bits)
-            self._payload_flow[uid] = slot
+        flow = self._metrics.flows[sender.flow_id]
+        flow.offered += 1
+        self._payload_flow[uid] = flow
         self.observer.on_send(now, uid, message, "data")
         sender.offer(uid)
         self._pump_flow(key)
-
-    def _make_controller(self) -> CongestionController | None:
-        """Fresh controller for a new flow epoch (``None`` = legacy fixed)."""
-        if callable(self.cc):
-            return self.cc()
-        if self._cc_is_fixed:
-            # ArqSender builds its own FixedWindow: the bit-exact default.
-            return None
-        return build_controller(self.cc, self.arq)
 
     # -------------------------------------------------------------- transport
     def _segment_packet(self, key: tuple[str, str], segment: Segment) -> NetPacket:
@@ -711,10 +678,8 @@ class NetworkSimulator:
         ):
             self._metrics.queue_drops += 1
             self._note_copy_drop(packet, "queue-drop")
-            if self._flow_accounting and packet.segment is not None:
-                slot = self._metrics.flow_slot(packet.segment.flow_id)
-                if slot is not None:
-                    self._metrics.flow_queue_drop(slot)
+            if packet.segment is not None:
+                self._metrics.flows[packet.segment.flow_id].queue_drops += 1
             return
         node.queue.append(packet)
         self._service(node)
@@ -1010,26 +975,21 @@ class NetworkSimulator:
             return
         if pending.churn:
             self._metrics.churn_delivered += 1
-        slot = self._payload_flow.pop(uid, None)
-        if slot is not None:
-            self._metrics.flow_delivered(slot, self._payload_sizes.get(uid, 16))
-        if self._observed:
-            record = DeliveryRecord(
-                uid=uid,
-                source=pending.source,
-                destination=pending.destination,
-                created_s=pending.created_s,
-                delivered_s=now,
-                hop_count=hop_count,
-                kind=pending.kind,
-            )
-            self._metrics.add(record)
-            self.observer.on_delivery(record)
-        else:
-            self._metrics.record_delivery(
-                uid, pending.source, pending.destination, pending.created_s,
-                now, hop_count, pending.kind,
-            )
+        flow = self._payload_flow.pop(uid, None)
+        if flow is not None:
+            flow.delivered += 1
+            flow.delivered_bits += self._payload_sizes.get(uid, 16)
+        record = DeliveryRecord(
+            uid=uid,
+            source=pending.source,
+            destination=pending.destination,
+            created_s=pending.created_s,
+            delivered_s=now,
+            hop_count=hop_count,
+            kind=pending.kind,
+        )
+        self._metrics.add(record)
+        self.observer.on_delivery(record)
 
     def _on_data_segment(
         self, node: _NodeState, packet: NetPacket, now: float

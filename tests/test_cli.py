@@ -200,6 +200,7 @@ def test_invalid_site_rejected():
     ["link", "--site", "bay", "--distance", "50"],
     ["sos", "--repetitions", "0"],
     ["mac", "--transmitters", "0"],
+    ["net", "--ttl", "0"],
 ])
 def test_bad_run_parameters_exit_2_with_error(argv, capsys):
     assert main(argv) == 2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -364,8 +365,7 @@ def test_destination_death_mid_flight_attributes_lost_segments_to_the_flow():
     topology = AcousticNetTopology.line(3, spacing_m=8.0, comm_range_m=10.0)
     simulator = NetworkSimulator(
         topology, StaticShortestPathRouting(), _lossless_link(), seed=2,
-        arq=ArqConfig(mode="go-back-n"), flow_accounting=True,
-        faults=FaultInjector(schedule),
+        arq=ArqConfig(mode="go-back-n"), faults=FaultInjector(schedule),
     )
     for t in range(8):
         simulator.send_message("n0", "n2", time_s=float(t))
@@ -381,6 +381,55 @@ def test_destination_death_mid_flight_attributes_lost_segments_to_the_flow():
     reasons = dict(metrics.drop_reasons)
     assert sum(reasons.values()) == total_lost
     assert reasons.get("dest-dead", 0) >= 1
+
+
+def _relay_and_sink_churn() -> NetScenario:
+    """Nine-node ARQ run whose centre relay and sink both crash."""
+    schedule = FaultSchedule(events=(
+        FaultEvent("crash", 30.0, node="n4", duration_s=90.0),
+        FaultEvent("crash", 60.0, node="n8", duration_s=60.0),
+    ))
+    return NetScenario(
+        num_nodes=9, routing="shortest-path", rate_msgs_per_s=0.03,
+        duration_s=200.0, destination="n8", seed=0,
+    ).with_faults(schedule)
+
+
+def test_aborted_flows_line_prints_the_recorded_reasons():
+    result = _relay_and_sink_churn().run()
+    assert sum(result.metrics.abort_reasons.values()) == result.aborted_flows
+    assert (
+        "  arq flows aborted        : 5 (dest-dead 4, max-retry 1)"
+        in result.describe().splitlines()
+    )
+
+
+def test_observing_a_run_never_changes_it():
+    scenario = _relay_and_sink_churn()
+    plain = scenario.run()
+    recorder = TraceRecorder()
+    observed = scenario.build_simulator(observer=recorder).run(
+        traffic=scenario.build_traffic()
+    )
+    assert observed.aborted_flows > 0 and observed.metrics.drop_reasons
+    assert (
+        json.dumps(observed.to_dict(), sort_keys=True)
+        == json.dumps(plain.to_dict(), sort_keys=True)
+    )
+    records = observed.metrics.records
+    # NaN != NaN defeats dataclass equality on lost rows; compare reprs.
+    assert list(map(repr, records)) == list(map(repr, plain.metrics.records))
+    # One deliver or drop event per stored row, in the same order.
+    settled = [e for e in recorder.events if e.event in ("deliver", "drop")]
+    assert [(e.event, e.uid, e.source, e.destination, e.kind) for e in settled] == [
+        ("deliver" if r.delivered else "drop", r.uid, r.source, r.destination, r.kind)
+        for r in records
+    ]
+    assert [(e.time_s, e.hop_count) for e in settled if e.event == "deliver"] == [
+        (r.delivered_s, r.hop_count) for r in records if r.delivered
+    ]
+    drop_reasons = Counter(e.reason for e in settled if e.event == "drop")
+    assert dict(drop_reasons) == observed.metrics.drop_reasons
 
 
 def test_relay_death_without_repair_aborts_with_plain_max_retry():

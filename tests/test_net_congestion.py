@@ -453,6 +453,23 @@ def test_fixed_cc_report_schema_is_unchanged():
         assert key not in data
 
 
+def test_fixed_cc_flow_ledger_balances_outside_the_report():
+    # Every ARQ flow keeps its books, fixed window included; the report
+    # only shows them when the congestion subsystem is engaged.
+    result = NetScenario(
+        num_nodes=9, num_flows=4, rate_msgs_per_s=0.05, duration_s=200.0,
+        timeout_s=2.0, max_retries=2, seed=2,
+    ).run()
+    metrics = result.metrics
+    flows = list(metrics.flows.values())
+    assert len(flows) > 4 and result.aborted_flows > 0
+    assert sum(flow.offered for flow in flows) == metrics.offered
+    assert sum(flow.delivered for flow in flows) == metrics.delivered
+    assert sum(flow.aborted for flow in flows) == result.aborted_flows
+    assert all(flow.offered == flow.delivered + flow.lost for flow in flows)
+    assert "flows" not in result.to_dict()
+
+
 def test_multiflow_run_reports_per_flow_counters():
     scenario = NetScenario(
         num_nodes=9, num_flows=4, cc="reno", queue_capacity=4,

@@ -27,6 +27,11 @@ def test_net_scenario_validation():
     with pytest.raises(ValueError):
         NetScenario(duration_s=0.0)
     with pytest.raises(ValueError):
+        NetScenario(ttl=0)
+    for spacing_m in (0.0, -5.0):
+        with pytest.raises(ValueError):
+            NetScenario(spacing_m=spacing_m)
+    with pytest.raises(ValueError):
         NetScenario(num_nodes=4, destination="n9")
     # Depth-greedy only moves packets shallower: ACKs cannot return.
     with pytest.raises(ValueError):
