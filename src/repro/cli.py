@@ -614,13 +614,17 @@ def _run_validate(args) -> int:
     figures = list(args.figure) if args.figure else list(available_figures())
     trials = args.trials if args.trials is not None else (2 if args.quick else 5)
 
-    runner = MonteCarloRunner(
-        trials=trials,
-        base_seed=args.seed,
-        max_workers=args.workers,
-        cache_dir=args.cache,
-        progress=lambda message: print(f"  [mc] {message}", file=sys.stderr),
-    )
+    try:
+        runner = MonteCarloRunner(
+            trials=trials,
+            base_seed=args.seed,
+            max_workers=args.workers,
+            cache_dir=args.cache,
+            progress=lambda message: print(f"  [mc] {message}", file=sys.stderr),
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     report = ValidationReport()
     for name in figures:
         spec = get_figure(name)
@@ -662,8 +666,6 @@ def _run_validate(args) -> int:
 def _run_net(args) -> int:
     import json
 
-    from repro.utils.jsonsafe import nan_to_none
-
     try:
         forced = dict(
             calibration_packets_per_point=args.packets_per_point,
@@ -673,7 +675,8 @@ def _run_net(args) -> int:
             forced["duration_s"] = min(args.duration, 30.0)
         scenario = _net_scenario_from_args(args, **forced)
         simulator = scenario.build_simulator()
-    except ValueError as error:
+    except (OSError, ValueError) as error:
+        # Bad scenario parameters or an unreadable --faults schedule.
         print(f"error: {error}", file=sys.stderr)
         return 2
     result = simulator.run(traffic=scenario.build_traffic(), progress=args.progress)
@@ -681,7 +684,7 @@ def _run_net(args) -> int:
     print(result.describe())
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(nan_to_none(result.to_dict()), handle, indent=2)
+            json.dump(result.to_dict(), handle, indent=2)
         print(f"  results written to       : {args.json_path}")
     return 0
 
@@ -894,31 +897,31 @@ def _run_chaos(args) -> int:
     from repro.faults import ChurnProcess, FaultSchedule, load_schedule
     from repro.utils.jsonsafe import nan_to_none
 
-    if args.faults:
-        schedule = load_schedule(args.faults)
-    else:
-        # Protect the SOS source / default sink so the A/B compares
-        # repair quality, not luck about whether the endpoints survived.
-        protect = ["n0"]
-        if args.destination and args.destination not in protect:
-            protect.append(args.destination)
-        schedule = FaultSchedule(
-            churn=ChurnProcess(
-                rate_per_node_per_s=args.churn_rate,
-                mean_downtime_s=args.mean_downtime,
-                end_s=args.duration,
-                seed=args.fault_seed,
-                protect=tuple(protect),
-            )
-        )
     try:
+        if args.faults:
+            schedule = load_schedule(args.faults)
+        else:
+            # Protect the SOS source / default sink so the A/B compares
+            # repair quality, not luck about whether endpoints survived.
+            protect = ["n0"]
+            if args.destination and args.destination not in protect:
+                protect.append(args.destination)
+            schedule = FaultSchedule(
+                churn=ChurnProcess(
+                    rate_per_node_per_s=args.churn_rate,
+                    mean_downtime_s=args.mean_downtime,
+                    end_s=args.duration,
+                    seed=args.fault_seed,
+                    protect=tuple(protect),
+                )
+            )
         base = _net_scenario_from_args(args, faults_json="")
         names = tuple(base.build_topology().names)
         num_events = len(schedule.expand(names))
         results = {}
         for key, repair in (("repair_on", True), ("repair_off", False)):
             results[key] = base.with_faults(schedule.with_repair(repair)).run()
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     on, off = results["repair_on"].metrics, results["repair_off"].metrics

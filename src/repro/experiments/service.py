@@ -100,6 +100,8 @@ class SweepService:
         root: str | pathlib.Path,
         max_workers: int | None = None,
     ) -> None:
+        if max_workers is not None and max_workers < 0:
+            raise ValueError("max_workers must be non-negative")
         self.root = pathlib.Path(root)
         self.cache_dir = self.root / "cache"
         self.jobs_dir = self.root / "jobs"

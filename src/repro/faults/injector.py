@@ -65,7 +65,6 @@ class FaultInjector:
         names = tuple(sim.topology.names)
         schedule.validate_names(names)
         events = schedule.expand(names)
-        sim._metrics.resilience_enabled = True
         sim._fault_hooks = self
         scheduler = sim._scheduler
         horizon = 0.0

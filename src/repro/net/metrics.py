@@ -15,20 +15,23 @@ trajectory.  Each aggregate is a numpy reduction over an array built
 from the rows in that order.  A 250-node run settles a few hundred
 payloads, so the rows cost little.
 
-The congestion report fields (queue drops, per-flow rows and the
-:meth:`NetworkMetrics.jain_fairness` aggregate) only appear while
-:attr:`NetworkMetrics.congestion_enabled` is set, so legacy
-``cc="fixed"`` runs keep their committed report schema byte for byte.
+Every run reports the same keys: :meth:`NetworkMetrics.to_dict` keeps
+the congestion section (queue drops, fairness, per-flow rows) and the
+resilience section (drop and abort reasons, crashes, repairs, delivery
+under churn) flat beside the base keys, as strict JSON (an aggregate
+over nothing is ``None``).  :meth:`NetworkMetrics.summary` prints a
+line only for a section with data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.net.congestion import CwndTrajectory, jain_fairness_index
+from repro.utils.jsonsafe import nan_to_none
 
 #: Transmit/receive power draw (W) of a small acoustic modem -- the
 #: Evologics S2CR figures quoted by the uwoarouting simulators.  Used for
@@ -104,63 +107,44 @@ class FlowRecord:
     cwnd: CwndTrajectory | None = None
 
 
+@dataclass(eq=False, repr=False)
 class NetworkMetrics:
-    """Aggregate statistics of one network run."""
+    """Aggregate statistics of one network run.
 
-    def __init__(
-        self,
-        records: list[DeliveryRecord] | None = None,
-        transmissions: int = 0,
-        collisions: int = 0,
-        link_drops: int = 0,
-        duplicates_suppressed: int = 0,
-        ttl_drops: int = 0,
-        routing_voids: int = 0,
-        tx_airtime_s: float = 0.0,
-        rx_airtime_s: float = 0.0,
-        queue_drops: int = 0,
-    ) -> None:
-        #: Fate of every payload, in the order the run settled them.
-        self.records: list[DeliveryRecord] = list(records or ())
-        #: Books of every ARQ flow epoch, keyed by flow id.
-        self.flows: dict[str, FlowRecord] = {}
-        self.transmissions = transmissions
-        self.collisions = collisions
-        self.link_drops = link_drops
-        self.duplicates_suppressed = duplicates_suppressed
-        self.ttl_drops = ttl_drops
-        self.routing_voids = routing_voids
-        self.tx_airtime_s = tx_airtime_s
-        self.rx_airtime_s = rx_airtime_s
-        #: Packets refused by a bounded node buffer (tail drop / RED).
-        self.queue_drops = queue_drops
-        #: Whether the congestion subsystem's extra report fields (queue
-        #: drops, per-flow counters, fairness) are included in
-        #: to_dict()/summary().  Off by default: legacy fixed-window runs
-        #: must keep their committed report schema bit for bit.
-        self.congestion_enabled = False
-        #: Whether the fault-injection subsystem's extra report fields
-        #: (drop/abort reasons, churn delivery, repair times) are
-        #: included in to_dict()/summary().  Set by a non-empty
-        #: FaultInjector at install time; off by default for the same
-        #: schema-stability reason as :attr:`congestion_enabled`.
-        self.resilience_enabled = False
-        #: Lost payloads by first observed cause (ttl/void/queue-drop/
-        #: dest-dead/source-dead/expired).
-        self.drop_reasons: dict[str, int] = {}
-        #: Aborted ARQ flows by cause (max-retry/dest-dead/source-dead/
-        #: no-route).
-        self.abort_reasons: dict[str, int] = {}
-        #: Payloads offered/delivered while at least one node was down.
-        self.churn_offered = 0
-        self.churn_delivered = 0
-        #: Crash-to-observed-repair latencies (liveness detection).
-        self.repair_times_s: list[float] = []
-        self.node_crashes = 0
-        self.node_recoveries = 0
-        #: Run duration recorded by the simulator; per-flow goodputs need
-        #: it (``None`` until a run finishes).
-        self.duration_s: float | None = None
+    The simulator counts into these fields as the run goes; the
+    properties and :meth:`to_dict` aggregate them.
+    """
+
+    #: Fate of every payload, in the order the run settled them.
+    records: list[DeliveryRecord] = field(default_factory=list)
+    transmissions: int = 0
+    collisions: int = 0
+    link_drops: int = 0
+    duplicates_suppressed: int = 0
+    ttl_drops: int = 0
+    routing_voids: int = 0
+    tx_airtime_s: float = 0.0
+    rx_airtime_s: float = 0.0
+    #: Packets refused by a bounded node buffer (tail drop / RED).
+    queue_drops: int = 0
+    #: Books of every ARQ flow epoch, keyed by flow id.
+    flows: dict[str, FlowRecord] = field(default_factory=dict, init=False)
+    #: Lost payloads by first observed cause (ttl/void/queue-drop/
+    #: dest-dead/source-dead/expired).
+    drop_reasons: dict[str, int] = field(default_factory=dict, init=False)
+    #: Aborted ARQ flows by cause (max-retry/dest-dead/source-dead/
+    #: no-route).
+    abort_reasons: dict[str, int] = field(default_factory=dict, init=False)
+    #: Payloads offered/delivered while at least one node was down.
+    churn_offered: int = field(default=0, init=False)
+    churn_delivered: int = field(default=0, init=False)
+    #: Crash-to-observed-repair latencies (liveness detection).
+    repair_times_s: list[float] = field(default_factory=list, init=False)
+    node_crashes: int = field(default=0, init=False)
+    node_recoveries: int = field(default=0, init=False)
+    #: Run duration recorded by the simulator; per-flow goodputs need
+    #: it (``None`` until a run finishes).
+    duration_s: float | None = field(default=None, init=False)
 
     # -------------------------------------------------------------- recording
     def record_delivery(
@@ -217,17 +201,23 @@ class NetworkMetrics:
         latencies = self.latencies_s()
         return float(np.mean(latencies)) if latencies.size else float("nan")
 
+    def latency_percentiles_s(self, percentiles) -> dict[float, float]:
+        """Latency percentiles of delivered payloads (``nan`` when none)."""
+        latencies = self.latencies_s()
+        if not latencies.size:
+            return {q: float("nan") for q in percentiles}
+        values = np.percentile(latencies, percentiles)
+        return {q: float(v) for q, v in zip(percentiles, values)}
+
     @property
     def median_latency_s(self) -> float:
         """Median end-to-end latency of delivered payloads."""
-        latencies = self.latencies_s()
-        return float(np.median(latencies)) if latencies.size else float("nan")
+        return self.latency_percentiles_s((50.0,))[50.0]
 
     @property
     def p95_latency_s(self) -> float:
         """95th-percentile end-to-end latency of delivered payloads."""
-        latencies = self.latencies_s()
-        return float(np.percentile(latencies, 95.0)) if latencies.size else float("nan")
+        return self.latency_percentiles_s((95.0,))[95.0]
 
     # ------------------------------------------------------------------ hops
     def hop_counts(self) -> np.ndarray:
@@ -293,25 +283,28 @@ class NetworkMetrics:
             totals[pair] = totals.get(pair, 0.0) + flow.delivered_bits
         return np.asarray(list(totals.values()), dtype=float)
 
-    def jain_fairness(self, values=None) -> float:
-        """Jain index over per-pair delivered bits (or explicit values).
+    def jain_fairness(self) -> float:
+        """Jain index over per-pair delivered bits.
 
         Scale-invariant, so delivered bits and goodput give the same
         index; 1.0 is a perfectly fair share, ``1/n`` total starvation
         of all but one flow.  Epochs of the same (source, destination)
         pair are pooled first -- see :meth:`pair_delivered_bits`.
         """
-        if values is None:
-            values = self.pair_delivered_bits()
-        return jain_fairness_index(values)
+        return jain_fairness_index(self.pair_delivered_bits())
 
     def per_flow(self) -> dict[str, dict]:
-        """JSON-safe per-flow counters keyed by flow id."""
+        """JSON-safe per-flow counters keyed by flow id, one row schema.
+
+        A controller that samples no window (the fixed window) reports
+        ``final_cwnd`` as ``None`` and ``cwnd_samples`` as 0.
+        """
         out: dict[str, dict] = {}
         duration = self.duration_s if self.duration_s else None
         for flow_id, flow in self.flows.items():
             bits = flow.delivered_bits
-            entry = {
+            samples = len(flow.cwnd) if flow.cwnd is not None else 0
+            out[flow_id] = {
                 "source": flow.source,
                 "destination": flow.destination,
                 "offered": flow.offered,
@@ -322,14 +315,10 @@ class NetworkMetrics:
                 "timeouts": flow.timeouts,
                 "queue_drops": flow.queue_drops,
                 "aborted": flow.aborted,
+                "lost": flow.lost,
+                "final_cwnd": flow.cwnd.cwnds[-1] if samples else None,
+                "cwnd_samples": samples,
             }
-            if self.resilience_enabled:
-                entry["lost"] = flow.lost
-            trajectory = flow.cwnd
-            if trajectory is not None and len(trajectory):
-                entry["final_cwnd"] = trajectory.cwnds[-1]
-                entry["cwnd_samples"] = len(trajectory)
-            out[flow_id] = entry
         return out
 
     # ------------------------------------------------------------- resilience
@@ -367,15 +356,13 @@ class NetworkMetrics:
 
     # --------------------------------------------------------------- reports
     def to_dict(self) -> dict:
-        """JSON-safe summary (scalars, plus per-flow rows when engaged).
+        """The run's report: the same keys for every run, strict JSON.
 
-        The congestion block (``queue_drops``, ``jain_fairness_index``,
-        ``aggregate_goodput_bps``, ``flows``) only appears while
-        :attr:`congestion_enabled` is set: committed golden signatures
-        and trace fixtures of legacy fixed-window runs compare this dict
-        exactly, so the disabled schema must never change.
+        The base delivery, latency and channel counters come first, then
+        the congestion section and the resilience section, all flat.  An
+        aggregate over nothing (``nan``) is written as ``None``.
         """
-        data = {
+        return nan_to_none({
             "offered": self.offered,
             "delivered": self.delivered,
             "packet_delivery_ratio": self.packet_delivery_ratio,
@@ -391,26 +378,24 @@ class NetworkMetrics:
             "ttl_drops": self.ttl_drops,
             "routing_voids": self.routing_voids,
             "energy_proxy_j": self.energy_proxy_j,
-        }
-        if self.congestion_enabled:
-            data["queue_drops"] = self.queue_drops
-            data["jain_fairness_index"] = self.jain_fairness()
-            data["aggregate_goodput_bps"] = self.aggregate_goodput_bps
-            data["flows"] = self.per_flow()
-        if self.resilience_enabled:
-            data["drop_reasons"] = dict(sorted(self.drop_reasons.items()))
-            data["abort_reasons"] = dict(sorted(self.abort_reasons.items()))
-            data["node_crashes"] = self.node_crashes
-            data["node_recoveries"] = self.node_recoveries
-            data["repairs"] = len(self.repair_times_s)
-            data["mean_time_to_repair_s"] = self.mean_time_to_repair_s
-            data["churn_offered"] = self.churn_offered
-            data["churn_delivered"] = self.churn_delivered
-            data["pdr_under_churn"] = self.pdr_under_churn
-        return data
+            "queue_drops": self.queue_drops,
+            "jain_fairness_index": self.jain_fairness(),
+            "aggregate_goodput_bps": self.aggregate_goodput_bps,
+            "flows": self.per_flow(),
+            "drop_reasons": dict(sorted(self.drop_reasons.items())),
+            "abort_reasons": dict(sorted(self.abort_reasons.items())),
+            "node_crashes": self.node_crashes,
+            "node_recoveries": self.node_recoveries,
+            "repairs": len(self.repair_times_s),
+            "mean_time_to_repair_s": self.mean_time_to_repair_s,
+            "churn_offered": self.churn_offered,
+            "churn_delivered": self.churn_delivered,
+            "pdr_under_churn": self.pdr_under_churn,
+        })
 
     def summary(self) -> str:
-        """Multi-line human-readable report."""
+        """Multi-line human-readable report: the base lines, then one
+        line per section with data (flows, crashes, losses, aborts, ...)."""
         lines = [
             f"  delivered                : {self.delivered}/{self.offered} "
             f"(PDR {self.packet_delivery_ratio:.1%})",
@@ -424,52 +409,60 @@ class NetworkMetrics:
             f"  ttl drops / voids        : {self.ttl_drops} / {self.routing_voids}",
             f"  energy proxy             : {self.energy_proxy_j:.1f} J",
         ]
-        if self.congestion_enabled:
+        flows = self.flows
+        aborted = sum(flow.aborted for flow in flows.values())
+        if flows or self.queue_drops:
             lines.append(f"  queue drops              : {self.queue_drops}")
-            if self.flows:
-                aborted = sum(flow.aborted for flow in self.flows.values())
-                lines.append(
-                    f"  flows                    : {len(self.flows)} "
-                    f"({aborted} aborted) | jain {self.jain_fairness():.3f} | "
-                    f"aggregate goodput {self.aggregate_goodput_bps:.1f} bps"
-                )
-                # Per-flow rows stay readable for small deployments and
-                # collapse to the aggregate line beyond that.
-                if len(self.flows) <= 8:
-                    for flow_id, row in self.per_flow().items():
-                        goodput = row["goodput_bps"]
-                        goodput_text = (
-                            f"{goodput:.1f} bps" if goodput is not None else "n/a"
-                        )
-                        lines.append(
-                            f"    {flow_id:<16s}: {row['delivered']}/"
-                            f"{row['offered']} delivered, {goodput_text}, "
-                            f"{row['retransmissions']} rtx, "
-                            f"{row['queue_drops']} queue drops"
-                            + (" [ABORTED]" if row["aborted"] else "")
-                        )
-        if self.resilience_enabled:
+        if flows:
+            lines.append(
+                f"  flows                    : {len(flows)} "
+                f"({aborted} aborted) | jain {self.jain_fairness():.3f} | "
+                f"aggregate goodput {self.aggregate_goodput_bps:.1f} bps"
+            )
+            # Per-flow rows stay readable for small deployments and
+            # collapse to the aggregate line beyond that.
+            if len(flows) <= 8:
+                for flow_id, row in self.per_flow().items():
+                    goodput = row["goodput_bps"]
+                    goodput_text = (
+                        f"{goodput:.1f} bps" if goodput is not None else "n/a"
+                    )
+                    lines.append(
+                        f"    {flow_id:<16s}: {row['delivered']}/"
+                        f"{row['offered']} delivered, {goodput_text}, "
+                        f"{row['retransmissions']} rtx, "
+                        f"{row['queue_drops']} queue drops"
+                        + (" [ABORTED]" if row["aborted"] else "")
+                    )
+        if self.node_crashes or self.node_recoveries:
             lines.append(
                 f"  node churn               : {self.node_crashes} crashes, "
                 f"{self.node_recoveries} recoveries"
             )
-            if self.repair_times_s:
-                lines.append(
-                    f"  route repair             : {len(self.repair_times_s)} "
-                    f"evictions, mean time-to-repair "
-                    f"{self.mean_time_to_repair_s:.1f} s"
-                )
-            if self.churn_offered:
-                lines.append(
-                    f"  delivery under churn     : {self.churn_delivered}/"
-                    f"{self.churn_offered} (PDR {self.pdr_under_churn:.1%})"
-                )
-            if self.drop_reasons:
-                lines.append(
-                    f"  drop reasons             : {format_reasons(self.drop_reasons)}"
-                )
-            if self.abort_reasons:
-                lines.append(
-                    f"  abort reasons            : {format_reasons(self.abort_reasons)}"
-                )
+        if self.repair_times_s:
+            lines.append(
+                f"  route repair             : {len(self.repair_times_s)} "
+                f"evictions, mean time-to-repair "
+                f"{self.mean_time_to_repair_s:.1f} s"
+            )
+        if self.churn_offered:
+            lines.append(
+                f"  delivery under churn     : {self.churn_delivered}/"
+                f"{self.churn_offered} (PDR {self.pdr_under_churn:.1%})"
+            )
+        if self.drop_reasons:
+            lines.append(
+                f"  drop reasons             : {format_reasons(self.drop_reasons)}"
+            )
+        if flows:
+            retransmissions = sum(flow.retransmissions for flow in flows.values())
+            lines.append(
+                f"  arq retransmissions      : {retransmissions} over "
+                f"{len(flows)} flow(s)"
+            )
+        if aborted:
+            lines.append(
+                f"  arq flows aborted        : {aborted} "
+                f"({format_reasons(self.abort_reasons)})"
+            )
         return "\n".join(lines)

@@ -31,13 +31,13 @@ import numpy as np
 
 from repro.net.congestion import CC_KINDS, RelayQueueConfig, build_controller
 from repro.net.links import CalibratedLink, LinkModel
-from repro.net.metrics import DeliveryRecord, FlowRecord, NetworkMetrics, format_reasons
+from repro.net.metrics import DeliveryRecord, FlowRecord, NetworkMetrics
 from repro.net.packet import BROADCAST, DEFAULT_TTL, NetPacket
 from repro.net.routing import FloodingRouting, RoutingProtocol
 from repro.net.scheduler import Event, Scheduler
 from repro.net.topology import AcousticNetTopology
 from repro.net.traffic import AppMessage, TrafficGenerator
-from repro.net.transport import ArqConfig, ArqReceiver, ArqSender, FlowStats, Segment
+from repro.net.transport import ArqConfig, ArqReceiver, ArqSender, Segment
 from repro.utils.progress import progress_sink
 from repro.utils.rng import ensure_rng
 
@@ -115,7 +115,8 @@ class _PendingDelivery:
 
 @dataclass
 class NetworkResult:
-    """Everything one :meth:`NetworkSimulator.run` produced."""
+    """Everything one :meth:`NetworkSimulator.run` produced: the metrics
+    ledger (per-flow books included) plus the run's size and stack."""
 
     metrics: NetworkMetrics
     duration_s: float
@@ -123,14 +124,16 @@ class NetworkResult:
     routing_name: str
     link_name: str
     num_events: int
-    sender_stats: dict[str, FlowStats] = field(default_factory=dict)
-    receiver_stats: dict[str, FlowStats] = field(default_factory=dict)
-    aborted_flows: int = 0
 
     @property
     def total_retransmissions(self) -> int:
-        """ARQ retransmissions summed over all flows."""
-        return sum(stats.retransmissions for stats in self.sender_stats.values())
+        """ARQ retransmissions summed over all flow epochs."""
+        return sum(flow.retransmissions for flow in self.metrics.flows.values())
+
+    @property
+    def aborted_flows(self) -> int:
+        """ARQ flow epochs that ended aborted."""
+        return sum(flow.aborted for flow in self.metrics.flows.values())
 
     def describe(self) -> str:
         """Human-readable report of the run."""
@@ -139,18 +142,7 @@ class NetworkResult:
             f"link {self.link_name} | {self.duration_s:.1f} s simulated | "
             f"{self.num_events} events"
         )
-        lines = [header, self.metrics.summary()]
-        if self.sender_stats:
-            lines.append(
-                f"  arq retransmissions      : {self.total_retransmissions} over "
-                f"{len(self.sender_stats)} flow(s)"
-            )
-        if self.aborted_flows:
-            lines.append(
-                f"  arq flows aborted        : {self.aborted_flows} "
-                f"({format_reasons(self.metrics.abort_reasons)})"
-            )
-        return "\n".join(lines)
+        return f"{header}\n{self.metrics.summary()}"
 
     def to_dict(self) -> dict:
         """JSON-safe summary."""
@@ -183,8 +175,6 @@ class NetworkSimulator:
         ``None`` sends unacknowledged datagrams.
     ttl:
         Hop budget per packet copy.
-    collisions:
-        Model receiver-side collisions of overlapping receptions.
     mobility_interval_s:
         When set, apply one topology mobility step (and re-prepare the
         routing tables) at this period.
@@ -204,8 +194,7 @@ class NetworkSimulator:
         fresh :func:`~repro.net.congestion.build_controller` instance.
         The default ``"fixed"`` is bit-identical to the pre-congestion
         simulator.  Every ARQ flow keeps its books in
-        :attr:`NetworkMetrics.flows`; reports show them when ``cc`` is
-        not ``"fixed"`` or a relay queue is set.
+        :attr:`NetworkMetrics.flows`, and every report shows them.
     relay_queue:
         Bounded per-node transmit buffer
         (:class:`~repro.net.congestion.RelayQueueConfig`); packets
@@ -226,7 +215,6 @@ class NetworkSimulator:
         link_model: LinkModel | None = None,
         arq: ArqConfig | None = None,
         ttl: int = DEFAULT_TTL,
-        collisions: bool = True,
         mobility_interval_s: float | None = None,
         seed: int | np.random.Generator | None = None,
         observer: NetObserver | None = None,
@@ -241,7 +229,6 @@ class NetworkSimulator:
         self.link_model = link_model if link_model is not None else CalibratedLink()
         self.arq = arq
         self.ttl = int(ttl)
-        self.collisions = bool(collisions)
         self.mobility_interval_s = mobility_interval_s
         if cc not in CC_KINDS:
             raise ValueError(f"cc must be one of {CC_KINDS}, got {cc!r}")
@@ -260,9 +247,6 @@ class NetworkSimulator:
         self._txplans: dict[tuple[str, str, int], tuple] = {}
         self._uids = itertools.count()
         self._metrics = NetworkMetrics()
-        self._metrics.congestion_enabled = (
-            arq is not None and cc != "fixed"
-        ) or relay_queue is not None
         self._pending: dict[tuple[str, int], _PendingDelivery] = {}
         self._payload_sizes: dict[int, int] = {}
         # ARQ payload uid -> its flow's books, until delivered or lost.
@@ -351,12 +335,6 @@ class NetworkSimulator:
             flow.timeouts = sender.stats.timeouts
             flow.aborted = sender.failed
             flow.cwnd = sender.controller.trajectory
-        sender_stats = {
-            flow_id: sender.stats for flow_id, sender in self._senders_by_id.items()
-        }
-        receiver_stats = {
-            flow_id: receiver.stats for flow_id, receiver in self._receivers.items()
-        }
         return NetworkResult(
             metrics=self._metrics,
             duration_s=self._scheduler.now_s,
@@ -364,11 +342,6 @@ class NetworkSimulator:
             routing_name=self.routing.name,
             link_name=self.link_model.name,
             num_events=self._scheduler.num_processed,
-            sender_stats=sender_stats,
-            receiver_stats=receiver_stats,
-            aborted_flows=sum(
-                sender.failed for sender in self._senders_by_id.values()
-            ),
         )
 
     def _drain(
@@ -711,7 +684,7 @@ class NetworkSimulator:
         if node.tx_busy_until_s > now:
             return  # _on_tx_done will call back
         queue = node.queue
-        if self.collisions and queue:
+        if queue:
             # Find the latest-ending audible reception without building a
             # list (this runs once per queue touch).  Expired intervals
             # (end <= now) can never test audible; the transmit fan-out
@@ -851,7 +824,6 @@ class NetworkSimulator:
         # neighbour hears the energy.  Routing targets may capture the
         # packet; everyone else just gets jammed for its duration (which is
         # what carrier sense defers on and hidden terminals collide with).
-        collisions_on = self.collisions
         # Per-neighbour accumulation (not ``airtime * k``): the committed
         # energy proxy is compared bit-for-bit in fixture replays, and
         # float addition order changes the low bits.
@@ -872,15 +844,6 @@ class NetworkSimulator:
             # carries nothing for this node (not a routing target, or the
             # link model dropped it); the interval still participates in
             # carrier sensing and collisions.
-            if not collisions_on:
-                if deliverable is not None:
-                    scheduler.at(
-                        end,
-                        lambda r=receiver, p=deliverable, s=start: (
-                            self._on_receive(r, p, s)
-                        ),
-                    )
-                continue
             receptions = receiver.receptions
             collided = False
             # One pass does double duty: expired intervals (end <= now,
@@ -924,16 +887,14 @@ class NetworkSimulator:
         metrics.rx_airtime_s = rx_airtime
 
     # --------------------------------------------------------------- receiving
-    def _on_receive(
-        self, node: _NodeState, packet: NetPacket, start_s: float = float("-inf")
-    ) -> None:
+    def _on_receive(self, node: _NodeState, packet: NetPacket, start_s: float) -> None:
         if not node.alive:
             return  # crashed while the packet was in flight
         # Half duplex, re-checked at reception end: the node may have begun
         # transmitting *after* this reception was scheduled but before (or
         # while) the packet arrived; any own transmission overlapping
         # [start_s, now] wipes the capture.
-        if self.collisions and node.tx_busy_until_s > start_s:
+        if node.tx_busy_until_s > start_s:
             self._metrics.collisions += 1
             return
         if packet.uid in node.seen_uids:

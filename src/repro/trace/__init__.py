@@ -12,9 +12,12 @@ Poisson.  Three pillars:
   :class:`~repro.net.simulator.NetObserver` that records a run, and
   :func:`capture_scenario`;
 * :mod:`~repro.trace.replay` -- :class:`TraceTrafficGenerator`,
-  :func:`replay_trace`, the exact :func:`check_roundtrip` gate and the
+  :func:`replay_trace`, the exact :func:`check_roundtrip` gate (the
+  replay's metrics report against the captured one) and the
   seed-paired :func:`compare_stacks` QoE A/B harness
-  (:mod:`~repro.trace.qoe` provides the scoring);
+  (:mod:`~repro.trace.qoe` provides the scoring; the latency
+  percentiles come from
+  :meth:`~repro.net.metrics.NetworkMetrics.latency_percentiles_s`);
 * :mod:`~repro.trace.population` -- :class:`PopulationWorkload`
   (groups, on/off sessions, diurnal modulation, heavy-tailed sizes) and
   :func:`synthesize_trace`.
@@ -22,7 +25,7 @@ Poisson.  Three pillars:
 CLI: ``python -m repro.cli trace {capture,replay,synth,compare}``.
 """
 
-from repro.trace.capture import TraceRecorder, capture_scenario, metrics_signature
+from repro.trace.capture import TraceRecorder, capture_scenario
 from repro.trace.events import (
     EVENT_KINDS,
     PAYLOAD_KINDS,
@@ -39,7 +42,6 @@ from repro.trace.qoe import (
     DEFAULT_SOS_DEADLINE_S,
     QoeDelta,
     QoeReport,
-    latency_percentiles_s,
     qoe_delta,
     qoe_report,
 )
@@ -68,9 +70,7 @@ __all__ = [
     "capture_scenario",
     "check_roundtrip",
     "compare_stacks",
-    "latency_percentiles_s",
     "load_trace",
-    "metrics_signature",
     "qoe_delta",
     "qoe_report",
     "replay_trace",

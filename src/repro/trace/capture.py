@@ -8,9 +8,10 @@
 app-layer send, delivery, drop and flow abort lands in the recorder as a
 :class:`~repro.trace.events.TraceEvent`.  :func:`capture_scenario` wraps
 the whole loop for declarative scenarios and stamps the trace with the
-scenario dict and the run's metrics, which is what makes the committed
-fixture a self-checking regression artifact: replaying it must reproduce
-``meta["capture_metrics"]`` exactly.
+scenario dict and the run's metrics report
+(:meth:`~repro.net.metrics.NetworkMetrics.to_dict`), which is what makes
+the committed fixture a self-checking regression artifact: replaying it
+must reproduce ``meta["capture_metrics"]`` exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.net.metrics import DeliveryRecord
 from repro.net.simulator import NetObserver
 from repro.net.traffic import AppMessage
 from repro.trace.events import Trace, TraceEvent
-from repro.utils.jsonsafe import nan_to_none
 
 
 class TraceRecorder(NetObserver):
@@ -78,25 +78,14 @@ class TraceRecorder(NetObserver):
         return Trace(events=events, meta=dict(meta or {}))
 
 
-def metrics_signature(result) -> dict:
-    """JSON-safe metrics dict used as the round-trip determinism reference.
-
-    Strict JSON (NaN mapped to ``None`` via the shared convention) of the
-    run's full scalar metrics: replaying a captured trace against the
-    same stack must reproduce every one of these values bit for bit.
-    """
-    return {
-        key: nan_to_none(value)
-        for key, value in result.metrics.to_dict().items()
-    }
-
-
 def capture_scenario(scenario, progress: bool = False):
     """Run a :class:`~repro.experiments.net_scenario.NetScenario`, captured.
 
     Returns ``(result, trace)`` where the trace's ``meta`` carries the
-    scenario dict (so replay can rebuild the exact stack) and the
-    capture run's :func:`metrics_signature`.
+    scenario dict (so replay can rebuild the exact stack) and, as
+    ``capture_metrics``, the capture run's strict-JSON metrics report
+    (:meth:`~repro.net.metrics.NetworkMetrics.to_dict`): the round-trip
+    reference a replay must reproduce bit for bit.
     """
     recorder = TraceRecorder()
     simulator = scenario.build_simulator(observer=recorder)
@@ -104,7 +93,7 @@ def capture_scenario(scenario, progress: bool = False):
     trace = recorder.trace(
         meta={
             "scenario": scenario.to_dict(),
-            "capture_metrics": metrics_signature(result),
+            "capture_metrics": result.metrics.to_dict(),
         }
     )
     return result, trace

@@ -31,7 +31,7 @@ DEFAULT_LATENCY_TAU_S = 30.0
 #: Delivery deadline for SOS broadcast alerts (seconds).
 DEFAULT_SOS_DEADLINE_S = 60.0
 
-#: Percentiles reported by :func:`latency_percentiles_s`.
+#: Latency percentiles of the :class:`QoeDelta` comparison table.
 REPORT_PERCENTILES = (50.0, 90.0, 95.0, 99.0)
 
 
@@ -142,17 +142,6 @@ def qoe_report(
     )
 
 
-def latency_percentiles_s(
-    metrics: NetworkMetrics, percentiles: tuple[float, ...] = REPORT_PERCENTILES
-) -> dict[float, float]:
-    """Latency percentiles over delivered payloads (``nan`` when empty)."""
-    latencies = metrics.latencies_s()
-    if not latencies.size:
-        return {q: float("nan") for q in percentiles}
-    values = np.percentile(latencies, percentiles)
-    return {q: float(v) for q, v in zip(percentiles, values)}
-
-
 @dataclass(frozen=True)
 class QoeDelta:
     """Paired QoE comparison of two runs of the *same* workload.
@@ -236,6 +225,6 @@ def qoe_delta(
         label_b=label_b,
         a=qoe_report(metrics_a, latency_tau_s, sos_deadline_s),
         b=qoe_report(metrics_b, latency_tau_s, sos_deadline_s),
-        percentiles_a=latency_percentiles_s(metrics_a),
-        percentiles_b=latency_percentiles_s(metrics_b),
+        percentiles_a=metrics_a.latency_percentiles_s(REPORT_PERCENTILES),
+        percentiles_b=metrics_b.latency_percentiles_s(REPORT_PERCENTILES),
     )

@@ -23,7 +23,6 @@ import numpy as np
 from repro.net.packet import BROADCAST
 from repro.net.topology import AcousticNetTopology
 from repro.net.traffic import AppMessage, TrafficGenerator
-from repro.trace.capture import metrics_signature
 from repro.trace.events import Trace
 from repro.trace.qoe import (
     DEFAULT_LATENCY_TAU_S,
@@ -116,9 +115,11 @@ def check_roundtrip(trace: Trace, scenario=None) -> tuple[bool, dict, dict]:
     """Replay ``trace`` against its capturing stack and compare metrics.
 
     Returns ``(identical, captured, replayed)`` where the dicts are the
-    strict-JSON metric signatures.  ``identical`` demands bit-equality of
-    every scalar -- the round-trip guarantee is exact reproduction, not
-    statistical agreement.
+    captured ``capture_metrics`` and the replay's strict-JSON metrics
+    report (:meth:`~repro.net.metrics.NetworkMetrics.to_dict`).
+    ``identical`` demands equality of every key, per-flow rows included,
+    with every float bit for bit -- the round-trip guarantee is exact
+    reproduction, not statistical agreement.
     """
     captured = trace.meta.get("capture_metrics")
     if captured is None:
@@ -127,8 +128,7 @@ def check_roundtrip(trace: Trace, scenario=None) -> tuple[bool, dict, dict]:
             "have nothing to round-trip against); capture one with "
             "capture_scenario or `cli trace capture`"
         )
-    result = replay_trace(trace, scenario=scenario)
-    replayed = metrics_signature(result)
+    replayed = replay_trace(trace, scenario=scenario).metrics.to_dict()
     return replayed == captured, dict(captured), replayed
 
 

@@ -163,6 +163,8 @@ class MonteCarloRunner:
     ) -> None:
         if trials < 1:
             raise ValueError("trials must be at least 1")
+        if max_workers is not None and max_workers < 0:
+            raise ValueError("max_workers must be non-negative")
         self.trials = int(trials)
         self.base_seed = int(base_seed)
         self.max_workers = max_workers

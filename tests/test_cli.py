@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -196,15 +198,36 @@ def test_invalid_site_rejected():
         main(["link", "--site", "atlantis"])
 
 
+_SMALL_NET = ["--nodes", "4", "--duration", "20"]
+_MISSING_FILE = str(pathlib.Path(__file__).parent / "data" / "no-such-schedule.json")
+_NOT_A_SCHEDULE = str(pathlib.Path(__file__).parent / "data" / "trace_fixture_9node.jsonl")
+
+
 @pytest.mark.parametrize("argv", [
     ["link", "--site", "bay", "--distance", "50"],
     ["sos", "--repetitions", "0"],
     ["mac", "--transmitters", "0"],
     ["net", "--ttl", "0"],
+    ["net", *_SMALL_NET, "--faults", _MISSING_FILE],
+    ["chaos", *_SMALL_NET, "--faults", _MISSING_FILE],
+    ["chaos", *_SMALL_NET, "--faults", _NOT_A_SCHEDULE],
+    ["chaos", *_SMALL_NET, "--churn-rate", "-1"],
+    ["chaos", *_SMALL_NET, "--mean-downtime", "0"],
+    ["validate", "--quick", "--figure", "ber_vs_snr", "--trials", "1",
+     "--workers", "-1"],
 ])
 def test_bad_run_parameters_exit_2_with_error(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_serve_rejects_negative_workers_before_submitting(capsys, tmp_path):
+    root = tmp_path / "svc"
+    code = main(["serve", "--site", "bridge", "--distance", "5", "--packets", "1",
+                 "--workers", "-1", "--jobs", str(root)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (root / "jobs").exists()
 
 
 def test_validate_command_quick_report(capsys, tmp_path):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import NetScenario
+from repro.faults import ChurnProcess, FaultSchedule
 from repro.net.congestion import (
     AdaptiveRto,
     CC_KINDS,
@@ -443,19 +444,40 @@ def test_net_scenario_validates_congestion_fields():
     assert "cc reno" in described and "4 flows" in described
 
 
-def test_fixed_cc_report_schema_is_unchanged():
-    # The compat contract: a legacy fixed-window run must not grow new
-    # report keys (golden signatures compare to_dict() exactly).
-    result = NetScenario(num_nodes=9, duration_s=60.0, seed=3).run()
-    data = result.to_dict()
-    for key in ("queue_drops", "jain_fairness_index", "flows",
-                "aggregate_goodput_bps"):
-        assert key not in data
+def test_every_run_reports_the_same_strict_json_keys():
+    # Runs that engage different subsystems report one schema: an idle
+    # section is present (zero, empty or null), never left out.
+    base = NetScenario(num_nodes=9, duration_s=60.0, rate_msgs_per_s=0.05, seed=3)
+    churn = FaultSchedule(churn=ChurnProcess(
+        rate_per_node_per_s=0.01, mean_downtime_s=20.0, end_s=60.0, seed=1,
+        protect=("n0",),
+    ))
+    scenarios = {
+        "flooding": base.replace(routing="flooding", arq="none"),
+        "fixed": base,
+        "reno": base.replace(cc="reno", queue_capacity=4),
+        "churn": base.with_faults(churn),
+    }
+    reports = {name: s.run().to_dict() for name, s in scenarios.items()}
+    assert reports["flooding"]["flows"] == {}
+    assert reports["flooding"]["mean_time_to_repair_s"] is None
+    assert reports["churn"]["node_crashes"] > 0
+    key_sets = {name: set(report) for name, report in reports.items()}
+    assert all(keys == key_sets["flooding"] for keys in key_sets.values())
+    row_keys = {
+        frozenset(row)
+        for report in reports.values()
+        for row in report["flows"].values()
+    }
+    assert len(row_keys) == 1
+    for name, scenario in scenarios.items():
+        json.dumps(reports[name], allow_nan=False)
+        assert scenario.run().to_dict() == reports[name]
 
 
-def test_fixed_cc_flow_ledger_balances_outside_the_report():
-    # Every ARQ flow keeps its books, fixed window included; the report
-    # only shows them when the congestion subsystem is engaged.
+def test_fixed_cc_flow_ledger_balances_in_the_report():
+    # Every ARQ flow keeps its books, fixed window included, and the
+    # report carries one row per flow epoch.
     result = NetScenario(
         num_nodes=9, num_flows=4, rate_msgs_per_s=0.05, duration_s=200.0,
         timeout_s=2.0, max_retries=2, seed=2,
@@ -467,7 +489,7 @@ def test_fixed_cc_flow_ledger_balances_outside_the_report():
     assert sum(flow.delivered for flow in flows) == metrics.delivered
     assert sum(flow.aborted for flow in flows) == result.aborted_flows
     assert all(flow.offered == flow.delivered + flow.lost for flow in flows)
-    assert "flows" not in result.to_dict()
+    assert result.to_dict()["flows"] == metrics.per_flow()
 
 
 def test_multiflow_run_reports_per_flow_counters():

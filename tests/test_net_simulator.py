@@ -122,10 +122,9 @@ def test_arq_flow_delivers_across_hops():
     result = simulator.run()
     assert result.metrics.packet_delivery_ratio == 1.0
     assert result.metrics.offered == 5
-    stats = list(result.sender_stats.values())
-    assert len(stats) == 1
-    assert stats[0].offered == 5
-    assert stats[0].data_transmissions >= 5
+    flows = list(result.metrics.flows.values())
+    assert len(flows) == 1
+    assert flows[0].offered == flows[0].delivered == 5
 
 
 def test_arq_recovers_lossy_links_that_raw_does_not():
@@ -136,8 +135,7 @@ def test_arq_recovers_lossy_links_that_raw_does_not():
 
     def run(arq):
         simulator = NetworkSimulator(
-            _line(3), StaticShortestPathRouting(), lossy, arq=arq,
-            collisions=False, seed=7,
+            _line(3), StaticShortestPathRouting(), lossy, arq=arq, seed=7,
         )
         for index in range(12):
             simulator.send_message("n0", "n2", time_s=12.0 * index)
@@ -187,22 +185,6 @@ def test_aborted_flows_are_reported():
     assert result.aborted_flows == 1
     assert "aborted" in result.describe()
     assert result.to_dict()["aborted_flows"] == 1
-
-
-def test_collisions_can_be_disabled():
-    topology = AcousticNetTopology(comm_range_m=10.0)
-    topology.add_node("a", 0.0, 0.0)
-    topology.add_node("b", 8.0, 0.0)
-    topology.add_node("dst", 4.0, 3.0)
-    simulator = NetworkSimulator(
-        topology, GreedyForwarding("distance"), _lossless_link(),
-        collisions=False, seed=12,
-    )
-    simulator.send_message("a", "dst", time_s=0.0)
-    simulator.send_message("b", "dst", time_s=0.0)
-    result = simulator.run()
-    assert result.metrics.collisions == 0
-    assert result.metrics.packet_delivery_ratio == 1.0
 
 
 # ------------------------------------------------------------- reproducibility

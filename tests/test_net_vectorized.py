@@ -1,13 +1,13 @@
 """Equivalence gates for the vectorized topology/scheduler/metrics engine.
 
 The vectorized engine (array-backed topology with a spatial-hash grid,
-batched same-time event dispatch, columnar metrics arenas, cached unicast
-transmit plans) must be a pure performance change: every scenario,
-validation envelope and trace fixture committed before it has to
-reproduce bit for bit.  These tests pin that contract from several
-directions -- committed golden scenario signatures, brute-force neighbour
-oracles on randomized deployments, the scalar routing reference in
-:mod:`oracles.net`, and the RNG property the mobility draws rely on.
+batched same-time event dispatch, cached unicast transmit plans) must be
+a pure performance change: every scenario, validation envelope and trace
+fixture committed before it has to reproduce bit for bit.  These tests
+pin that contract from several directions -- committed golden scenario
+signatures, brute-force neighbour oracles on randomized deployments, the
+scalar routing reference in :mod:`oracles.net`, the RNG property the
+mobility draws rely on, and the metrics row list.
 """
 
 from __future__ import annotations
@@ -32,16 +32,6 @@ from repro.net.transport import ArqConfig
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "net_golden_scenarios.json"
-
-
-def _sanitize(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_sanitize(v) for v in value]
-    return value
 
 
 def _run_golden_case(case: dict) -> dict:
@@ -71,7 +61,7 @@ def _run_golden_case(case: dict) -> dict:
             seed=scenario.seed + 1,
         )
         result = simulator.run(traffic=scenario.build_traffic())
-    return _sanitize(result.to_dict())
+    return result.to_dict()
 
 
 def _golden_entries():
@@ -86,9 +76,11 @@ def _golden_entries():
 def test_golden_scenarios_reproduce_bit_identically(index):
     """Every pre-vectorization scenario signature must replay exactly.
 
-    The committed file was generated by the *pre-refactor* engine, so a
-    single low-bit drift in distances, delays, RNG draw order, airtime
-    accumulation or event interleaving fails this test.
+    Every key the *pre-refactor* engine reported keeps the value it
+    committed (the congestion and resilience keys every report now
+    carries were added later without moving one), so a single low-bit
+    drift in distances, delays, RNG draw order, airtime accumulation or
+    event interleaving fails this test.
     """
     entry = _golden_entries()[index]
     assert _run_golden_case(entry["case"]) == entry["metrics"]
@@ -310,9 +302,9 @@ def test_scheduler_until_s_leaves_future_cohort_queued():
 
 
 # ------------------------------------------------------------------ metrics
-def test_metrics_arena_grows_past_initial_capacity():
+def test_metrics_keeps_rows_in_settlement_order():
     metrics = NetworkMetrics()
-    total = 300  # several doublings past the 64-row initial arena
+    total = 300
     for uid in range(total):
         delivered = float(uid) + 0.5 if uid % 3 else float("nan")
         metrics.record_delivery(
@@ -332,9 +324,9 @@ def test_metrics_arena_grows_past_initial_capacity():
     assert [r.uid for r in records] == list(range(total))
 
 
-def test_metrics_columnar_path_matches_record_object_path():
-    """record_delivery (arena fast path) and add(DeliveryRecord) must
-    produce identical aggregate metrics."""
+def test_metrics_record_delivery_and_add_build_the_same_rows():
+    """record_delivery (from fields) and add(DeliveryRecord) must build
+    the same rows and so the same report."""
     rows = [
         (uid, f"n{uid % 3}", "n9", uid * 0.25,
          uid * 0.25 + 1.5 if uid % 4 else float("nan"), uid % 5,
@@ -346,7 +338,7 @@ def test_metrics_columnar_path_matches_record_object_path():
     for uid, src, dst, created, delivered, hops, kind in rows:
         fast.record_delivery(uid, src, dst, created, delivered, hops, kind)
         slow.add(DeliveryRecord(uid, src, dst, created, delivered, hops, kind))
-    assert _sanitize(fast.to_dict()) == _sanitize(slow.to_dict())
+    assert fast.to_dict() == slow.to_dict()
     assert list(fast.latencies_s()) == list(slow.latencies_s())
     # NaN != NaN defeats dataclass equality on lost records; compare reprs.
     assert list(map(repr, fast.records)) == list(map(repr, slow.records))

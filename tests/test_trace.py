@@ -23,7 +23,6 @@ from repro.trace import (
     check_roundtrip,
     compare_stacks,
     load_trace,
-    metrics_signature,
     qoe_delta,
     qoe_report,
     replay_trace,
@@ -178,7 +177,7 @@ def test_recorder_counts_match_run_metrics():
     assert deliveries == result.metrics.delivered
     assert deliveries + drops == result.metrics.offered
     assert trace.meta["scenario"] == _small_scenario().to_dict()
-    assert trace.meta["capture_metrics"] == metrics_signature(result)
+    assert trace.meta["capture_metrics"] == result.metrics.to_dict()
 
 
 def test_recorder_trace_is_time_sorted():
@@ -218,8 +217,8 @@ def test_capture_replay_roundtrip_is_bit_deterministic():
 
 def test_replay_twice_is_identical():
     _, trace = capture_scenario(_small_scenario())
-    first = metrics_signature(replay_trace(trace))
-    second = metrics_signature(replay_trace(trace))
+    first = replay_trace(trace).metrics.to_dict()
+    second = replay_trace(trace).metrics.to_dict()
     assert first == second
 
 
