@@ -12,8 +12,9 @@ the paper) between two simulated Galaxy S9 phones submerged 1 m deep and
    and transmits; Bob equalizes, demodulates and Viterbi-decodes them.
 
 It then reruns the same experiment declaratively through
-:mod:`repro.experiments` -- the one-scenario version of how the benchmark
-suite sweeps whole parameter grids.
+:mod:`repro.experiments` -- the one-scenario version of how the figure
+validation (``python -m repro.cli validate``) sweeps whole parameter
+grids.
 
 Run with:  python examples/quickstart.py
 """
@@ -104,8 +105,8 @@ def main() -> None:
 
     # --- The declarative way --------------------------------------------
     # The same experiment as a Scenario, plus a two-distance mini sweep run
-    # through the experiment runner (this is what the benchmark suite does
-    # at scale, with worker processes and a result cache).
+    # through the experiment runner (this is what the figure validation
+    # does at scale, with worker processes and a result cache).
     print("\nThe same link, declaratively (repro.experiments):")
     sweep = (
         Sweep(Scenario(site=LAKE, distance_m=5.0, num_packets=4))

@@ -21,7 +21,7 @@ SIGCOMM 2022).  It contains:
 * :mod:`repro.app` -- the messaging application layer (240 hand-signal
   catalog, message codec, SoS beacons).
 * :mod:`repro.analysis` -- BER/PER/CDF analysis helpers used by the
-  figure benchmarks and result tables.
+  result tables and the figure validation.
 * :mod:`repro.experiments` -- the declarative experiment layer: a frozen
   :class:`~repro.experiments.Scenario` describes one evaluation point, a
   :class:`~repro.experiments.Sweep` expands parameter grids, and an

@@ -1,4 +1,4 @@
-"""Small formatting and metric helpers for reports and benchmarks."""
+"""Small formatting and metric helpers for reports and result tables."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ def per_to_percent(per: float) -> str:
 
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:
-    """Render a simple fixed-width text table (result sets, figure benchmarks)."""
+    """Render a simple fixed-width text table (result sets, CLI reports)."""
     columns = [headers] + [[str(cell) for cell in row] for row in rows]
     widths = [max(len(row[i]) for row in columns) for i in range(len(headers))]
     lines = []

@@ -11,7 +11,7 @@ patterns for the two directions.
 :class:`InAirChannel` models a short in-air link with one weak floor/wall
 reflection; swapping transmitter and receiver changes the geometry only
 negligibly, so the forward and backward responses come out nearly
-identical -- which is exactly the contrast the benchmark needs to show.
+identical -- which is exactly the contrast Fig. 3c/d needs to show.
 """
 
 from __future__ import annotations

@@ -354,8 +354,10 @@ def _add_validate_parser(subparsers) -> None:
         help="Monte-Carlo validation of the paper figures with CI gates",
         description="Run each figure spec as N seeded trials per grid "
                     "point, report 95% Wilson/normal confidence intervals "
-                    "per metric, and optionally gate the headline metrics "
-                    "against the committed VALID_<figure>.json envelopes.",
+                    "per metric, check the paper's claims on the pooled "
+                    "estimates (exit 1 on a failed claim), and optionally "
+                    "gate the headline metrics against the committed "
+                    "VALID_<figure>.json envelopes.",
     )
     parser.add_argument("--figure", nargs="+", choices=available_figures(),
                         default=None, help="figures to run (default: all)")
@@ -591,6 +593,7 @@ def _run_validate(args) -> int:
         ValidationReport,
         available_figures,
         check_against_envelope,
+        evaluate_claims,
         get_figure,
         load_envelope,
         valid_json_path,
@@ -611,7 +614,8 @@ def _run_validate(args) -> int:
         print("error: --write-reference needs a full run (drop --quick)",
               file=sys.stderr)
         return 2
-    figures = list(args.figure) if args.figure else list(available_figures())
+    # Each named figure runs once, in first-seen order.
+    figures = list(dict.fromkeys(args.figure or available_figures()))
     trials = args.trials if args.trials is not None else (2 if args.quick else 5)
 
     try:
@@ -629,7 +633,9 @@ def _run_validate(args) -> int:
     for name in figures:
         spec = get_figure(name)
         result = runner.run(spec, quick=args.quick)
-        figure_report = FigureReport(result=result)
+        figure_report = FigureReport(
+            result=result, claims=evaluate_claims(spec, result)
+        )
         if args.compare_reference:
             envelope_path = valid_json_path(name, args.reference_dir)
             try:
@@ -649,17 +655,21 @@ def _run_validate(args) -> int:
     if args.json_path:
         path = report.save(args.json_path)
         print(f"report written to {path}")
+    failures = [
+        f"  {fig.result.figure}: {failure}"
+        for fig in report.figures
+        for failure in (
+            [check.describe() for check in fig.checks if not check.passed]
+            + [f"{c.claim.panel} {c.claim.describe()} -> FAIL ({c.reproduced()})"
+               for c in fig.claims if not c.passed]
+        )
+    ]
+    if failures:
+        print("VALIDATION GATE FAILED:", file=sys.stderr)
+        print("\n".join(failures), file=sys.stderr)
+        return 1
     if args.compare_reference:
-        if report.passed:
-            print("validation gate passed")
-        else:
-            print("VALIDATION GATE FAILED:", file=sys.stderr)
-            for fig in report.figures:
-                for check in fig.checks:
-                    if not check.passed:
-                        print(f"  {fig.result.figure}: {check.describe()}",
-                              file=sys.stderr)
-            return 1
+        print("validation gate passed")
     return 0
 
 

@@ -78,8 +78,7 @@ def select_frequency_band(
     protocol:
         Protocol configuration carrying the threshold and lambda defaults.
     snr_threshold_db, conservative_lambda:
-        Optional overrides of the protocol parameters (used by the ablation
-        benchmarks).
+        Optional overrides of the protocol parameters (for ablations).
     """
     config = config or OFDMConfig()
     protocol = protocol or ProtocolConfig()

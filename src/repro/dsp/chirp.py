@@ -5,7 +5,7 @@ a 1-5 kHz chirp probes the end-to-end frequency response of a device pair
 through the water, and a 1-3 kHz chirp probes channel reciprocity.  The
 modem itself does *not* use chirps for its preamble (the paper found LFM
 detection not robust enough and uses a CAZAC preamble instead), but the
-characterization benchmarks need them.
+channel-response figures of :mod:`repro.validation` need them.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Spectrum estimation helpers.
 
-Used by the characterization benchmarks (frequency selectivity, ambient
-noise, reciprocity, air-in-case) and by the carrier-sense MAC energy
-detector.
+Used by the characterization figures of :mod:`repro.validation`
+(frequency selectivity, ambient noise, reciprocity, air-in-case) and by
+the carrier-sense MAC energy detector.
 """
 
 from __future__ import annotations

@@ -88,23 +88,21 @@ class ExperimentRunner:
         cpu count)``; ``0`` or ``1`` forces serial in-process execution.
     cache_dir:
         Directory for the JSON result cache; ``None`` disables caching.
-    chunk_size:
-        Scenarios per dispatch chunk.  ``None`` balances chunks so every
-        worker receives a few, amortizing pickling overhead on large
-        sweeps without starving workers on small ones.
+
+    Parallel runs dispatch balanced chunks, so every worker receives a
+    few: pickling overhead is amortized on large sweeps without starving
+    workers on small ones.
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
         cache_dir: str | pathlib.Path | None = None,
-        chunk_size: int | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 0:
             raise ValueError("max_workers must be non-negative")
         self.max_workers = max_workers
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir is not None else None
-        self.chunk_size = chunk_size
         #: Number of cache hits during the most recent run/iter_run.
         self.last_cache_hits = 0
 
@@ -197,9 +195,7 @@ class ExperimentRunner:
                 if workers <= 1 or len(pending) == 1:
                     record_iter = map(_execute_scenario, to_run)
                 else:
-                    chunk = self.chunk_size
-                    if chunk is None:
-                        chunk = max(1, len(pending) // (4 * workers))
+                    chunk = max(1, len(pending) // (4 * workers))
                     pool = stack.enter_context(
                         ProcessPoolExecutor(max_workers=workers)
                     )

@@ -49,7 +49,7 @@ def summarize_packets(results: list) -> dict:
 
     Provided for quick inspection in notebooks and examples; the structured
     :class:`~repro.link.session.LinkStatistics` object is what the
-    benchmarks use.
+    experiment layer uses.
     """
     from repro.link.session import LinkStatistics  # local import to avoid a cycle
 

@@ -5,23 +5,27 @@ CI-gated check, the way network simulators such as ns-3 validate
 releases:
 
 * :class:`~repro.validation.figures.FigureSpec` -- declarative registry
-  of the paper's key figures (grid, metrics, headline metric, gate
-  tolerance);
+  of the paper's figures (grid, variants, metrics, headline metric, gate
+  tolerance) and their paper claims
+  (:class:`~repro.validation.claims.Claim`), run by the per-kind trial
+  executors of :mod:`~repro.validation.executors`;
 * :class:`~repro.validation.montecarlo.MonteCarloRunner` -- N seeded
   trials per grid point through :mod:`repro.experiments`, pooled into
   95% Wilson / normal confidence intervals per metric;
 * :mod:`~repro.validation.report` -- committed ``VALID_<figure>.json``
   envelopes (the expected behaviour) plus JSON/markdown
-  :class:`~repro.validation.report.ValidationReport` rendering, and the
-  interval-overlap gate between a fresh run and the envelopes.
+  :class:`~repro.validation.report.ValidationReport` rendering with the
+  paper-vs-reproduction claims table, and the interval-overlap gate
+  between a fresh run and the envelopes.
 
 Driven by ``python -m repro.cli validate``.
 """
 
+from repro.validation.claims import Claim, ClaimCheck, Term, evaluate_claims
+from repro.validation.executors import EXECUTORS, TrialOutcome
 from repro.validation.figures import (
     FIGURE_REGISTRY,
     FigureSpec,
-    TrialOutcome,
     available_figures,
     get_figure,
 )
@@ -50,7 +54,10 @@ from repro.validation.stats import (
 )
 
 __all__ = [
+    "EXECUTORS",
     "FIGURE_REGISTRY",
+    "Claim",
+    "ClaimCheck",
     "FigureReport",
     "FigureResult",
     "FigureSpec",
@@ -58,10 +65,12 @@ __all__ = [
     "MonteCarloRunner",
     "PointCheck",
     "PointEstimate",
+    "Term",
     "TrialOutcome",
     "ValidationReport",
     "available_figures",
     "check_against_envelope",
+    "evaluate_claims",
     "get_figure",
     "intervals_overlap",
     "load_envelope",

@@ -9,9 +9,11 @@ summarized into a :class:`~repro.validation.stats.MetricSummary` with a
 
 Link figures expand into ordinary :class:`~repro.experiments.Scenario`
 grids and run through :class:`~repro.experiments.ExperimentRunner`, so
-they inherit its process-pool parallelism and on-disk result cache; SoS
-and network figures run their trials in-process (each trial is already a
-whole simulation, and both are cheap relative to the link PHY).
+they inherit its process-pool parallelism and on-disk result cache; every
+other kind runs its trials in-process (each trial is already a whole
+simulation, cheap relative to a link grid).  A figure's variants run at
+every (point, trial) on that cell's seed, and their metrics are pooled
+under ``metric@variant`` names.
 """
 
 from __future__ import annotations
@@ -21,17 +23,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.experiments.runner import ExperimentRunner
-from repro.validation.figures import (
-    FigureSpec,
+from repro.validation.claims import variant_metric
+from repro.validation.executors import (
+    EXECUTORS,
     TrialOutcome,
-    get_figure,
     link_outcome,
     link_scenario,
-    run_cc_trial,
-    run_faults_trial,
-    run_net_trial,
-    run_sos_trial,
 )
+from repro.validation.figures import FigureSpec, get_figure
 from repro.validation.stats import (
     MetricSummary,
     summarize_continuous,
@@ -186,26 +185,25 @@ class MonteCarloRunner:
         spec = get_figure(figure) if isinstance(figure, str) else figure
         started = time.perf_counter()
         grid = spec.grid(quick=quick)
+        variants = {name: spec.for_variant(name) for name in spec.variant_names(quick)}
         if spec.kind == "link":
-            points = self._run_link(spec, grid, quick)
+            outcomes = self._run_link(spec, grid, variants, quick)
         else:
-            executor = {
-                "sos": run_sos_trial,
-                "net": run_net_trial,
-                "cc": run_cc_trial,
-                "faults": run_faults_trial,
-            }[spec.kind]
-            points = []
+            execute = EXECUTORS[spec.kind]
+            outcomes = {}
             for axis_value in grid:
-                outcomes = [
-                    executor(spec, axis_value, trial, self.base_seed, quick)
+                outcomes[axis_value] = [
+                    _merge_variants({
+                        name: execute(variant, axis_value, trial, self.base_seed, quick)
+                        for name, variant in variants.items()
+                    })
                     for trial in range(self.trials)
                 ]
-                points.append(summarize_point(axis_value, outcomes))
                 self._emit(
                     f"{spec.name}: {spec.axis}={axis_value:g} done "
                     f"({self.trials} trials)"
                 )
+        points = [summarize_point(value, outcomes[value]) for value in grid]
         return FigureResult(
             figure=spec.name,
             axis=spec.axis,
@@ -241,12 +239,17 @@ class MonteCarloRunner:
         return [self._memo[s.scenario_hash()] for s in scenarios]
 
     def _run_link(
-        self, spec: FigureSpec, grid, quick: bool
-    ) -> list[PointEstimate]:
-        scenarios = [
-            link_scenario(spec, axis_value, trial, self.base_seed, quick)
+        self, spec: FigureSpec, grid, variants: dict, quick: bool
+    ) -> dict:
+        cells = [
+            (axis_value, name, trial)
             for axis_value in grid
+            for name in variants
             for trial in range(self.trials)
+        ]
+        scenarios = [
+            link_scenario(variants[name], axis_value, trial, self.base_seed, quick)
+            for axis_value, name, trial in cells
         ]
         known = sum(1 for s in scenarios if s.scenario_hash() in self._memo)
         records = self.run_link_records(scenarios)
@@ -254,12 +257,31 @@ class MonteCarloRunner:
             f"{spec.name}: {len(scenarios)} scenarios "
             f"({known} reused from this run)"
         )
-        points = []
-        for index, axis_value in enumerate(grid):
-            chunk = records[index * self.trials:(index + 1) * self.trials]
-            outcomes = [link_outcome(record) for record in chunk]
-            points.append(summarize_point(axis_value, outcomes))
-        return points
+        trials: dict = {}
+        for (axis_value, name, trial), record in zip(cells, records):
+            trials.setdefault((axis_value, trial), {})[name] = link_outcome(record)
+        return {
+            axis_value: [
+                _merge_variants(trials[axis_value, trial]) for trial in range(self.trials)
+            ]
+            for axis_value in grid
+        }
+
+
+def _merge_variants(outcomes: dict[str, TrialOutcome]) -> TrialOutcome:
+    """One trial's outcomes under every variant, as ``metric@variant`` samples."""
+    return TrialOutcome(
+        counts={
+            variant_metric(metric, name): count
+            for name, outcome in outcomes.items()
+            for metric, count in outcome.counts.items()
+        },
+        values={
+            variant_metric(metric, name): value
+            for name, outcome in outcomes.items()
+            for metric, value in outcome.values.items()
+        },
+    )
 
 
 __all__ = [

@@ -11,9 +11,12 @@ across machine and sampling noise, while a genuine behaviour change (a
 decoder regression, a channel-model edit) pushes the intervals apart and
 fails the gate.
 
-:class:`ValidationReport` aggregates figure results and per-point checks
-into one object with JSON and markdown-table rendering for the CLI and
-CI.
+:class:`ValidationReport` aggregates figure results, per-point envelope
+checks and the paper claims evaluated on each result into one object
+with JSON and markdown-table rendering for the CLI and CI.  Its
+paper-vs-reproduction table lists every evaluated claim with the paper's
+value, the reproduced estimates and a pass / FAIL / known-gap verdict;
+a FAIL fails the report like a failed envelope check.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.validation.claims import ClaimCheck, variant_metric
 from repro.validation.figures import FigureSpec, get_figure
 from repro.validation.montecarlo import FigureResult, PointEstimate
 from repro.validation.stats import MetricSummary, intervals_overlap, nan_to_none
@@ -78,7 +82,8 @@ class PointCheck:
     def describe(self) -> str:
         status = "ok" if self.passed else "FAIL"
         return (
-            f"{self.axis_value:g}: measured {self.measured.format_value()} vs "
+            f"{self.metric} at {self.axis_value:g}: measured "
+            f"{self.measured.format_value()} vs "
             f"envelope {self.expected.format_value()} "
             f"(+/-{self.tolerance:g}) -> {status}"
         )
@@ -90,48 +95,43 @@ def check_against_envelope(
     """Gate a fresh result against the committed envelope, point by point.
 
     Only axis values present in both runs are compared (quick runs sweep
-    a subset of the full grid); a fresh point missing from the envelope is
-    a failure -- it means the committed reference predates the figure's
-    current grid and must be regenerated.
+    a subset of the full grid); a fresh point (or variant) missing from
+    the envelope is a failure -- it means the committed reference
+    predates the figure's current grid and must be regenerated.  The
+    headline is checked under every variant the run covered.
     """
     spec = spec if spec is not None else get_figure(result.figure)
     envelope_points = {p.axis_value: p for p in envelope.points}
     checks = []
     for point in result.points:
-        measured = point.summary(spec.headline)
         expected_point: PointEstimate | None = envelope_points.get(point.axis_value)
-        if expected_point is None:
+        for name in spec.variant_names(result.quick):
+            metric = variant_metric(spec.headline, name)
+            measured = point.summary(metric)
+            expected = (
+                expected_point.summaries.get(metric) if expected_point else None
+            )
+            if expected is None:
+                expected = MetricSummary(
+                    name=metric, kind=measured.kind,
+                    mean=float("nan"), std=float("nan"),
+                    ci_low=float("nan"), ci_high=float("nan"), n_trials=0,
+                )
+            passed = intervals_overlap(
+                measured.ci_low, measured.ci_high,
+                expected.ci_low, expected.ci_high,
+                slack=spec.tolerance,
+            )
             checks.append(
                 PointCheck(
                     axis_value=point.axis_value,
-                    metric=spec.headline,
+                    metric=metric,
                     measured=measured,
-                    expected=MetricSummary(
-                        name=spec.headline, kind=measured.kind,
-                        mean=float("nan"), std=float("nan"),
-                        ci_low=float("nan"), ci_high=float("nan"), n_trials=0,
-                    ),
+                    expected=expected,
                     tolerance=spec.tolerance,
-                    passed=False,
+                    passed=passed,
                 )
             )
-            continue
-        expected = expected_point.summary(spec.headline)
-        passed = intervals_overlap(
-            measured.ci_low, measured.ci_high,
-            expected.ci_low, expected.ci_high,
-            slack=spec.tolerance,
-        )
-        checks.append(
-            PointCheck(
-                axis_value=point.axis_value,
-                metric=spec.headline,
-                measured=measured,
-                expected=expected,
-                tolerance=spec.tolerance,
-                passed=passed,
-            )
-        )
     return checks
 
 
@@ -143,17 +143,21 @@ class FigureReport:
     result: FigureResult
     checks: list[PointCheck] = field(default_factory=list)
     compared: bool = False
+    claims: list[ClaimCheck] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        """False only when an envelope comparison ran and failed."""
-        return all(check.passed for check in self.checks)
+        """False when an envelope check or a paper claim failed."""
+        return all(check.passed for check in self.checks) and all(
+            check.passed for check in self.claims
+        )
 
     def to_dict(self) -> dict:
         return {
             "result": self.result.to_dict(),
             "compared": self.compared,
             "passed": self.passed,
+            "claims": [check.to_dict() for check in self.claims],
             "checks": [
                 {
                     "axis_value": c.axis_value,
@@ -181,12 +185,12 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        """Every envelope check passed."""
+        """Every envelope check and every paper claim passed."""
         return all(f.passed for f in self.figures)
 
     # ------------------------------------------------------------- rendering
     def to_markdown(self) -> str:
-        """Markdown tables, one per figure."""
+        """Markdown tables, one per figure, then the paper claims."""
         lines: list[str] = []
         for fig in self.figures:
             spec = get_figure(fig.result.figure)
@@ -196,26 +200,65 @@ class ValidationReport:
                 f"{fig.result.trials} trials/point)"
             )
             lines.append("")
-            header = [spec.axis] + [
+            variants = spec.variant_names(fig.result.quick)
+            named = variants != ("",)
+            header = [spec.axis] + (["variant"] if named else []) + [
                 f"{m} (95% CI)" for m in spec.metrics
             ]
             if fig.compared:
                 header.append("envelope gate")
             lines.append("| " + " | ".join(header) + " |")
             lines.append("|" + "---|" * len(header))
-            checks_by_value = {c.axis_value: c for c in fig.checks}
+            checks = {(c.axis_value, c.metric): c for c in fig.checks}
             for point in fig.result.points:
-                row = [f"{point.axis_value:g}"]
-                for metric in spec.metrics:
-                    row.append(point.summary(metric).format_value())
-                if fig.compared:
-                    check = checks_by_value.get(point.axis_value)
-                    row.append(
-                        "-" if check is None else ("pass" if check.passed else "**FAIL**")
-                    )
-                lines.append("| " + " | ".join(row) + " |")
+                for name in variants:
+                    row = [f"{point.axis_value:g}"] + ([name] if named else [])
+                    for metric in spec.metrics:
+                        summary = point.summary(variant_metric(metric, name))
+                        row.append(summary.format_value())
+                    if fig.compared:
+                        check = checks.get(
+                            (point.axis_value, variant_metric(spec.headline, name))
+                        )
+                        row.append(
+                            "-" if check is None
+                            else ("pass" if check.passed else "**FAIL**")
+                        )
+                    lines.append("| " + " | ".join(row) + " |")
             lines.append("")
+        lines.extend(self._claims_markdown())
         return "\n".join(lines)
+
+    def _claims_markdown(self) -> list[str]:
+        """The paper-vs-reproduction table and the known gaps."""
+        rows = [
+            f"| {fig.result.figure} | {c.claim.panel} | `{c.claim.describe()}` "
+            f"| {c.claim.paper} | {c.reproduced()} | "
+            + (c.status if c.passed else f"**{c.status}**") + " |"
+            for fig in self.figures for c in fig.claims
+        ]
+        specs = [get_figure(fig.result.figure) for fig in self.figures]
+        skipped = sum(len(s.claims) for s in specs) - len(rows)
+        gaps = [
+            f"- {spec.name} {entry.panel} `{entry.describe()}`: {entry.gap}"
+            for spec in specs for entry in spec.claims if entry.gap
+        ]
+        lines = []
+        if rows:
+            lines += [
+                "### Paper claims: paper vs reproduction (pooled mean [95% CI])",
+                "",
+                "| figure | panel | claim | paper | reproduced | verdict |",
+                "|---|---|---|---|---|---|",
+                *rows,
+                "",
+            ]
+        if skipped:
+            lines += [f"{skipped} claims read cells outside the quick grid "
+                      "and were not evaluated.", ""]
+        if gaps:
+            lines += ["Known gaps (reported, not gated):", "", *gaps, ""]
+        return lines
 
     def to_dict(self) -> dict:
         return {

@@ -120,7 +120,10 @@ class MetricSummary:
         """``mean [ci_low, ci_high]`` with kind-appropriate precision."""
         if self.kind == "proportion":
             return f"{self.mean:.4f} [{self.ci_low:.4f}, {self.ci_high:.4f}]"
-        return f"{self.mean:.1f} [{self.ci_low:.1f}, {self.ci_high:.1f}]"
+        # Sub-unit values (fairness indices, theoretical BERs) keep three
+        # significant digits; larger ones (dB, bps, seconds) one decimal.
+        fmt = ".3g" if abs(self.mean) < 1.0 else ".1f"
+        return f"{self.mean:{fmt}} [{self.ci_low:{fmt}}, {self.ci_high:{fmt}}]"
 
     def to_dict(self) -> dict:
         """JSON-safe dictionary form (NaN kept: json emits ``NaN`` tokens

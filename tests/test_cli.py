@@ -246,6 +246,18 @@ def test_validate_command_quick_report(capsys, tmp_path):
     assert sorted(payload) == ["figures", "passed", "schema_version"]
 
 
+def test_validate_command_runs_a_repeated_figure_once(capsys, tmp_path):
+    import json
+
+    out = tmp_path / "report.json"
+    code = main(["validate", "--quick", "--trials", "1", "--json", str(out),
+                 "--figure", "net_pdr_vs_hops", "sos_range", "net_pdr_vs_hops"])
+    assert code == 0
+    assert capsys.readouterr().out.count("(`net_pdr_vs_hops`") == 1
+    figures = json.loads(out.read_text())["figures"]
+    assert [f["result"]["figure"] for f in figures] == ["net_pdr_vs_hops", "sos_range"]
+
+
 def test_validate_command_write_then_compare_reference(capsys, tmp_path):
     base = ["validate", "--figure", "sos_range", "--trials", "1",
             "--reference-dir", str(tmp_path)]

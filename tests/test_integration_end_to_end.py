@@ -100,8 +100,8 @@ def test_channel_stability_probe_static_vs_motion():
     assert static_probes and moving_probes
     # With only a handful of probes this is a smoke check: both configurations
     # produce sensible finite values and motion does not massively *improve*
-    # the worst-case in-band SNR (the statistical comparison lives in
-    # benchmarks/bench_fig16_channel_stability.py).
+    # the worst-case in-band SNR (the statistical comparison is the Fig. 16
+    # spec ``channel_stability`` of repro.validation.figures).
     assert np.mean(moving_probes) <= np.mean(static_probes) + 6.0
 
 

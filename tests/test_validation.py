@@ -1,11 +1,13 @@
 """Tests for the repro.validation Monte-Carlo figure harness."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from repro.validation import (
+    EXECUTORS,
     FIGURE_REGISTRY,
     FigureReport,
     FigureSpec,
@@ -14,6 +16,7 @@ from repro.validation import (
     ValidationReport,
     available_figures,
     check_against_envelope,
+    evaluate_claims,
     get_figure,
     intervals_overlap,
     load_envelope,
@@ -24,8 +27,9 @@ from repro.validation import (
     wilson_interval,
     write_envelope,
 )
-from repro.validation.figures import TrialOutcome, link_scenario
-from repro.validation.montecarlo import FigureResult, summarize_point
+from repro.validation.claims import agg, cell, claim
+from repro.validation.executors import KINDS, TrialOutcome, link_scenario
+from repro.validation.montecarlo import FigureResult, PointEstimate, summarize_point
 
 
 # ---------------------------------------------------------------------- stats
@@ -129,12 +133,52 @@ def test_intervals_overlap_with_slack_and_nan():
 
 # -------------------------------------------------------------------- figures
 def test_registry_specs_are_coherent():
+    kinds = ("link", "sos", "net", "cc", "faults", "response", "reciprocity",
+             "case", "noise", "bins", "stability", "mac", "airtime", "protocol")
+    assert set(KINDS) == set(kinds)
     assert len(available_figures()) >= 4
     for name, spec in FIGURE_REGISTRY.items():
         assert spec.name == name
         assert set(spec.quick_values) <= set(spec.values)
         assert spec.headline in spec.metrics
-        assert spec.kind in ("link", "sos", "net", "cc", "faults")
+        assert spec.kind in kinds
+
+
+def test_registry_claims_cite_the_paper_and_run_on_the_quick_grid():
+    """Every claim names its panel and the paper's value and reads metrics,
+    variants and axis values of its own spec (checked when the spec is
+    built); every spec with claims evaluates at least one on its quick grid."""
+    for spec in FIGURE_REGISTRY.values():
+        for entry in spec.claims:
+            assert entry.panel and entry.paper, spec.name
+        quick_cells = {
+            (variant, value)
+            for variant in spec.variant_names(quick=True)
+            for value in spec.quick_values
+        }
+        if spec.claims:
+            assert any(
+                all((t.variant, spec.values[0] if t.at is None else t.at) in quick_cells
+                    for t in entry.cells())
+                for entry in spec.claims
+            ), spec.name
+
+
+def test_new_figure_executors_produce_their_spec_metrics():
+    """One trial of each kind the paper figures added, at minimal size."""
+    minimal = {"num_packets": 1, "packets": 2, "probes": 2, "packets_per_tx": 10}
+    for name in ("selectivity_by_device", "reciprocity", "case_air",
+                 "ambient_noise", "bin_ber_vs_snr", "channel_stability",
+                 "mac_carrier_sense", "message_latency", "band_parameters"):
+        spec = get_figure(name)
+        variant = spec.for_variant(spec.variant_names()[-1])
+        small = dataclasses.replace(variant, params={
+            **variant.params,
+            **{key: value for key, value in minimal.items() if key in variant.params},
+        })
+        outcome = EXECUTORS[spec.kind](small, spec.values[-1], trial=0)
+        produced = set(outcome.counts) | set(outcome.values)
+        assert set(spec.metrics) <= produced, name
 
 
 def test_figure_spec_validation_errors():
@@ -191,6 +235,13 @@ def test_montecarlo_link_figure_structure(tiny_link_result):
     # Wilson CIs run over genuine bit counts, not trial counts.
     ber = result.points[0].summary("coded_ber")
     assert ber.total > 100
+    # A link trial produces every metric a link figure reports, among them
+    # the bitrate CDF columns (ordered) and the median band edges.
+    means = {name: s.mean for name, s in result.points[0].summaries.items()}
+    reported = {m for f in FIGURE_REGISTRY.values() if f.kind == "link" for m in f.metrics}
+    assert reported <= set(means)
+    cdf = [means[f"bitrate_p{p}_bps"] for p in (10, 25)] + [means["median_bitrate_bps"]]
+    assert cdf == sorted(cdf) and means["band_start_hz"] < means["band_end_hz"]
 
 
 def test_montecarlo_is_reproducible(tiny_link_result):
@@ -240,6 +291,28 @@ def test_montecarlo_memo_reuses_records_across_figures(monkeypatch):
     assert first.points[0].axis_value == second.points[0].axis_value
 
 
+def test_montecarlo_variants_share_each_cell_seed(monkeypatch):
+    """Every variant of a (point, trial) cell runs on that cell's seed and
+    reports its metrics as ``metric@variant``."""
+    import repro.validation.montecarlo as mc_module
+
+    executed = []
+    real_runner = mc_module.ExperimentRunner
+
+    class RecordingRunner(real_runner):
+        def iter_run(self, scenarios, progress=None):
+            executed.extend(scenarios)
+            return super().iter_run(scenarios, progress=progress)
+
+    monkeypatch.setattr(mc_module, "ExperimentRunner", RecordingRunner)
+    spec = get_figure("receive_chain")
+    spec = dataclasses.replace(spec, params={**spec.params, "quick_num_packets": 1})
+    result = MonteCarloRunner(trials=2, max_workers=1).run(spec, quick=True)
+    assert [s.seed for s in executed] == [spec.point_seed(20.0, t) for t in (0, 1)] * 2
+    assert {s.modem.use_equalizer for s in executed} == {True, False}
+    assert {"per@full", "per@no-equalizer"} <= set(result.points[0].summaries)
+
+
 def test_montecarlo_rejects_bad_trials():
     with pytest.raises(ValueError):
         MonteCarloRunner(trials=0)
@@ -255,6 +328,134 @@ def test_summarize_point_mixed_metrics():
     assert point.summary("goodput").mean == pytest.approx(110.0)
     with pytest.raises(KeyError):
         point.summary("unknown")
+
+
+# --------------------------------------------------------------------- claims
+def _claims_spec(*claims):
+    return FigureSpec(
+        name="toy", title="toy figure", kind="airtime", axis="x",
+        values=(1.0, 2.0, 3.0), quick_values=(1.0,), metrics=("m", "p"),
+        headline="m", tolerance=0.0, variants={"a": {}, "b": {}}, claims=claims,
+    )
+
+
+def _toy_result(quick=False):
+    """m@a falls 30 -> 20 -> 10 along x; m@b stays 15; p stays 25."""
+    points = [
+        PointEstimate(axis_value=x, n_trials=2, summaries={
+            "m@a": summarize_continuous("m@a", [a - 1.0, a + 1.0]),
+            "m@b": summarize_continuous("m@b", [15.0, 15.0]),
+            "p@a": summarize_continuous("p@a", [25.0, 25.0]),
+            "p@b": summarize_continuous("p@b", [25.0, 25.0]),
+        })
+        for x, a in ((1.0, 30.0), (2.0, 20.0), (3.0, 10.0))
+        if not quick or x == 1.0
+    ]
+    return FigureResult(figure="toy", axis="x", trials=2, quick=quick,
+                        points=tuple(points))
+
+
+_A = [cell("m", "a", x) for x in (1.0, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("chain, holds", [
+    # monotone along the axis
+    ((_A[0], ">", _A[1], ">", _A[2]), True),
+    ((_A[0], "<", _A[1], "<", _A[2]), False),
+    # A <= B against another metric, another variant, a constant
+    ((cell("p", "a", 1.0), "<", _A[0]), True),
+    ((cell("p", "a", 2.0), "<=", _A[1]), False),
+    ((cell("m", "b", 2.0), "<=", _A[1]), True),
+    ((_A[2], ">=", cell("m", "b", 3.0)), False),
+    ((_A[2], "<", 10.5), True),
+    ((_A[2], "<", 10.0), False),
+    # inside a band
+    ((5.0, "<", cell("m", "b", 1.0), "<", 20.0), True),
+    ((16.0, "<", cell("m", "b", 1.0), "<", 20.0), False),
+    # aggregates, scale and offset
+    ((agg("max", *_A), "<=", 30.0), True),
+    ((agg("mean", *_A), ">", 20.0), False),
+    ((agg("sum", _A[0], _A[1]), ">=", 50.0), True),
+    ((agg("spread", _A[0], cell("m", "b", 1.0)), ">", 15.0), False),
+    ((agg("distinct", *(cell("m", "b", x) for x in (1.0, 2.0, 3.0))), ">", 1), False),
+    ((_A[2], ">", cell("m", "b", 3.0, times=0.5, plus=2.0)), True),
+    ((agg("min", _A[2], 12.0, plus=1.0), "<=", 11.0), True),
+])
+def test_claim_shapes_pass_and_fail_on_pooled_estimates(chain, holds):
+    spec = _claims_spec(claim("Fig. 0", "paper value", *chain))
+    [check] = evaluate_claims(spec, _toy_result())
+    assert check.holds is holds
+    assert check.passed is holds
+    assert check.status == ("pass" if holds else "FAIL")
+
+
+def test_claim_reports_its_estimates_with_intervals():
+    spec = _claims_spec(claim("Fig. 0", "paper value", _A[0], ">", 25.0))
+    [check] = evaluate_claims(spec, _toy_result())
+    assert check.reproduced() == "30 [28.61, 31.39]"
+    row = check.to_dict()
+    assert row["claim"] == "m@a(1) > 25" and row["paper"] == "paper value"
+    assert row["terms"][1] == [25.0, 25.0, 25.0] and row["gap"] is None
+
+
+def test_known_gap_is_reported_but_never_fails_the_gate(monkeypatch):
+    failing = claim("Fig. 0", "paper value", _A[2], ">", 100.0,
+                    gap="measured 10; see the toy model")
+    closed = claim("Fig. 0", "paper value", _A[0], ">", 0.0, gap="measured 30")
+    spec = _claims_spec(failing, closed)
+    monkeypatch.setitem(FIGURE_REGISTRY, "toy", spec)
+    checks = evaluate_claims(spec, _toy_result())
+    assert [c.status for c in checks] == ["known gap", "known gap: claim now holds"]
+    report = ValidationReport()
+    report.add(FigureReport(result=_toy_result(), claims=checks))
+    assert report.passed
+    markdown = report.to_markdown()
+    assert "paper vs reproduction" in markdown
+    assert "claim now holds" in markdown
+    assert "measured 10; see the toy model" in markdown  # listed with every report
+    statuses = [row["status"] for row in report.to_dict()["figures"][0]["claims"]]
+    assert statuses == ["known gap", "known gap: claim now holds"]
+
+
+def test_failed_claim_fails_the_report(monkeypatch):
+    spec = _claims_spec(claim("Fig. 0", "paper value", _A[2], ">", 100.0))
+    monkeypatch.setitem(FIGURE_REGISTRY, "toy", spec)
+    report = ValidationReport()
+    report.add(FigureReport(result=_toy_result(), claims=evaluate_claims(spec, _toy_result())))
+    assert not report.passed
+    assert "**FAIL**" in report.to_markdown()
+
+
+def test_claims_outside_the_quick_grid_skip_quick_runs_but_bind_full_runs():
+    spec = _claims_spec(
+        claim("Fig. 0", "paper value", _A[2], "<", _A[0]),
+        claim("Fig. 0", "paper value", _A[0], ">", 25.0),
+    )
+    assert len(evaluate_claims(spec, _toy_result(quick=True))) == 1
+    full = _toy_result()
+    truncated = FigureResult(figure="toy", axis="x", trials=2, quick=False,
+                             points=full.points[:2])
+    with pytest.raises(LookupError):
+        evaluate_claims(spec, truncated)
+
+
+def test_claims_are_checked_against_their_spec():
+    with pytest.raises(ValueError):  # unknown metric
+        _claims_spec(claim("Fig. 0", "p", cell("q", "a", 1.0), "<", 1.0))
+    with pytest.raises(ValueError):  # unknown variant
+        _claims_spec(claim("Fig. 0", "p", cell("m", "c", 1.0), "<", 1.0))
+    with pytest.raises(ValueError):  # axis value off the grid
+        _claims_spec(claim("Fig. 0", "p", cell("m", "a", 9.0), "<", 1.0))
+    with pytest.raises(ValueError):  # no axis value on a multi-point grid
+        _claims_spec(claim("Fig. 0", "p", cell("m", "a"), "<", 1.0))
+    with pytest.raises(ValueError):  # two operators in one chain
+        claim("Fig. 0", "p", _A[0], "<", _A[1], "<=", _A[2])
+    with pytest.raises(ValueError):  # nothing measured
+        claim("Fig. 0", "p", 1.0, "<", 2.0)
+    with pytest.raises(ValueError):  # no panel
+        claim("", "p", _A[0], "<", 2.0)
+    with pytest.raises(ValueError):  # unknown aggregate
+        agg("median", *_A)
 
 
 # ------------------------------------------------------- envelopes / reports
