@@ -20,8 +20,8 @@ SIGCOMM 2022).  It contains:
   multi-transmitter network simulator.
 * :mod:`repro.app` -- the messaging application layer (240 hand-signal
   catalog, message codec, SoS beacons).
-* :mod:`repro.analysis` -- BER/PER/CDF analysis helpers used by the
-  result tables and the figure validation.
+* :mod:`repro.analysis` -- the theoretical BPSK BER reference and the
+  text-table renderer used by the result tables and the figure validation.
 * :mod:`repro.experiments` -- the declarative experiment layer: a frozen
   :class:`~repro.experiments.Scenario` describes one evaluation point, a
   :class:`~repro.experiments.Sweep` expands parameter grids, and an
@@ -54,7 +54,6 @@ from repro.experiments import (
     Scenario,
     Sweep,
     SweepService,
-    run_net_scenario,
     run_scenario,
 )
 from repro.link.session import LinkSession, LinkStatistics, PacketResult
@@ -91,7 +90,6 @@ __all__ = [
     "RunRecord",
     "SweepService",
     "run_scenario",
-    "run_net_scenario",
     "AcousticNetTopology",
     "ArqConfig",
     "CalibratedLink",

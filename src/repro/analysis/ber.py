@@ -27,21 +27,3 @@ def bpsk_ber_theoretical(snr_db: np.ndarray | float) -> np.ndarray | float:
     if np.isscalar(snr_db):
         return float(result)
     return result
-
-
-def snr_for_target_ber(target_ber: float) -> float:
-    """Return the SNR (dB) at which theoretical BPSK BER equals ``target_ber``.
-
-    Solved by bisection; the paper's 1 % BER reference corresponds to about
-    4.3 dB, matching the 4 dB dashed line in Fig. 16.
-    """
-    if not 0 < target_ber < 0.5:
-        raise ValueError("target_ber must be in (0, 0.5)")
-    low, high = -10.0, 30.0
-    for _ in range(100):
-        mid = 0.5 * (low + high)
-        if bpsk_ber_theoretical(mid) > target_ber:
-            low = mid
-        else:
-            high = mid
-    return 0.5 * (low + high)

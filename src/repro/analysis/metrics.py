@@ -1,15 +1,6 @@
-"""Small formatting and metric helpers for reports and result tables."""
+"""Fixed-width text tables for reports and result sets."""
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def per_to_percent(per: float) -> str:
-    """Format a packet error rate as a percentage string."""
-    if not np.isfinite(per):
-        return "n/a"
-    return f"{100.0 * per:.1f}%"
 
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:
@@ -24,12 +15,3 @@ def format_table(headers: list[str], rows: list[list[object]]) -> str:
         cells = [str(cell).ljust(widths[i]) for i, cell in enumerate(row)]
         lines.append("  ".join(cells))
     return "\n".join(lines)
-
-
-def geometric_mean(values: list[float] | np.ndarray) -> float:
-    """Geometric mean, ignoring non-positive entries."""
-    values = np.asarray(values, dtype=float)
-    values = values[values > 0]
-    if values.size == 0:
-        return float("nan")
-    return float(np.exp(np.mean(np.log(values))))

@@ -13,7 +13,6 @@ from repro.app.messages import (
     COMMON_MESSAGE_IDS,
     MESSAGE_CATALOG,
     HandSignalMessage,
-    messages_in_category,
 )
 from repro.app.messenger import Messenger, MessageDeliveryReport
 from repro.app.sos import SosBeaconService, SosReception
@@ -23,7 +22,6 @@ __all__ = [
     "MESSAGE_CATALOG",
     "CATEGORIES",
     "COMMON_MESSAGE_IDS",
-    "messages_in_category",
     "MessageCodec",
     "Messenger",
     "MessageDeliveryReport",

@@ -49,10 +49,6 @@ class MessageCodec:
                 bits[slot * BITS_PER_MESSAGE + bit] = (message_id >> (BITS_PER_MESSAGE - 1 - bit)) & 1
         return bits
 
-    def encode_messages(self, messages: list[HandSignalMessage]) -> np.ndarray:
-        """Encode catalog entries (rather than raw ids)."""
-        return self.encode_ids([m.message_id for m in messages])
-
     # ----------------------------------------------------------------- decode
     def decode_ids(self, bits: np.ndarray) -> list[int]:
         """Decode payload bits into the carried message identifiers.

@@ -167,15 +167,3 @@ def get_message(message_id: int) -> HandSignalMessage:
     if not 0 <= message_id < len(MESSAGE_CATALOG):
         raise ValueError(f"message_id must be in [0, {len(MESSAGE_CATALOG) - 1}], got {message_id}")
     return MESSAGE_CATALOG[message_id]
-
-
-def messages_in_category(category: str) -> tuple[HandSignalMessage, ...]:
-    """Return all messages belonging to one category."""
-    if category not in CATEGORIES:
-        raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
-    return tuple(m for m in MESSAGE_CATALOG if m.category == category)
-
-
-def common_messages() -> tuple[HandSignalMessage, ...]:
-    """Return the 20 most common messages shown prominently in the app."""
-    return tuple(m for m in MESSAGE_CATALOG if m.is_common)

@@ -99,12 +99,3 @@ class Messenger:
             bitrate_bps=result.coded_bitrate_bps,
             packet_result=result,
         )
-
-    def send_text(self, text: str) -> MessageDeliveryReport:
-        """Send the catalog message whose text matches ``text`` exactly."""
-        from repro.app.messages import MESSAGE_CATALOG
-
-        matches = [m for m in MESSAGE_CATALOG if m.text == text]
-        if not matches:
-            raise ValueError(f"no catalog message with text {text!r}")
-        return self.send_message_ids([matches[0].message_id])

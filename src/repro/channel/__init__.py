@@ -17,8 +17,6 @@ from repro.channel.physics import (
     SOUND_SPEED_M_S,
     absorption_db_per_km,
     sound_speed_m_s,
-    spreading_loss_db,
-    transmission_loss_db,
 )
 
 __all__ = [
@@ -34,6 +32,4 @@ __all__ = [
     "SOUND_SPEED_M_S",
     "sound_speed_m_s",
     "absorption_db_per_km",
-    "spreading_loss_db",
-    "transmission_loss_db",
 ]

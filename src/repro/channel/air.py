@@ -24,9 +24,6 @@ from repro.utils.rng import ensure_rng
 from repro.utils.units import db_to_amplitude_ratio
 from repro.utils.validation import require_positive
 
-#: Speed of sound in air (m/s) at room temperature.
-SOUND_SPEED_AIR_M_S = 343.0
-
 
 @dataclass
 class InAirChannel:

@@ -31,13 +31,11 @@ from repro.channel.physics import absorption_db_per_km, sound_speed_m_s
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive
 
-#: Thorp absorption at the 2.5 kHz band centre -- the constant
-#: :func:`repro.channel.physics.path_amplitude` re-derives on every call.
-#: Hoisted so the per-path loss expressions in :meth:`MultipathModel._tap_data`
-#: stay bit-identical to ``path_amplitude(length)`` (same float operations)
-#: while skipping the scalar-numpy call chain on the per-packet drifted
-#: impulse-response rebuilds; the identity is pinned by
-#: tests/test_fastpath_golden.py.
+#: Thorp absorption at the 2.5 kHz band centre, hoisted out of the per-path
+#: loss expressions in :meth:`MultipathModel._tap_data`, which the per-packet
+#: drifted impulse-response rebuilds run.  They stay bit-identical to the
+#: scalar spreading-plus-absorption amplitude (same float operations);
+#: tests/test_fastpath_golden.py pins the identity against the oracle.
 _ALPHA_2500_DB_PER_KM = absorption_db_per_km(2500.0)
 
 #: Static image-family structure per ``max_bounces``: interleaved image
@@ -308,54 +306,35 @@ class MultipathModel:
         return lengths / self.sound_speed_m_s, amplitudes, lengths
 
     # ------------------------------------------------------------------ output
-    def impulse_response(
-        self,
-        sample_rate_hz: float,
-        normalize_delay: bool = True,
-        max_taps: int | None = None,
-    ) -> np.ndarray:
+    def impulse_response(self, sample_rate_hz: float) -> np.ndarray:
         """Return the sampled impulse response of the multipath channel.
 
-        Parameters
-        ----------
-        sample_rate_hz:
-            Sampling rate of the waveforms the response will filter.
-        normalize_delay:
-            When ``True`` (default) the earliest path is placed at delay 0
-            so the bulk propagation delay is removed (the link simulator
-            accounts for absolute propagation delay separately).
-        max_taps:
-            Optional cap on the response length in samples.
+        The earliest path sits at delay 0: the bulk propagation delay is
+        removed (the link simulator accounts for absolute propagation delay
+        separately).
         """
         require_positive(sample_rate_hz, "sample_rate_hz")
         delays, amplitudes, _, _, _ = self._tap_data()
         if delays.size == 0:
             raise RuntimeError("multipath model produced no paths")
-        first_delay = delays[0] if normalize_delay else 0.0
-        relative_delays = (delays - first_delay) * sample_rate_hz
-        length = int(np.ceil(relative_delays[-1] if normalize_delay else relative_delays.max())) + 2
-        if max_taps is not None:
-            length = min(length, int(max_taps))
-        response = np.zeros(max(length, 1))
+        relative_delays = (delays - delays[0]) * sample_rate_hz
+        response = np.zeros(int(np.ceil(relative_delays[-1])) + 2)
         # Linear interpolation spreads each tap over its two neighbouring
         # samples (a fractional delay of the path).  np.add.at
         # accumulates unbuffered in operand order, matching a per-path loop
-        # even for coincident indices.
+        # even for coincident indices.  The delays are sorted, so every
+        # tap and its +1 neighbour fall inside the response.
         indices = np.floor(relative_delays).astype(int)
-        in_range = indices < response.size
-        indices = indices[in_range]
-        fracs = relative_delays[in_range] - indices
-        kept = amplitudes[in_range]
+        fracs = relative_delays - indices
         # One interleaved scatter-add keeps the accumulation order of the
         # original per-path loop (main tap, then its +1 neighbour) exact.
         targets = np.empty(2 * indices.size, dtype=int)
         targets[0::2] = indices
         targets[1::2] = indices + 1
         contributions = np.empty(2 * indices.size)
-        contributions[0::2] = kept * (1.0 - fracs)
-        contributions[1::2] = kept * fracs
-        valid = targets < response.size
-        np.add.at(response, targets[valid], contributions[valid])
+        contributions[0::2] = amplitudes * (1.0 - fracs)
+        contributions[1::2] = amplitudes * fracs
+        np.add.at(response, targets, contributions)
         return response
 
     def frequency_response_db(
@@ -369,12 +348,3 @@ class MultipathModel:
         frequencies_hz = np.asarray(frequencies_hz, dtype=float)
         magnitude = np.interp(frequencies_hz, grid, np.abs(spectrum))
         return 20.0 * np.log10(np.maximum(magnitude, 1e-12))
-
-    def delay_spread_s(self) -> float:
-        """Return the delay spread (last minus first arrival) in seconds."""
-        paths = self.paths()
-        return paths[-1].delay_s - paths[0].delay_s
-
-    def direct_path_delay_s(self) -> float:
-        """Return the absolute delay of the earliest arrival in seconds."""
-        return self.paths()[0].delay_s

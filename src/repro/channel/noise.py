@@ -167,15 +167,3 @@ class AmbientNoiseModel:
             burst = rng.standard_normal(burst_length) * envelope * amplitude
             impulses[start:start + burst_length] += burst
         return impulses
-
-    def with_level(self, level_db: float) -> "AmbientNoiseModel":
-        """Return a copy with a different overall level."""
-        return AmbientNoiseModel(
-            level_db=level_db,
-            low_frequency_emphasis_db=self.low_frequency_emphasis_db,
-            low_frequency_cutoff_hz=self.low_frequency_cutoff_hz,
-            rolloff_start_hz=self.rolloff_start_hz,
-            rolloff_db_per_octave=self.rolloff_db_per_octave,
-            impulsive_rate_hz=self.impulsive_rate_hz,
-            impulsive_gain_db=self.impulsive_gain_db,
-        )

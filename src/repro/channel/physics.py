@@ -8,10 +8,10 @@ Standard empirical models are used:
 * absorption from Thorp's formula -- essentially negligible below 4 kHz
   over tens of metres, but included so the long-range beacon experiments
   see the correct (small) trend;
-* practical spreading loss ``k * 10 * log10(d)``; the default exponent of
-  2.0 (spherical spreading) matches the short, shallow links of the paper
-  where boundary losses remove most of the energy that cylindrical
-  spreading would otherwise retain.
+* spherical spreading loss ``20 * log10(d)``, applied per path by the
+  multipath tap builder (:mod:`repro.channel.multipath`): it matches the
+  short, shallow links of the paper, where boundary losses remove most of
+  the energy that cylindrical spreading would otherwise retain.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dsp.resample import SOUND_SPEED_WATER_M_S
-from repro.utils.validation import require_positive
-
-#: Reference distance for transmission-loss calculations (metres).
-REFERENCE_DISTANCE_M = 1.0
 
 #: Canonical nominal sound speed (m/s) for distance-to-delay conversions.
 #: The paper simply uses 1500 m/s; every layer that needs the nominal value
@@ -66,32 +62,3 @@ def absorption_db_per_km(frequency_hz: float | np.ndarray) -> float | np.ndarray
     if np.isscalar(frequency_hz):
         return float(alpha)
     return alpha
-
-
-def spreading_loss_db(distance_m: float, spreading_exponent: float = 2.0) -> float:
-    """Return geometric spreading loss in dB at ``distance_m``."""
-    require_positive(distance_m, "distance_m")
-    distance = max(distance_m, REFERENCE_DISTANCE_M)
-    return spreading_exponent * 10.0 * np.log10(distance / REFERENCE_DISTANCE_M)
-
-
-def transmission_loss_db(
-    distance_m: float,
-    frequency_hz: float | np.ndarray = 2500.0,
-    spreading_exponent: float = 2.0,
-) -> float | np.ndarray:
-    """Return total one-way transmission loss (spreading + absorption) in dB."""
-    require_positive(distance_m, "distance_m")
-    spreading = spreading_loss_db(distance_m, spreading_exponent)
-    absorption = absorption_db_per_km(frequency_hz) * distance_m / 1000.0
-    return spreading + absorption
-
-
-def path_amplitude(
-    distance_m: float,
-    frequency_hz: float = 2500.0,
-    spreading_exponent: float = 2.0,
-) -> float:
-    """Return the linear amplitude factor for a propagation path."""
-    loss_db = transmission_loss_db(distance_m, frequency_hz, spreading_exponent)
-    return float(10.0 ** (-loss_db / 20.0))

@@ -38,12 +38,6 @@ class FixedBandScheme:
         end_bin = min(config.last_data_bin, config.frequency_to_bin(self.high_hz) - 1)
         return selection_from_bins(start_bin, end_bin, config)
 
-    @property
-    def bandwidth_hz(self) -> float:
-        """Width of the fixed band in Hz."""
-        return self.high_hz - self.low_hz
-
-
 #: The three fixed-bandwidth baselines evaluated in the paper.
 FIXED_FULL_BAND = FixedBandScheme("fixed 3 kHz (1-4 kHz)", 1000.0, 4000.0)
 FIXED_MEDIUM_BAND = FixedBandScheme("fixed 1.5 kHz (1-2.5 kHz)", 1000.0, 2500.0)

@@ -64,11 +64,6 @@ class EncodedPacket:
     num_coded_bits: int
     num_data_symbols: int
 
-    @property
-    def num_symbols_total(self) -> int:
-        """Total OFDM symbols including the training symbol."""
-        return self.num_data_symbols + 1
-
 
 @dataclass(frozen=True)
 class DecodedPacket:

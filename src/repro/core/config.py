@@ -109,11 +109,6 @@ class OFDMConfig:
         bins.setflags(write=False)
         return bins
 
-    @property
-    def data_bin_frequencies_hz(self) -> np.ndarray:
-        """Centre frequencies of the usable data subcarriers in Hz."""
-        return self.data_bins * self.subcarrier_spacing_hz
-
     def bin_frequency_hz(self, bin_index: int) -> float:
         """Return the centre frequency of an absolute subcarrier index."""
         return float(bin_index * self.subcarrier_spacing_hz)
@@ -138,10 +133,6 @@ class OFDMConfig:
         return replace(
             self, symbol_length=symbol_length, cyclic_prefix_length=prefix
         )
-
-    def with_band(self, low_hz: float, high_hz: float) -> "OFDMConfig":
-        """Return a copy with a different communication band."""
-        return replace(self, band_low_hz=low_hz, band_high_hz=high_hz)
 
 
 @dataclass(frozen=True)
@@ -226,8 +217,3 @@ class ProtocolConfig:
     def pn_signs_array(self) -> np.ndarray:
         """Preamble sign pattern as a float array."""
         return np.array(self.preamble_pn_signs, dtype=float)
-
-
-#: Default configurations matching the paper.
-DEFAULT_OFDM_CONFIG = OFDMConfig()
-DEFAULT_PROTOCOL_CONFIG = ProtocolConfig()

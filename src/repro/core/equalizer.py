@@ -68,11 +68,6 @@ class MMSEEqualizer:
         self.delay = int(delay)
         self.coefficients: np.ndarray | None = None
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self.coefficients is not None
-
     # ------------------------------------------------------------ correlations
     def _validate_training(self, y: np.ndarray, x: np.ndarray) -> None:
         if y.size != x.size:

@@ -189,7 +189,3 @@ class AquaModem:
         return bitrate_for_selection(
             band, self.ofdm_config, self.protocol_config, include_cyclic_prefix=include_cyclic_prefix
         )
-
-    def data_burst_length(self, num_payload_bits: int, band: BandSelection) -> int:
-        """Number of samples the data burst (training + data symbols) occupies."""
-        return self.decoder.expected_length(num_payload_bits, band)

@@ -42,10 +42,6 @@ class WaterproofCase:
     response: FrequencyResponse
     rated_depth_m: float
 
-    def total_gain_db(self, frequencies_hz: np.ndarray | float) -> np.ndarray | float:
-        """Return the case gain (negative = loss) at the given frequencies."""
-        return self.response.gain_db(frequencies_hz) - self.attenuation_db
-
     def check_depth(self, depth_m: float) -> None:
         """Raise ``ValueError`` if ``depth_m`` exceeds the case rating."""
         if depth_m > self.rated_depth_m:

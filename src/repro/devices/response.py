@@ -99,11 +99,6 @@ class FrequencyResponse:
         filtered = sp_signal.lfilter(taps, 1.0, padded)
         return filtered[delay:delay + len(samples)]
 
-    def mean_gain_db(self, low_hz: float = 1000.0, high_hz: float = 4000.0) -> float:
-        """Average gain over a band, used for power-budget calculations."""
-        freqs = np.linspace(low_hz, high_hz, 64)
-        return float(np.mean(self.gain_db(freqs)))
-
     def combined_with(self, other: "FrequencyResponse", label: str = "") -> "FrequencyResponse":
         """Return the cascade of two responses (gains added in dB)."""
         freqs = np.unique(np.concatenate([
@@ -116,12 +111,3 @@ class FrequencyResponse:
             notches=tuple(self.notches) + tuple(other.notches),
             label=label or f"{self.label}+{other.label}",
         )
-
-
-def flat_response(gain_db: float = 0.0, label: str = "flat") -> FrequencyResponse:
-    """Return a frequency-independent response with the given gain."""
-    return FrequencyResponse(
-        anchor_frequencies_hz=(20.0, 24000.0),
-        anchor_gains_db=(gain_db, gain_db),
-        label=label,
-    )

@@ -47,12 +47,3 @@ def lfm_chirp(
     sweep_rate = (f_end_hz - f_start_hz) / duration_s
     phase = 2.0 * np.pi * (f_start_hz * t + 0.5 * sweep_rate * t * t)
     return amplitude * np.sin(phase)
-
-
-def chirp_instantaneous_frequency(
-    f_start_hz: float, f_end_hz: float, duration_s: float, times_s: np.ndarray
-) -> np.ndarray:
-    """Return the instantaneous frequency of the chirp at the given times."""
-    require_positive(duration_s, "duration_s")
-    times_s = np.asarray(times_s, dtype=float)
-    return f_start_hz + (f_end_hz - f_start_hz) * times_s / duration_s

@@ -110,8 +110,8 @@ class FIRBandpassFilter:
         """Group delay of the linear-phase filter in samples."""
         return (self.taps.size - 1) // 2
 
-    def apply(self, samples: np.ndarray, compensate_delay: bool = True) -> np.ndarray:
-        """Filter ``samples`` and optionally remove the filter group delay.
+    def apply(self, samples: np.ndarray) -> np.ndarray:
+        """Filter ``samples`` and remove the filter group delay.
 
         Compensating the delay keeps downstream symbol timing (established
         from the preamble position) valid after filtering.
@@ -123,10 +123,8 @@ class FIRBandpassFilter:
         """
         samples = np.asarray(samples, dtype=float)
         filtered = convolve_full(samples, self.taps)
-        if compensate_delay:
-            start = self.group_delay_samples
-            return filtered[start:start + samples.size]
-        return filtered[: samples.size]
+        start = self.group_delay_samples
+        return filtered[start:start + samples.size]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -1,4 +1,4 @@
-"""CAZAC (Zadoff-Chu) and pseudo-noise sequences.
+"""CAZAC (Zadoff-Chu) sequences and the preamble's pseudo-noise sign pattern.
 
 The AquaApp preamble fills its OFDM subcarriers with a CAZAC sequence
 because such sequences have constant amplitude (unit peak-to-average power
@@ -59,43 +59,6 @@ def zadoff_chu(length: int, root: int = 1) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def pn_sign_sequence(length: int, seed: int = 0x5A) -> np.ndarray:
-    """Return a deterministic +/-1 pseudo-noise sequence of ``length`` values.
-
-    A small linear-feedback shift register (taps matching the x^7 + x^6 + 1
-    maximal-length polynomial) generates the chips, so the same ``seed``
-    always produces the same pattern on every platform.
-    """
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
-    state = seed & 0x7F
-    if state == 0:
-        state = 0x5A
-    chips = np.empty(length, dtype=float)
-    for i in range(length):
-        bit = ((state >> 6) ^ (state >> 5)) & 1
-        state = ((state << 1) | bit) & 0x7F
-        chips[i] = 1.0 if bit else -1.0
-    return chips
-
-
 def preamble_pn_signs() -> np.ndarray:
     """Return the paper's eight-element preamble sign pattern as an array."""
     return np.array(PREAMBLE_PN_SIGNS, dtype=float)
-
-
-def periodic_autocorrelation(sequence: np.ndarray) -> np.ndarray:
-    """Return the normalized periodic autocorrelation of a complex sequence.
-
-    Used by tests to check the CAZAC property: the zero-lag value is 1 and
-    every other lag is (close to) 0 for odd-length Zadoff-Chu sequences.
-    """
-    sequence = np.asarray(sequence, dtype=complex)
-    n = sequence.size
-    if n == 0:
-        raise ValueError("sequence must be non-empty")
-    energy = float(np.sum(np.abs(sequence) ** 2))
-    lags = np.empty(n, dtype=complex)
-    for lag in range(n):
-        lags[lag] = np.sum(sequence * np.conj(np.roll(sequence, lag))) / energy
-    return lags

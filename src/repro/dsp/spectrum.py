@@ -8,36 +8,9 @@ the carrier-sense MAC energy detector.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.utils.units import power_ratio_to_db
 from repro.utils.validation import require_positive
-
-
-def power_spectral_density(
-    samples: np.ndarray,
-    sample_rate_hz: float,
-    nperseg: int = 2048,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(frequencies, psd)`` via Welch's method."""
-    require_positive(sample_rate_hz, "sample_rate_hz")
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 8:
-        raise ValueError("need at least 8 samples to estimate a spectrum")
-    nperseg = min(nperseg, samples.size)
-    freqs, psd = sp_signal.welch(samples, fs=sample_rate_hz, nperseg=nperseg)
-    return freqs, psd
-
-
-def magnitude_spectrum_db(
-    samples: np.ndarray,
-    sample_rate_hz: float,
-    nperseg: int = 2048,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(frequencies, magnitude_db)`` normalized to the peak bin."""
-    freqs, psd = power_spectral_density(samples, sample_rate_hz, nperseg)
-    db = power_ratio_to_db(psd / max(float(np.max(psd)), 1e-30))
-    return freqs, db
 
 
 def band_power(

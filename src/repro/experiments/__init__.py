@@ -36,7 +36,7 @@ keeps beside each finished job.
 """
 
 from repro.experiments.columnar import ColumnarResultSet
-from repro.experiments.net_scenario import NetScenario, run_net_scenario
+from repro.experiments.net_scenario import NetScenario
 from repro.experiments.records import DEFAULT_TABLE_COLUMNS, ResultSet, RunRecord
 from repro.experiments.runner import CacheMissWarning, ExperimentRunner
 from repro.experiments.scenario import SCHEME_CATALOG, ModemSpec, Scenario, run_scenario
@@ -57,6 +57,5 @@ __all__ = [
     "Sweep",
     "SweepJob",
     "SweepService",
-    "run_net_scenario",
     "run_scenario",
 ]

@@ -7,9 +7,9 @@ model, ARQ configuration, traffic workload and seed.  Like ``Scenario``
 it is frozen, hashable, picklable and JSON-serializable, so network
 points can ride the same sweep/runner machinery and CLI conventions.
 
->>> from repro.experiments import NetScenario, run_net_scenario
+>>> from repro.experiments import NetScenario
 >>> point = NetScenario(num_nodes=25, routing="greedy", seed=3)
->>> result = run_net_scenario(point)        # doctest: +SKIP
+>>> result = point.run()                    # doctest: +SKIP
 """
 
 from __future__ import annotations
@@ -414,8 +414,3 @@ class NetScenario:
     def run(self) -> NetworkResult:
         """Run the scenario in this process."""
         return self.build_simulator().run(traffic=self.build_traffic())
-
-
-def run_net_scenario(scenario: NetScenario) -> NetworkResult:
-    """Run one network scenario (pool-friendly module-level function)."""
-    return scenario.run()

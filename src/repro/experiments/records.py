@@ -4,10 +4,10 @@
 scenario -- the aggregate link metrics plus the per-packet series
 (bitrates, band edges, in-band SNRs, delivery flags) -- in plain Python
 types, so records survive process boundaries and JSON round trips without
-dragging :class:`~repro.link.session.LinkStatistics` (and its numpy
-state) along.  :class:`ResultSet` is an ordered collection of records with
-tabular and JSON export, subsuming the ad-hoc figure-table plumbing the
-benchmark harness used to carry.
+dragging :class:`~repro.link.session.LinkStatistics` (and its per-packet
+results) along.  :class:`ResultSet` is an ordered collection of records
+with tabular and JSON export, subsuming the ad-hoc figure-table plumbing
+the benchmark harness used to carry.
 
 Records compare equal when their scientific content is identical; the
 wall-clock ``elapsed_s`` field is deliberately excluded so a serial run
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -223,13 +223,9 @@ class ResultSet:
         self.records.append(record)
 
     # ------------------------------------------------------------ selection
-    def where(self, predicate: Callable[[RunRecord], bool] | None = None, **criteria) -> "ResultSet":
-        """Records whose scenario matches the criteria (and predicate)."""
-        picked = [
-            r for r in self.records
-            if r.scenario.matches(**criteria) and (predicate is None or predicate(r))
-        ]
-        return type(self)(picked)
+    def where(self, **criteria) -> "ResultSet":
+        """Records whose scenario matches the criteria."""
+        return type(self)([r for r in self.records if r.scenario.matches(**criteria)])
 
     def lookup(self, **criteria) -> RunRecord:
         """The single record matching the criteria; raises otherwise."""

@@ -106,7 +106,6 @@ class SweepService:
         self.cache_dir = self.root / "cache"
         self.jobs_dir = self.root / "jobs"
         self.max_workers = max_workers
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------- plumbing
     def _job_dir(self, job_id: str) -> pathlib.Path:

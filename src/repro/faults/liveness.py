@@ -55,11 +55,6 @@ class NeighborLivenessTracker:
         """Silence required before a node is declared dead."""
         return self.miss_threshold * self.beacon_interval_s
 
-    @property
-    def suspected_dead(self) -> frozenset[str]:
-        """Nodes currently believed dead."""
-        return frozenset(self._dead)
-
     def tick(
         self, now_s: float, down: Set[str]
     ) -> tuple[list[str], list[str]]:

@@ -66,26 +66,21 @@ class SubcarrierInterleaver:
             stride = max(1, self.bins_per_symbol // 3)
             self._within_symbol = _stride_permutation(self.bins_per_symbol, stride)
 
-    @property
-    def within_symbol_order(self) -> np.ndarray:
-        """Subcarrier positions visited, in the order bits are assigned."""
-        return self._within_symbol.copy()
-
     def num_symbols(self, num_bits: int) -> int:
         """Number of OFDM data symbols needed to carry ``num_bits`` coded bits."""
         if num_bits < 0:
             raise ValueError("num_bits must be non-negative")
         return int(np.ceil(num_bits / self.bins_per_symbol)) if num_bits else 0
 
-    def interleave(self, bits: np.ndarray | list[int], pad_value: int = 0) -> np.ndarray:
+    def interleave(self, bits: np.ndarray | list[int]) -> np.ndarray:
         """Return a (num_symbols, bins_per_symbol) grid of interleaved bits.
 
         Bits are placed symbol-first with the within-symbol stride order;
-        unused positions in the final symbol are filled with ``pad_value``.
+        unused positions in the final symbol are filled with zeros.
         """
         bits = np.asarray(bits).ravel()
         n_symbols = self.num_symbols(bits.size)
-        grid = np.full((n_symbols, self.bins_per_symbol), pad_value, dtype=bits.dtype if bits.size else int)
+        grid = np.zeros((n_symbols, self.bins_per_symbol), dtype=bits.dtype if bits.size else int)
         indices = np.arange(bits.size)
         grid[indices // self.bins_per_symbol,
              self._within_symbol[indices % self.bins_per_symbol]] = bits

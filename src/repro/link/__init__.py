@@ -5,17 +5,13 @@ feedback protocol of Fig. 5 between a transmitter (Alice) and a receiver
 (Bob) across a forward and a backward simulated channel, and collects the
 statistics the paper's evaluation reports (selected bitrate, packet error
 rate, coded-stream bit error rate, preamble detection rate, feedback error
-rate, channel-stability SNR probes).
+rate) in a :class:`~repro.link.session.LinkStatistics`.
 """
 
 from repro.link.session import LinkSession, LinkStatistics, PacketResult
-from repro.link.stats import empirical_cdf, median, summarize_packets
 
 __all__ = [
     "LinkSession",
     "LinkStatistics",
     "PacketResult",
-    "summarize_packets",
-    "empirical_cdf",
-    "median",
 ]

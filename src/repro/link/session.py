@@ -27,7 +27,6 @@ from repro.channel.channel import UnderwaterAcousticChannel
 from repro.core.adaptation import BandSelection
 from repro.core.baselines import FixedBandScheme
 from repro.core.modem import AquaModem
-from repro.link.stats import empirical_cdf
 from repro.utils.rng import ensure_rng
 
 
@@ -83,86 +82,24 @@ class PacketResult:
         return not self.delivered
 
 
-@dataclass(frozen=True)
-class _StatisticsSnapshot:
-    """Per-packet metrics of a :class:`LinkStatistics` as numpy columns.
-
-    Built once per distinct result count, so the aggregate properties stop
-    re-running ``sum(...)`` generators over the packet list on every access
-    (sweep tables and benchmark loops read them repeatedly).
-    """
-
-    num_packets: int
-    is_error: np.ndarray
-    bit_errors: np.ndarray
-    num_payload_bits: np.ndarray
-    coded_bit_errors: np.ndarray
-    num_coded_bits: np.ndarray
-    preamble_detected: np.ndarray
-    feedback_bad: np.ndarray
-    coded_bitrates_bps: np.ndarray
-    min_band_snrs_db: np.ndarray
-
-    @classmethod
-    def build(cls, results: list[PacketResult]) -> "_StatisticsSnapshot":
-        return cls(
-            num_packets=len(results),
-            is_error=np.array([r.is_error for r in results], dtype=bool),
-            bit_errors=np.array([r.bit_errors for r in results], dtype=np.int64),
-            num_payload_bits=np.array([r.num_payload_bits for r in results], dtype=np.int64),
-            coded_bit_errors=np.array([r.coded_bit_errors for r in results], dtype=np.int64),
-            num_coded_bits=np.array([r.num_coded_bits for r in results], dtype=np.int64),
-            preamble_detected=np.array([r.preamble_detected for r in results], dtype=bool),
-            feedback_bad=np.array(
-                [(not r.feedback_ok) or (not r.feedback_exact) for r in results], dtype=bool
-            ),
-            coded_bitrates_bps=np.array([r.coded_bitrate_bps for r in results], dtype=float),
-            min_band_snrs_db=np.array([r.min_band_snr_db for r in results], dtype=float),
-        )
+def _rate(events: int, trials: int) -> float:
+    """``events / trials``, or NaN when there were no trials."""
+    return int(events) / int(trials) if trials else float("nan")
 
 
 @dataclass
 class LinkStatistics:
-    """Aggregated statistics over many packets."""
+    """Aggregated statistics over many packets.
+
+    Every aggregate is computed from ``results`` when it is read, so it
+    always reflects the current packet list.
+    """
 
     results: list[PacketResult] = field(default_factory=list)
-    _snapshot_cache: _StatisticsSnapshot | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _snapshot_tail: PacketResult | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @classmethod
-    def from_results(cls, results: list[PacketResult]) -> "LinkStatistics":
-        """Build a statistics object from a list of packet results."""
-        return cls(results=list(results))
 
     def add(self, result: PacketResult) -> None:
         """Record one more packet."""
         self.results.append(result)
-
-    def _snapshot(self) -> _StatisticsSnapshot:
-        """Return the cached numpy view, rebuilding it when packets changed.
-
-        Staleness is detected via the result count plus the identity of the
-        last packet (a held reference, so ``is`` cannot be fooled by address
-        reuse), which covers the supported usage (``add``/``extend``-style
-        growth and truncation/replacement at the tail).  Replacing an
-        *interior* element of ``results`` in place while keeping both ends
-        intact is not detected; treat the list as append-only.
-        """
-        cache = self._snapshot_cache
-        tail = self.results[-1] if self.results else None
-        if (
-            cache is None
-            or cache.num_packets != len(self.results)
-            or self._snapshot_tail is not tail
-        ):
-            cache = _StatisticsSnapshot.build(self.results)
-            self._snapshot_cache = cache
-            self._snapshot_tail = tail
-        return cache
 
     # ------------------------------------------------------------------ rates
     @property
@@ -173,50 +110,42 @@ class LinkStatistics:
     @property
     def packet_error_rate(self) -> float:
         """Fraction of packets with at least one payload bit error."""
-        snap = self._snapshot()
-        if not snap.num_packets:
-            return float("nan")
-        return int(snap.is_error.sum()) / snap.num_packets
+        return _rate(sum(r.is_error for r in self.results), len(self.results))
 
     @property
     def payload_bit_error_rate(self) -> float:
         """Bit error rate of the decoded payloads."""
-        snap = self._snapshot()
-        bits = int(snap.num_payload_bits.sum())
-        if bits == 0:
-            return float("nan")
-        return int(snap.bit_errors.sum()) / bits
+        return _rate(
+            sum(r.bit_errors for r in self.results),
+            sum(r.num_payload_bits for r in self.results),
+        )
 
     @property
     def coded_bit_error_rate(self) -> float:
         """Bit error rate of the coded stream before Viterbi decoding."""
-        snap = self._snapshot()
-        bits = int(snap.num_coded_bits.sum())
-        if bits == 0:
-            return float("nan")
-        return int(snap.coded_bit_errors.sum()) / bits
+        return _rate(
+            sum(r.coded_bit_errors for r in self.results),
+            sum(r.num_coded_bits for r in self.results),
+        )
 
     @property
     def preamble_detection_rate(self) -> float:
         """Fraction of packets whose preamble was detected."""
-        snap = self._snapshot()
-        if not snap.num_packets:
-            return float("nan")
-        return int(snap.preamble_detected.sum()) / snap.num_packets
+        return _rate(sum(r.preamble_detected for r in self.results), len(self.results))
 
     @property
     def feedback_error_rate(self) -> float:
         """Fraction of packets whose feedback was missing or decoded wrongly."""
-        snap = self._snapshot()
-        if not snap.num_packets:
-            return float("nan")
-        return int(snap.feedback_bad.sum()) / snap.num_packets
+        return _rate(
+            sum((not r.feedback_ok) or (not r.feedback_exact) for r in self.results),
+            len(self.results),
+        )
 
     # --------------------------------------------------------------- bitrates
     @property
     def bitrates_bps(self) -> np.ndarray:
         """Selected coded bitrates of all packets with a known band."""
-        rates = self._snapshot().coded_bitrates_bps
+        rates = np.array([r.coded_bitrate_bps for r in self.results], dtype=float)
         return rates[np.isfinite(rates)]
 
     @property
@@ -224,14 +153,6 @@ class LinkStatistics:
         """Median selected coded bitrate."""
         rates = self.bitrates_bps
         return float(np.median(rates)) if rates.size else float("nan")
-
-    def bitrate_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """Empirical CDF of the selected coded bitrates."""
-        return empirical_cdf(self.bitrates_bps)
-
-    def min_band_snrs_db(self) -> np.ndarray:
-        """Minimum in-band SNR per packet (channel-stability metric)."""
-        return self._snapshot().min_band_snrs_db.copy()
 
 
 class LinkSession:

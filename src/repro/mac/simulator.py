@@ -111,6 +111,12 @@ class MacNetworkSimulator:
     ) -> None:
         if len(transmitters) < 1:
             raise ValueError("need at least one transmitter")
+        for transmitter in transmitters:
+            if transmitter.num_packets < 1:
+                raise ValueError(
+                    f"transmitter {transmitter.name} needs at least one packet, "
+                    f"got {transmitter.num_packets}"
+                )
         require_positive(packet_duration_s, "packet_duration_s")
         require_positive(sense_interval_s, "sense_interval_s")
         self.transmitters = list(transmitters)

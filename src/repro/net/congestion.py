@@ -66,13 +66,6 @@ class CwndTrajectory:
     def __len__(self) -> int:
         return len(self.times_s)
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar view ``(times_s, cwnds)``."""
-        return (
-            np.asarray(self.times_s, dtype=float),
-            np.asarray(self.cwnds, dtype=float),
-        )
-
 
 class AdaptiveRto:
     """RFC 6298-style retransmission timeout for second-scale RTTs.

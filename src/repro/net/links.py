@@ -140,18 +140,6 @@ class LinkCalibration:
         if any(not 0.0 <= p <= 1.0 for p in self.packet_error_rate):
             raise ValueError("packet_error_rate entries must lie in [0, 1]")
 
-    def per_at(self, distance_m: float) -> float:
-        """Interpolated packet error rate at ``distance_m`` (clipped)."""
-        require_positive(distance_m, "distance_m")
-        return float(
-            np.interp(distance_m, self.distances_m, self.packet_error_rate)
-        )
-
-    def bitrate_at(self, distance_m: float) -> float:
-        """Interpolated median coded bitrate at ``distance_m``."""
-        require_positive(distance_m, "distance_m")
-        return float(np.interp(distance_m, self.distances_m, self.bitrate_bps))
-
     def to_dict(self) -> dict:
         """JSON-safe dictionary form."""
         return {

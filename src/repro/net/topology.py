@@ -2,12 +2,11 @@
 
 :class:`AcousticNetTopology` is the shared map every other net component
 consults: routing asks for neighbours and distances, the link models ask
-for per-pair distance, the simulator asks for propagation delays (distance
-over the canonical :data:`~repro.channel.physics.SOUND_SPEED_M_S`) and a
-rough per-pair SNR derived from the same transmission-loss physics the
-channel simulator uses.  Mobility is modelled as per-node velocities plus
-a site-current jitter applied in discrete steps, mirroring how the
-single-link :mod:`repro.channel.motion` models drift within a packet.
+for per-pair distance, and the simulator asks for propagation delays
+(distance over the canonical :data:`~repro.channel.physics.SOUND_SPEED_M_S`).
+Mobility is modelled as per-node velocities plus a site-current jitter
+applied in discrete steps, mirroring how the single-link
+:mod:`repro.channel.motion` models drift within a packet.
 
 The geometry core is *array-backed*: positions and velocities live in
 persistent ``(N, 3)`` float64 arrays behind an interned name<->index
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.physics import SOUND_SPEED_M_S, transmission_loss_db
+from repro.channel.physics import SOUND_SPEED_M_S
 from repro.environments.sites import LAKE, Site
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive
@@ -45,14 +44,6 @@ class NodePosition:
     x_m: float
     y_m: float
     depth_m: float = 1.0
-
-    def distance_to(self, other: "NodePosition") -> float:
-        """Euclidean 3-D distance to another position."""
-        return math.sqrt(
-            (self.x_m - other.x_m) ** 2
-            + (self.y_m - other.y_m) ** 2
-            + (self.depth_m - other.depth_m) ** 2
-        )
 
 
 class NeighborTable:
@@ -164,32 +155,6 @@ class AcousticNetTopology:
             self._buckets.setdefault(cell, []).append(index)
         self._version += 1
 
-    def remove_node(self, name: str) -> None:
-        """Permanently delete a node, compacting the position arrays.
-
-        O(N): the remaining rows shift down one slot and every lazy
-        cache (grid, name keys, neighbour tables) rebuilds on next use.
-        For transient outages prefer :meth:`deactivate`, which is O(1)
-        and keeps the slot for :meth:`reactivate`.
-        """
-        index = self.index_of(name)
-        count = self._count
-        for attr in ("_xyz", "_vel", "_active"):
-            old = getattr(self, attr)
-            new = np.empty_like(old)
-            new[:index] = old[:index]
-            new[index : count - 1] = old[index + 1 : count]
-            setattr(self, attr, new)
-        del self._names[index]
-        self._count = count - 1
-        self._index = {node: slot for slot, node in enumerate(self._names)}
-        self._names_tuple = None
-        self._name_keys = None
-        self._buckets = None
-        self._cells = None
-        self._tables.pop(name, None)
-        self._version += 1
-
     def deactivate(self, name: str) -> None:
         """Take a node out of the network without forgetting its slot.
 
@@ -225,12 +190,6 @@ class AcousticNetTopology:
     def is_active(self, name: str) -> bool:
         """Whether ``name`` is a live member of the network."""
         return bool(self._active[self.index_of(name)])
-
-    @property
-    def active_names(self) -> tuple[str, ...]:
-        """Names of live nodes, insertion order."""
-        active = self._active
-        return tuple(name for slot, name in enumerate(self._names) if active[slot])
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -278,19 +237,6 @@ class AcousticNetTopology:
             (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 + (pa[2] - pb[2]) ** 2
         )
 
-    def propagation_delay_s(self, a: str, b: str) -> float:
-        """Acoustic propagation delay between two nodes."""
-        return self.distance_m(a, b) / SOUND_SPEED_M_S
-
-    def are_neighbors(self, a: str, b: str) -> bool:
-        """Whether two distinct *live* nodes are within communication range."""
-        return (
-            a != b
-            and self.is_active(a)
-            and self.is_active(b)
-            and self.distance_m(a, b) <= self.comm_range_m
-        )
-
     def neighbors(self, name: str) -> tuple[str, ...]:
         """Names of all nodes within range of ``name``, nearest first."""
         return self.neighbor_table(name).names
@@ -320,16 +266,6 @@ class AcousticNetTopology:
     def depths_of(self, indices: np.ndarray) -> np.ndarray:
         """Depths (m) of the nodes at ``indices``."""
         return self._xyz[indices, 2]
-
-    def link_snr_db(self, a: str, b: str, frequency_hz: float = 2500.0) -> float:
-        """Rough per-pair SNR from transmission loss and site noise (dB).
-
-        Diagnostic figure used by link models and routing heuristics; the
-        full channel simulator makes its own per-bin estimate.
-        """
-        distance = max(self.distance_m(a, b), 1e-3)
-        loss_db = float(transmission_loss_db(distance, frequency_hz))
-        return -loss_db - self.site.noise_level_db
 
     # ----------------------------------------------------------- spatial hash
     def _cell_of(self, index: int) -> tuple[int, int]:

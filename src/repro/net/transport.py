@@ -200,11 +200,6 @@ class ArqSender:
         return not self.failed and self._base == len(self._payloads)
 
     @property
-    def in_flight(self) -> int:
-        """Unacknowledged segments currently outstanding."""
-        return sum(not state.acked for state in self._in_flight.values())
-
-    @property
     def base_seq(self) -> int:
         """Wire sequence of the window base."""
         return self._base % self.config.seq_modulus
@@ -227,11 +222,6 @@ class ArqSender:
         """Queue one application payload for reliable delivery."""
         self._payloads.append(payload)
         self.stats.offered += 1
-
-    def offer_many(self, payloads) -> None:
-        """Queue several payloads."""
-        for payload in payloads:
-            self.offer(payload)
 
     # ------------------------------------------------------------ transmitting
     def window_transmissions(self, now_s: float) -> list[Segment]:

@@ -159,11 +159,6 @@ class Trace:
         return [event for event in self.events if event.event == "send"]
 
     @property
-    def num_messages(self) -> int:
-        """Application messages captured."""
-        return sum(event.event == "send" for event in self.events)
-
-    @property
     def duration_s(self) -> float:
         """Time of the last event (0.0 for an empty trace)."""
         return max((event.time_s for event in self.events), default=0.0)

@@ -1,25 +1,12 @@
 """Small shared utilities: unit conversions, RNG handling, validation."""
 
 from repro.utils.rng import ensure_rng
-from repro.utils.units import (
-    amplitude_ratio_to_db,
-    db_to_amplitude_ratio,
-    db_to_power_ratio,
-    power_ratio_to_db,
-)
-from repro.utils.validation import (
-    require_in_range,
-    require_non_negative,
-    require_positive,
-)
+from repro.utils.units import db_to_amplitude_ratio, power_ratio_to_db
+from repro.utils.validation import require_positive
 
 __all__ = [
     "ensure_rng",
-    "db_to_power_ratio",
     "power_ratio_to_db",
     "db_to_amplitude_ratio",
-    "amplitude_ratio_to_db",
     "require_positive",
-    "require_non_negative",
-    "require_in_range",
 ]

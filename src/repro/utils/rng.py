@@ -25,17 +25,3 @@ def ensure_rng(seed: int | np.random.Generator | None = None) -> np.random.Gener
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int | np.random.Generator | None, count: int) -> list[np.random.Generator]:
-    """Return ``count`` independent generators derived from ``seed``.
-
-    Useful when a benchmark sweeps over many independent trials and each
-    trial must be reproducible regardless of how many draws earlier trials
-    consumed.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = ensure_rng(seed)
-    seeds = root.integers(0, 2 ** 63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

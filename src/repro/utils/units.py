@@ -18,11 +18,6 @@ import numpy as np
 _EPS = 1e-30
 
 
-def db_to_power_ratio(db: float | np.ndarray) -> float | np.ndarray:
-    """Convert a dB value to a linear *power* ratio (``10 ** (db / 10)``)."""
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0) if isinstance(db, np.ndarray) else 10.0 ** (db / 10.0)
-
-
 def power_ratio_to_db(ratio: float | np.ndarray) -> float | np.ndarray:
     """Convert a linear *power* ratio to dB (``10 * log10(ratio)``)."""
     arr = np.asarray(ratio, dtype=float)
@@ -35,24 +30,12 @@ def db_to_amplitude_ratio(db: float | np.ndarray) -> float | np.ndarray:
     return 10.0 ** (np.asarray(db, dtype=float) / 20.0) if isinstance(db, np.ndarray) else 10.0 ** (db / 20.0)
 
 
-def amplitude_ratio_to_db(ratio: float | np.ndarray) -> float | np.ndarray:
-    """Convert a linear *amplitude* ratio to dB (``20 * log10(ratio)``)."""
-    arr = np.asarray(ratio, dtype=float)
-    out = 20.0 * np.log10(np.maximum(arr, _EPS))
-    return out if isinstance(ratio, np.ndarray) else float(out)
-
-
 def signal_power(samples: np.ndarray) -> float:
     """Return the mean power (mean squared amplitude) of a real waveform."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         return 0.0
     return float(np.mean(samples ** 2))
-
-
-def signal_rms(samples: np.ndarray) -> float:
-    """Return the root-mean-square amplitude of a waveform."""
-    return float(np.sqrt(signal_power(samples)))
 
 
 def snr_db(signal: np.ndarray, noise: np.ndarray) -> float:

@@ -17,20 +17,6 @@ def require_positive(value: float, name: str) -> float:
     return value
 
 
-def require_non_negative(value: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``value`` is zero or positive."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def require_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``low <= value <= high``."""
-    if not (low <= value <= high):
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return value
-
-
 def require_one_of(value: Any, options: tuple, name: str) -> Any:
     """Raise ``ValueError`` unless ``value`` is one of ``options``."""
     if value not in options:

@@ -1,4 +1,5 @@
-"""The channel's propagation as separate ``fftconvolve`` passes."""
+"""The channel's propagation as separate ``fftconvolve`` passes, and the
+scalar spreading-plus-absorption loss the multipath tap builder inlines."""
 
 from __future__ import annotations
 
@@ -7,7 +8,12 @@ from scipy import signal as sp_signal
 
 from repro.channel.channel import UnderwaterAcousticChannel
 from repro.channel.motion import MotionState
+from repro.channel.physics import absorption_db_per_km
 from repro.dsp.resample import apply_doppler
+from repro.utils.validation import require_positive
+
+#: Reference distance for transmission-loss calculations (metres).
+REFERENCE_DISTANCE_M = 1.0
 
 
 class FftconvolveChannel(UnderwaterAcousticChannel):
@@ -43,3 +49,32 @@ class FftconvolveChannel(UnderwaterAcousticChannel):
 
         received = sp_signal.fftconvolve(propagated, self._device_fir)
         return received[self._device_fir_delay:]
+
+
+def spreading_loss_db(distance_m: float, spreading_exponent: float = 2.0) -> float:
+    """Return geometric spreading loss in dB at ``distance_m``."""
+    require_positive(distance_m, "distance_m")
+    distance = max(distance_m, REFERENCE_DISTANCE_M)
+    return spreading_exponent * 10.0 * np.log10(distance / REFERENCE_DISTANCE_M)
+
+
+def transmission_loss_db(
+    distance_m: float,
+    frequency_hz: float | np.ndarray = 2500.0,
+    spreading_exponent: float = 2.0,
+) -> float | np.ndarray:
+    """Return total one-way transmission loss (spreading + absorption) in dB."""
+    require_positive(distance_m, "distance_m")
+    spreading = spreading_loss_db(distance_m, spreading_exponent)
+    absorption = absorption_db_per_km(frequency_hz) * distance_m / 1000.0
+    return spreading + absorption
+
+
+def path_amplitude(
+    distance_m: float,
+    frequency_hz: float = 2500.0,
+    spreading_exponent: float = 2.0,
+) -> float:
+    """Return the linear amplitude factor for a propagation path."""
+    loss_db = transmission_loss_db(distance_m, frequency_hz, spreading_exponent)
+    return float(10.0 ** (-loss_db / 20.0))

@@ -1,4 +1,4 @@
-"""Loop and dense-matrix references for the DSP fast paths."""
+"""Loop and dense-matrix references for the DSP fast paths and sequences."""
 
 from __future__ import annotations
 
@@ -88,3 +88,21 @@ def dense_toeplitz_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float).ravel()
     indices = np.arange(r.size)
     return np.linalg.solve(r[np.abs(indices[:, None] - indices[None, :])], b)
+
+
+def periodic_autocorrelation(sequence: np.ndarray) -> np.ndarray:
+    """Return the normalized periodic autocorrelation of a complex sequence.
+
+    The CAZAC check for :func:`repro.dsp.sequences.zadoff_chu`: the
+    zero-lag value is 1 and every other lag is (close to) 0 for odd-length
+    Zadoff-Chu sequences.
+    """
+    sequence = np.asarray(sequence, dtype=complex)
+    n = sequence.size
+    if n == 0:
+        raise ValueError("sequence must be non-empty")
+    energy = float(np.sum(np.abs(sequence) ** 2))
+    lags = np.empty(n, dtype=complex)
+    for lag in range(n):
+        lags[lag] = np.sum(sequence * np.conj(np.roll(sequence, lag))) / energy
+    return lags

@@ -8,9 +8,7 @@ from repro.app.messages import (
     CATEGORIES,
     COMMON_MESSAGE_IDS,
     MESSAGE_CATALOG,
-    common_messages,
     get_message,
-    messages_in_category,
 )
 
 
@@ -31,8 +29,9 @@ def test_message_ids_are_stable_and_dense():
 
 def test_twenty_common_messages():
     assert len(COMMON_MESSAGE_IDS) == 20
-    assert len(common_messages()) == 20
-    assert all(m.is_common for m in common_messages())
+    common = [m for m in MESSAGE_CATALOG if m.is_common]
+    assert len(common) == 20
+    assert {m.message_id for m in common} == set(COMMON_MESSAGE_IDS)
 
 
 def test_message_texts_are_unique_and_nonempty():
@@ -43,11 +42,7 @@ def test_message_texts_are_unique_and_nonempty():
 
 def test_messages_in_category():
     for category in CATEGORIES:
-        subset = messages_in_category(category)
-        assert len(subset) == 30
-        assert all(m.category == category for m in subset)
-    with pytest.raises(ValueError):
-        messages_in_category("nonexistent")
+        assert sum(m.category == category for m in MESSAGE_CATALOG) == 30
 
 
 def test_get_message_bounds():
@@ -89,13 +84,6 @@ def test_all_ids_roundtrip():
 
 def test_empty_slot_value_not_a_catalog_id():
     assert EMPTY_SLOT >= len(MESSAGE_CATALOG)
-
-
-def test_encode_messages_by_object():
-    codec = MessageCodec()
-    messages = [MESSAGE_CATALOG[5], MESSAGE_CATALOG[77]]
-    decoded = codec.decode_messages(codec.encode_messages(messages))
-    assert [m.message_id for m in decoded] == [5, 77]
 
 
 def test_decode_messages_skips_invalid_ids():

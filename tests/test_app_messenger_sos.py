@@ -28,13 +28,6 @@ def test_send_two_messages(messenger):
     assert report.packet_result.num_payload_bits == 16
 
 
-def test_send_text_lookup(messenger):
-    report = messenger.send_text("OK?")
-    assert report.requested[0].text == "OK?"
-    with pytest.raises(ValueError):
-        messenger.send_text("this text is not in the catalog")
-
-
 def test_latency_estimate_positive_when_delivered(messenger):
     report = messenger.send_message_ids([12])
     if report.success:

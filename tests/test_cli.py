@@ -148,6 +148,7 @@ def test_jobs_command_rejects_bad_requests(capsys, tmp_path):
     root = tmp_path / "svc"
     assert main(["jobs", "--jobs", str(root)]) == 0
     assert "no jobs" in capsys.readouterr().out
+    assert not root.exists()  # listing jobs is read-only
     assert main(["jobs", "--jobs", str(root), "--show", "no-such-job"]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["jobs", "--jobs", str(root), "--fetch", "no-such-job"]) == 2
@@ -215,6 +216,7 @@ _NOT_A_SCHEDULE = str(pathlib.Path(__file__).parent / "data" / "trace_fixture_9n
     ["chaos", *_SMALL_NET, "--mean-downtime", "0"],
     ["validate", "--quick", "--figure", "ber_vs_snr", "--trials", "1",
      "--workers", "-1"],
+    ["mac", "--packets", "0"],
 ])
 def test_bad_run_parameters_exit_2_with_error(argv, capsys):
     assert main(argv) == 2

@@ -210,20 +210,6 @@ def test_simulated_records_roundtrip_and_agree(tmp_path):
     assert record == reference.lookup(distance_m=4.0, scheme="fixed-0.5k")
 
 
-@_examples
-@given(_record_lists)
-def test_where_predicate_matches_object_path(records):
-    predicate = lambda r: r.delivered > 0  # noqa: E731
-    results = ColumnarResultSet(records)
-    picked = results.where(predicate)
-    assert isinstance(picked, ColumnarResultSet)
-    assert picked.records == [r for r in records if predicate(r)]
-    combined = results.where(predicate, site="bridge")
-    assert combined.records == [
-        r for r in records if r.scenario.site.name == "bridge" and predicate(r)
-    ]
-
-
 def test_lookup_raises_like_object_path():
     reference = _simulated()
     with pytest.raises(LookupError):

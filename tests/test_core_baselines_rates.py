@@ -43,8 +43,8 @@ def test_medium_and_narrow_bin_counts_match_paper():
 
 
 def test_bandwidth_property():
-    assert FIXED_FULL_BAND.bandwidth_hz == pytest.approx(3000.0)
-    assert FIXED_NARROW_BAND.bandwidth_hz == pytest.approx(500.0)
+    assert FIXED_FULL_BAND.high_hz - FIXED_FULL_BAND.low_hz == pytest.approx(3000.0)
+    assert FIXED_NARROW_BAND.high_hz - FIXED_NARROW_BAND.low_hz == pytest.approx(500.0)
 
 
 def test_coded_bitrate_values_match_paper_medians():

@@ -34,7 +34,7 @@ def test_encoded_packet_dimensions(encoder):
     assert packet.num_payload_bits == 16
     assert packet.num_coded_bits == 24
     assert packet.num_data_symbols == 1  # 24 coded bits fit in one 60-bin symbol
-    assert packet.num_symbols_total == 2
+    # The training symbol plus the one data symbol.
     assert packet.waveform.size == 2 * CONFIG.extended_symbol_length
 
 

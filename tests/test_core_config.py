@@ -26,7 +26,7 @@ def test_cyclic_prefix_overhead_close_to_seven_percent():
 
 def test_data_bin_frequencies_span_band():
     config = OFDMConfig()
-    freqs = config.data_bin_frequencies_hz
+    freqs = config.data_bins * config.subcarrier_spacing_hz
     assert freqs[0] == pytest.approx(1000.0)
     assert freqs[-1] == pytest.approx(3950.0)
     assert np.all(np.diff(freqs) == pytest.approx(50.0))
@@ -53,7 +53,7 @@ def test_with_subcarrier_spacing_10hz():
 
 
 def test_with_band_changes_bins():
-    config = OFDMConfig().with_band(1000.0, 2500.0)
+    config = OFDMConfig(band_low_hz=1000.0, band_high_hz=2500.0)
     assert config.num_data_bins == 30
 
 

@@ -99,7 +99,7 @@ def test_data_burst_length_matches_encoder(static_modem, rng):
     band = selection_from_bins(30, 45, static_modem.ofdm_config)
     payload = rng.integers(0, 2, 16)
     packet = static_modem.encode_data(payload, band)
-    assert static_modem.data_burst_length(16, band) == packet.waveform.size
+    assert static_modem.decoder.expected_length(16, band) == packet.waveform.size
 
 
 def test_filter_received_removes_out_of_band_noise(static_modem, rng):

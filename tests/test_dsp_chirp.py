@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsp.chirp import chirp_instantaneous_frequency, lfm_chirp
+from repro.dsp.chirp import lfm_chirp
 
 
 def test_chirp_length_and_amplitude():
@@ -33,9 +33,3 @@ def test_chirp_rejects_bad_duration_and_rate():
         lfm_chirp(1000, 2000, 1.0, 0.0)
     with pytest.raises(ValueError):
         lfm_chirp(-10, 2000, 1.0, 48000)
-
-
-def test_instantaneous_frequency_endpoints():
-    times = np.array([0.0, 0.5, 1.0])
-    freqs = chirp_instantaneous_frequency(1000, 3000, 1.0, times)
-    np.testing.assert_allclose(freqs, [1000, 2000, 3000])

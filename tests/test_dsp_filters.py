@@ -43,7 +43,7 @@ def test_filter_attenuates_out_of_band_tone():
 def test_filter_delay_compensation_preserves_alignment():
     filt = FIRBandpassFilter()
     x = _tone(2000, duration=0.05)
-    y = filt.apply(x, compensate_delay=True)
+    y = filt.apply(x)
     assert y.size == x.size
     # Cross-correlation peak should sit at (nearly) zero lag.
     corr = np.correlate(y, x, mode="full")

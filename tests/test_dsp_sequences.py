@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dsp.sequences import (
-    PREAMBLE_PN_SIGNS,
-    periodic_autocorrelation,
-    pn_sign_sequence,
-    preamble_pn_signs,
-    zadoff_chu,
-)
+from oracles.dsp import periodic_autocorrelation
+from repro.dsp.sequences import PREAMBLE_PN_SIGNS, preamble_pn_signs, zadoff_chu
 
 
 def test_zadoff_chu_unit_magnitude():
@@ -54,23 +49,6 @@ def test_zadoff_chu_rejects_bad_args():
         zadoff_chu(0)
     with pytest.raises(ValueError):
         zadoff_chu(10, root=0)
-
-
-def test_pn_sign_sequence_values_and_determinism():
-    seq = pn_sign_sequence(64)
-    assert set(np.unique(seq)) <= {-1.0, 1.0}
-    np.testing.assert_array_equal(seq, pn_sign_sequence(64))
-
-
-def test_pn_sign_sequence_balanced():
-    seq = pn_sign_sequence(512)
-    # A maximal-length LFSR output is nearly balanced.
-    assert abs(np.sum(seq)) < 60
-
-
-def test_pn_sign_sequence_rejects_non_positive_length():
-    with pytest.raises(ValueError):
-        pn_sign_sequence(0)
 
 
 def test_preamble_pn_signs_match_paper():

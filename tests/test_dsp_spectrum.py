@@ -7,29 +7,12 @@ from repro.dsp.spectrum import (
     band_power,
     band_power_db,
     frequency_response_from_probe,
-    magnitude_spectrum_db,
-    power_spectral_density,
 )
 
 
 def _tone(freq, fs=48000, duration=0.2, amplitude=1.0):
     t = np.arange(int(fs * duration)) / fs
     return amplitude * np.sin(2 * np.pi * freq * t)
-
-
-def test_psd_peak_at_tone_frequency():
-    freqs, psd = power_spectral_density(_tone(2000), 48000)
-    assert abs(freqs[np.argmax(psd)] - 2000) < 50
-
-
-def test_psd_requires_enough_samples():
-    with pytest.raises(ValueError):
-        power_spectral_density(np.zeros(4), 48000)
-
-
-def test_magnitude_spectrum_normalized_to_zero_db_peak():
-    _, db = magnitude_spectrum_db(_tone(1500), 48000)
-    assert np.max(db) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_band_power_captures_in_band_tone():

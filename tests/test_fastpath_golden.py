@@ -371,9 +371,9 @@ def test_golden_helper_rejects_matching_nans():
 # ------------------------------------------------------------------ multipath
 def test_tap_amplitudes_match_physics_path_amplitude():
     """The vectorized tap builder's inlined loss math must stay bit-identical
-    to repro.channel.physics.path_amplitude (same float operations)."""
+    to the scalar path_amplitude oracle (same float operations)."""
+    from oracles.channel import path_amplitude
     from repro.channel.multipath import ImageMethodGeometry, MultipathModel
-    from repro.channel.physics import path_amplitude
 
     geometry = ImageMethodGeometry(
         water_depth_m=10.0, tx_depth_m=2.2, rx_depth_m=3.7, horizontal_range_m=25.0

@@ -139,13 +139,13 @@ def test_tracker_declares_dead_after_miss_threshold_and_rediscovers():
     assert tracker.tick(20.0, {"b"}) == ([], [])
     dead, alive = tracker.tick(30.0, {"b"})
     assert dead == ["b"] and alive == []
-    assert tracker.suspected_dead == frozenset({"b"})
     # still down: no duplicate declaration
     assert tracker.tick(40.0, {"b"}) == ([], [])
-    # b beacons again: rediscovered immediately
+    # everyone beacons: exactly the believed-dead set {b} is rediscovered
     dead, alive = tracker.tick(50.0, set())
     assert dead == [] and alive == ["b"]
-    assert tracker.suspected_dead == frozenset()
+    # nobody is believed dead any more, so nobody is rediscovered
+    assert tracker.tick(60.0, set()) == ([], [])
 
 
 def test_tracker_short_outage_below_threshold_is_never_declared():
@@ -153,7 +153,8 @@ def test_tracker_short_outage_below_threshold_is_never_declared():
     tracker.tick(10.0, {"b"})
     tracker.tick(20.0, {"b"})
     assert tracker.tick(30.0, set()) == ([], [])  # recovered just in time
-    assert tracker.suspected_dead == frozenset()
+    # b was never believed dead: hearing everyone rediscovers nobody
+    assert tracker.tick(40.0, set()) == ([], [])
 
 
 def test_tracker_validation():

@@ -1,49 +1,8 @@
-"""Tests for link statistics helpers."""
+"""Tests for :class:`repro.link.session.LinkStatistics` over a changing packet list."""
 
-import numpy as np
 import pytest
 
-from repro.link.session import PacketResult
-from repro.link.stats import Counter, empirical_cdf, median, summarize_packets
-
-
-def test_empirical_cdf_basic():
-    values, probs = empirical_cdf([3.0, 1.0, 2.0])
-    np.testing.assert_allclose(values, [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(probs, [1 / 3, 2 / 3, 1.0])
-
-
-def test_empirical_cdf_empty():
-    values, probs = empirical_cdf([])
-    assert values.size == 0 and probs.size == 0
-
-
-def test_median_basic_and_empty():
-    assert median([1.0, 3.0, 2.0]) == 2.0
-    assert np.isnan(median([]))
-
-
-def test_counter_rates():
-    counter = Counter()
-    assert np.isnan(counter.rate)
-    counter.record(True)
-    counter.record(False)
-    counter.record(True)
-    assert counter.rate == pytest.approx(2 / 3)
-    assert counter.events == 2
-    assert counter.trials == 3
-
-
-def test_summarize_packets_keys():
-    results = [
-        PacketResult(True, True, True, True, None, None, 0, 16, 0, 24, 800.0, 12.0, 0.95),
-        PacketResult(False, True, True, False, None, None, 2, 16, 4, 24, 400.0, 3.0, 0.7),
-    ]
-    summary = summarize_packets(results)
-    assert summary["num_packets"] == 2
-    assert summary["packet_error_rate"] == pytest.approx(0.5)
-    assert summary["median_bitrate_bps"] == pytest.approx(600.0)
-    assert 0 <= summary["feedback_error_rate"] <= 1
+from repro.link.session import LinkStatistics, PacketResult
 
 
 def _packet(delivered: bool, bit_errors: int) -> PacketResult:
@@ -52,8 +11,6 @@ def _packet(delivered: bool, bit_errors: int) -> PacketResult:
 
 
 def test_link_statistics_cache_invalidates_on_add():
-    from repro.link.session import LinkStatistics
-
     stats = LinkStatistics()
     stats.add(_packet(True, 0))
     assert stats.packet_error_rate == pytest.approx(0.0)
@@ -63,9 +20,7 @@ def test_link_statistics_cache_invalidates_on_add():
 
 
 def test_link_statistics_cache_invalidates_on_tail_replacement():
-    from repro.link.session import LinkStatistics
-
-    stats = LinkStatistics.from_results([_packet(True, 0), _packet(True, 0)])
+    stats = LinkStatistics([_packet(True, 0), _packet(True, 0)])
     assert stats.packet_error_rate == pytest.approx(0.0)
     stats.results[-1] = _packet(False, 5)
     assert stats.packet_error_rate == pytest.approx(0.5)
@@ -74,10 +29,16 @@ def test_link_statistics_cache_invalidates_on_tail_replacement():
 
 
 def test_link_statistics_cache_survives_pop_then_append():
-    from repro.link.session import LinkStatistics
-
-    stats = LinkStatistics.from_results([_packet(True, 0)])
+    stats = LinkStatistics([_packet(True, 0)])
     assert stats.packet_error_rate == pytest.approx(0.0)
     stats.results.pop()
     stats.results.append(_packet(False, 16))
     assert stats.packet_error_rate == pytest.approx(1.0)
+
+
+def test_link_statistics_sees_interior_replacement():
+    stats = LinkStatistics([_packet(True, 0), _packet(True, 0), _packet(True, 0)])
+    assert stats.packet_error_rate == 0.0
+    stats.results[1] = _packet(False, 4)
+    assert stats.packet_error_rate == 1 / 3
+    assert stats.payload_bit_error_rate == 4 / 48

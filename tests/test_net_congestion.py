@@ -202,7 +202,7 @@ def test_reno_trajectory_records_and_truncates():
     reno = _reno(max_window=8)
     for now in range(5):
         reno.on_ack(1, float(now))
-    times, cwnds = reno.trajectory.as_arrays()
+    times, cwnds = reno.trajectory.times_s, reno.trajectory.cwnds
     assert len(reno.trajectory) == 6  # initial sample + 5 ACKs
     assert times[0] == 0.0 and cwnds[0] == 1.0
     assert not reno.trajectory.truncated
@@ -289,7 +289,8 @@ def test_sender_defaults_to_fixed_window_controller():
 def test_effective_window_is_min_of_config_and_controller():
     reno = _reno(max_window=8)
     sender = ArqSender("f", _gbn(window=8), controller=reno)
-    sender.offer_many(range(8))
+    for payload in range(8):
+        sender.offer(payload)
     assert sender.effective_window == 1  # initial cwnd
     assert len(sender.window_transmissions(0.0)) == 1
 
@@ -298,7 +299,8 @@ def test_sender_grows_window_as_acks_arrive():
     config = _gbn(window=8)
     sender = ArqSender("f", config, controller=_reno(max_window=8))
     receiver = ArqReceiver("f", config)
-    sender.offer_many(range(20))
+    for payload in range(20):
+        sender.offer(payload)
     now, batches = 0.0, []
     while not sender.done:
         segments = sender.window_transmissions(now)
@@ -326,7 +328,8 @@ def test_karn_rule_excludes_retransmitted_segments():
     config = _gbn(window=4, timeout=2.0)
     sender = ArqSender("f", config, controller=Probe(max_window=4, timeout_s=2.0))
     receiver = ArqReceiver("f", config)
-    sender.offer_many(range(2))
+    for payload in range(2):
+        sender.offer(payload)
     seg0 = sender.window_transmissions(0.0)[0]
     resent = sender.on_timeout(2.0)  # seg0 lost: retransmit it
     assert [s.seq for s in resent] == [0]
@@ -350,13 +353,15 @@ def test_timeout_with_reno_resends_one_not_the_window():
     # PR is about.
     config = _gbn(window=8, timeout=2.0)
     fixed = ArqSender("f", config)
-    fixed.offer_many(range(8))
+    for payload in range(8):
+        fixed.offer(payload)
     fixed.window_transmissions(0.0)
     assert len(fixed.on_timeout(2.0)) == 8  # legacy full-window resend
 
     reno = ArqSender("f", config, controller=_reno(max_window=8, timeout=2.0))
     receiver = ArqReceiver("f", config)
-    reno.offer_many(range(12))
+    for payload in range(12):
+        reno.offer(payload)
     for now in (0.0, 1.0):  # two lossless rounds grow cwnd to 4
         for segment in reno.window_transmissions(now):
             _, ack = receiver.on_data(segment)

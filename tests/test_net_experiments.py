@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import NetScenario, run_net_scenario
+from repro.experiments import NetScenario
 from repro.net.simulator import NetworkResult
 
 
@@ -71,7 +71,7 @@ def test_net_scenario_runs_and_is_deterministic():
         num_nodes=9, routing="greedy", arq="selective-repeat",
         duration_s=60.0, rate_msgs_per_s=0.02, destination="n0", seed=13,
     )
-    first = run_net_scenario(scenario)
+    first = scenario.run()
     second = scenario.run()
     assert isinstance(first, NetworkResult)
     assert first.to_dict() == second.to_dict()

@@ -30,14 +30,17 @@ def test_calibration_validation():
         LinkCalibration("lake", (2.0, 5.0), (0.0, 1.5), (1.0, 1.0))
 
 
+def _per(link, distance_m):
+    """The interpolated PER a calibrated link applies at ``distance_m``."""
+    return link.deliver(distance_m, np.random.default_rng(0)).packet_error_rate
+
+
 def test_calibration_interpolates_and_clips():
-    table = _table()
-    assert table.per_at(5.0) == pytest.approx(0.0)
-    assert table.per_at(10.0) == pytest.approx(0.25)
-    assert table.per_at(100.0) == pytest.approx(0.5)  # clipped at the far end
-    assert table.bitrate_at(10.0) == pytest.approx(750.0)
-    with pytest.raises(ValueError):
-        table.per_at(0.0)
+    link = CalibratedLink(_table())
+    assert _per(link, 5.0) == pytest.approx(0.0)
+    assert _per(link, 10.0) == pytest.approx(0.25)
+    assert _per(link, 100.0) == pytest.approx(0.5)  # clipped at the far end
+    assert link.expected_bitrate_bps(10.0) == pytest.approx(750.0)
 
 
 def test_calibration_dict_roundtrip():
@@ -67,10 +70,11 @@ def test_calibrated_link_airtime_grows_with_size_and_distance():
 def test_default_calibration_is_plausible():
     table = DEFAULT_LAKE_CALIBRATION
     assert table.site_name == "lake"
-    assert table.per_at(2.0) == pytest.approx(0.0)
-    assert 0.0 < table.per_at(10.0) < 0.5
+    link = CalibratedLink(table)
+    assert _per(link, 2.0) == pytest.approx(0.0)
+    assert 0.0 < _per(link, 10.0) < 0.5
     # Band adaptation retreats to lower rates as the range grows.
-    assert table.bitrate_at(25.0) < table.bitrate_at(2.0)
+    assert link.expected_bitrate_bps(25.0) < link.expected_bitrate_bps(2.0)
 
 
 def test_calibrate_from_phy_smoke():

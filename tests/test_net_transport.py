@@ -23,7 +23,8 @@ def _sr(window=3, modulus=8, timeout=1.0, retries=2) -> ArqConfig:
 
 def _pair(config, payloads):
     sender = ArqSender("f", config)
-    sender.offer_many(payloads)
+    for payload in payloads:
+        sender.offer(payload)
     return sender, ArqReceiver("f", config)
 
 
@@ -63,9 +64,10 @@ def test_gbn_window_limits_in_flight():
     sender, _ = _pair(_gbn(window=3), list(range(10)))
     first = sender.window_transmissions(0.0)
     assert [segment.seq for segment in first] == [0, 1, 2]
-    assert sender.in_flight == 3
     # The window is full: nothing more until an ACK arrives.
     assert sender.window_transmissions(0.0) == []
+    # All three are outstanding: the timeout resends every one of them.
+    assert [segment.seq for segment in sender.on_timeout(1.0)] == [0, 1, 2]
 
 
 def test_gbn_in_order_delivery_with_window_wraparound():
@@ -89,7 +91,7 @@ def test_gbn_cumulative_ack_advances_past_several_segments():
     assert last_ack.seq == 3 % 4  # next expected
     sender.on_ack(last_ack, 0.1)  # one cumulative ACK clears the window
     assert sender.done
-    assert sender.in_flight == 0
+    assert sender.on_timeout(100.0) == []  # nothing left outstanding
 
 
 def test_gbn_receiver_discards_out_of_order_and_reacks():

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from oracles.net import greedy_next_hops_reference
 
+from repro.channel.physics import SOUND_SPEED_M_S
 from repro.experiments.net_scenario import NetScenario
 from repro.net.links import CalibratedLink
 from repro.net.metrics import DeliveryRecord, NetworkMetrics
@@ -109,7 +110,7 @@ def _assert_grid_matches_brute_force(topology, seed):
             table.names, table.distances_m, table.delays_s
         ):
             assert distance == topology.distance_m(name, neighbor)
-            assert delay == topology.propagation_delay_s(name, neighbor)
+            assert delay == topology.distance_m(name, neighbor) / SOUND_SPEED_M_S
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

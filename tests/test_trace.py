@@ -163,7 +163,7 @@ def test_npz_rejects_wrong_version(tmp_path):
 
 def test_trace_summary_counts_and_duration():
     trace = _sample_trace()
-    assert trace.num_messages == 2
+    assert len(trace.sends()) == 2
     assert trace.duration_s == 9.0
     assert "2 sends, 1 deliveries, 1 drops, 1 aborts" in trace.summary()
 
@@ -171,7 +171,7 @@ def test_trace_summary_counts_and_duration():
 # ----------------------------------------------------------------- capture
 def test_recorder_counts_match_run_metrics():
     result, trace = capture_scenario(_small_scenario())
-    assert trace.num_messages == result.metrics.offered
+    assert len(trace.sends()) == result.metrics.offered
     deliveries = sum(e.event == "deliver" for e in trace.events)
     drops = sum(e.event == "drop" for e in trace.events)
     assert deliveries == result.metrics.delivered
@@ -378,7 +378,7 @@ def test_synthesized_trace_replays_as_offered_load():
     assert trace.meta["synthesized"] is True
     assert all(e.event == "send" for e in trace.events)
     result = replay_trace(trace)
-    assert result.metrics.offered == trace.num_messages
+    assert result.metrics.offered == len(trace.sends())
 
 
 def test_population_scenario_runs_through_net_scenario():
@@ -428,7 +428,7 @@ def test_qoe_delta_markdown_reports_percentile_rows():
 def test_compare_stacks_pairs_the_same_workload():
     _, trace = capture_scenario(_small_scenario())
     delta = compare_stacks(trace, scenario_b=_small_scenario(arq="none"))
-    assert delta.a.offered == delta.b.offered == trace.num_messages
+    assert delta.a.offered == delta.b.offered == len(trace.sends())
     assert delta.label_a == "calibrated+greedy+go-back-n"
     assert delta.label_b == "calibrated+greedy+none"
 

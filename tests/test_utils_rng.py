@@ -1,9 +1,8 @@
 """Tests for RNG handling."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 
 
 def test_ensure_rng_accepts_none():
@@ -19,21 +18,3 @@ def test_ensure_rng_seed_is_deterministic():
 def test_ensure_rng_passes_generator_through():
     gen = np.random.default_rng(7)
     assert ensure_rng(gen) is gen
-
-
-def test_spawn_rngs_count_and_independence():
-    rngs = spawn_rngs(3, 5)
-    assert len(rngs) == 5
-    draws = [r.integers(0, 10 ** 9) for r in rngs]
-    assert len(set(draws)) > 1
-
-
-def test_spawn_rngs_deterministic():
-    first = [r.integers(0, 10 ** 9) for r in spawn_rngs(11, 4)]
-    second = [r.integers(0, 10 ** 9) for r in spawn_rngs(11, 4)]
-    assert first == second
-
-
-def test_spawn_rngs_negative_count_raises():
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)

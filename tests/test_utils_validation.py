@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.utils.validation import (
-    require_in_range,
-    require_non_negative,
-    require_one_of,
-    require_positive,
-)
+from repro.utils.validation import require_one_of, require_positive
 
 
 def test_require_positive_accepts_positive():
@@ -18,25 +13,6 @@ def test_require_positive_accepts_positive():
 def test_require_positive_rejects_non_positive(value):
     with pytest.raises(ValueError, match="x"):
         require_positive(value, "x")
-
-
-def test_require_non_negative_accepts_zero():
-    assert require_non_negative(0.0, "y") == 0.0
-
-
-def test_require_non_negative_rejects_negative():
-    with pytest.raises(ValueError):
-        require_non_negative(-0.1, "y")
-
-
-def test_require_in_range_bounds_inclusive():
-    assert require_in_range(1.0, 1.0, 2.0, "z") == 1.0
-    assert require_in_range(2.0, 1.0, 2.0, "z") == 2.0
-
-
-def test_require_in_range_rejects_outside():
-    with pytest.raises(ValueError):
-        require_in_range(2.5, 1.0, 2.0, "z")
 
 
 def test_require_one_of_accepts_member():
