@@ -25,6 +25,7 @@ outside the package, in the end-to-end benchmark ``perfbench/run.py``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.environments.factory import build_channel
 from repro.environments.sites import SITE_CATALOG
 from repro.experiments import SCHEME_CATALOG, ExperimentRunner, Scenario, Sweep
 from repro.mac.simulator import MacNetworkSimulator, TransmitterConfig
+from repro.utils.atomic import atomic_write
 
 
 def _add_link_parser(subparsers) -> None:
@@ -523,10 +525,12 @@ def _run_serve(args) -> int:
     try:
         scenarios = _grid_scenarios(args)
         service = SweepService(args.jobs_dir, max_workers=args.workers)
+        # An older-version or unreadable job directory for this grid is
+        # refused here, as `cli jobs` refuses it.
+        job = service.submit(scenarios, label=args.label)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    job = service.submit(scenarios, label=args.label)
     served_from_artifact = job.done
     print(f"job {job.job_id}: {job.total} scenario(s), state={job.state}")
     count = 0
@@ -673,9 +677,13 @@ def _run_validate(args) -> int:
     return 0
 
 
-def _run_net(args) -> int:
-    import json
+def _write_json(path, payload, sort_keys: bool = False) -> None:
+    """Write a ``--json`` report atomically."""
+    with atomic_write(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=sort_keys)
 
+
+def _run_net(args) -> int:
     try:
         forced = dict(
             calibration_packets_per_point=args.packets_per_point,
@@ -693,8 +701,7 @@ def _run_net(args) -> int:
     print(scenario.describe())
     print(result.describe())
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
+        _write_json(args.json_path, result.to_dict())
         print(f"  results written to       : {args.json_path}")
     return 0
 
@@ -713,8 +720,6 @@ def _trace_capture(args) -> int:
 
 
 def _trace_replay(args) -> int:
-    import json
-
     from repro.trace import (
         check_roundtrip,
         load_trace,
@@ -759,8 +764,7 @@ def _trace_replay(args) -> int:
             "metrics": result.to_dict(),
             "qoe": report.to_dict(),
         }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(nan_to_none(payload), handle, indent=2)
+        _write_json(args.json_path, nan_to_none(payload))
         print(f"  results written to       : {args.json_path}")
     return 0
 
@@ -797,8 +801,6 @@ def _trace_synth(args) -> int:
 
 
 def _trace_compare(args) -> int:
-    import json
-
     from repro.trace import (
         DEFAULT_LATENCY_TAU_S,
         DEFAULT_SOS_DEADLINE_S,
@@ -836,8 +838,7 @@ def _trace_compare(args) -> int:
     print(f"trace: {trace.summary()}")
     print(delta.to_markdown())
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(nan_to_none(delta.to_dict()), handle, indent=2)
+        _write_json(args.json_path, nan_to_none(delta.to_dict()))
         print(f"  comparison written to    : {args.json_path}")
     return 0
 
@@ -902,8 +903,6 @@ def _run_mac(args) -> int:
 
 
 def _run_chaos(args) -> int:
-    import json
-
     from repro.faults import ChurnProcess, FaultSchedule, load_schedule
     from repro.utils.jsonsafe import nan_to_none
 
@@ -966,8 +965,7 @@ def _run_chaos(args) -> int:
             "repair_on": results["repair_on"].to_dict(),
             "repair_off": results["repair_off"].to_dict(),
         }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(nan_to_none(payload), handle, indent=2, sort_keys=True)
+        _write_json(args.json_path, nan_to_none(payload), sort_keys=True)
         print(f"  results written to       : {args.json_path}")
     return 0
 

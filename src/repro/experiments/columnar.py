@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.experiments.records import ResultSet, RunRecord
 from repro.experiments.scenario import Scenario, content_hash
+from repro.utils.atomic import atomic_write
 
 #: ``.npz`` artifact format marker and version (bump on layout changes).
 NPZ_FORMAT = "repro.columnar-results"
@@ -82,9 +83,8 @@ class ColumnarResultSet(ResultSet):
         return super().save(path, include_timing=include_timing)
 
     def save_npz(self, path) -> pathlib.Path:
-        """Write the records to a versioned ``.npz`` artifact."""
+        """Write the records to a versioned ``.npz`` artifact, atomically."""
         path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         records = self.records
         ids, table = _intern(r.scenario for r in records)
         arrays: dict[str, np.ndarray] = {
@@ -107,7 +107,7 @@ class ColumnarResultSet(ResultSet):
                 itertools.chain.from_iterable(rows), dtype=dtype, count=int(offsets[-1])
             )
             arrays[f"{name}__offsets"] = offsets
-        with open(path, "wb") as handle:
+        with atomic_write(path, binary=True) as handle:
             np.savez_compressed(handle, **arrays)
         return path
 

@@ -26,6 +26,7 @@ import numpy as np
 from repro.analysis.metrics import format_table
 from repro.experiments.scenario import Scenario
 from repro.link.session import LinkStatistics
+from repro.utils.atomic import atomic_write
 from repro.utils.jsonsafe import nan_to_none as _nan_to_none
 from repro.utils.jsonsafe import none_to_nan as _none_to_nan
 
@@ -250,10 +251,10 @@ class ResultSet:
         return json.dumps(self.to_dicts(include_timing=include_timing), indent=indent)
 
     def save(self, path: str | pathlib.Path, include_timing: bool = False) -> pathlib.Path:
-        """Write the result set to a JSON file and return its path."""
+        """Write the result set to a JSON file, atomically, and return its path."""
         path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(indent=2, include_timing=include_timing), encoding="utf-8")
+        with atomic_write(path) as handle:
+            handle.write(self.to_json(indent=2, include_timing=include_timing))
         return path
 
     @classmethod

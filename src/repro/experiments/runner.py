@@ -16,9 +16,11 @@
   of the same scenario (same hash, same version) are served from disk
   without re-simulating.  Keying by the package version invalidates every
   entry when the simulation code changes, so a cached sweep can never
-  silently report numbers computed by older code.  A truncated or
-  otherwise corrupt entry is treated as a miss -- re-simulated and
-  rewritten -- with a reason-coded :class:`CacheMissWarning`.
+  silently report numbers computed by older code.  Entries are replaced
+  atomically (:func:`~repro.utils.atomic.atomic_write`), so two workers
+  writing one entry, or a killed run, leave a whole file; a corrupt
+  entry is still treated as a miss -- re-simulated and rewritten --
+  with a reason-coded :class:`CacheMissWarning`.
 
 The primitive API is :meth:`ExperimentRunner.iter_run`: a generator that
 yields records one by one as pool futures complete, in deterministic

@@ -5,12 +5,12 @@ ExperimentRunner` in a small simulation-as-a-service front end, the shape
 SRMCA-style serving systems use for long-running simulation campaigns:
 
 * :meth:`~SweepService.submit` registers a sweep as a *job* -- a
-  content-addressed directory holding a JSON manifest with the full
+  content-addressed directory whose ``manifest.json`` holds the full
   scenario descriptions, so the job is re-runnable from any process --
   and returns a :class:`SweepJob` handle;
 * :meth:`~SweepService.stream` drives the runner's
   :meth:`~repro.experiments.runner.ExperimentRunner.iter_run` and yields
-  records as they complete, updating the manifest's progress counters
+  records as they complete, replacing the job's small ``progress.json``
   after every record so a concurrent :meth:`~SweepService.poll` sees the
   job advance;
 * on completion the service writes one artifact beside the manifest,
@@ -26,10 +26,19 @@ per-scenario JSON cache under ``<root>/cache`` is the same cache
 :class:`ExperimentRunner` uses everywhere else, so a sweep run through
 the CLI warms the service and vice versa.
 
+The manifest is written once, at submission; what changes while a job
+runs lives in the progress record (state, counters, error), a few dozen
+bytes whatever the job size, so streaming costs the same per record at
+any size.  Every job file is written through
+:func:`~repro.utils.atomic.atomic_write`, so a killed service leaves each
+file whole, old or new, and the next stream of the job finishes it.  A
+manifest without a progress record (a kill between submission's two
+writes) reads as a fresh ``submitted`` job.
+
 The service is deliberately synchronous and single-process: determinism
 is the point (a streamed job equals a blocking run byte for byte), and
 callers that want concurrency run several service processes against the
-same root -- the manifest and artifacts are plain files.
+same root -- the job files and artifacts are plain files.
 """
 
 from __future__ import annotations
@@ -43,10 +52,40 @@ from repro.experiments.columnar import ColumnarResultSet
 from repro.experiments.records import RunRecord
 from repro.experiments.runner import ExperimentRunner, warn_cache_miss
 from repro.experiments.scenario import Scenario, content_hash
+from repro.utils.atomic import atomic_write
 
 #: Manifest schema version (bump on layout changes).  Version 1 scenario
-#: entries carry keys :meth:`Scenario.from_dict` no longer accepts.
-MANIFEST_VERSION = 2
+#: entries carry keys :meth:`Scenario.from_dict` no longer accepts;
+#: version 2 manifests held the progress counters themselves.
+MANIFEST_VERSION = 3
+
+#: The progress record of a job nothing has streamed yet.
+_FRESH = {"state": "submitted", "completed": 0, "cache_hits": 0, "error": ""}
+_STATES = ("submitted", "done", "failed")
+
+
+def _is_count(value, limit: int | None = None) -> bool:
+    """Whether a decoded JSON value is a count in ``[0, limit]``."""
+    return type(value) is int and 0 <= value and (limit is None or value <= limit)
+
+
+def _read_json(path: pathlib.Path, job_id: str, what: str):
+    """A job file's decoded JSON; ``ValueError`` when it cannot be decoded.
+
+    A missing file raises :class:`FileNotFoundError` for the caller to
+    interpret.
+    """
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as error:
+        raise ValueError(f"job {job_id}: unreadable {what}: {error}") from None
+
+
+def _write_json(path: pathlib.Path, data: dict) -> None:
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(data))
 
 
 @dataclass(frozen=True)
@@ -114,48 +153,88 @@ class SweepService:
     def _manifest_path(self, job_id: str) -> pathlib.Path:
         return self._job_dir(job_id) / "manifest.json"
 
+    def _progress_path(self, job_id: str) -> pathlib.Path:
+        return self._job_dir(job_id) / "progress.json"
+
     def artifact_path(self, job_id: str) -> pathlib.Path:
         """Path of a job's result artifact (``results.npz``)."""
         return self._job_dir(job_id) / "results.npz"
 
     @staticmethod
-    def job_id_for(scenarios: list[Scenario]) -> str:
-        """Content-addressed job id of a scenario list (order-sensitive)."""
+    def job_id_for(scenario_hashes: list[str]) -> str:
+        """Content-addressed job id of an ordered scenario-hash list.
+
+        Takes :meth:`Scenario.scenario_hash` values, not scenarios, so a
+        submission hashes each scenario once.
+        """
         from repro import __version__
 
-        return content_hash({
-            "scenario_hashes": [s.scenario_hash() for s in scenarios],
-            "version": __version__,
-        })
+        hashes = list(scenario_hashes)
+        if not all(isinstance(digest, str) for digest in hashes):
+            raise TypeError("job_id_for takes scenario hashes, not scenarios")
+        return content_hash({"scenario_hashes": hashes, "version": __version__})
 
     def _read_manifest(self, job_id: str) -> dict:
-        path = self._manifest_path(job_id)
+        """The job's manifest, checked for version and consistency.
+
+        Raises :class:`KeyError` for an unknown job and
+        :class:`ValueError` for an older version or an unreadable or
+        inconsistent file.
+        """
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = _read_json(self._manifest_path(job_id), job_id, "manifest")
         except FileNotFoundError:
             raise KeyError(f"unknown job {job_id!r}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"job {job_id}: corrupt manifest: not a JSON object")
         if data.get("manifest_version") != MANIFEST_VERSION:
             raise ValueError(
                 f"job {job_id}: unsupported manifest version "
                 f"{data.get('manifest_version')!r}"
             )
+        hashes, scenarios = data.get("scenario_hashes"), data.get("scenarios")
+        if not (
+            data.get("job_id") == job_id
+            and isinstance(data.get("label"), str)
+            and isinstance(hashes, list)
+            and isinstance(scenarios, list)
+            and _is_count(data.get("total"))
+            and data["total"] == len(hashes) == len(scenarios)
+        ):
+            raise ValueError(f"job {job_id}: corrupt manifest")
         return data
 
-    def _write_manifest(self, job_id: str, data: dict) -> None:
-        path = self._manifest_path(job_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    def _read_progress(self, job_id: str, total: int) -> dict:
+        """The job's progress record; a fresh one when none was written."""
+        try:
+            data = _read_json(self._progress_path(job_id), job_id, "progress record")
+        except FileNotFoundError:
+            return dict(_FRESH)
+        if not (
+            isinstance(data, dict)
+            and data.keys() == _FRESH.keys()
+            and data["state"] in _STATES
+            and isinstance(data["error"], str)
+            and _is_count(data["completed"], total)
+            and _is_count(data["cache_hits"], total)
+            and (data["state"] != "done" or data["completed"] == total)
+        ):
+            raise ValueError(f"job {job_id}: corrupt progress record")
+        return data
+
+    def _write_progress(self, job_id: str, progress: dict) -> None:
+        _write_json(self._progress_path(job_id), progress)
 
     @staticmethod
-    def _handle(data: dict) -> SweepJob:
+    def _handle(manifest: dict, progress: dict) -> SweepJob:
         return SweepJob(
-            job_id=data["job_id"],
-            state=data["state"],
-            total=int(data["total"]),
-            completed=int(data["completed"]),
-            cache_hits=int(data["cache_hits"]),
-            label=data.get("label", ""),
-            error=data.get("error", ""),
+            job_id=manifest["job_id"],
+            state=progress["state"],
+            total=manifest["total"],
+            completed=progress["completed"],
+            cache_hits=progress["cache_hits"],
+            label=manifest["label"],
+            error=progress["error"],
         )
 
     def _load_artifact(self, job_id: str) -> ColumnarResultSet | None:
@@ -174,54 +253,57 @@ class SweepService:
         """Register a sweep as a job and return its handle.
 
         Submission is idempotent: the job id is content-addressed, so
-        resubmitting the same sweep returns the existing job -- already
-        ``done`` when its artifacts are on disk (a completed job with a
-        corrupt artifact is reset to ``submitted`` with a warning, and
-        streaming it re-runs the sweep).
+        resubmitting the same sweep returns the existing job, label
+        included -- already ``done`` when its artifacts are on disk (a
+        completed job with a corrupt artifact is reset to ``submitted``
+        with a warning, and streaming it re-runs the sweep); a ``failed``
+        job is reset to ``submitted``.
         """
         ordered = list(scenarios)
-        job_id = self.job_id_for(ordered)
+        hashes = [s.scenario_hash() for s in ordered]
+        job_id = self.job_id_for(hashes)
         try:
-            data = self._read_manifest(job_id)
+            manifest = self._read_manifest(job_id)
         except KeyError:
-            data = None
-        if data is not None and data["state"] == "done":
-            if self._load_artifact(job_id) is not None:
-                return self._handle(data)
-            data["state"] = "submitted"  # artifact rotted: force a re-run
-            data["completed"] = 0
-            self._write_manifest(job_id, data)
-            return self._handle(data)
-        if data is not None and data["state"] == "submitted":
-            return self._handle(data)
+            manifest = None
+        if manifest is not None:
+            if manifest["scenario_hashes"] != hashes:
+                raise ValueError(f"job {job_id}: corrupt manifest: other scenarios")
+            progress = self._read_progress(job_id, manifest["total"])
+            if progress["state"] == "done" and self._load_artifact(job_id) is None:
+                # The artifact rotted: force a re-run.
+                progress = dict(progress, state="submitted", completed=0)
+                self._write_progress(job_id, progress)
+            elif progress["state"] == "failed":
+                progress = dict(_FRESH)
+                self._write_progress(job_id, progress)
+            return self._handle(manifest, progress)
         from repro import __version__
 
-        data = {
+        manifest = {
             "manifest_version": MANIFEST_VERSION,
             "job_id": job_id,
-            "state": "submitted",
             "label": label,
             "version": __version__,
             "total": len(ordered),
-            "completed": 0,
-            "cache_hits": 0,
-            "error": "",
-            "scenario_hashes": [s.scenario_hash() for s in ordered],
+            "scenario_hashes": hashes,
             "scenarios": [s.to_dict() for s in ordered],
         }
-        self._write_manifest(job_id, data)
-        return self._handle(data)
+        _write_json(self._manifest_path(job_id), manifest)
+        self._write_progress(job_id, _FRESH)
+        return self._handle(manifest, _FRESH)
 
     def poll(self, job_id: str) -> SweepJob:
-        """The job's current state, straight from its manifest."""
-        return self._handle(self._read_manifest(job_id))
+        """The job's current state, from its manifest and progress record."""
+        manifest = self._read_manifest(job_id)
+        return self._handle(manifest, self._read_progress(job_id, manifest["total"]))
 
     def list_jobs(self) -> list[SweepJob]:
         """Handles of every job under the service root, by job id."""
-        jobs = []
-        for manifest in sorted(self.jobs_dir.glob("*/manifest.json")):
-            jobs.append(self._handle(self._read_manifest(manifest.parent.name)))
-        return jobs
+        return [
+            self.poll(manifest.parent.name)
+            for manifest in sorted(self.jobs_dir.glob("*/manifest.json"))
+        ]
 
     def stream(
         self,
@@ -232,51 +314,50 @@ class SweepService:
 
         A ``done`` job streams straight from its on-disk artifact (no
         simulation).  Otherwise the runner's ``iter_run`` drives the
-        sweep -- per-scenario cache hits included -- the manifest's
-        ``completed`` counter advances after every yielded record, and
-        the ``results.npz`` artifact is written when the last record
-        lands.  On an execution error the job is marked ``failed`` (with
-        the error recorded) and the exception re-raised.
+        sweep -- per-scenario cache hits included -- the progress
+        record's ``completed`` counter advances after every yielded
+        record, and the ``results.npz`` artifact is written when the last
+        record lands.  On an execution error the job is marked ``failed``
+        (with the error recorded) and the exception re-raised.
         """
-        data = self._read_manifest(job_id)
-        if data["state"] == "done":
+        manifest = self._read_manifest(job_id)
+        if self._read_progress(job_id, manifest["total"])["state"] == "done":
             artifact = self._load_artifact(job_id)
             if artifact is not None:
                 yield from artifact
                 return
-            data["state"] = "submitted"
-            data["completed"] = 0
-            self._write_manifest(job_id, data)
-        scenarios = [Scenario.from_dict(entry) for entry in data["scenarios"]]
+        try:
+            scenarios = [Scenario.from_dict(entry) for entry in manifest["scenarios"]]
+        except (AttributeError, TypeError, KeyError) as error:
+            raise ValueError(
+                f"job {job_id}: corrupt manifest: undecodable scenario: {error}"
+            ) from None
         runner = ExperimentRunner(
             max_workers=self.max_workers, cache_dir=self.cache_dir
         )
         results = ColumnarResultSet()
-        data["state"] = "submitted"
-        data["completed"] = 0
-        data["error"] = ""
-        self._write_manifest(job_id, data)
+        status = dict(_FRESH)
         try:
-            stream = runner.iter_run(scenarios, progress=progress)
-            data["cache_hits"] = runner.last_cache_hits
-            for record in stream:
+            records = runner.iter_run(scenarios, progress=progress)
+            status["cache_hits"] = runner.last_cache_hits
+            self._write_progress(job_id, status)
+            for record in records:
                 results.append(record)
-                data["completed"] = len(results)
-                self._write_manifest(job_id, data)
+                status["completed"] = len(results)
+                self._write_progress(job_id, status)
                 yield record
         except Exception as error:
-            data["state"] = "failed"
-            data["error"] = f"{type(error).__name__}: {error}"
-            self._write_manifest(job_id, data)
+            status["state"] = "failed"
+            status["error"] = f"{type(error).__name__}: {error}"
+            self._write_progress(job_id, status)
             raise
         results.save_npz(self.artifact_path(job_id))
-        data["state"] = "done"
-        self._write_manifest(job_id, data)
+        status["state"] = "done"
+        self._write_progress(job_id, status)
 
     def result(self, job_id: str) -> ColumnarResultSet:
         """The job's full result set, running the sweep if needed."""
-        data = self._read_manifest(job_id)
-        if data["state"] == "done":
+        if self.poll(job_id).done:
             artifact = self._load_artifact(job_id)
             if artifact is not None:
                 return artifact

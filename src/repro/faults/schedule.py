@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.utils.atomic import atomic_write
 from repro.utils.validation import require_positive
 
 #: Format marker written into every serialized schedule.
@@ -355,8 +356,8 @@ class FaultSchedule:
         return replace(self, repair=bool(repair))
 
     def save(self, path) -> str:
-        """Write canonical JSON to ``path``; returns the path."""
-        with open(path, "w", encoding="utf-8") as handle:
+        """Write canonical JSON to ``path``, atomically; returns the path."""
+        with atomic_write(path) as handle:
             handle.write(self.to_json() + "\n")
         return str(path)
 

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.utils.atomic import atomic_write
+
 #: Format marker written into every trace header.
 TRACE_FORMAT = "repro.trace"
 
@@ -214,8 +216,8 @@ class Trace:
         return cls(events=events, meta=dict(header.get("meta", {})), version=version)
 
     def save_jsonl(self, path) -> str:
-        """Write the JSON-lines form to ``path``; returns the path."""
-        with open(path, "w", encoding="utf-8") as handle:
+        """Write the JSON-lines form to ``path``, atomically; returns the path."""
+        with atomic_write(path) as handle:
             handle.write(self.dumps())
         return str(path)
 
@@ -306,13 +308,18 @@ class Trace:
         return cls(events=events, meta=dict(meta or {}))
 
     def save_npz(self, path) -> str:
-        """Write the columnar form (plus JSON-encoded meta) to ``path``."""
+        """Write the columnar form (plus JSON-encoded meta) to ``path``.
+
+        The write is atomic and lands at ``path`` exactly, the path
+        returned; no ``.npz`` suffix is appended.
+        """
         columns = self.to_columns()
         header = json.dumps(
             {"format": TRACE_FORMAT, "version": self.version, "meta": self.meta},
             sort_keys=True,
         )
-        np.savez_compressed(path, __header__=np.array(header), **columns)
+        with atomic_write(path, binary=True) as handle:
+            np.savez_compressed(handle, __header__=np.array(header), **columns)
         return str(path)
 
     @classmethod

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.utils.atomic import atomic_write
 from repro.validation.claims import ClaimCheck, variant_metric
 from repro.validation.figures import FigureSpec, get_figure
 from repro.validation.montecarlo import FigureResult, PointEstimate
@@ -43,10 +44,9 @@ def valid_json_path(figure: str, directory: str | Path = ".") -> Path:
 def write_envelope(
     result: FigureResult, directory: str | Path = "."
 ) -> Path:
-    """Write a figure's Monte-Carlo result as its committed envelope."""
+    """Write a figure's Monte-Carlo result as its committed envelope, atomically."""
     spec = get_figure(result.figure)
     path = valid_json_path(result.figure, directory)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "figure": result.figure,
@@ -55,7 +55,8 @@ def write_envelope(
         "created_unix": time.time(),
         "result": result.to_dict(),
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
     return path
 
 
@@ -268,8 +269,8 @@ class ValidationReport:
         }
 
     def save(self, path: str | Path) -> Path:
-        """Write the report as JSON and return the path."""
+        """Write the report as JSON, atomically, and return the path."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with atomic_write(path) as handle:
+            handle.write(json.dumps(self.to_dict(), indent=2) + "\n")
         return path

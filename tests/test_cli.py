@@ -232,6 +232,26 @@ def test_serve_rejects_negative_workers_before_submitting(capsys, tmp_path):
     assert not (root / "jobs").exists()
 
 
+def test_serve_refuses_an_older_or_unreadable_job_directory(capsys, tmp_path):
+    import json
+
+    root = tmp_path / "svc"
+    argv = ["serve", "--site", "bridge", "--distance", "5", "--packets", "1",
+            "--workers", "1", "--jobs", str(root)]
+    assert main(argv) == 0
+    job_id = capsys.readouterr().out.split()[1].rstrip(":")
+    manifest = root / "jobs" / job_id / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["manifest_version"] = 2
+    manifest.write_text(json.dumps(data))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: job {job_id}: unsupported manifest version 2")
+    manifest.write_text("{truncated")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: job {job_id}: unreadable manifest")
+
+
 def test_validate_command_quick_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["validate", "--figure", "ber_vs_snr", "--trials", "1",

@@ -1,8 +1,11 @@
 """Tests for the streaming sweep service (repro.experiments.service)."""
 
+import json
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.experiments.runner as runner_module
 from repro.experiments import (
@@ -36,7 +39,7 @@ def test_submit_is_content_addressed_and_idempotent(tmp_path):
     service = SweepService(tmp_path, max_workers=1)
     scenarios = _scenarios(2)
     job = service.submit(scenarios, label="first")
-    assert job.job_id == SweepService.job_id_for(scenarios)
+    assert job.job_id == SweepService.job_id_for([s.scenario_hash() for s in scenarios])
     assert job.state == "submitted"
     assert job.total == 2 and job.completed == 0
     assert job.label == "first"
@@ -67,9 +70,12 @@ def test_stream_matches_blocking_runner(tmp_path):
     assert [r.scenario for r in records] == scenarios
     final = service.poll(job.job_id)
     assert final.done and final.completed == final.total == 3
-    # One artifact per job: the JSON form is rendered on fetch, not stored.
+    # One artifact per job beside its manifest and progress record: the
+    # JSON form is rendered on fetch, not stored.
     job_dir = service.artifact_path(job.job_id).parent
-    assert sorted(p.name for p in job_dir.iterdir()) == ["manifest.json", "results.npz"]
+    assert sorted(p.name for p in job_dir.iterdir()) == [
+        "manifest.json", "progress.json", "results.npz"
+    ]
     assert service.result(job.job_id) == reference
 
 
@@ -170,15 +176,137 @@ def test_failed_job_records_the_error_and_recovers(tmp_path, monkeypatch):
 
 
 def test_manifest_version_gate(tmp_path):
-    import json
-
     service = SweepService(tmp_path, max_workers=1)
-    job = service.submit(_scenarios(1))
+    scenarios = _scenarios(1)
+    job = service.submit(scenarios)
     path = service.jobs_dir / job.job_id / "manifest.json"
     data = json.loads(path.read_text())
-    # Version 1 manifests hold scenario entries that no longer decode.
-    for version in (1, 99):
+    # Version 1 manifests hold scenario entries that no longer decode;
+    # version 2 manifests held the progress counters themselves.
+    for version in (1, 2, 99):
         data["manifest_version"] = version
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="manifest version"):
-            service.poll(job.job_id)
+        for call in (
+            lambda: service.poll(job.job_id),
+            lambda: service.submit(scenarios),
+            lambda: list(service.stream(job.job_id)),
+            service.list_jobs,
+        ):
+            with pytest.raises(ValueError, match=f"unsupported manifest version {version}"):
+                call()
+
+
+# ------------------------------------------------------------ job layout
+def test_manifest_is_written_once_and_progress_replaced_per_record(tmp_path):
+    service = SweepService(tmp_path, max_workers=1)
+    job = service.submit(_scenarios(3))
+    job_dir = service.jobs_dir / job.job_id
+    manifest = job_dir / "manifest.json"
+
+    def identity(path):
+        stat = path.stat()
+        return stat.st_ino, stat.st_mtime_ns, stat.st_size
+
+    submitted = identity(manifest)
+    sizes = []
+    for _ in service.stream(job.job_id):
+        assert identity(manifest) == submitted
+        progress = json.loads((job_dir / "progress.json").read_text())
+        assert set(progress) == {"state", "completed", "cache_hits", "error"}
+        sizes.append((job_dir / "progress.json").stat().st_size)
+    assert service.poll(job.job_id).done
+    assert identity(manifest) == submitted
+    assert max(sizes) < 100
+
+
+def test_progress_record_size_does_not_depend_on_the_job_size(tmp_path):
+    service = SweepService(tmp_path, max_workers=1)
+    sizes = set()
+    for n in (1, 300):
+        job = service.submit([Scenario(site="bridge", num_packets=1, seed=k) for k in range(n)])
+        path = service.jobs_dir / job.job_id / "progress.json"
+        assert "scenario" not in path.read_text()
+        sizes.add(path.stat().st_size)
+    assert len(sizes) == 1
+
+
+def test_manifest_without_progress_record_reads_as_a_fresh_job(tmp_path):
+    # A kill between submission's two writes leaves only the manifest.
+    scenarios = _scenarios(2)
+    service = SweepService(tmp_path, max_workers=1)
+    job = service.submit(scenarios, label="cut")
+    (service.jobs_dir / job.job_id / "progress.json").unlink()
+    assert service.poll(job.job_id) == job
+    assert service.submit(scenarios) == job
+    assert len(list(service.stream(job.job_id))) == 2
+    assert service.poll(job.job_id).done
+
+
+@pytest.mark.parametrize("name, key, value, message", [
+    ("manifest.json", "total", 3, "corrupt manifest"),
+    ("manifest.json", "job_id", "0123456789abcdef", "corrupt manifest"),
+    ("manifest.json", "label", None, "corrupt manifest"),
+    ("manifest.json", "scenarios", {}, "corrupt manifest"),
+    ("progress.json", "completed", 3, "corrupt progress record"),
+    ("progress.json", "cache_hits", -1, "corrupt progress record"),
+    ("progress.json", "state", "running", "corrupt progress record"),
+    ("progress.json", "error", 0, "corrupt progress record"),
+])
+def test_inconsistent_job_files_are_refused(tmp_path, name, key, value, message):
+    service = SweepService(tmp_path, max_workers=1)
+    scenarios = _scenarios(2)
+    job = service.submit(scenarios)
+    path = service.jobs_dir / job.job_id / name
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    for call in (lambda: service.poll(job.job_id), lambda: service.submit(scenarios)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.fixture(scope="module")
+def finished_job(tmp_path_factory):
+    service = SweepService(tmp_path_factory.mktemp("svc"), max_workers=1)
+    scenarios = _scenarios(2, packets=1)
+    job, _ = _complete(service, scenarios)
+    return service, scenarios, job.job_id
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(["manifest.json", "progress.json"]),
+    flip=st.booleans(),
+    where=st.floats(min_value=0.0, max_value=1.0),
+    bit=st.integers(min_value=0, max_value=7),
+)
+@example(name="manifest.json", flip=False, where=0.0, bit=0)
+@example(name="progress.json", flip=False, where=0.5, bit=0)
+def test_corrupt_job_files_raise_only_key_or_value_errors(finished_job, name, flip, where, bit):
+    service, scenarios, job_id = finished_job
+    path = service.jobs_dir / job_id / name
+    original = path.read_bytes()
+    index = min(int(where * len(original)), len(original) - 1)
+    if flip:
+        corrupt = bytearray(original)
+        corrupt[index] ^= 1 << bit
+    else:
+        corrupt = original[:index]
+    path.write_bytes(bytes(corrupt))
+    try:
+        try:
+            job = service.poll(job_id)
+        except (KeyError, ValueError):
+            pass
+        else:  # what a poll reports is consistent
+            assert job.job_id == job_id and job.total == 2
+            assert job.state in ("submitted", "done", "failed")
+            assert 0 <= job.completed <= 2 and 0 <= job.cache_hits <= 2
+            assert job.completed == 2 or not job.done
+        for call in (lambda: service.submit(scenarios), service.list_jobs):
+            try:
+                call()
+            except (KeyError, ValueError):
+                pass
+    finally:
+        path.write_bytes(original)
