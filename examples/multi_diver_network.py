@@ -27,7 +27,7 @@ def carrier_sense_demo() -> None:
     ambient = noise_model.generate(3 * 48000, 48000.0, rng=1)
     threshold = detector.calibrate(ambient)
     print(f"  calibrated busy threshold: {threshold:.1f} dB "
-          f"(ambient + {detector.config.threshold_margin_db:.0f} dB margin)")
+          f"(ambient + {detector.THRESHOLD_MARGIN_DB:.0f} dB margin)")
     window = detector.samples_per_measurement
     t = np.arange(window) / 48000.0
     packet = 0.2 * np.sin(2 * np.pi * 2500.0 * t)

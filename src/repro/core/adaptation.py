@@ -62,8 +62,6 @@ def select_frequency_band(
     snr_db: np.ndarray,
     config: OFDMConfig | None = None,
     protocol: ProtocolConfig | None = None,
-    snr_threshold_db: float | None = None,
-    conservative_lambda: float | None = None,
 ) -> BandSelection:
     """Run Algorithm 1 and return the selected contiguous band.
 
@@ -76,14 +74,14 @@ def select_frequency_band(
         OFDM configuration used to translate offsets into absolute bins and
         frequencies.  Defaults to the paper configuration.
     protocol:
-        Protocol configuration carrying the threshold and lambda defaults.
-    snr_threshold_db, conservative_lambda:
-        Optional overrides of the protocol parameters (for ablations).
+        Protocol configuration carrying the SNR threshold and the
+        conservative lambda (an ablation varies them through its own
+        ``ProtocolConfig``).
     """
     config = config or OFDMConfig()
     protocol = protocol or ProtocolConfig()
-    threshold = protocol.snr_threshold_db if snr_threshold_db is None else float(snr_threshold_db)
-    lam = protocol.conservative_lambda if conservative_lambda is None else float(conservative_lambda)
+    threshold = float(protocol.snr_threshold_db)
+    lam = float(protocol.conservative_lambda)
     snr_db = np.asarray(snr_db, dtype=float).ravel()
     n0 = snr_db.size
     if n0 == 0:

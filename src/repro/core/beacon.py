@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import require_one_of, require_positive
+from repro.utils.validation import require_one_of
 
 #: Bit rates supported by the beacon mode and their symbol durations.
 SUPPORTED_RATES_BPS: tuple[int, ...] = (5, 10, 20)
@@ -59,24 +59,15 @@ class BeaconDecodeResult:
 class FSKBeacon:
     """Binary FSK encoder/decoder for SoS beacons and low-rate messages."""
 
-    def __init__(
-        self,
-        bit_rate_bps: int = 10,
-        f0_hz: float = 2000.0,
-        f1_hz: float = 3000.0,
-        sample_rate_hz: float = 48000.0,
-    ) -> None:
+    #: Tone of a 0 bit and of a 1 bit (Hz), inside the phones' 1.5-4 kHz band.
+    F0_HZ = 2000.0
+    F1_HZ = 3000.0
+    #: Audio sample rate (Hz).
+    SAMPLE_RATE_HZ = 48000.0
+
+    def __init__(self, bit_rate_bps: int = 10) -> None:
         require_one_of(bit_rate_bps, SUPPORTED_RATES_BPS, "bit_rate_bps")
-        require_positive(sample_rate_hz, "sample_rate_hz")
-        if not 1500.0 <= f0_hz < f1_hz <= 4000.0:
-            raise ValueError(
-                "beacon tones must lie in the 1.5-4 kHz band with f0 < f1, "
-                f"got ({f0_hz}, {f1_hz})"
-            )
         self.bit_rate_bps = int(bit_rate_bps)
-        self.f0_hz = float(f0_hz)
-        self.f1_hz = float(f1_hz)
-        self.sample_rate_hz = float(sample_rate_hz)
 
     @property
     def symbol_duration_s(self) -> float:
@@ -86,9 +77,9 @@ class FSKBeacon:
     @property
     def samples_per_symbol(self) -> int:
         """Number of audio samples per FSK symbol."""
-        return int(round(self.sample_rate_hz / self.bit_rate_bps))
+        return int(round(self.SAMPLE_RATE_HZ / self.bit_rate_bps))
 
-    def encode(self, bits: np.ndarray | list[int], amplitude: float = 1.0) -> np.ndarray:
+    def encode(self, bits: np.ndarray | list[int]) -> np.ndarray:
         """Return the FSK waveform for ``bits``."""
         bits = np.asarray(bits, dtype=int).ravel()
         if bits.size == 0:
@@ -96,21 +87,20 @@ class FSKBeacon:
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("bits must be 0 or 1")
         n = self.samples_per_symbol
-        t = np.arange(n) / self.sample_rate_hz
-        # Scale so the waveform RMS equals ``amplitude``: the beacon then uses
-        # the same average transmit power as the OFDM mode (whose symbols are
-        # normalized to unit mean power).
-        peak = amplitude * np.sqrt(2.0)
-        tone0 = peak * np.sin(2.0 * np.pi * self.f0_hz * t)
-        tone1 = peak * np.sin(2.0 * np.pi * self.f1_hz * t)
+        t = np.arange(n) / self.SAMPLE_RATE_HZ
+        # Unit RMS: the beacon uses the same average transmit power as the
+        # OFDM mode (whose symbols are normalized to unit mean power).
+        peak = np.sqrt(2.0)
+        tone0 = peak * np.sin(2.0 * np.pi * self.F0_HZ * t)
+        tone1 = peak * np.sin(2.0 * np.pi * self.F1_HZ * t)
         return np.concatenate([tone1 if bit else tone0 for bit in bits])
 
-    def encode_sos(self, user_id: int, amplitude: float = 1.0) -> np.ndarray:
+    def encode_sos(self, user_id: int) -> np.ndarray:
         """Encode a 6-bit user ID as an SoS beacon."""
         if not 0 <= user_id < 64:
             raise ValueError(f"user_id must fit in 6 bits, got {user_id}")
         bits = [(user_id >> (5 - i)) & 1 for i in range(6)]
-        return self.encode(bits, amplitude=amplitude)
+        return self.encode(bits)
 
     def decode(self, received: np.ndarray, num_bits: int) -> BeaconDecodeResult:
         """Decode ``num_bits`` FSK symbols from ``received``."""
@@ -124,8 +114,8 @@ class FSKBeacon:
         confidence = np.empty(num_bits, dtype=float)
         for i in range(num_bits):
             frame = received[i * n:(i + 1) * n]
-            p0 = _goertzel_power(frame, self.f0_hz, self.sample_rate_hz)
-            p1 = _goertzel_power(frame, self.f1_hz, self.sample_rate_hz)
+            p0 = _goertzel_power(frame, self.F0_HZ, self.SAMPLE_RATE_HZ)
+            p1 = _goertzel_power(frame, self.F1_HZ, self.SAMPLE_RATE_HZ)
             bits[i] = 1 if p1 > p0 else 0
             stronger, weaker = (p1, p0) if p1 > p0 else (p0, p1)
             confidence[i] = 10.0 * np.log10(max(stronger, 1e-30) / max(weaker, 1e-30))

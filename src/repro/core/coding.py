@@ -188,17 +188,12 @@ class DataDecoder:
         use_differential: bool = True,
         use_interleaving: bool = True,
         use_equalizer: bool = True,
-        equalizer_num_taps: int | None = None,
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
         self.protocol_config = protocol_config or ProtocolConfig()
         self.use_differential = bool(use_differential)
         self.use_interleaving = bool(use_interleaving)
         self.use_equalizer = bool(use_equalizer)
-        self.equalizer_num_taps = int(
-            equalizer_num_taps if equalizer_num_taps is not None
-            else self.protocol_config.equalizer_num_taps
-        )
         self._modulator = OFDMModulator(self.ofdm_config)
         self._code = PuncturedConvolutionalCode(
             constraint_length=self.protocol_config.constraint_length
@@ -246,7 +241,7 @@ class DataDecoder:
 
         if self.use_equalizer:
             equalizer = MMSEEqualizer(
-                num_taps=min(self.equalizer_num_taps, extended - 1),
+                num_taps=min(self.protocol_config.equalizer_num_taps, extended - 1),
             )
             equalizer.fit(burst[:extended], reference_training)
             burst = equalizer.apply(burst)

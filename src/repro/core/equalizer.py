@@ -52,20 +52,12 @@ def _reversal_phase(n: int, n_fft: int) -> np.ndarray:
 class MMSEEqualizer:
     """Single-channel time-domain MMSE (Wiener) equalizer."""
 
-    def __init__(
-        self,
-        num_taps: int = 480,
-        regularization: float = 1e-3,
-        delay: int = 0,
-    ) -> None:
+    #: Relative diagonal loading of the autocorrelation matrix.
+    REGULARIZATION = 1e-3
+
+    def __init__(self, num_taps: int = 480) -> None:
         require_positive(num_taps, "num_taps")
-        if regularization < 0:
-            raise ValueError("regularization must be non-negative")
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
         self.num_taps = int(num_taps)
-        self.regularization = float(regularization)
-        self.delay = int(delay)
         self.coefficients: np.ndarray | None = None
 
     # ------------------------------------------------------------ correlations
@@ -77,19 +69,14 @@ class MMSEEqualizer:
                 f"training too short ({y.size} samples) for a {self.num_taps}-tap equalizer"
             )
 
-    def _delayed_reference(self, x: np.ndarray, n: int) -> np.ndarray:
-        if self.delay:
-            return np.concatenate([np.zeros(self.delay), x])[:n]
-        return x
-
     def _normal_equations(
-        self, y: np.ndarray, x_target: np.ndarray
+        self, y: np.ndarray, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(r_yy, r_xy)`` for the Toeplitz normal equations.
 
         Both are lag ``0 .. num_taps-1`` slices of full correlations:
         ``r_yy[k] = (1/n) sum_n y[n] y[n-k]`` (biased autocorrelation) and
-        ``r_xy[k] = (1/n) sum_n x_target[n] y[n-k]``.  Computed via FFT --
+        ``r_xy[k] = (1/n) sum_n x[n] y[n-k]``.  Computed via FFT --
         ``correlate(a, y) == convolve(a, y[::-1])``, so one spectrum of the
         reversed training serves both correlations.
         """
@@ -102,10 +89,10 @@ class MMSEEqualizer:
         auto = irfft_n(forward * reversed_spectrum, n_fft)
         # The reference training repeats across packets of the same band, so
         # its spectrum comes from the shared content-keyed cache.
-        x_spectrum = CHANNEL_SPECTRUM_CACHE.spectrum(x_target, n_fft)
+        x_spectrum = CHANNEL_SPECTRUM_CACHE.spectrum(x, n_fft)
         cross = irfft_n(x_spectrum * reversed_spectrum, n_fft)
         r_yy = auto[zero_lag:zero_lag + taps] / n
-        r_yy[0] += self.regularization * r_yy[0] + 1e-12
+        r_yy[0] += self.REGULARIZATION * r_yy[0] + 1e-12
         r_xy = cross[zero_lag:zero_lag + taps] / n
         return r_yy, r_xy
 
@@ -130,16 +117,15 @@ class MMSEEqualizer:
         y = np.asarray(received_training, dtype=float).ravel()
         x = np.asarray(reference_training, dtype=float).ravel()
         self._validate_training(y, x)
-        x_target = self._delayed_reference(x, y.size)
-        r_yy, r_xy = self._normal_equations(y, x_target)
+        r_yy, r_xy = self._normal_equations(y, x)
         self.coefficients = solve_symmetric_toeplitz(r_yy, r_xy)
         return self.coefficients
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Equalize ``samples`` with the fitted coefficients.
 
-        The output is compensated for the equalizer's training delay so
-        symbol timing established before equalization remains valid.
+        The equalizer is fitted without a decision delay, so symbol timing
+        established before equalization remains valid.
         """
         if self.coefficients is None:
             raise RuntimeError("equalizer must be fitted before it can be applied")
@@ -152,6 +138,4 @@ class MMSEEqualizer:
         equalized = irfft_n(
             rfft_n(samples, n_fft) * rfft_n(self.coefficients, n_fft), n_fft
         )
-        if self.delay:
-            equalized = equalized[self.delay:]
         return equalized[: samples.size]

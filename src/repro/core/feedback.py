@@ -90,36 +90,28 @@ class FeedbackCodec:
         return symbol
 
     # ----------------------------------------------------------------- decode
-    def decode(
-        self,
-        received: np.ndarray,
-        search_start: int = 0,
-        search_stop: int | None = None,
-    ) -> FeedbackDecodeResult:
+    def decode(self, received: np.ndarray) -> FeedbackDecodeResult:
         """Locate and decode the feedback symbol within ``received``.
 
-        Parameters
-        ----------
-        received:
-            Audio captured by the original transmitter after it finished
-            sending the preamble (it stays silent while listening).
-        search_start, search_stop:
-            Sample range of candidate symbol start offsets.  The default
-            searches up to the maximum round-trip time for the protocol's
-            ``max_range_m`` plus one symbol, as the paper describes.
+        ``received`` is the audio captured by the original transmitter after
+        it finished sending the preamble (it stays silent while listening).
+        Candidate symbol starts run from the first sample up to the maximum
+        round-trip time for the protocol's ``max_range_m`` plus one symbol,
+        as the paper describes.
         """
         config = self.ofdm_config
         received = np.asarray(received, dtype=float)
         window = config.symbol_length
-        if search_stop is None:
-            max_round_trip_s = 2.0 * self.protocol_config.max_range_m / SOUND_SPEED_M_S
-            search_stop = int(max_round_trip_s * config.sample_rate_hz) + config.extended_symbol_length
-        search_stop = min(int(search_stop), received.size - window)
-        if search_stop < search_start:
+        max_round_trip_s = 2.0 * self.protocol_config.max_range_m / SOUND_SPEED_M_S
+        search_stop = min(
+            int(max_round_trip_s * config.sample_rate_hz) + config.extended_symbol_length,
+            received.size - window,
+        )
+        if search_stop < 0:
             return FeedbackDecodeResult(False, -1, -1, -1, 0.0)
 
         step = max(1, int(self.protocol_config.feedback_search_step))
-        offsets = np.arange(int(search_start), search_stop + 1, step)
+        offsets = np.arange(0, search_stop + 1, step)
         data_bins = config.data_bins
         # Two-pass search.  The first pass finds how much two-tone energy any
         # window captures; the second pass restricts attention to windows that

@@ -65,7 +65,6 @@ class AquaModem:
         use_differential: bool = True,
         use_interleaving: bool = True,
         use_equalizer: bool = True,
-        equalizer_num_taps: int | None = None,
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
         self.protocol_config = protocol_config or ProtocolConfig()
@@ -85,7 +84,6 @@ class AquaModem:
             use_differential=use_differential,
             use_interleaving=use_interleaving,
             use_equalizer=use_equalizer,
-            equalizer_num_taps=equalizer_num_taps,
         )
         self.bandpass = FIRBandpassFilter(
             self.ofdm_config.band_low_hz,
@@ -140,26 +138,13 @@ class AquaModem:
             symbols, self.preamble_generator.reference_bin_values, self.ofdm_config
         )
 
-    def select_band(
-        self,
-        estimate: ChannelEstimate,
-        snr_threshold_db: float | None = None,
-        conservative_lambda: float | None = None,
-    ) -> BandSelection:
+    def select_band(self, estimate: ChannelEstimate) -> BandSelection:
         """Run the frequency band adaptation algorithm on an SNR estimate."""
-        return select_frequency_band(
-            estimate.snr_db,
-            self.ofdm_config,
-            self.protocol_config,
-            snr_threshold_db=snr_threshold_db,
-            conservative_lambda=conservative_lambda,
-        )
+        return select_frequency_band(estimate.snr_db, self.ofdm_config, self.protocol_config)
 
-    def decode_feedback(
-        self, received: np.ndarray, search_start: int = 0, search_stop: int | None = None
-    ) -> FeedbackDecodeResult:
+    def decode_feedback(self, received: np.ndarray) -> FeedbackDecodeResult:
         """Decode the two-tone feedback symbol at the original transmitter."""
-        return self.feedback_codec.decode(received, search_start, search_stop)
+        return self.feedback_codec.decode(received)
 
     def band_from_feedback(self, feedback: FeedbackDecodeResult) -> BandSelection:
         """Convert a decoded feedback result into a band selection."""
@@ -184,8 +169,6 @@ class AquaModem:
         return result.is_ack and result.dominance > self.protocol_config.ack_dominance_threshold
 
     # ------------------------------------------------------------- accounting
-    def bitrate_for_band(self, band: BandSelection, include_cyclic_prefix: bool = False) -> float:
+    def bitrate_for_band(self, band: BandSelection) -> float:
         """Coded bitrate implied by a selected band (bps)."""
-        return bitrate_for_selection(
-            band, self.ofdm_config, self.protocol_config, include_cyclic_prefix=include_cyclic_prefix
-        )
+        return bitrate_for_selection(band, self.ofdm_config, self.protocol_config)

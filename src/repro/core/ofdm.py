@@ -2,8 +2,8 @@
 
 An OFDM symbol is built by placing complex values on a subset of the
 real-FFT bins of a ``symbol_length``-sample frame, taking an inverse real
-FFT, normalizing the frame to a fixed transmit power and prepending a
-cyclic prefix.  Normalizing to *fixed total power per symbol* is what makes
+FFT, normalizing the frame to unit mean power and prepending a cyclic
+prefix.  Normalizing to *fixed total power per symbol* is what makes
 the paper's "drop low-SNR bins and reallocate power to the remaining bins"
 behaviour emerge naturally: fewer active bins means more power per bin.
 """
@@ -18,11 +18,8 @@ from repro.core.config import OFDMConfig
 class OFDMModulator:
     """Modulates and demodulates single OFDM symbols for a given config."""
 
-    def __init__(self, config: OFDMConfig, symbol_power: float = 1.0) -> None:
-        if symbol_power <= 0:
-            raise ValueError("symbol_power must be positive")
+    def __init__(self, config: OFDMConfig) -> None:
         self.config = config
-        self.symbol_power = float(symbol_power)
 
     @property
     def num_spectrum_bins(self) -> int:
@@ -35,9 +32,8 @@ class OFDMModulator:
         bin_values: np.ndarray,
         bin_indices: np.ndarray,
         add_cyclic_prefix: bool = True,
-        normalize_power: bool = True,
     ) -> np.ndarray:
-        """Build a time-domain OFDM symbol.
+        """Build a time-domain OFDM symbol of unit mean power.
 
         Parameters
         ----------
@@ -47,30 +43,24 @@ class OFDMModulator:
             Absolute subcarrier indices (0 = DC) receiving those values.
         add_cyclic_prefix:
             Prepend the cyclic prefix when ``True``.
-        normalize_power:
-            Scale the symbol so its mean power equals ``symbol_power``.
-            Disable for silence symbols or externally-scaled signals.
 
         The one-row case of :meth:`modulate_many`.
         """
         bin_values = np.asarray(bin_values, dtype=complex).ravel()
-        return self.modulate_many(
-            bin_values[None, :], bin_indices, add_cyclic_prefix, normalize_power
-        )[0]
+        return self.modulate_many(bin_values[None, :], bin_indices, add_cyclic_prefix)[0]
 
     def modulate_many(
         self,
         bin_values: np.ndarray,
         bin_indices: np.ndarray,
         add_cyclic_prefix: bool = True,
-        normalize_power: bool = True,
     ) -> np.ndarray:
         """Build several OFDM symbols at once.
 
         ``bin_values`` has shape ``(num_symbols, len(bin_indices))``; every
         row becomes one symbol on the same set of subcarriers.  Returns a
         ``(num_symbols, symbol_length[+cyclic_prefix])`` array; each row is
-        normalized to ``symbol_power`` on its own.
+        normalized to unit mean power on its own.
         """
         bin_values = np.asarray(bin_values, dtype=complex)
         bin_indices = np.asarray(bin_indices, dtype=int).ravel()
@@ -86,9 +76,9 @@ class OFDMModulator:
         spectrum = np.zeros((bin_values.shape[0], self.num_spectrum_bins), dtype=complex)
         spectrum[:, bin_indices] = bin_values
         symbols = np.fft.irfft(spectrum, n=self.config.symbol_length, axis=1)
-        if normalize_power and bin_indices.size:
+        if bin_indices.size:
             power = np.mean(symbols ** 2, axis=1)
-            scale = np.where(power > 0, np.sqrt(self.symbol_power / np.maximum(power, 1e-300)), 1.0)
+            scale = np.where(power > 0, np.sqrt(1.0 / np.maximum(power, 1e-300)), 1.0)
             symbols = symbols * scale[:, None]
         if add_cyclic_prefix and self.config.cyclic_prefix_length > 0:
             symbols = np.concatenate(
@@ -156,16 +146,4 @@ class OFDMModulator:
             return spectra
         bin_indices = np.asarray(bin_indices, dtype=int).ravel()
         return spectra[:, bin_indices]
-
-    # ----------------------------------------------------------------- helpers
-    def silence(self, num_symbols: int = 1, with_prefix: bool = True) -> np.ndarray:
-        """Return zero samples spanning ``num_symbols`` OFDM symbol slots.
-
-        Used for the post-preamble silence period: the transmitter keeps its
-        audio buffer full with zeros so the OFDM symbol timer stays aligned.
-        """
-        if num_symbols < 0:
-            raise ValueError("num_symbols must be non-negative")
-        length = self.config.extended_symbol_length if with_prefix else self.config.symbol_length
-        return np.zeros(num_symbols * length)
 

@@ -62,13 +62,11 @@ class PreambleGenerator:
         self,
         ofdm_config: OFDMConfig | None = None,
         protocol_config: ProtocolConfig | None = None,
-        zc_root: int = 1,
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
         self.protocol_config = protocol_config or ProtocolConfig()
-        self.zc_root = int(zc_root)
         self._modulator = OFDMModulator(self.ofdm_config)
-        self._bin_values = zadoff_chu(self.ofdm_config.num_data_bins, root=self.zc_root)
+        self._bin_values = zadoff_chu(self.ofdm_config.num_data_bins)
         self._base_symbol_cache: np.ndarray | None = None
         self._waveform_cache: np.ndarray | None = None
 
@@ -130,6 +128,9 @@ class PreambleGenerator:
 class PreambleDetector:
     """Two-stage preamble detector and synchronizer."""
 
+    #: Coarse-stage candidates the fine stage examines.
+    MAX_CANDIDATES = 4
+
     def __init__(self, generator: PreambleGenerator) -> None:
         self.generator = generator
         self.protocol_config = generator.protocol_config
@@ -139,8 +140,8 @@ class PreambleDetector:
         # search (shared across every packet of a session).
         self._correlator = TemplateCorrelator(self._template)
 
-    def coarse_candidates(self, received: np.ndarray, max_candidates: int = 4) -> list[tuple[int, float]]:
-        """Return up to ``max_candidates`` coarse-stage candidate offsets.
+    def coarse_candidates(self, received: np.ndarray) -> list[tuple[int, float]]:
+        """Return up to :attr:`MAX_CANDIDATES` coarse-stage candidate offsets.
 
         Each candidate is a ``(offset, metric)`` pair where the metric is the
         normalized cross-correlation against the preamble template.  Only
@@ -160,7 +161,7 @@ class PreambleDetector:
         candidates: list[tuple[int, float]] = []
         min_separation = self.ofdm_config.symbol_length
         for index in order:
-            if len(candidates) >= max_candidates:
+            if len(candidates) >= self.MAX_CANDIDATES:
                 break
             if all(abs(int(index) - c[0]) > min_separation for c in candidates):
                 candidates.append((int(index), float(correlation[index])))

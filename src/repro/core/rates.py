@@ -14,71 +14,56 @@ from __future__ import annotations
 from repro.core.adaptation import BandSelection
 from repro.core.config import OFDMConfig, ProtocolConfig
 
+#: Silent symbol slots the transmitter waits for feedback after the header.
+SILENCE_SYMBOLS = 2
+
 
 def coded_bitrate_bps(
     num_bins: int,
     config: OFDMConfig | None = None,
     protocol: ProtocolConfig | None = None,
-    include_cyclic_prefix: bool = False,
 ) -> float:
     """Return the coded (information) bitrate for a band of ``num_bins``.
 
-    ``include_cyclic_prefix=False`` (default) matches the bitrate figures
-    quoted in the paper's CDFs; setting it to ``True`` gives the on-air
-    throughput including the prefix overhead (about 1.8 kbps maximum).
+    This is the rate the paper's bitrate CDFs quote; it leaves out the
+    cyclic-prefix overhead (on air, the full band carries about 1.8 kbps).
     """
     if num_bins < 1:
         raise ValueError("num_bins must be at least 1")
     config = config or OFDMConfig()
     protocol = protocol or ProtocolConfig()
-    if include_cyclic_prefix:
-        symbols_per_second = 1.0 / config.extended_symbol_duration_s
-    else:
-        symbols_per_second = config.subcarrier_spacing_hz
-    return num_bins * symbols_per_second * protocol.code_rate
+    return num_bins * config.subcarrier_spacing_hz * protocol.code_rate
 
 
 def bitrate_for_selection(
     selection: BandSelection,
     config: OFDMConfig | None = None,
     protocol: ProtocolConfig | None = None,
-    include_cyclic_prefix: bool = False,
 ) -> float:
     """Return the coded bitrate implied by a band selection."""
-    return coded_bitrate_bps(
-        selection.num_bins, config, protocol, include_cyclic_prefix=include_cyclic_prefix
-    )
+    return coded_bitrate_bps(selection.num_bins, config, protocol)
 
 
-def packet_airtime_s(
-    num_payload_bits: int,
-    num_bins: int,
-    config: OFDMConfig | None = None,
-    protocol: ProtocolConfig | None = None,
-    num_preamble_symbols: int | None = None,
-    feedback_symbols: int = 1,
-    silence_symbols: int = 2,
-) -> float:
+def packet_airtime_s(num_payload_bits: int, num_bins: int) -> float:
     """Return the total airtime of one protocol exchange in seconds.
 
-    This accounts for the preamble, the receiver-ID symbol, the silence
-    period while waiting for feedback, the feedback symbol, the training
-    symbol and the data symbols -- i.e. the full sequence of Fig. 5.
+    This accounts for the preamble, the receiver-ID symbol, the two silent
+    symbols while waiting for feedback, the feedback symbol, the training
+    symbol and the data symbols -- i.e. the full sequence of Fig. 5, in
+    the paper's configuration.
     """
     import numpy as np
 
-    config = config or OFDMConfig()
-    protocol = protocol or ProtocolConfig()
-    if num_preamble_symbols is None:
-        num_preamble_symbols = protocol.num_preamble_symbols
+    config = OFDMConfig()
+    protocol = ProtocolConfig()
     coded_bits = int(np.ceil(num_payload_bits / protocol.code_rate))
     data_symbols = int(np.ceil(coded_bits / max(num_bins, 1)))
     total_symbols = (
-        num_preamble_symbols  # preamble
-        + 1                    # receiver ID symbol
-        + silence_symbols      # silence while waiting for feedback
-        + feedback_symbols     # feedback from the receiver
-        + 1                    # training symbol
+        protocol.num_preamble_symbols  # preamble
+        + 1                            # receiver ID symbol
+        + SILENCE_SYMBOLS              # silence while waiting for feedback
+        + 1                            # feedback from the receiver
+        + 1                            # training symbol
         + data_symbols
     )
     return total_symbols * config.extended_symbol_duration_s

@@ -22,6 +22,10 @@ from repro.core.ofdm import OFDMModulator
 
 _EPS = 1e-30
 
+#: Diagonal loading of the MMSE channel estimate, so that bins in a deep
+#: fade do not blow up numerically.
+_REGULARIZATION = 1e-3
+
 #: Cache of effective transmitted reference spectra keyed by (reference
 #: values, config): the transmit chain normalizes every symbol to unit mean
 #: power, so the effective bin values are the reference values scaled by the
@@ -82,7 +86,6 @@ def estimate_channel_and_snr(
     received_symbols: np.ndarray,
     reference_bin_values: np.ndarray,
     config: OFDMConfig,
-    regularization: float = 1e-3,
 ) -> ChannelEstimate:
     """Estimate per-subcarrier channel response and SNR from the preamble.
 
@@ -97,9 +100,6 @@ def estimate_channel_and_snr(
         The known CAZAC values transmitted on the data subcarriers.
     config:
         OFDM configuration describing which subcarriers carry data.
-    regularization:
-        Small diagonal loading used in the MMSE estimate so that bins in a
-        deep fade do not blow up numerically.
     """
     received_symbols = np.asarray(received_symbols, dtype=float)
     if received_symbols.ndim != 2 or received_symbols.shape[1] != config.symbol_length:
@@ -121,7 +121,7 @@ def estimate_channel_and_snr(
     # symbols carry identical data so the estimator reduces to an average of
     # y / x with regularization.
     x_power = np.abs(x) ** 2
-    response = (np.conj(x) * received_spectra.mean(axis=0)) / (x_power + regularization)
+    response = (np.conj(x) * received_spectra.mean(axis=0)) / (x_power + _REGULARIZATION)
 
     # Residual energy across the preamble symbols gives the noise estimate.
     predicted = response[None, :] * x[None, :]

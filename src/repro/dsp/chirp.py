@@ -20,9 +20,8 @@ def lfm_chirp(
     f_end_hz: float,
     duration_s: float,
     sample_rate_hz: float,
-    amplitude: float = 1.0,
 ) -> np.ndarray:
-    """Return a real-valued linear frequency modulated chirp.
+    """Return a real-valued, unit-amplitude linear frequency modulated chirp.
 
     Parameters
     ----------
@@ -33,8 +32,6 @@ def lfm_chirp(
         Sweep duration in seconds.
     sample_rate_hz:
         Sampling rate in Hz.
-    amplitude:
-        Peak amplitude of the generated waveform.
     """
     require_positive(duration_s, "duration_s")
     require_positive(sample_rate_hz, "sample_rate_hz")
@@ -46,4 +43,4 @@ def lfm_chirp(
     t = np.arange(num_samples) / sample_rate_hz
     sweep_rate = (f_end_hz - f_start_hz) / duration_s
     phase = 2.0 * np.pi * (f_start_hz * t + 0.5 * sweep_rate * t * t)
-    return amplitude * np.sin(phase)
+    return np.sin(phase)

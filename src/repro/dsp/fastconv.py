@@ -90,19 +90,13 @@ def conv_fft_len(out_len: int) -> int:
 
 
 class SpectrumCache:
-    """LRU cache of kernel rFFT spectra and cascade product spectra.
+    """LRU cache of kernel rFFT spectra and cascade product spectra."""
 
-    Parameters
-    ----------
-    max_entries:
-        Bound on the number of cached spectra (single kernels and cascade
-        products count separately).  Old entries are evicted LRU-first.
-    """
+    #: Bound on the number of cached spectra (single kernels and cascade
+    #: products count separately).  Old entries are evicted LRU-first.
+    MAX_ENTRIES = 128
 
-    def __init__(self, max_entries: int = 128) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = int(max_entries)
+    def __init__(self) -> None:
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -128,7 +122,7 @@ class SpectrumCache:
     def _put(self, key: tuple, spectrum: np.ndarray) -> np.ndarray:
         spectrum.setflags(write=False)
         self._entries[key] = spectrum
-        if len(self._entries) > self.max_entries:
+        if len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
         return spectrum
 
@@ -160,16 +154,12 @@ class SpectrumCache:
 CHANNEL_SPECTRUM_CACHE = SpectrumCache()
 
 
-def convolve_full(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    cache: SpectrumCache = CHANNEL_SPECTRUM_CACHE,
-) -> np.ndarray:
+def convolve_full(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Full linear convolution of ``x`` with a cached-spectrum kernel."""
     x = np.asarray(x, dtype=float)
     out_len = x.size + kernel.size - 1
     n_fft = conv_fft_len(out_len)
-    spectrum = cache.spectrum(kernel, n_fft)
+    spectrum = CHANNEL_SPECTRUM_CACHE.spectrum(kernel, n_fft)
     return irfft_n(rfft_n(x, n_fft) * spectrum, n_fft)[:out_len]
 
 
@@ -177,7 +167,6 @@ def convolve_cascade(
     x: np.ndarray,
     first: np.ndarray,
     second: np.ndarray,
-    cache: SpectrumCache = CHANNEL_SPECTRUM_CACHE,
 ) -> np.ndarray:
     """Convolve ``x`` with two cascaded kernels in one FFT round trip.
 
@@ -188,7 +177,7 @@ def convolve_cascade(
     x = np.asarray(x, dtype=float)
     out_len = x.size + first.size + second.size - 2
     n_fft = conv_fft_len(out_len)
-    spectrum = cache.cascade_spectrum(first, second, n_fft)
+    spectrum = CHANNEL_SPECTRUM_CACHE.cascade_spectrum(first, second, n_fft)
     return irfft_n(rfft_n(x, n_fft) * spectrum, n_fft)[:out_len]
 
 

@@ -15,13 +15,8 @@ from repro.dsp.fastconv import convolve_full
 from repro.utils.validation import require_positive
 
 
-def design_bandpass_fir(
-    low_hz: float,
-    high_hz: float,
-    sample_rate_hz: float,
-    num_taps: int = 129,
-) -> np.ndarray:
-    """Design a linear-phase FIR band-pass filter.
+def design_bandpass_fir(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
+    """Design the receiver's linear-phase FIR band-pass filter.
 
     Parameters
     ----------
@@ -29,23 +24,17 @@ def design_bandpass_fir(
         Passband edges in Hz.
     sample_rate_hz:
         Sampling rate in Hz.
-    num_taps:
-        Number of filter taps.  The paper's "128 order" filter corresponds
-        to 129 taps.  Must be odd so the band-pass response is realizable
-        as a type-I linear phase filter.
+
+    The paper's "128 order" filter has 129 taps, an odd count, so the
+    band-pass response is realizable as a type-I linear phase filter.
     """
     require_positive(sample_rate_hz, "sample_rate_hz")
-    require_positive(num_taps, "num_taps")
     if not 0 < low_hz < high_hz < sample_rate_hz / 2:
         raise ValueError(
             f"band edges must satisfy 0 < low < high < Nyquist, got "
             f"({low_hz}, {high_hz}) at fs={sample_rate_hz}"
         )
-    if num_taps % 2 == 0:
-        num_taps += 1
-    return sp_signal.firwin(
-        num_taps, [low_hz, high_hz], pass_zero=False, fs=sample_rate_hz
-    )
+    return sp_signal.firwin(129, [low_hz, high_hz], pass_zero=False, fs=sample_rate_hz)
 
 
 def design_fir_from_response(
@@ -93,12 +82,11 @@ class FIRBandpassFilter:
         low_hz: float = 1000.0,
         high_hz: float = 4000.0,
         sample_rate_hz: float = 48000.0,
-        num_taps: int = 129,
     ) -> None:
         self.low_hz = float(low_hz)
         self.high_hz = float(high_hz)
         self.sample_rate_hz = float(sample_rate_hz)
-        self.taps = design_bandpass_fir(low_hz, high_hz, sample_rate_hz, num_taps)
+        self.taps = design_bandpass_fir(low_hz, high_hz, sample_rate_hz)
 
     @property
     def num_taps(self) -> int:

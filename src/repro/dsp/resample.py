@@ -34,16 +34,15 @@ def _index_ramp(n: int) -> np.ndarray:
     return ramp
 
 
-def doppler_factor(relative_speed_m_s: float, sound_speed_m_s: float = SOUND_SPEED_WATER_M_S) -> float:
+def doppler_factor(relative_speed_m_s: float) -> float:
     """Return the time-scaling factor for a given closing speed.
 
     Positive ``relative_speed_m_s`` means the devices are approaching each
     other (received signal compressed, frequencies shifted up).
     """
-    require_positive(sound_speed_m_s, "sound_speed_m_s")
-    if abs(relative_speed_m_s) >= sound_speed_m_s:
+    if abs(relative_speed_m_s) >= SOUND_SPEED_WATER_M_S:
         raise ValueError("relative speed must be below the sound speed")
-    return 1.0 + relative_speed_m_s / sound_speed_m_s
+    return 1.0 + relative_speed_m_s / SOUND_SPEED_WATER_M_S
 
 
 def apply_doppler(

@@ -1,12 +1,11 @@
-"""CAZAC (Zadoff-Chu) sequences and the preamble's pseudo-noise sign pattern.
+"""CAZAC (Zadoff-Chu) sequences.
 
 The AquaApp preamble fills its OFDM subcarriers with a CAZAC sequence
 because such sequences have constant amplitude (unit peak-to-average power
 ratio in the frequency domain) and an ideal periodic autocorrelation, which
 makes them well suited both for detection by correlation and for channel
-estimation.  Eight identical preamble symbols are sign-modulated by the
-pseudo-noise pattern ``[-1, 1, 1, 1, 1, 1, -1, 1]`` to sharpen the timing
-metric of the sliding-correlation detector.
+estimation.  (The pseudo-noise sign pattern over the eight preamble
+symbols is ``ProtocolConfig.preamble_pn_signs``.)
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-#: Sign pattern applied to the eight preamble OFDM symbols (paper section 2.2.1).
-PREAMBLE_PN_SIGNS: tuple[int, ...] = (-1, 1, 1, 1, 1, 1, -1, 1)
 
 
 def zadoff_chu(length: int, root: int = 1) -> np.ndarray:
@@ -57,8 +53,3 @@ def zadoff_chu(length: int, root: int = 1) -> np.ndarray:
     else:
         phase = -np.pi * u * n * (n + 1) / length
     return np.exp(1j * phase)
-
-
-def preamble_pn_signs() -> np.ndarray:
-    """Return the paper's eight-element preamble sign pattern as an array."""
-    return np.array(PREAMBLE_PN_SIGNS, dtype=float)

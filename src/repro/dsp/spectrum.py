@@ -56,13 +56,12 @@ def frequency_response_from_probe(
     received: np.ndarray,
     sample_rate_hz: float,
     freqs_hz: np.ndarray,
-    smoothing_bins: int = 5,
 ) -> np.ndarray:
     """Estimate an end-to-end magnitude response (dB) at the given frequencies.
 
     The estimate is the ratio of received to transmitted energy density,
-    evaluated at ``freqs_hz`` and lightly smoothed.  This mirrors how the
-    paper's Fig. 3 curves are produced from chirp probes.
+    each smoothed over five FFT bins, evaluated at ``freqs_hz``.  This
+    mirrors how the paper's Fig. 3 curves are produced from chirp probes.
     """
     require_positive(sample_rate_hz, "sample_rate_hz")
     transmitted = np.asarray(transmitted, dtype=float)
@@ -72,10 +71,9 @@ def frequency_response_from_probe(
     tx_spec = np.abs(np.fft.rfft(transmitted, n=n_fft)) ** 2
     rx_spec = np.abs(np.fft.rfft(received, n=n_fft)) ** 2
     grid = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz)
-    if smoothing_bins > 1:
-        kernel = np.ones(smoothing_bins) / smoothing_bins
-        tx_spec = np.convolve(tx_spec, kernel, mode="same")
-        rx_spec = np.convolve(rx_spec, kernel, mode="same")
+    kernel = np.ones(5) / 5
+    tx_spec = np.convolve(tx_spec, kernel, mode="same")
+    rx_spec = np.convolve(rx_spec, kernel, mode="same")
     ratio = rx_spec / np.maximum(tx_spec, 1e-30)
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     values = np.interp(freqs_hz, grid, ratio)

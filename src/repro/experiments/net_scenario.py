@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.environments.sites import SITE_CATALOG
 from repro.experiments.scenario import content_hash
-from repro.net.congestion import CC_KINDS, RelayQueueConfig
+from repro.net.congestion import CC_KINDS
 from repro.net.links import CalibratedLink, LinkModel, PhysicalLink, calibrate_from_phy
 from repro.net.routing import ROUTING_CATALOG, build_routing
 from repro.net.simulator import NetworkResult, NetworkSimulator
@@ -362,11 +362,7 @@ class NetScenario:
             seed=self.seed + 1,
             observer=observer,
             cc=self.cc,
-            relay_queue=(
-                RelayQueueConfig(capacity_packets=self.queue_capacity)
-                if self.queue_capacity is not None
-                else None
-            ),
+            queue_capacity=self.queue_capacity,
             faults=faults,
         )
 

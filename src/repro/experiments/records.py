@@ -30,7 +30,7 @@ from repro.utils.atomic import atomic_write
 from repro.utils.jsonsafe import nan_to_none as _nan_to_none
 from repro.utils.jsonsafe import none_to_nan as _none_to_nan
 
-#: Default columns of :meth:`ResultSet.to_table`.
+#: Columns of :meth:`ResultSet.to_table`.
 DEFAULT_TABLE_COLUMNS = (
     "scenario",
     "packets",
@@ -263,12 +263,10 @@ class ResultSet:
         data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         return cls([RunRecord.from_dict(entry) for entry in data])
 
-    def to_table(self, columns=DEFAULT_TABLE_COLUMNS) -> str:
-        """Fixed-width text table of the result set.
-
-        Columns are names from :data:`DEFAULT_TABLE_COLUMNS` or any record
-        attribute; ``scenario`` renders the scenario's one-line summary.
-        """
+    def to_table(self) -> str:
+        """Fixed-width text table of the result set, one column per
+        :data:`DEFAULT_TABLE_COLUMNS` entry (``scenario`` renders the
+        scenario's one-line summary)."""
         renderers = {
             "scenario": lambda r: r.scenario.describe(),
             "packets": lambda r: str(r.num_packets),
@@ -277,18 +275,12 @@ class ResultSet:
             "median_bps": lambda r: f"{r.median_bitrate_bps:.0f}",
             "detect": lambda r: f"{r.preamble_detection_rate:.1%}",
             "feedback_err": lambda r: f"{r.feedback_error_rate:.1%}",
-            "elapsed_s": lambda r: f"{r.elapsed_s:.2f}",
         }
-        rows = []
-        for record in self.records:
-            row = []
-            for column in columns:
-                if column in renderers:
-                    row.append(renderers[column](record))
-                else:
-                    row.append(str(getattr(record, column)))
-            rows.append(row)
-        return format_table(list(columns), rows)
+        rows = [
+            [renderers[column](record) for column in DEFAULT_TABLE_COLUMNS]
+            for record in self.records
+        ]
+        return format_table(list(DEFAULT_TABLE_COLUMNS), rows)
 
     @property
     def total_elapsed_s(self) -> float:

@@ -312,8 +312,17 @@ class Scenario:
         return cls(**data)
 
     def scenario_hash(self) -> str:
-        """Stable content hash of this scenario (cache key)."""
-        return content_hash(self.to_dict())
+        """Stable content hash of this scenario (cache key).
+
+        Computed once per instance: a service job checks each decoded
+        scenario against its manifest hash, and the runner's cache lookup
+        then reuses that hash.
+        """
+        digest = self.__dict__.get("_scenario_hash")
+        if digest is None:
+            digest = content_hash(self.to_dict())
+            object.__setattr__(self, "_scenario_hash", digest)
+        return digest
 
     def describe(self) -> str:
         """One-line human-readable summary."""

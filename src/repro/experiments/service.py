@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.experiments.columnar import ColumnarResultSet
 from repro.experiments.records import RunRecord
@@ -305,11 +305,7 @@ class SweepService:
             for manifest in sorted(self.jobs_dir.glob("*/manifest.json"))
         ]
 
-    def stream(
-        self,
-        job_id: str,
-        progress: bool | Callable[[str], None] | None = None,
-    ) -> Iterator[RunRecord]:
+    def stream(self, job_id: str) -> Iterator[RunRecord]:
         """Yield the job's records in order, executing what is missing.
 
         A ``done`` job streams straight from its on-disk artifact (no
@@ -317,7 +313,9 @@ class SweepService:
         sweep -- per-scenario cache hits included -- the progress
         record's ``completed`` counter advances after every yielded
         record, and the ``results.npz`` artifact is written when the last
-        record lands.  On an execution error the job is marked ``failed``
+        record lands.  Each scenario decoded from the manifest must hash
+        to the manifest's entry for it, or the manifest is refused as
+        corrupt.  On an execution error the job is marked ``failed``
         (with the error recorded) and the exception re-raised.
         """
         manifest = self._read_manifest(job_id)
@@ -332,13 +330,21 @@ class SweepService:
             raise ValueError(
                 f"job {job_id}: corrupt manifest: undecodable scenario: {error}"
             ) from None
+        for index, (scenario, digest) in enumerate(
+            zip(scenarios, manifest["scenario_hashes"])
+        ):
+            if scenario.scenario_hash() != digest:
+                raise ValueError(
+                    f"job {job_id}: corrupt manifest: scenario {index} does not "
+                    f"match its hash"
+                )
         runner = ExperimentRunner(
             max_workers=self.max_workers, cache_dir=self.cache_dir
         )
         results = ColumnarResultSet()
         status = dict(_FRESH)
         try:
-            records = runner.iter_run(scenarios, progress=progress)
+            records = runner.iter_run(scenarios)
             status["cache_hits"] = runner.last_cache_hits
             self._write_progress(job_id, status)
             for record in records:

@@ -16,8 +16,8 @@ replacing the nested ``for`` loops of the old benchmark files:
 ``over`` adds independent axes (cartesian product, earlier axes vary
 slowest); ``paired`` adds one axis whose fields vary together -- the
 idiom for "seed follows the distance index" that every figure of the
-paper uses.  ``where`` filters the expanded grid and ``seeded`` assigns
-deterministic per-scenario seeds when no explicit seed axis is wanted.
+paper uses.  ``seeded`` assigns deterministic per-scenario seeds when no
+explicit seed axis is wanted.
 
 Sweeps are immutable builders: every method returns a new sweep, so a
 base sweep can be safely specialized multiple ways.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.experiments.scenario import Scenario
 
@@ -57,16 +57,12 @@ class Sweep:
         # Each axis is a list of {field: value} override dictionaries; the
         # expansion is the cartesian product of the axes applied in order.
         self._axes: tuple[tuple[dict, ...], ...] = ()
-        self._predicates: tuple[Callable[[Scenario], bool], ...] = ()
         self._seed_start: int | None = None
-        self._seed_step: int = 1
 
-    def _derive(self, axes=None, predicates=None) -> "Sweep":
+    def _derive(self, axes=None) -> "Sweep":
         clone = Sweep(self.base)
         clone._axes = self._axes if axes is None else axes
-        clone._predicates = self._predicates if predicates is None else predicates
         clone._seed_start = self._seed_start
-        clone._seed_step = self._seed_step
         return clone
 
     # ------------------------------------------------------------- building
@@ -108,22 +104,15 @@ class Sweep:
         )
         return self._derive(axes=tuple(list(self._axes) + [axis]))
 
-    def where(self, predicate: Callable[[Scenario], bool]) -> "Sweep":
-        """Keep only scenarios for which ``predicate`` returns true."""
-        return self._derive(predicates=tuple(list(self._predicates) + [predicate]))
+    def seeded(self, start: int = 0) -> "Sweep":
+        """Assign ``seed = start + i`` to the ``i``-th scenario.
 
-    def seeded(self, start: int = 0, step: int = 1) -> "Sweep":
-        """Assign ``seed = start + i * step`` to the ``i``-th kept scenario.
-
-        Applied after expansion and filtering, overriding any seed from the
-        base scenario or the axes; the canonical way to give every point of
-        a grid its own deterministic seed.
+        Applied after expansion, overriding any seed from the base scenario
+        or the axes; the canonical way to give every point of a grid its
+        own deterministic seed.
         """
-        if step == 0:
-            raise ValueError("step must be non-zero")
         clone = self._derive()
         clone._seed_start = start
-        clone._seed_step = step
         return clone
 
     # ------------------------------------------------------------ expansion
@@ -135,12 +124,9 @@ class Sweep:
             for point in combination:
                 overrides.update(point)
             expanded.append(self.base.replace(**overrides) if overrides else self.base)
-        for predicate in self._predicates:
-            expanded = [s for s in expanded if predicate(s)]
         if self._seed_start is not None:
             expanded = [
-                s.replace(seed=self._seed_start + i * self._seed_step)
-                for i, s in enumerate(expanded)
+                s.replace(seed=self._seed_start + i) for i, s in enumerate(expanded)
             ]
         return expanded
 

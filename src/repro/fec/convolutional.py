@@ -8,12 +8,10 @@ of the second bit.  The decoder runs a hard/soft-decision Viterbi algorithm
 and treats punctured positions as erasures (zero branch-metric
 contribution).
 
-Both the encoder and decoder are terminated: ``constraint_length - 1`` zero
-tail bits flush the encoder so the decoder can end in the all-zero state,
-which is how the 16-bit AquaApp packets become 24 coded bits
-(16 + 6 tail = 22 input bits... see :class:`PuncturedConvolutionalCode`
-for the exact accounting used in this reproduction, which follows the
-paper's 16 -> 24 coded-bit figure by puncturing the tail as well).
+The mother code can be terminated: ``constraint_length - 1`` zero tail
+bits flush the encoder so the decoder can end in the all-zero state.  The
+modem's :class:`PuncturedConvolutionalCode` runs it unterminated, which is
+how the 16-bit AquaApp packets become exactly the paper's 24 coded bits.
 
 The decoder is fully vectorized: all branch metrics are computed up front
 with one ``einsum`` over ``(steps, bits, states)`` and the add-compare-
@@ -30,9 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_DEFAULT_POLYNOMIALS = (0o133, 0o171)
-
 
 def _bits_array(bits: np.ndarray | list[int]) -> np.ndarray:
     arr = np.asarray(bits, dtype=int).ravel()
@@ -157,11 +152,7 @@ class ConvolutionalCode:
         one output stream per input bit.
     """
 
-    def __init__(
-        self,
-        constraint_length: int = 7,
-        polynomials: tuple[int, ...] = _DEFAULT_POLYNOMIALS,
-    ) -> None:
+    def __init__(self, constraint_length: int, polynomials: tuple[int, ...]) -> None:
         if constraint_length < 2:
             raise ValueError("constraint_length must be at least 2")
         if len(polynomials) < 2:
@@ -289,22 +280,18 @@ class PuncturedConvolutionalCode:
     Encoding 16 data bits produces 24 coded bits, matching the packet
     accounting in the paper ("16 bits, 24 bits after applying a 2/3
     convolutional code").  To hit exactly that ratio the code is used
-    *unterminated* for payloads (the short 16-bit packets keep the error
-    bursts bounded anyway) unless ``terminate=True`` is requested, in which
-    case tail bits are appended before puncturing.
+    *unterminated* (the short 16-bit packets keep the error bursts bounded
+    anyway).
     """
+
+    #: Generator polynomials (octal) of the rate-1/2 mother code.
+    POLYNOMIALS = (0o133, 0o171)
 
     #: Standard rate-2/3 puncturing pattern for the rate-1/2 mother code.
     PUNCTURE_PATTERN = ((1, 1), (1, 0))
 
-    def __init__(
-        self,
-        constraint_length: int = 7,
-        polynomials: tuple[int, int] = _DEFAULT_POLYNOMIALS,
-        terminate: bool = False,
-    ) -> None:
-        self.mother = ConvolutionalCode(constraint_length, polynomials)
-        self.terminate = bool(terminate)
+    def __init__(self, constraint_length: int = 7) -> None:
+        self.mother = ConvolutionalCode(constraint_length, self.POLYNOMIALS)
         pattern = np.asarray(self.PUNCTURE_PATTERN, dtype=int)
         if pattern.shape[1] != self.mother.num_outputs:
             raise ValueError("puncture pattern width must equal the number of outputs")
@@ -324,8 +311,7 @@ class PuncturedConvolutionalCode:
 
     def coded_length(self, num_data_bits: int) -> int:
         """Return the number of coded bits produced for ``num_data_bits``."""
-        total_input = num_data_bits + (self.mother.num_tail_bits if self.terminate else 0)
-        full_periods, remainder = divmod(total_input, self._period)
+        full_periods, remainder = divmod(num_data_bits, self._period)
         kept = full_periods * self._kept_per_period
         if remainder:
             kept += int(self._pattern[:remainder].sum())
@@ -340,10 +326,8 @@ class PuncturedConvolutionalCode:
     def encode(self, bits: np.ndarray | list[int]) -> np.ndarray:
         """Encode and puncture ``bits``, returning the transmitted coded bits."""
         data = _bits_array(bits)
-        mother_out = self.mother.encode(data, terminate=self.terminate)
-        total_input = data.size + (self.mother.num_tail_bits if self.terminate else 0)
-        mask = self._puncture_mask(total_input)
-        return mother_out[mask]
+        mother_out = self.mother.encode(data, terminate=False)
+        return mother_out[self._puncture_mask(data.size)]
 
     def decode(self, soft_bits: np.ndarray | list[float], num_data_bits: int) -> np.ndarray:
         """Depuncture and Viterbi-decode ``soft_bits`` into ``num_data_bits`` bits."""
@@ -354,10 +338,7 @@ class PuncturedConvolutionalCode:
                 f"expected {expected} coded bits for {num_data_bits} data bits, got {soft.size}"
             )
         soft = hard_bits_to_soft(soft)
-        total_input = num_data_bits + (self.mother.num_tail_bits if self.terminate else 0)
-        mask = self._puncture_mask(total_input)
+        mask = self._puncture_mask(num_data_bits)
         depunctured = np.full(mask.size, np.nan)
         depunctured[mask] = soft
-        return self.mother.decode(
-            depunctured, num_data_bits=num_data_bits, terminated=self.terminate
-        )
+        return self.mother.decode(depunctured, num_data_bits=num_data_bits, terminated=False)

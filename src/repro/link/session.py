@@ -27,6 +27,7 @@ from repro.channel.channel import UnderwaterAcousticChannel
 from repro.core.adaptation import BandSelection
 from repro.core.baselines import FixedBandScheme
 from repro.core.modem import AquaModem
+from repro.core.rates import SILENCE_SYMBOLS
 from repro.utils.rng import ensure_rng
 
 
@@ -164,18 +165,13 @@ class LinkSession:
         backward_channel: UnderwaterAcousticChannel | None = None,
         modem: AquaModem | None = None,
         scheme: FixedBandScheme | str = "adaptive",
-        silence_symbols: int = 2,
-        randomize_every: int = 1,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         self.forward_channel = forward_channel
         self.backward_channel = backward_channel or forward_channel.reverse()
         self.modem = modem or AquaModem()
         self.scheme = scheme
-        self.silence_symbols = int(silence_symbols)
-        self.randomize_every = max(0, int(randomize_every))
         self._rng = ensure_rng(seed)
-        self._packet_counter = 0
         # Per-session packet-pipeline state reused across packets: the
         # preamble+header waveform and the silence gap are deterministic for
         # a session, so the first packet builds them.  (The channel
@@ -217,7 +213,7 @@ class LinkSession:
         """The inter-burst silence gap, built once."""
         if self._silence_cache is None:
             silence = np.zeros(
-                self.silence_symbols * self.modem.ofdm_config.extended_symbol_length
+                SILENCE_SYMBOLS * self.modem.ofdm_config.extended_symbol_length
             )
             silence.setflags(write=False)
             self._silence_cache = silence
@@ -229,12 +225,13 @@ class LinkSession:
         payload: np.ndarray | None = None,
         rng: int | np.random.Generator | None = None,
     ) -> PacketResult:
-        """Run one full protocol exchange and return its outcome."""
+        """Run one full protocol exchange and return its outcome.
+
+        Each packet sees a fresh realization of both channels.
+        """
         rng = ensure_rng(rng if rng is not None else self._rng)
-        self._packet_counter += 1
-        if self.randomize_every and self._packet_counter % self.randomize_every == 0:
-            self.forward_channel.randomize(rng)
-            self.backward_channel.randomize(rng)
+        self.forward_channel.randomize(rng)
+        self.backward_channel.randomize(rng)
         payload = self.random_payload(rng) if payload is None else np.asarray(payload, dtype=int)
 
         modem = self.modem
@@ -379,11 +376,7 @@ class LinkSession:
             detection_metric=detection_metric,
         )
 
-    def run_packets(
-        self,
-        num_packets: int,
-        rng: int | np.random.Generator | None = None,
-    ) -> LinkStatistics:
+    def run_packets(self, num_packets: int) -> LinkStatistics:
         """Run ``num_packets`` exchanges, one :meth:`run_packet` call each.
 
         The protocol is sequential (each packet's channel state depends on
@@ -399,16 +392,13 @@ class LinkSession:
         """
         if num_packets <= 0:
             raise ValueError("num_packets must be positive")
-        rng = ensure_rng(rng if rng is not None else self._rng)
         stats = LinkStatistics()
         for _ in range(num_packets):
-            stats.add(self.run_packet(rng=rng))
+            stats.add(self.run_packet(rng=self._rng))
         return stats
 
     # --------------------------------------------------------------- probing
-    def probe_channel_stability(
-        self, rng: int | np.random.Generator | None = None
-    ) -> float:
+    def probe_channel_stability(self) -> float:
         """Return the Fig. 16 stability metric for one probe.
 
         Alice transmits a preamble; Bob selects a band from it; Alice then
@@ -417,7 +407,7 @@ class LinkSession:
         that second preamble.  Low values mean the channel changed enough
         that the selected band now contains weak subcarriers.
         """
-        rng = ensure_rng(rng if rng is not None else self._rng)
+        rng = self._rng
         modem = self.modem
         header = modem.preamble_generator.waveform()
 

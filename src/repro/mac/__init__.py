@@ -9,12 +9,11 @@ of collisions with two and three transmitters, with and without carrier
 sense.
 """
 
-from repro.mac.carrier_sense import CarrierSenseConfig, EnergyDetector
+from repro.mac.carrier_sense import EnergyDetector
 from repro.mac.simulator import MacSimulationResult, MacNetworkSimulator, TransmitterConfig
 
 __all__ = [
     "EnergyDetector",
-    "CarrierSenseConfig",
     "MacNetworkSimulator",
     "MacSimulationResult",
     "TransmitterConfig",

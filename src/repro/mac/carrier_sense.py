@@ -8,59 +8,36 @@ noise recorded at the site before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.dsp.spectrum import band_power
 from repro.utils.units import power_ratio_to_db
-from repro.utils.validation import require_positive
-
-
-@dataclass(frozen=True)
-class CarrierSenseConfig:
-    """Parameters of the energy-detection carrier sense.
-
-    Attributes
-    ----------
-    band_low_hz, band_high_hz:
-        Frequency band monitored for energy.
-    measurement_interval_s:
-        How often the channel is sampled (80 ms in the paper).
-    threshold_margin_db:
-        The detection threshold is set this many dB above the measured
-        ambient noise floor.
-    """
-
-    band_low_hz: float = 1000.0
-    band_high_hz: float = 4000.0
-    measurement_interval_s: float = 0.08
-    threshold_margin_db: float = 6.0
 
 
 class EnergyDetector:
     """Measures in-band energy and decides whether the channel is busy."""
 
-    def __init__(
-        self,
-        config: CarrierSenseConfig | None = None,
-        sample_rate_hz: float = 48000.0,
-    ) -> None:
-        require_positive(sample_rate_hz, "sample_rate_hz")
-        self.config = config or CarrierSenseConfig()
-        self.sample_rate_hz = float(sample_rate_hz)
+    #: Frequency band monitored for energy (Hz).
+    BAND_LOW_HZ = 1000.0
+    BAND_HIGH_HZ = 4000.0
+    #: How often the channel is sampled (80 ms in the paper).
+    MEASUREMENT_INTERVAL_S = 0.08
+    #: The busy threshold sits this many dB above the ambient noise floor.
+    THRESHOLD_MARGIN_DB = 6.0
+    #: Audio sample rate (Hz).
+    SAMPLE_RATE_HZ = 48000.0
+
+    def __init__(self) -> None:
         self.threshold_db: float | None = None
 
     @property
     def samples_per_measurement(self) -> int:
         """Number of samples in one 80 ms measurement window."""
-        return int(round(self.config.measurement_interval_s * self.sample_rate_hz))
+        return int(round(self.MEASUREMENT_INTERVAL_S * self.SAMPLE_RATE_HZ))
 
     def measure_db(self, samples: np.ndarray) -> float:
         """Return the in-band energy of a measurement window in dB."""
-        power = band_power(
-            samples, self.sample_rate_hz, self.config.band_low_hz, self.config.band_high_hz
-        )
+        power = band_power(samples, self.SAMPLE_RATE_HZ, self.BAND_LOW_HZ, self.BAND_HIGH_HZ)
         return power_ratio_to_db(max(power, 1e-30))
 
     def calibrate(self, ambient_samples: np.ndarray) -> float:
@@ -78,7 +55,7 @@ class EnergyDetector:
             self.measure_db(ambient_samples[i * window:(i + 1) * window])
             for i in range(num_windows)
         ]
-        self.threshold_db = float(np.mean(levels) + self.config.threshold_margin_db)
+        self.threshold_db = float(np.mean(levels) + self.THRESHOLD_MARGIN_DB)
         return self.threshold_db
 
     def is_busy(self, samples: np.ndarray) -> bool:

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.channel.physics import SOUND_SPEED_M_S
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import require_positive
 
 
 @dataclass(frozen=True)
@@ -100,14 +99,20 @@ class MacSimulationResult:
 class MacNetworkSimulator:
     """Simulates multiple backlogged transmitters sharing the acoustic channel."""
 
+    #: Airtime of one packet (s).
+    PACKET_DURATION_S = 0.6
+    #: Carrier-sense sampling interval (80 ms in the paper).
+    SENSE_INTERVAL_S = 0.08
+    #: Upper bound of each transmitter's initial random backoff (s).
+    INITIAL_BACKOFF_MAX_S = 6.0
+    #: Distance between two transmitters, which sets how late one hears
+    #: another's packet (m).
+    INTER_DEVICE_DISTANCE_M = 5.0
+
     def __init__(
         self,
         transmitters: list[TransmitterConfig],
-        packet_duration_s: float = 0.6,
-        sense_interval_s: float = 0.08,
-        initial_backoff_max_s: float = 6.0,
         carrier_sense: bool = True,
-        inter_device_distance_m: float = 5.0,
     ) -> None:
         if len(transmitters) < 1:
             raise ValueError("need at least one transmitter")
@@ -117,19 +122,13 @@ class MacNetworkSimulator:
                     f"transmitter {transmitter.name} needs at least one packet, "
                     f"got {transmitter.num_packets}"
                 )
-        require_positive(packet_duration_s, "packet_duration_s")
-        require_positive(sense_interval_s, "sense_interval_s")
         self.transmitters = list(transmitters)
-        self.packet_duration_s = float(packet_duration_s)
-        self.sense_interval_s = float(sense_interval_s)
-        self.initial_backoff_max_s = float(initial_backoff_max_s)
         self.carrier_sense = bool(carrier_sense)
-        self.inter_device_distance_m = float(inter_device_distance_m)
 
     # ------------------------------------------------------------------ model
     def _propagation_delay_s(self) -> float:
         """Propagation delay between two transmitters (for sensing)."""
-        return self.inter_device_distance_m / SOUND_SPEED_M_S
+        return self.INTER_DEVICE_DISTANCE_M / SOUND_SPEED_M_S
 
     def _channel_busy_at(
         self, time_s: float, transmissions: list[TransmissionRecord], listener: str
@@ -150,7 +149,7 @@ class MacNetworkSimulator:
         remaining = {t.name: t.num_packets for t in self.transmitters}
         # Next time each transmitter intends to attempt a transmission.
         next_attempt = {
-            t.name: float(rng.uniform(0.0, self.initial_backoff_max_s)) for t in self.transmitters
+            t.name: float(rng.uniform(0.0, self.INITIAL_BACKOFF_MAX_S)) for t in self.transmitters
         }
         backoff_packets = {t.name: 0 for t in self.transmitters}
         transmissions: list[TransmissionRecord] = []
@@ -169,20 +168,20 @@ class MacNetworkSimulator:
                 # Heard energy: extend the backoff by one packet duration so
                 # the wait cannot elapse mid-packet, then re-sense later.
                 backoff_packets[name] += 1
-                next_attempt[name] = now + self.packet_duration_s + float(
-                    rng.uniform(0.0, self.sense_interval_s)
+                next_attempt[name] = now + self.PACKET_DURATION_S + float(
+                    rng.uniform(0.0, self.SENSE_INTERVAL_S)
                 )
                 continue
             # Clear to send (or carrier sense disabled).
             start = now
-            end = start + self.packet_duration_s
+            end = start + self.PACKET_DURATION_S
             transmissions.append(TransmissionRecord(name, start, end, collided=False))
             remaining[name] -= 1
             busy_until[name] = end
             # Next packet follows after a random backoff measured in
             # multiples of the packet duration (paper section 2.4).
             multiples = int(rng.integers(1, 4))
-            next_attempt[name] = end + multiples * self.packet_duration_s * float(
+            next_attempt[name] = end + multiples * self.PACKET_DURATION_S * float(
                 rng.uniform(0.8, 1.5)
             )
 
@@ -203,7 +202,7 @@ class MacNetworkSimulator:
             for jdx in range(idx + 1, len(ordered)):
                 j = ordered[jdx]
                 gap = transmissions[j].start_time_s - transmissions[i].start_time_s
-                if gap >= self.packet_duration_s:
+                if gap >= self.PACKET_DURATION_S:
                     break
                 if transmissions[i].transmitter != transmissions[j].transmitter:
                     collided[i] = True

@@ -8,7 +8,7 @@ the existing channel/link machinery:
 
 * :mod:`~repro.net.scheduler` -- a generic discrete-event :class:`Scheduler`;
 * :mod:`~repro.net.topology` -- :class:`AcousticNetTopology`: node
-  positions, mobility, per-pair distances and propagation delays derived
+  positions, per-pair distances and propagation delays derived
   from :mod:`repro.channel.physics`;
 * :mod:`~repro.net.routing` -- pluggable :class:`RoutingProtocol`
   implementations (flooding, static shortest path, distance/depth greedy
@@ -22,12 +22,12 @@ the existing channel/link machinery:
   calibrated from the PHY so thousand-node scenarios run in seconds;
 * :mod:`~repro.net.traffic` -- Poisson/CBR/SOS-broadcast generators;
 * :mod:`~repro.net.congestion` -- pluggable congestion control
-  (:class:`FixedWindow`, Reno-style AIMD with adaptive RTO) and bounded
-  relay-queue modeling for many-flow scenarios;
+  (:class:`FixedWindow`, Reno-style AIMD with adaptive RTO) for
+  many-flow scenarios;
 * :mod:`~repro.net.metrics` -- PDR, end-to-end latency, hop counts,
   goodput, per-flow accounting with Jain fairness, and an energy proxy;
 * :mod:`~repro.net.simulator` -- :class:`NetworkSimulator` gluing it all
-  together.
+  together, with an optional tail-drop bound on every node's queue.
 """
 
 from repro.net.congestion import (
@@ -36,7 +36,6 @@ from repro.net.congestion import (
     CongestionController,
     CwndTrajectory,
     FixedWindow,
-    RelayQueueConfig,
     RenoController,
     build_controller,
     jain_fairness_index,
@@ -102,7 +101,6 @@ __all__ = [
     "PhysicalLink",
     "PoissonTraffic",
     "ROUTING_CATALOG",
-    "RelayQueueConfig",
     "RenoController",
     "RoutingProtocol",
     "Scheduler",

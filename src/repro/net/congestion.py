@@ -1,4 +1,4 @@
-"""Congestion control and relay-queue modeling for the acoustic transport.
+"""Congestion control for the acoustic transport.
 
 The sliding-window ARQ of :mod:`repro.net.transport` historically sent at
 a fixed window -- fine for the paper's two-device link, collapse-prone
@@ -20,9 +20,11 @@ once dozens of flows share relays.  This module makes the window
   smoothing per RFC 6298, Karn's rule enforced by the sender, exponential
   backoff) whose floors are tuned for *second-scale* acoustic RTTs
   rather than the millisecond internet.
-* :class:`RelayQueueConfig` -- a bounded per-node FIFO with tail drop
-  and optional RED-style probabilistic early drop, applied by the
-  simulator wherever packets queue for transmission.
+* :func:`jain_fairness_index` -- the fairness figure of a run's per-flow
+  goodputs.
+
+The bounded relay queue itself is one tail-drop capacity on the simulator
+(``NetworkSimulator(queue_capacity=)``).
 
 The controllers are pure state machines fed explicit time, like the ARQ
 endpoints themselves: no scheduler dependency, directly unit-testable.
@@ -31,7 +33,6 @@ endpoints themselves: no scheduler dependency, directly unit-testable.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +73,11 @@ class AdaptiveRto:
 
     SRTT/RTTVAR smoothing with the standard gains (``alpha=1/8``,
     ``beta=1/4``), ``RTO = SRTT + max(granularity, 4 * RTTVAR)``, clamped
-    to ``[min_rto_s, max_rto_s]``, with exponential backoff on timeout
-    (doubling, capped) that resets on the next valid RTT sample.  Karn's
-    rule -- never sample a retransmitted segment -- is the *sender's*
-    responsibility: it simply does not call :meth:`on_sample` for them.
+    to ``[MIN_RTO_S, MAX_RTO_S]``, with exponential backoff on timeout
+    (doubling, capped at ``MAX_BACKOFF``) that resets on the next valid
+    RTT sample.  Karn's rule -- never sample a retransmitted segment -- is
+    the *sender's* responsibility: it simply does not call
+    :meth:`on_sample` for them.
 
     The floors differ from the internet defaults because underwater
     acoustic RTTs are seconds: the minimum RTO is 1 s (not 200 ms) and
@@ -85,25 +87,16 @@ class AdaptiveRto:
     ALPHA = 0.125
     BETA = 0.25
     GRANULARITY_S = 0.1
+    MIN_RTO_S = 1.0
+    MAX_RTO_S = 120.0
+    MAX_BACKOFF = 64
 
-    __slots__ = ("initial_rto_s", "min_rto_s", "max_rto_s", "max_backoff",
-                 "srtt_s", "rttvar_s", "_rto_s", "backoff")
+    __slots__ = ("initial_rto_s", "srtt_s", "rttvar_s", "_rto_s", "backoff")
 
-    def __init__(
-        self,
-        initial_rto_s: float,
-        min_rto_s: float = 1.0,
-        max_rto_s: float = 120.0,
-        max_backoff: int = 64,
-    ) -> None:
+    def __init__(self, initial_rto_s: float) -> None:
         if initial_rto_s <= 0:
             raise ValueError("initial_rto_s must be positive")
-        if not 0 < min_rto_s <= max_rto_s:
-            raise ValueError("need 0 < min_rto_s <= max_rto_s")
         self.initial_rto_s = float(initial_rto_s)
-        self.min_rto_s = float(min_rto_s)
-        self.max_rto_s = float(max_rto_s)
-        self.max_backoff = int(max_backoff)
         self.srtt_s: float | None = None
         self.rttvar_s = 0.0
         self._rto_s = float(initial_rto_s)
@@ -128,12 +121,12 @@ class AdaptiveRto:
 
     def on_timeout(self) -> None:
         """Exponential backoff: double the effective RTO, capped."""
-        self.backoff = min(self.backoff * 2, self.max_backoff)
+        self.backoff = min(self.backoff * 2, self.MAX_BACKOFF)
 
     def current_s(self) -> float:
         """The RTO a segment transmitted now should be armed with."""
-        base = max(self.min_rto_s, min(self._rto_s, self.max_rto_s))
-        return min(base * self.backoff, self.max_rto_s)
+        base = max(self.MIN_RTO_S, min(self._rto_s, self.MAX_RTO_S))
+        return min(base * self.backoff, self.MAX_RTO_S)
 
 
 class CongestionController(ABC):
@@ -229,36 +222,21 @@ class RenoController(CongestionController):
       to slow start, and the :class:`AdaptiveRto` backs off
       exponentially.
 
-    ``max_window`` (the ARQ window, i.e. the peer's buffer) caps the
-    effective window throughout, exactly like the advertised window caps
-    cwnd in TCP.
+    A flow starts in slow start at ``cwnd = 1`` with ``ssthresh`` at
+    ``max_window`` (the ARQ window, i.e. the peer's buffer), which caps
+    the effective window throughout, exactly like the advertised window
+    caps cwnd in TCP.
     """
 
     name = "reno"
 
-    def __init__(
-        self,
-        max_window: int,
-        timeout_s: float,
-        initial_cwnd: float = 1.0,
-        initial_ssthresh: float | None = None,
-        min_rto_s: float = 1.0,
-        max_rto_s: float = 120.0,
-    ) -> None:
+    def __init__(self, max_window: int, timeout_s: float) -> None:
         if max_window < 1:
             raise ValueError("max_window must be at least 1")
-        if initial_cwnd < 1.0:
-            raise ValueError("initial_cwnd must be at least 1")
         self.max_window = int(max_window)
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = (
-            float(initial_ssthresh)
-            if initial_ssthresh is not None
-            else float(max_window)
-        )
-        self.rto = AdaptiveRto(
-            initial_rto_s=timeout_s, min_rto_s=min_rto_s, max_rto_s=max_rto_s
-        )
+        self.cwnd = 1.0
+        self.ssthresh = float(max_window)
+        self.rto = AdaptiveRto(initial_rto_s=timeout_s)
         self.in_fast_recovery = False
         self._trajectory = CwndTrajectory()
         self._trajectory.record(0.0, self.cwnd)
@@ -340,67 +318,6 @@ def build_controller(kind: str, config) -> CongestionController:
     )
 
 
-@dataclass(frozen=True)
-class RelayQueueConfig:
-    """Bounded per-node transmit buffer with tail drop or RED.
-
-    Every node (source or relay) queues packets while its transducer is
-    busy; this config bounds that queue.  ``capacity_packets`` is the
-    hard limit (tail drop beyond it, accounted as the ``queue_drops``
-    cause).  Setting ``red_min_fraction`` enables RED-style early drop:
-    below ``red_min_fraction * capacity`` everything is admitted, between
-    the min and max fractions the drop probability ramps linearly up to
-    ``red_max_p``, and at or above ``red_max_fraction * capacity`` (or
-    the hard capacity) the packet is dropped.  RED consumes one RNG draw
-    per packet *in the ramp region only*, so pure-FIFO configurations
-    stay draw-free.
-
-    Attributes
-    ----------
-    capacity_packets:
-        Hard buffer bound (packets), at least 1.
-    red_min_fraction, red_max_fraction:
-        RED thresholds as fractions of capacity; ``red_min_fraction=None``
-        (default) disables RED, leaving pure tail drop.
-    red_max_p:
-        Drop probability at the max threshold.
-    """
-
-    capacity_packets: int
-    red_min_fraction: float | None = None
-    red_max_fraction: float = 1.0
-    red_max_p: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.capacity_packets < 1:
-            raise ValueError("capacity_packets must be at least 1")
-        if self.red_min_fraction is not None:
-            if not 0.0 <= self.red_min_fraction < self.red_max_fraction:
-                raise ValueError(
-                    "need 0 <= red_min_fraction < red_max_fraction"
-                )
-            if self.red_max_fraction > 1.0:
-                raise ValueError("red_max_fraction must be at most 1")
-            if not 0.0 < self.red_max_p <= 1.0:
-                raise ValueError("red_max_p must be in (0, 1]")
-
-    def admit(self, queue_length: int, rng: np.random.Generator) -> bool:
-        """Whether a packet arriving at a queue of this length enters it."""
-        if queue_length >= self.capacity_packets:
-            return False  # tail drop
-        if self.red_min_fraction is None:
-            return True
-        fill = queue_length / self.capacity_packets
-        if fill < self.red_min_fraction:
-            return True
-        if fill >= self.red_max_fraction:
-            return False
-        ramp = (fill - self.red_min_fraction) / (
-            self.red_max_fraction - self.red_min_fraction
-        )
-        return float(rng.random()) >= ramp * self.red_max_p
-
-
 def jain_fairness_index(values) -> float:
     """Jain's fairness index ``(sum x)^2 / (n * sum x^2)``.
 
@@ -424,7 +341,6 @@ __all__ = [
     "CwndTrajectory",
     "FixedWindow",
     "MAX_CWND_SAMPLES",
-    "RelayQueueConfig",
     "RenoController",
     "build_controller",
     "jain_fairness_index",

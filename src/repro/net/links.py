@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.environments.sites import LAKE, SITE_CATALOG, Site
 from repro.utils.progress import progress_sink
-from repro.utils.validation import require_positive
 
 #: Fixed per-packet protocol overhead (preamble, feedback, training) used
 #: to convert payload size into airtime, matching the packet duration the
@@ -162,16 +161,19 @@ class LinkCalibration:
         )
 
 
+#: Hop distances (m) a calibration table measures, one row each.
+CALIBRATION_DISTANCES_M = (2.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+
+
 def calibrate_from_phy(
     site: Site | str = LAKE,
-    distances_m: tuple[float, ...] = (2.0, 5.0, 10.0, 15.0, 20.0, 25.0),
     packets_per_point: int = 12,
     seed: int = 0,
     progress: bool | Callable[[str], None] = False,
 ) -> LinkCalibration:
     """Measure a :class:`LinkCalibration` by running the full PHY.
 
-    For each distance a fresh channel pair and
+    For each of :data:`CALIBRATION_DISTANCES_M` a fresh channel pair and
     :class:`~repro.link.session.LinkSession` (seeds derived from ``seed``)
     runs ``packets_per_point`` adaptive exchanges
     (:meth:`~repro.link.session.LinkSession.run_packets`);
@@ -196,7 +198,7 @@ def calibrate_from_phy(
     pers: list[float] = []
     bitrates: list[float] = []
     last_bitrate = LinkModel.nominal_bitrate_bps
-    for index, distance in enumerate(distances_m):
+    for index, distance in enumerate(CALIBRATION_DISTANCES_M):
         forward, backward = build_link_pair(
             site=site, distance_m=distance, seed=seed + 101 * index
         )
@@ -212,15 +214,15 @@ def calibrate_from_phy(
         if emit is not None:
             done = index + 1
             elapsed = time.perf_counter() - started
-            eta = elapsed / done * (len(distances_m) - done)
+            eta = elapsed / done * (len(CALIBRATION_DISTANCES_M) - done)
             emit(
                 f"calibrate[{site.name}] {distance:g} m: PER {pers[-1]:.1%}, "
-                f"{last_bitrate:.0f} bps ({done}/{len(distances_m)}, "
+                f"{last_bitrate:.0f} bps ({done}/{len(CALIBRATION_DISTANCES_M)}, "
                 f"{elapsed:.1f}s elapsed, eta {eta:.1f}s)"
             )
     return LinkCalibration(
         site_name=site.name,
-        distances_m=tuple(float(d) for d in distances_m),
+        distances_m=CALIBRATION_DISTANCES_M,
         packet_error_rate=tuple(pers),
         bitrate_bps=tuple(bitrates),
         packets_per_point=packets_per_point,
@@ -236,7 +238,7 @@ def calibrate_from_phy(
 #: shows.
 DEFAULT_LAKE_CALIBRATION = LinkCalibration(
     site_name="lake",
-    distances_m=(2.0, 5.0, 10.0, 15.0, 20.0, 25.0),
+    distances_m=CALIBRATION_DISTANCES_M,
     packet_error_rate=(0.0, 0.0, 0.125, 0.0833, 0.0417, 0.0417),
     bitrate_bps=(1083.3, 950.0, 400.0, 333.3, 300.0, 266.7),
     packets_per_point=24,
@@ -248,9 +250,10 @@ class CalibratedLink(LinkModel):
 
     name = "calibrated"
 
-    #: Cap on the per-distance interpolation memo.  Static topologies see
-    #: a handful of distinct hop distances; mobility churns new ones each
-    #: step, so the memo is bounded to stay O(1) memory.
+    #: Cap on the per-distance interpolation memo.  Regular topologies see
+    #: a handful of distinct hop distances, but a random deployment has
+    #: one per node pair in range, so the memo is bounded to stay O(1)
+    #: memory.
     _LOOKUP_CACHE_MAX = 65536
 
     def __init__(self, calibration: LinkCalibration = DEFAULT_LAKE_CALIBRATION) -> None:
@@ -336,38 +339,34 @@ class CalibratedLink(LinkModel):
 class PhysicalLink(LinkModel):
     """Link model that runs the full PHY protocol exchange per packet.
 
-    Sessions are cached per quantized distance so a static topology pays
-    channel construction once per hop, not once per packet -- and because
-    the per-session packet-pipeline state (preamble header, template
-    spectra, channel transfer functions) lives on the cached
-    :class:`~repro.link.session.LinkSession`, every delivery after the
-    first at a given distance reuses those caches.
+    Sessions are cached per :attr:`DISTANCE_QUANTUM_M` of hop distance,
+    so a static topology pays channel construction once per hop, not once
+    per packet -- and because the per-session packet-pipeline state
+    (preamble header, template spectra, channel transfer functions) lives
+    on the cached :class:`~repro.link.session.LinkSession`, every delivery
+    after the first at a given distance reuses those caches.
     """
 
     name = "physical"
 
-    def __init__(
-        self,
-        site: Site | str = LAKE,
-        seed: int = 0,
-        distance_quantum_m: float = 0.5,
-    ) -> None:
+    #: Hop distances within one quantum share a session (m).
+    DISTANCE_QUANTUM_M = 0.5
+
+    def __init__(self, site: Site | str = LAKE, seed: int = 0) -> None:
         if isinstance(site, str):
             site = SITE_CATALOG[site]
-        require_positive(distance_quantum_m, "distance_quantum_m")
         self.site = site
         self.seed = int(seed)
-        self.distance_quantum_m = float(distance_quantum_m)
         self._sessions: dict[int, object] = {}
 
     def _session_for(self, distance_m: float):
         from repro.environments.factory import build_link_pair
         from repro.link.session import LinkSession
 
-        key = max(1, int(round(distance_m / self.distance_quantum_m)))
+        key = max(1, int(round(distance_m / self.DISTANCE_QUANTUM_M)))
         session = self._sessions.get(key)
         if session is None:
-            quantized = min(key * self.distance_quantum_m, self.site.max_range_m)
+            quantized = min(key * self.DISTANCE_QUANTUM_M, self.site.max_range_m)
             forward, backward = build_link_pair(
                 site=self.site, distance_m=quantized, seed=self.seed + 7919 * key
             )

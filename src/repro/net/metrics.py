@@ -125,7 +125,7 @@ class NetworkMetrics:
     routing_voids: int = 0
     tx_airtime_s: float = 0.0
     rx_airtime_s: float = 0.0
-    #: Packets refused by a bounded node buffer (tail drop / RED).
+    #: Packets refused by a bounded node buffer (tail drop).
     queue_drops: int = 0
     #: Books of every ARQ flow epoch, keyed by flow id.
     flows: dict[str, FlowRecord] = field(default_factory=dict, init=False)
@@ -153,9 +153,9 @@ class NetworkMetrics:
         source: str,
         destination: str,
         created_s: float,
-        delivered_s: float = float("nan"),
-        hop_count: int = 0,
-        kind: str = "data",
+        delivered_s: float,
+        hop_count: int,
+        kind: str,
     ) -> None:
         """Record the fate of one payload from its fields."""
         self.add(
@@ -240,11 +240,12 @@ class NetworkMetrics:
         return int(hops.max()) if hops.size else 0
 
     # -------------------------------------------------------------- goodput
-    def goodput_bps(self, duration_s: float, size_bits: int = 16) -> float:
-        """Delivered payload bits per second over ``duration_s``."""
+    def goodput_bps(self, duration_s: float) -> float:
+        """Delivered payload bits per second over ``duration_s``, counting
+        each delivery as one 16-bit message."""
         if duration_s <= 0:
             return float("nan")
-        return self.delivered * size_bits / duration_s
+        return self.delivered * 16 / duration_s
 
     # ------------------------------------------------------------- per flow
     def register_flow(self, flow_id: str, source: str, destination: str) -> FlowRecord:

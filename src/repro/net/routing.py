@@ -40,7 +40,7 @@ class RoutingProtocol(ABC):
 
     def prepare(self, topology: AcousticNetTopology) -> None:
         """Precompute routing state (called once before the run and after
-        every mobility step)."""
+        every fault repair)."""
 
     @abstractmethod
     def next_hops(
@@ -75,10 +75,10 @@ class StaticShortestPathRouting(RoutingProtocol):
     def prepare(self, topology: AcousticNetTopology) -> None:
         """Run Dijkstra from every live node (the grids here are small).
 
-        Re-invoked on membership change (fault repair) as well as after
-        mobility; dead nodes are skipped as sources and, because they
-        are absent from every neighbour table, never appear as relays
-        or reachable destinations.
+        Re-invoked on membership change (fault repair); dead nodes are
+        skipped as sources and, because they are absent from every
+        neighbour table, never appear as relays or reachable
+        destinations.
         """
         self._next_hop.clear()
         for source in topology.names:

@@ -2,7 +2,7 @@
 
 Everything time-ordered in the network simulator -- transmissions
 completing, packets arriving after their propagation delay, ARQ timers
-firing, traffic sources emitting messages, mobility steps -- is an
+firing, traffic sources emitting messages, fault transitions -- is an
 :class:`Event` on one :class:`Scheduler`.  The heap holds plain
 ``(time, key, sequence, event)`` tuples (native tuple comparison is what
 makes pushing and popping tens of thousands of events cheap; an orderable
@@ -115,14 +115,6 @@ class Scheduler:
         event = Event(time_s, sequence, action, key)
         heapq.heappush(self._heap, (time_s, key, sequence, event))
         return event
-
-    def after(
-        self, delay_s: float, action: Callable[[], None], key: tuple = ()
-    ) -> Event:
-        """Schedule ``action`` ``delay_s`` seconds from the current time."""
-        if delay_s < 0:
-            raise ValueError(f"delay_s must be non-negative, got {delay_s}")
-        return self.at(self._now_s + float(delay_s), action, key)
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if it already ran)."""

@@ -7,8 +7,8 @@ a :class:`~repro.net.routing.RoutingProtocol` picks relays hop by hop, a
 when an :class:`~repro.net.transport.ArqConfig` is given -- sliding-window
 ARQ flows provide end-to-end reliability.  Every action is an event on
 one :class:`~repro.net.scheduler.Scheduler`, so propagation delays
-(distance over the shared sound speed), transmission airtimes, ARQ timers
-and mobility steps interleave exactly once, in time order, per seed.
+(distance over the shared sound speed), transmission airtimes and ARQ
+timers interleave exactly once, in time order, per seed.
 
 The acoustic medium semantics mirror the MAC layer's: a transmission is a
 local broadcast heard by every in-range neighbour, a node is half-duplex
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.net.congestion import CC_KINDS, RelayQueueConfig, build_controller
+from repro.net.congestion import CC_KINDS, build_controller
 from repro.net.links import CalibratedLink, LinkModel
 from repro.net.metrics import DeliveryRecord, FlowRecord, NetworkMetrics
 from repro.net.packet import BROADCAST, DEFAULT_TTL, NetPacket
@@ -165,7 +165,7 @@ class NetworkSimulator:
     Parameters
     ----------
     topology:
-        Node deployment (positions, ranges, mobility).
+        Node deployment (positions and ranges).
     routing:
         Relay selection protocol.
     link_model:
@@ -175,9 +175,6 @@ class NetworkSimulator:
         ``None`` sends unacknowledged datagrams.
     ttl:
         Hop budget per packet copy.
-    mobility_interval_s:
-        When set, apply one topology mobility step (and re-prepare the
-        routing tables) at this period.
     seed:
         Master seed; a given (topology, traffic, seed) triple replays
         bit-identically.
@@ -195,11 +192,10 @@ class NetworkSimulator:
         The default ``"fixed"`` is bit-identical to the pre-congestion
         simulator.  Every ARQ flow keeps its books in
         :attr:`NetworkMetrics.flows`, and every report shows them.
-    relay_queue:
-        Bounded per-node transmit buffer
-        (:class:`~repro.net.congestion.RelayQueueConfig`); packets
-        refused admission are counted as ``queue_drops``.  ``None``
-        (default) keeps the legacy unbounded queues.
+    queue_capacity:
+        Bound every node's transmit buffer to this many packets; a packet
+        arriving at a full buffer is tail-dropped and counted in
+        ``queue_drops``.  ``None`` (default) keeps the queues unbounded.
     faults:
         Optional fault injector (duck-typed: anything with an
         ``install(simulator)`` method, canonically
@@ -215,11 +211,10 @@ class NetworkSimulator:
         link_model: LinkModel | None = None,
         arq: ArqConfig | None = None,
         ttl: int = DEFAULT_TTL,
-        mobility_interval_s: float | None = None,
         seed: int | np.random.Generator | None = None,
         observer: NetObserver | None = None,
         cc: str = "fixed",
-        relay_queue: RelayQueueConfig | None = None,
+        queue_capacity: int | None = None,
         faults: object | None = None,
     ) -> None:
         if topology.num_nodes < 2:
@@ -229,18 +224,19 @@ class NetworkSimulator:
         self.link_model = link_model if link_model is not None else CalibratedLink()
         self.arq = arq
         self.ttl = int(ttl)
-        self.mobility_interval_s = mobility_interval_s
         if cc not in CC_KINDS:
             raise ValueError(f"cc must be one of {CC_KINDS}, got {cc!r}")
         self.cc = cc
-        self.relay_queue = relay_queue
+        if queue_capacity is not None and queue_capacity < 1:
+            raise ValueError("queue_capacity must be at least 1")
+        self.queue_capacity = queue_capacity
         self.observer = observer if observer is not None else NetObserver()
         self._rng = ensure_rng(seed)
         self._scheduler = Scheduler()
         self._nodes = {name: _NodeState(name) for name in topology.names}
         # Per-sender fan-out cache: the neighbour table's receiver states
-        # in table order, keyed by table identity (a mobility step yields
-        # a new table object, invalidating the entry).
+        # in table order, keyed by table identity (a membership change
+        # yields a new table object, invalidating the entry).
         self._fanout: dict[str, tuple[object, list[_NodeState]]] = {}
         # (sender, target, size_bits) -> cached unicast transmit plan
         # (see _transmit); validated against the topology version.
@@ -324,8 +320,6 @@ class NetworkSimulator:
         self.routing.prepare(self.topology)
         if self.faults is not None:
             self.faults.install(self)
-        if self.mobility_interval_s is not None:
-            self._scheduler.after(self.mobility_interval_s, self._on_mobility_step)
         self._drain(until_s, max_events, progress)
         self._finalize_lost()
         self._metrics.duration_s = self._scheduler.now_s
@@ -634,21 +628,12 @@ class NetworkSimulator:
             self._metrics.record_abort_reason(reason)
             self.observer.on_flow_abort(now, sender.flow_id, reason)
 
-    # --------------------------------------------------------------- mobility
-    def _on_mobility_step(self) -> None:
-        self.topology.step_mobility(self.mobility_interval_s, self._rng)
-        self.routing.prepare(self.topology)
-        if self._scheduler.num_pending > 0:
-            self._scheduler.after(self.mobility_interval_s, self._on_mobility_step)
-
     # ------------------------------------------------------------ transmitting
     def _enqueue(self, node_name: str, packet: NetPacket) -> None:
         node = self._nodes[node_name]
         if not node.alive:
             return
-        if self.relay_queue is not None and not self.relay_queue.admit(
-            len(node.queue), self._rng
-        ):
+        if self.queue_capacity is not None and len(node.queue) >= self.queue_capacity:
             self._metrics.queue_drops += 1
             self._note_copy_drop(packet, "queue-drop")
             if packet.segment is not None:

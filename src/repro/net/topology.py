@@ -1,24 +1,23 @@
-"""Node positions, mobility and acoustic geometry of a network.
+"""Node positions and acoustic geometry of a network.
 
 :class:`AcousticNetTopology` is the shared map every other net component
 consults: routing asks for neighbours and distances, the link models ask
 for per-pair distance, and the simulator asks for propagation delays
 (distance over the canonical :data:`~repro.channel.physics.SOUND_SPEED_M_S`).
-Mobility is modelled as per-node velocities plus a site-current jitter
-applied in discrete steps, mirroring how the single-link
-:mod:`repro.channel.motion` models drift within a packet.
+Nodes stay where they are placed; the geometry changes only when a node
+joins, or leaves and rejoins under fault injection.
 
-The geometry core is *array-backed*: positions and velocities live in
-persistent ``(N, 3)`` float64 arrays behind an interned name<->index
-table, neighbour lookup runs through a spatial-hash grid (cell size =
-``comm_range_m``, so a 3x3 cell neighbourhood covers the range ball) and
-every node's active neighbour set is cached as a :class:`NeighborTable`
-of aligned distance/delay arrays.  Mobility bumps a version counter --
-cached tables invalidate lazily, O(1), instead of a dict-wide clear --
-and only moves nodes between grid buckets when they actually cross a
-cell boundary, so a 1000-node deployment pays O(changed) per step, not
-O(N^2).  All distances are computed with the same operation order as the
-original per-node loops, so results are bit-identical to the scalar path.
+The geometry core is *array-backed*: positions live in a persistent
+``(N, 3)`` float64 array behind an interned name<->index table, neighbour
+lookup runs through a spatial-hash grid (cell size = ``comm_range_m``, so
+a 3x3 cell neighbourhood covers the range ball) and every node's active
+neighbour set is cached as a :class:`NeighborTable` of aligned
+distance/delay arrays.  A membership change bumps a version counter --
+cached tables invalidate lazily, O(1), instead of a dict-wide clear -- and
+moves one node in or out of its grid bucket, so a 1000-node deployment
+never pays O(N^2).  All distances are computed with the same operation
+order as the original per-node loops, so results are bit-identical to the
+scalar path.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class AcousticNetTopology:
     Parameters
     ----------
     site:
-        Evaluation site providing water depth, noise level and currents.
+        Evaluation site; its water depth bounds node depths.
     comm_range_m:
         Maximum distance at which two nodes are considered neighbours.
         Defaults to the site's usable range.
@@ -103,20 +102,18 @@ class AcousticNetTopology:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
         self._xyz = np.empty((_INITIAL_CAPACITY, 3), dtype=float)
-        self._vel = np.empty((_INITIAL_CAPACITY, 3), dtype=float)
-        #: Liveness mask: inactive nodes keep their slot (positions still
-        #: advance under mobility) but vanish from the spatial grid and
-        #: every neighbour table until :meth:`reactivate`.
+        #: Liveness mask: inactive nodes keep their slot but vanish from
+        #: the spatial grid and every neighbour table until
+        #: :meth:`reactivate`.
         self._active = np.ones(_INITIAL_CAPACITY, dtype=bool)
         self._names_tuple: tuple[str, ...] | None = ()
         #: Name array for vectorized tie-breaking; rebuilt lazily.
         self._name_keys: np.ndarray | None = None
         #: Spatial hash: (cell_x, cell_y) -> list of node indices.  Built
-        #: lazily on first neighbour query; nodes move between buckets
-        #: only when mobility carries them across a cell boundary.
+        #: lazily on first neighbour query.
         self._buckets: dict[tuple[int, int], list[int]] | None = None
         self._cells: np.ndarray | None = None
-        #: Geometry version; bumped on any position change.  Cached
+        #: Geometry version; bumped on any membership change.  Cached
         #: neighbour tables carry the version they were built at, so
         #: invalidation is an O(1) counter bump, not a dict clear.
         self._version = 0
@@ -129,20 +126,17 @@ class AcousticNetTopology:
         x_m: float,
         y_m: float,
         depth_m: float = 1.0,
-        velocity_m_s: tuple[float, float, float] = (0.0, 0.0, 0.0),
     ) -> None:
-        """Place a node; ``velocity_m_s`` drives :meth:`step_mobility`."""
+        """Place a node (its depth clamped inside the water column)."""
         if name in self._index:
             raise ValueError(f"node {name!r} already exists")
         index = self._count
         if index == self._xyz.shape[0]:
             self._xyz = np.concatenate([self._xyz, np.empty_like(self._xyz)])
-            self._vel = np.concatenate([self._vel, np.empty_like(self._vel)])
             self._active = np.concatenate([self._active, np.ones_like(self._active)])
             if self._cells is not None:
                 self._cells = np.concatenate([self._cells, np.empty_like(self._cells)])
         self._xyz[index] = (float(x_m), float(y_m), self._clamp_depth(depth_m))
-        self._vel[index] = tuple(float(v) for v in velocity_m_s)
         self._active[index] = True
         self._names.append(name)
         self._index[name] = index
@@ -159,8 +153,7 @@ class AcousticNetTopology:
         """Take a node out of the network without forgetting its slot.
 
         The node disappears from the spatial grid, every neighbour table
-        and routing view; its position keeps advancing under mobility so
-        :meth:`reactivate` resumes from wherever it drifted.  Idempotent.
+        and routing view until :meth:`reactivate`.  Idempotent.
         """
         index = self.index_of(name)
         if not self._active[index]:
@@ -176,7 +169,7 @@ class AcousticNetTopology:
         self._version += 1
 
     def reactivate(self, name: str) -> None:
-        """Return a deactivated node to the network at its current position."""
+        """Return a deactivated node to the network at its position."""
         index = self.index_of(name)
         if self._active[index]:
             return
@@ -205,7 +198,7 @@ class AcousticNetTopology:
 
     @property
     def version(self) -> int:
-        """Geometry version; changes whenever any position changes.
+        """Geometry version; changes whenever the active membership changes.
 
         Consumers (neighbour tables, routing memos) cache derived state
         against this counter instead of subscribing to invalidation.
@@ -216,7 +209,7 @@ class AcousticNetTopology:
         return name in self._index
 
     def index_of(self, name: str) -> int:
-        """Array index of ``name`` in the position/velocity arrays."""
+        """Array index of ``name`` in the position array."""
         try:
             return self._index[name]
         except KeyError:
@@ -292,31 +285,6 @@ class AcousticNetTopology:
             ).append(index)
         self._buckets = buckets
 
-    def _refresh_grid(self) -> None:
-        """Move nodes whose mobility crossed a cell boundary (incremental)."""
-        if self._buckets is None:
-            return
-        count = self._count
-        new_cells = np.floor_divide(
-            self._xyz[:count, :2], self.comm_range_m
-        ).astype(np.int64)
-        changed = np.nonzero((new_cells != self._cells[:count]).any(axis=1))[0]
-        for raw in changed:
-            index = int(raw)
-            if not self._active[index]:
-                # Deactivated nodes are in no bucket; their cell record
-                # still tracks drift (final assignment below) so
-                # reactivation re-inserts at the right cell.
-                continue
-            old = (int(self._cells[index, 0]), int(self._cells[index, 1]))
-            new = (int(new_cells[index, 0]), int(new_cells[index, 1]))
-            bucket = self._buckets[old]
-            bucket.remove(index)
-            if not bucket:
-                del self._buckets[old]
-            self._buckets.setdefault(new, []).append(index)
-        self._cells[:count] = new_cells
-
     def _build_table(self, index: int) -> NeighborTable:
         self._ensure_grid()
         if self._name_keys is None:
@@ -347,76 +315,10 @@ class AcousticNetTopology:
         names = tuple(self._names[position] for position in cand)
         return NeighborTable(names, cand, distances, distances / SOUND_SPEED_M_S)
 
-    # --------------------------------------------------------------- mobility
     def _clamp_depth(self, depth_m: float) -> float:
         return float(np.clip(depth_m, 0.2, self.site.water_depth_m - 0.2))
 
-    def step_mobility(
-        self, dt_s: float, rng: int | np.random.Generator | None = None
-    ) -> None:
-        """Advance every node by its velocity plus site-current jitter."""
-        require_positive(dt_s, "dt_s")
-        rng = ensure_rng(rng)
-        jitter = self.site.current_speed_m_s
-        count = self._count
-        # One (N, 2) draw consumes the stream exactly like two scalar draws
-        # per node in insertion order, the order the committed envelopes
-        # and trace fixtures were recorded with.
-        draws = rng.normal(0.0, 0.3, size=(count, 2))
-        xyz = self._xyz[:count]
-        vel = self._vel[:count]
-        xyz[:, 0] += (vel[:, 0] + jitter * draws[:, 0]) * dt_s
-        xyz[:, 1] += (vel[:, 1] + jitter * draws[:, 1]) * dt_s
-        xyz[:, 2] = np.clip(
-            xyz[:, 2] + vel[:, 2] * dt_s, 0.2, self.site.water_depth_m - 0.2
-        )
-        self._version += 1
-        self._refresh_grid()
-
     # --------------------------------------------------------------- builders
-    @classmethod
-    def line(
-        cls,
-        num_nodes: int,
-        spacing_m: float,
-        site: Site = LAKE,
-        comm_range_m: float | None = None,
-        depth_m: float = 1.0,
-        prefix: str = "n",
-    ) -> "AcousticNetTopology":
-        """Evenly spaced chain ``n0 .. n{N-1}`` along the x axis."""
-        require_positive(spacing_m, "spacing_m")
-        if num_nodes < 1:
-            raise ValueError("num_nodes must be at least 1")
-        topology = cls(site=site, comm_range_m=comm_range_m)
-        for index in range(num_nodes):
-            topology.add_node(f"{prefix}{index}", index * spacing_m, 0.0, depth_m)
-        return topology
-
-    @classmethod
-    def grid(
-        cls,
-        rows: int,
-        cols: int,
-        spacing_m: float,
-        site: Site = LAKE,
-        comm_range_m: float | None = None,
-        depth_m: float = 1.0,
-        prefix: str = "n",
-    ) -> "AcousticNetTopology":
-        """``rows x cols`` lattice; node ``n{i}`` in row-major order."""
-        require_positive(spacing_m, "spacing_m")
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be at least 1")
-        topology = cls(site=site, comm_range_m=comm_range_m)
-        for row in range(rows):
-            for col in range(cols):
-                index = row * cols + col
-                topology.add_node(
-                    f"{prefix}{index}", col * spacing_m, row * spacing_m, depth_m
-                )
-        return topology
-
     @classmethod
     def random_deployment(
         cls,
@@ -424,11 +326,10 @@ class AcousticNetTopology:
         area_m: tuple[float, float],
         site: Site = LAKE,
         comm_range_m: float | None = None,
-        depth_range_m: tuple[float, float] = (0.5, 2.0),
         seed: int | np.random.Generator | None = None,
-        prefix: str = "n",
     ) -> "AcousticNetTopology":
-        """Uniform random deployment over ``area_m`` = (width, height)."""
+        """Uniform random deployment ``n0 .. n{N-1}`` over ``area_m`` =
+        (width, height), at depths uniform in 0.5-2 m."""
         if num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
         width, height = (float(v) for v in area_m)
@@ -436,12 +337,11 @@ class AcousticNetTopology:
         require_positive(height, "area height")
         rng = ensure_rng(seed)
         topology = cls(site=site, comm_range_m=comm_range_m)
-        low, high = depth_range_m
         for index in range(num_nodes):
             topology.add_node(
-                f"{prefix}{index}",
+                f"n{index}",
                 float(rng.uniform(0.0, width)),
                 float(rng.uniform(0.0, height)),
-                float(rng.uniform(low, high)),
+                float(rng.uniform(0.5, 2.0)),
             )
         return topology

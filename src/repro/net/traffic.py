@@ -17,6 +17,10 @@ from repro.net.topology import AcousticNetTopology
 from repro.utils.validation import require_positive
 
 
+#: Payload size (bits) of an SOS beacon broadcast.
+SOS_SIZE_BITS = 6
+
+
 @dataclass(frozen=True)
 class AppMessage:
     """One application send request entering the network."""
@@ -90,13 +94,11 @@ class _PerSourceTraffic(TrafficGenerator):
         duration_s: float,
         sources: tuple[str, ...] | None,
         destination: str | None,
-        size_bits: int,
     ) -> None:
         require_positive(duration_s, "duration_s")
         self.duration_s = float(duration_s)
         self.sources = sources
         self.destination = destination
-        self.size_bits = int(size_bits)
 
     def _first_time_s(
         self, index: int, num_sources: int, rng: np.random.Generator
@@ -121,7 +123,6 @@ class _PerSourceTraffic(TrafficGenerator):
                         time_s,
                         source,
                         _pick_destination(source, self.destination, topology, rng),
-                        self.size_bits,
                     )
                 )
                 time_s += self._gap_s(rng)
@@ -143,10 +144,9 @@ class PoissonTraffic(_PerSourceTraffic):
         duration_s: float,
         sources: tuple[str, ...] | None = None,
         destination: str | None = None,
-        size_bits: int = 16,
     ) -> None:
         require_positive(rate_msgs_per_s, "rate_msgs_per_s")
-        super().__init__(duration_s, sources, destination, size_bits)
+        super().__init__(duration_s, sources, destination)
         self.rate_msgs_per_s = float(rate_msgs_per_s)
 
     def _first_time_s(
@@ -167,10 +167,9 @@ class CBRTraffic(_PerSourceTraffic):
         duration_s: float,
         sources: tuple[str, ...] | None = None,
         destination: str | None = None,
-        size_bits: int = 16,
     ) -> None:
         require_positive(interval_s, "interval_s")
-        super().__init__(duration_s, sources, destination, size_bits)
+        super().__init__(duration_s, sources, destination)
         self.interval_s = float(interval_s)
 
     def _first_time_s(
@@ -186,17 +185,11 @@ class CBRTraffic(_PerSourceTraffic):
 class SosBroadcastTraffic(TrafficGenerator):
     """A diver in distress broadcasting SOS beacons to the whole group."""
 
-    def __init__(
-        self,
-        source: str,
-        times_s: tuple[float, ...] = (0.0,),
-        size_bits: int = 6,
-    ) -> None:
+    def __init__(self, source: str, times_s: tuple[float, ...] = (0.0,)) -> None:
         if not times_s:
             raise ValueError("times_s must not be empty")
         self.source = source
         self.times_s = tuple(float(t) for t in times_s)
-        self.size_bits = int(size_bits)
 
     def messages(
         self, topology: AcousticNetTopology, rng: np.random.Generator
@@ -205,6 +198,6 @@ class SosBroadcastTraffic(TrafficGenerator):
         if self.source not in topology:
             raise ValueError(f"unknown SOS source {self.source!r}")
         return [
-            AppMessage(time_s, self.source, BROADCAST, self.size_bits)
+            AppMessage(time_s, self.source, BROADCAST, SOS_SIZE_BITS)
             for time_s in sorted(self.times_s)
         ]

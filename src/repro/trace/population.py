@@ -28,13 +28,13 @@ produces, so populations drop into any scenario unchanged:
   t=0, peak half a period in), sampled exactly via Lewis-Shedler
   thinning of a homogeneous Poisson process at the peak rate.
 * **Sizes**: lognormal around ``size_mean_bits`` with shape
-  ``size_sigma``, clipped to ``[min_size_bits, max_size_bits]`` -- the
+  ``size_sigma``, clipped to ``[MIN_SIZE_BITS, MAX_SIZE_BITS]`` -- the
   heavy tail that makes airtime/energy accounting non-trivial.
 
 Destinations: each message goes to the group leader with probability
-``leader_fraction`` (the convergecast share -- position reports to the
+``LEADER_FRACTION`` (the convergecast share -- position reports to the
 dive leader), otherwise to a random same-group peer with probability
-``in_group_fraction``, otherwise to a uniform random node of the whole
+``IN_GROUP_FRACTION``, otherwise to a uniform random node of the whole
 deployment (the cross-group gossip that keeps relays busy).
 """
 
@@ -49,6 +49,17 @@ from repro.net.topology import AcousticNetTopology
 from repro.net.traffic import AppMessage, TrafficGenerator
 from repro.trace.events import Trace, TraceEvent
 from repro.utils.validation import require_positive
+
+#: Message sizes are clipped to this range (bits).
+MIN_SIZE_BITS = 8
+MAX_SIZE_BITS = 512
+
+#: Share of messages addressed to the sender's group leader.
+LEADER_FRACTION = 0.1
+
+#: Share of messages addressed to a random peer of the sender's group; the
+#: rest go to a random node of the whole deployment.
+IN_GROUP_FRACTION = 0.8
 
 
 class PopulationWorkload(TrafficGenerator):
@@ -65,11 +76,6 @@ class PopulationWorkload(TrafficGenerator):
         diurnal_depth: float = 0.8,
         size_mean_bits: float = 16.0,
         size_sigma: float = 1.0,
-        min_size_bits: int = 8,
-        max_size_bits: int = 512,
-        in_group_fraction: float = 0.8,
-        leader_fraction: float = 0.1,
-        sources: tuple[str, ...] | None = None,
     ) -> None:
         require_positive(duration_s, "duration_s")
         require_positive(base_rate_msgs_per_s, "base_rate_msgs_per_s")
@@ -85,16 +91,6 @@ class PopulationWorkload(TrafficGenerator):
             raise ValueError("diurnal_depth must lie in [0, 1]")
         if size_sigma < 0.0:
             raise ValueError("size_sigma must be non-negative")
-        if not 1 <= min_size_bits <= max_size_bits:
-            raise ValueError("need 1 <= min_size_bits <= max_size_bits")
-        if not 0.0 <= in_group_fraction <= 1.0:
-            raise ValueError("in_group_fraction must lie in [0, 1]")
-        if not 0.0 <= leader_fraction <= 1.0:
-            raise ValueError("leader_fraction must lie in [0, 1]")
-        if in_group_fraction + leader_fraction > 1.0:
-            raise ValueError(
-                "leader_fraction + in_group_fraction must not exceed 1"
-            )
         self.duration_s = float(duration_s)
         self.base_rate_msgs_per_s = float(base_rate_msgs_per_s)
         self.group_size = int(group_size)
@@ -106,18 +102,13 @@ class PopulationWorkload(TrafficGenerator):
         self.diurnal_depth = float(diurnal_depth)
         self.size_mean_bits = float(size_mean_bits)
         self.size_sigma = float(size_sigma)
-        self.min_size_bits = int(min_size_bits)
-        self.max_size_bits = int(max_size_bits)
-        self.in_group_fraction = float(in_group_fraction)
-        self.leader_fraction = float(leader_fraction)
-        self.sources = sources
 
     # ------------------------------------------------------------- structure
     def groups_for(
         self, topology: AcousticNetTopology
     ) -> list[tuple[str, ...]]:
-        """Partition the user names into consecutive groups."""
-        users = list(self.sources if self.sources is not None else topology.names)
+        """Partition the deployment's nodes into consecutive groups."""
+        users = list(topology.names)
         return [
             tuple(users[i:i + self.group_size])
             for i in range(0, len(users), self.group_size)
@@ -175,9 +166,9 @@ class PopulationWorkload(TrafficGenerator):
     ) -> str:
         leader = group[0]
         draw = float(rng.random())
-        if draw < self.leader_fraction and source != leader:
+        if draw < LEADER_FRACTION and source != leader:
             return leader
-        if draw < self.leader_fraction + self.in_group_fraction:
+        if draw < LEADER_FRACTION + IN_GROUP_FRACTION:
             peers = [name for name in group if name != source]
             if peers:
                 return peers[int(rng.integers(0, len(peers)))]
@@ -188,7 +179,7 @@ class PopulationWorkload(TrafficGenerator):
 
     def _size_bits(self, rng: np.random.Generator) -> int:
         size = rng.lognormal(math.log(self.size_mean_bits), self.size_sigma)
-        return int(np.clip(round(size), self.min_size_bits, self.max_size_bits))
+        return int(np.clip(round(size), MIN_SIZE_BITS, MAX_SIZE_BITS))
 
     def messages(
         self, topology: AcousticNetTopology, rng: np.random.Generator

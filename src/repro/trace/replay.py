@@ -89,29 +89,21 @@ def scenario_from_trace(trace: Trace, **overrides):
     return scenario.replace(**overrides) if overrides else scenario
 
 
-def replay_trace(
-    trace: Trace,
-    scenario=None,
-    observer=None,
-    progress: bool = False,
-    **overrides,
-):
+def replay_trace(trace: Trace, scenario=None, progress: bool = False):
     """Replay ``trace`` against a stack and return the
     :class:`~repro.net.simulator.NetworkResult`.
 
-    ``scenario`` defaults to the one recorded in the trace metadata;
-    ``overrides`` select the stack variant under test (e.g.
-    ``link="physical"`` or ``arq="none"``).
+    ``scenario`` defaults to the one recorded in the trace metadata; a
+    stack variant under test comes from :func:`scenario_from_trace` with
+    overrides (e.g. ``link="physical"`` or ``arq="none"``).
     """
     if scenario is None:
-        scenario = scenario_from_trace(trace, **overrides)
-    elif overrides:
-        scenario = scenario.replace(**overrides)
-    simulator = scenario.build_simulator(observer=observer)
+        scenario = scenario_from_trace(trace)
+    simulator = scenario.build_simulator()
     return simulator.run(traffic=TraceTrafficGenerator(trace), progress=progress)
 
 
-def check_roundtrip(trace: Trace, scenario=None) -> tuple[bool, dict, dict]:
+def check_roundtrip(trace: Trace) -> tuple[bool, dict, dict]:
     """Replay ``trace`` against its capturing stack and compare metrics.
 
     Returns ``(identical, captured, replayed)`` where the dicts are the
@@ -128,7 +120,7 @@ def check_roundtrip(trace: Trace, scenario=None) -> tuple[bool, dict, dict]:
             "have nothing to round-trip against); capture one with "
             "capture_scenario or `cli trace capture`"
         )
-    replayed = replay_trace(trace, scenario=scenario).metrics.to_dict()
+    replayed = replay_trace(trace).metrics.to_dict()
     return replayed == captured, dict(captured), replayed
 
 
@@ -136,8 +128,6 @@ def compare_stacks(
     trace: Trace,
     scenario_a=None,
     scenario_b=None,
-    label_a: str | None = None,
-    label_b: str | None = None,
     latency_tau_s: float = DEFAULT_LATENCY_TAU_S,
     sos_deadline_s: float = DEFAULT_SOS_DEADLINE_S,
 ) -> QoeDelta:
@@ -164,8 +154,8 @@ def compare_stacks(
     return qoe_delta(
         result_a.metrics,
         result_b.metrics,
-        label_a=label_a or stack_label(scenario_a),
-        label_b=label_b or stack_label(scenario_b),
+        label_a=stack_label(scenario_a),
+        label_b=stack_label(scenario_b),
         latency_tau_s=latency_tau_s,
         sos_deadline_s=sos_deadline_s,
     )

@@ -28,16 +28,3 @@ def power_ratio_to_db(ratio: float | np.ndarray) -> float | np.ndarray:
 def db_to_amplitude_ratio(db: float | np.ndarray) -> float | np.ndarray:
     """Convert a dB value to a linear *amplitude* ratio (``10 ** (db / 20)``)."""
     return 10.0 ** (np.asarray(db, dtype=float) / 20.0) if isinstance(db, np.ndarray) else 10.0 ** (db / 20.0)
-
-
-def signal_power(samples: np.ndarray) -> float:
-    """Return the mean power (mean squared amplitude) of a real waveform."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        return 0.0
-    return float(np.mean(samples ** 2))
-
-
-def snr_db(signal: np.ndarray, noise: np.ndarray) -> float:
-    """Return the SNR in dB between a signal waveform and a noise waveform."""
-    return power_ratio_to_db(signal_power(signal) / max(signal_power(noise), _EPS))

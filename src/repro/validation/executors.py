@@ -164,7 +164,7 @@ def link_outcome(record) -> TrialOutcome:
 
 # ------------------------------------------------------------- sos executor
 def run_sos_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Run one SoS-figure trial: repeated beacon broadcasts at one range."""
     from repro.app.sos import SosBeaconService
@@ -214,7 +214,7 @@ def _net_scenario(spec: FigureSpec, axis_value, trial: int, base_seed: int,
 
 
 def run_net_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Run one network-figure trial: a full multi-hop simulation."""
     num_nodes = int(axis_value)
@@ -235,7 +235,7 @@ def run_net_trial(
 
 
 def run_cc_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Run one congestion-control trial: fixed vs Reno on the same seed.
 
@@ -264,7 +264,7 @@ def run_cc_trial(
 
 
 def run_faults_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Run one resilience trial: the same churn with repair on vs off.
 
@@ -345,7 +345,7 @@ def _catalog_channel(spec: FigureSpec, distance_m: float, seed: int, **kwargs):
 
 
 def run_response_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Figs. 3a/b: a 1-5 kHz chirp through one device pair's channel.
 
@@ -368,7 +368,7 @@ def run_response_trial(
 
 
 def run_reciprocity_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Figs. 3c/d: forward vs backward response, in air and underwater.
 
@@ -397,7 +397,7 @@ def run_reciprocity_trial(
 
 
 def run_case_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Fig. 18: one link probed with the pouch's air expelled vs air-filled.
 
@@ -423,7 +423,7 @@ def run_case_trial(
 
 # ------------------------------------------------------------ ambient noise
 def run_noise_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Fig. 4: ``axis_value`` seconds of a site's ambient noise as one
     device's microphone hears it.
@@ -462,7 +462,7 @@ SNR_BUCKETS_DB = (-2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
 
 
 def run_bins_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Fig. 8: uncoded BER per subcarrier, bucketed by that subcarrier's SNR.
 
@@ -544,7 +544,7 @@ def run_bins_trial(
 
 # ----------------------------------------------- second-preamble stability
 def run_stability_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Fig. 16: min SNR in the band picked from one preamble, re-measured
     with a second preamble one feedback interval later.
@@ -589,7 +589,7 @@ def run_stability_trial(
 
 # ---------------------------------------------------------------------- mac
 def run_mac_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Fig. 19: ``axis_value`` backlogged transmitters, 5-10 m from one
     receiver, with or without carrier sense (the ``carrier_sense`` param)."""
@@ -614,7 +614,7 @@ def run_mac_trial(
 
 # ------------------------------------------------------------------ airtime
 def run_airtime_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Section 5: messaging latency and protocol airtime (deterministic).
 
@@ -638,7 +638,7 @@ def run_airtime_trial(
 
 # ----------------------------------------------------------------- protocol
 def run_protocol_trial(
-    spec: FigureSpec, axis_value, trial: int, base_seed: int = 0, quick: bool = False
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
 ) -> TrialOutcome:
     """Band-selection ablation: a link trial under the spec's SNR
     threshold and conservative factor, which no ``ModemSpec`` field

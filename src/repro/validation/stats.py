@@ -29,14 +29,12 @@ from dataclasses import dataclass
 
 from repro.utils.jsonsafe import nan_to_none, none_to_nan
 
-#: z for the default 95% confidence level.
-DEFAULT_Z = 1.959963984540054
+#: z of the 95% confidence level every interval uses.
+Z_95 = 1.959963984540054
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = DEFAULT_Z
-) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score confidence interval for a binomial proportion.
 
     Returns ``(low, high)``; both ``nan`` when ``trials`` is zero.
     """
@@ -44,11 +42,10 @@ def wilson_interval(
         raise ValueError("successes and trials must be non-negative")
     if successes > trials:
         raise ValueError(f"successes ({successes}) exceed trials ({trials})")
-    if z <= 0:
-        raise ValueError("z must be positive")
     if trials == 0:
         return float("nan"), float("nan")
     p = successes / trials
+    z = Z_95
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
@@ -56,17 +53,15 @@ def wilson_interval(
     return max(0.0, center - margin), min(1.0, center + margin)
 
 
-def normal_interval(
-    mean: float, std: float, n: int, z: float = DEFAULT_Z
-) -> tuple[float, float]:
-    """Normal-approximation confidence interval of a sample mean."""
+def normal_interval(mean: float, std: float, n: int) -> tuple[float, float]:
+    """95% normal-approximation confidence interval of a sample mean."""
     if n <= 0:
         return float("nan"), float("nan")
     if n == 1 or not math.isfinite(std):
         # A single trial (or undefined spread) carries no interval
         # information; degenerate interval at the point estimate.
         return mean, mean
-    margin = z * std / math.sqrt(n)
+    margin = Z_95 * std / math.sqrt(n)
     return mean - margin, mean + margin
 
 
@@ -190,9 +185,7 @@ def design_effect(counts: list[tuple[int, int]]) -> float:
     return max(1.0, observed / binomial)
 
 
-def summarize_proportion(
-    name: str, counts: list[tuple[int, int]], z: float = DEFAULT_Z
-) -> MetricSummary:
+def summarize_proportion(name: str, counts: list[tuple[int, int]]) -> MetricSummary:
     """Summarize per-trial ``(successes, total)`` Bernoulli counts.
 
     The Wilson interval is computed over the pooled counts deflated by
@@ -209,7 +202,7 @@ def summarize_proportion(
     deff = design_effect(counts)
     effective_total = max(1, round(total / deff)) if total else 0
     effective_successes = min(effective_total, round(mean * effective_total)) if total else 0
-    ci_low, ci_high = wilson_interval(effective_successes, effective_total, z=z)
+    ci_low, ci_high = wilson_interval(effective_successes, effective_total)
     return MetricSummary(
         name=name,
         kind="proportion",
@@ -223,13 +216,11 @@ def summarize_proportion(
     )
 
 
-def summarize_continuous(
-    name: str, values: list[float], z: float = DEFAULT_Z
-) -> MetricSummary:
+def summarize_continuous(name: str, values: list[float]) -> MetricSummary:
     """Summarize per-trial continuous values (NaN trials dropped)."""
     mean, std = _mean_std(values)
     finite = sum(1 for v in values if math.isfinite(v))
-    ci_low, ci_high = normal_interval(mean, std, finite, z=z)
+    ci_low, ci_high = normal_interval(mean, std, finite)
     return MetricSummary(
         name=name,
         kind="continuous",

@@ -118,10 +118,7 @@ def reference_punctured_decode(
             f"expected {expected} coded bits for {num_data_bits} data bits, got {soft.size}"
         )
     soft = hard_bits_to_soft(soft)
-    total_input = num_data_bits + (code.mother.num_tail_bits if code.terminate else 0)
-    mask = code._puncture_mask(total_input)
+    mask = code._puncture_mask(num_data_bits)
     depunctured = np.full(mask.size, np.nan)
     depunctured[mask] = soft
-    return reference_decode(
-        code.mother, depunctured, num_data_bits=num_data_bits, terminated=code.terminate
-    )
+    return reference_decode(code.mother, depunctured, num_data_bits=num_data_bits, terminated=False)

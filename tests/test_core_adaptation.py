@@ -54,17 +54,19 @@ def test_power_reallocation_bonus_allows_marginal_bins():
 
 def test_threshold_override_changes_selection():
     snr = np.full(N0, 10.0)
-    strict = select_frequency_band(snr, CONFIG, snr_threshold_db=25.0)
-    relaxed = select_frequency_band(snr, CONFIG, snr_threshold_db=5.0)
+    strict = select_frequency_band(snr, CONFIG, ProtocolConfig(snr_threshold_db=25.0))
+    relaxed = select_frequency_band(snr, CONFIG, ProtocolConfig(snr_threshold_db=5.0))
     assert relaxed.num_bins == N0
     assert strict.num_bins < N0 or not strict.satisfied
 
 
 def test_lambda_zero_ignores_reallocation_bonus():
     snr = np.full(N0, 6.0)  # below the 7 dB threshold everywhere
-    none_selected = select_frequency_band(snr, CONFIG, conservative_lambda=1e-9)
+    none_selected = select_frequency_band(
+        snr, CONFIG, ProtocolConfig(conservative_lambda=1e-9)
+    )
     assert not none_selected.satisfied
-    with_bonus = select_frequency_band(snr, CONFIG, conservative_lambda=1.0)
+    with_bonus = select_frequency_band(snr, CONFIG, ProtocolConfig(conservative_lambda=1.0))
     assert with_bonus.satisfied
     assert with_bonus.num_bins < N0
 

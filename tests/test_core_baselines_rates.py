@@ -55,7 +55,10 @@ def test_coded_bitrate_values_match_paper_medians():
 
 
 def test_coded_bitrate_with_prefix_overhead_near_1_8_kbps():
-    rate = coded_bitrate_bps(60, include_cyclic_prefix=True)
+    # On air, each symbol also carries its cyclic prefix.
+    rate = coded_bitrate_bps(60) / (
+        CONFIG.subcarrier_spacing_hz * CONFIG.extended_symbol_duration_s
+    )
     assert 1800 < rate < 1900
 
 

@@ -73,17 +73,21 @@ def test_decode_pure_noise_not_found_or_weak(codec, rng):
 
 
 def test_decode_respects_search_window(codec, rng):
+    # Candidate starts end one symbol past the round trip at max_range_m.
+    window_end = int(2.0 * 30.0 / 1500.0 * 48000) + codec.ofdm_config.extended_symbol_length
     symbol = codec.encode(40, 50)
-    received = np.concatenate([np.zeros(3000), symbol, np.zeros(200)])
-    received += 1e-5 * rng.standard_normal(received.size)
-    late = codec.decode(received, search_start=0, search_stop=4000)
-    assert late.found and late.start_bin == 40
-    result = codec.decode(received, search_start=0, search_stop=100)
-    # The symbol lies outside the narrow window, so either nothing is found or
-    # the quality ratio is poor.
-    assert (not result.found) or result.peak_power_ratio < 0.5
+    for lead, inside in ((window_end - 200, True), (window_end + 2000, False)):
+        received = np.concatenate([np.zeros(lead), symbol, np.zeros(200)])
+        received += 1e-5 * rng.standard_normal(received.size)
+        result = codec.decode(received)
+        if inside:
+            assert result.found and result.start_bin == 40
+        else:
+            # The symbol starts after the window, so either nothing is
+            # found or the quality ratio is poor.
+            assert (not result.found) or result.peak_power_ratio < 0.5
 
 
 def test_decode_empty_window(codec):
-    result = codec.decode(np.zeros(10), search_start=5, search_stop=2)
+    result = codec.decode(np.zeros(10))
     assert not result.found

@@ -90,33 +90,17 @@ def test_demodulate_validates_length(modulator):
         modulator.demodulate(np.zeros(10))
 
 
-def test_silence_generation(modulator, config):
-    silence = modulator.silence(3)
-    assert silence.size == 3 * config.extended_symbol_length
-    assert np.all(silence == 0)
-    assert modulator.silence(0).size == 0
-
-
-def test_constructor_rejects_bad_power(config):
-    with pytest.raises(ValueError):
-        OFDMModulator(config, symbol_power=0.0)
-
-
 def test_modulate_many_matches_single_symbol_path(modulator, config):
     rng = np.random.default_rng(21)
     bins = config.data_bins[:12]
     values = np.exp(2j * np.pi * rng.random((7, bins.size)))
     for add_prefix in (True, False):
-        for normalize in (True, False):
-            batch = modulator.modulate_many(
-                values, bins, add_cyclic_prefix=add_prefix, normalize_power=normalize
-            )
-            singles = np.stack([
-                modulator.modulate(row, bins, add_cyclic_prefix=add_prefix,
-                                   normalize_power=normalize)
-                for row in values
-            ])
-            np.testing.assert_array_equal(batch, singles)
+        batch = modulator.modulate_many(values, bins, add_cyclic_prefix=add_prefix)
+        singles = np.stack([
+            modulator.modulate(row, bins, add_cyclic_prefix=add_prefix)
+            for row in values
+        ])
+        np.testing.assert_array_equal(batch, singles)
 
 
 def test_modulate_many_validates_shapes(modulator, config):
@@ -159,6 +143,9 @@ def test_modulate_many_round_trip_recovers_values(modulator, config):
     rng = np.random.default_rng(23)
     bins = config.data_bins[:8]
     values = np.exp(2j * np.pi * rng.random((3, bins.size)))
-    waveform = modulator.modulate_many(values, bins, normalize_power=False).ravel()
+    waveform = modulator.modulate_many(values, bins).ravel()
     recovered = modulator.demodulate_many(waveform, 3, bins)
-    np.testing.assert_allclose(recovered, values, atol=1e-10)
+    # Each symbol is scaled to unit power: values match up to a positive
+    # per-symbol factor.
+    scale = np.abs(recovered[:, :1])
+    np.testing.assert_allclose(recovered, values * scale, atol=1e-10 * scale.max())

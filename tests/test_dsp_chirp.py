@@ -7,9 +7,9 @@ from repro.dsp.chirp import lfm_chirp
 
 
 def test_chirp_length_and_amplitude():
-    chirp = lfm_chirp(1000, 5000, 0.5, 48000, amplitude=0.7)
+    chirp = lfm_chirp(1000, 5000, 0.5, 48000)
     assert chirp.size == 24000
-    assert np.max(np.abs(chirp)) <= 0.7 + 1e-9
+    assert np.max(np.abs(chirp)) <= 1.0 + 1e-9
 
 
 def test_chirp_energy_concentrated_in_swept_band():

@@ -13,7 +13,7 @@ def _tone(freq, fs=48000, duration=0.2):
 
 
 def test_bandpass_design_passes_in_band_and_rejects_out_of_band():
-    taps = design_bandpass_fir(1000, 4000, 48000, 129)
+    taps = design_bandpass_fir(1000, 4000, 48000)
     w, h = sp_signal.freqz(taps, worN=4096, fs=48000)
     gain = np.abs(h)
     assert gain[np.argmin(np.abs(w - 2500))] > 0.9
@@ -22,8 +22,9 @@ def test_bandpass_design_passes_in_band_and_rejects_out_of_band():
 
 
 def test_bandpass_design_forces_odd_taps():
-    taps = design_bandpass_fir(1000, 4000, 48000, 128)
-    assert taps.size % 2 == 1
+    # The paper's 128-order filter: 129 taps, odd for type-I linear phase.
+    taps = design_bandpass_fir(1000, 4000, 48000)
+    assert taps.size == 129
 
 
 def test_bandpass_design_rejects_invalid_edges():
@@ -77,5 +78,5 @@ def test_design_fir_from_response_validates_inputs():
 
 
 def test_group_delay_property():
-    filt = FIRBandpassFilter(num_taps=129)
+    filt = FIRBandpassFilter()
     assert filt.group_delay_samples == (filt.num_taps - 1) // 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles.dsp import periodic_autocorrelation
-from repro.dsp.sequences import PREAMBLE_PN_SIGNS, preamble_pn_signs, zadoff_chu
+from repro.core.config import ProtocolConfig
+from repro.dsp.sequences import zadoff_chu
 
 
 def test_zadoff_chu_unit_magnitude():
@@ -52,8 +53,10 @@ def test_zadoff_chu_rejects_bad_args():
 
 
 def test_preamble_pn_signs_match_paper():
-    assert PREAMBLE_PN_SIGNS == (-1, 1, 1, 1, 1, 1, -1, 1)
-    np.testing.assert_array_equal(preamble_pn_signs(), np.array(PREAMBLE_PN_SIGNS, dtype=float))
+    # Paper section 2.2.1: the eight preamble symbols' sign pattern.
+    np.testing.assert_array_equal(
+        ProtocolConfig().pn_signs_array, np.array([-1, 1, 1, 1, 1, 1, -1, 1], dtype=float)
+    )
 
 
 def test_periodic_autocorrelation_rejects_empty():

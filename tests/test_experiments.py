@@ -155,14 +155,13 @@ def test_sweep_rejects_field_swept_twice():
         base.over(distance_m=[20.0])
 
 
-def test_sweep_where_filters_and_seeded_assigns_seeds():
+def test_sweep_seeded_assigns_seeds():
     sweep = (
         Sweep(Scenario(num_packets=1))
-        .over(distance_m=[5.0, 10.0, 20.0])
-        .where(lambda s: s.distance_m < 20.0)
-        .seeded(100, step=10)
+        .over(distance_m=[5.0, 10.0])
+        .seeded(100)
     )
-    assert [(s.distance_m, s.seed) for s in sweep] == [(5.0, 100), (10.0, 110)]
+    assert [(s.distance_m, s.seed) for s in sweep] == [(5.0, 100), (10.0, 101)]
 
 
 def test_sweep_builders_are_immutable():

@@ -78,11 +78,10 @@ def _reference_channel(monkeypatch, **kwargs):
 def test_convolve_full_matches_fftconvolve():
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        cache = SpectrumCache()
         for n, m in ((64, 5), (1000, 257), (9243, 961)):
             x = rng.normal(size=n)
             kernel = rng.normal(size=m)
-            fast = convolve_full(x, kernel, cache=cache)
+            fast = convolve_full(x, kernel)
             reference = sp_signal.fftconvolve(x, kernel)
             # Same algorithm and padding; differences can only come from
             # FFT rounding reassociation.  Measured max deviation: 8.2e-16
@@ -130,7 +129,7 @@ def test_convolve_shared_matches_individual_convolutions():
 
 
 def test_spectrum_cache_hits_on_equal_content():
-    cache = SpectrumCache(max_entries=4)
+    cache = SpectrumCache()
     kernel = np.arange(32.0)
     first = cache.spectrum(kernel, 64)
     second = cache.spectrum(kernel.copy(), 64)  # equal content, new array
@@ -287,30 +286,28 @@ def test_equalizer_matches_seed_implementation():
     """The FFT-correlation fit reproduces the seed np.correlate pipeline."""
     from scipy import linalg as sp_linalg
 
-    def seed_fit(y, x, taps, reg, delay):
+    def seed_fit(y, x, taps, reg):
         n = y.size
         full_autocorr = np.correlate(y, y, mode="full") / n
         zero_lag = y.size - 1
         r_yy = full_autocorr[zero_lag:zero_lag + taps].copy()
         r_yy[0] += reg * r_yy[0] + 1e-12
-        x_target = np.concatenate([np.zeros(delay), x])[:n] if delay else x
-        full_crosscorr = np.correlate(x_target, y, mode="full") / n
+        full_crosscorr = np.correlate(x, y, mode="full") / n
         r_xy = full_crosscorr[zero_lag:zero_lag + taps]
         return sp_linalg.solve_toeplitz((r_yy, r_yy), r_xy)
 
     rng = np.random.default_rng(9)
     y = rng.normal(size=1027)
     x = rng.normal(size=1027)
-    for delay in (0, 7):
-        seed_taps = seed_fit(y, x, 480, 1e-3, delay)
-        fast_taps = MMSEEqualizer(num_taps=480, delay=delay).fit(y, x)
-        scale = np.max(np.abs(seed_taps))
-        # Measured max deviation: 2.3e-13 relative (seeds 0-7; FFT
-        # correlations + the time-reversal phase identity reassociate
-        # rounding) -> asserted at 1e-11 (was 1e-9).
-        assert_allclose_seeded(fast_taps, seed_taps, 9,
-                               "equalizer fit vs seed np.correlate pipeline",
-                               atol=1e-11 * scale, detail=f"delay={delay}")
+    seed_taps = seed_fit(y, x, 480, 1e-3)
+    fast_taps = MMSEEqualizer(num_taps=480).fit(y, x)
+    scale = np.max(np.abs(seed_taps))
+    # Measured max deviation: 2.3e-13 relative (seeds 0-7; FFT
+    # correlations + the time-reversal phase identity reassociate
+    # rounding) -> asserted at 1e-11 (was 1e-9).
+    assert_allclose_seeded(fast_taps, seed_taps, 9,
+                           "equalizer fit vs seed np.correlate pipeline",
+                           atol=1e-11 * scale)
 
 
 # ----------------------------------------------------------------- run_packets
@@ -320,12 +317,11 @@ def test_run_packets_matches_run_packet_loop():
 
     forward, backward = build_link_pair(site=SITE_CATALOG["lake"], distance_m=5.0, seed=21)
     batched = LinkSession(forward, backward, seed=22)
-    stats_batched = batched.run_packets(3, rng=np.random.default_rng(5))
+    stats_batched = batched.run_packets(3)
 
     forward2, backward2 = build_link_pair(site=SITE_CATALOG["lake"], distance_m=5.0, seed=21)
     looped = LinkSession(forward2, backward2, seed=22)
-    rng = np.random.default_rng(5)
-    results = [looped.run_packet(rng=rng) for _ in range(3)]
+    results = [looped.run_packet() for _ in range(3)]
 
     assert stats_batched.num_packets == 3
     for batch_result, loop_result in zip(stats_batched.results, results):

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from _topologies import line_topology
 from repro.experiments.net_scenario import NetScenario
 from repro.faults import (
     FAULTS_FORMAT,
@@ -240,7 +241,7 @@ def test_same_seed_fault_runs_are_bit_identical():
 
 # ------------------------------------------------------------- link windows
 def test_link_blackout_severs_the_pair_for_the_window():
-    topology = AcousticNetTopology.line(3, spacing_m=8.0, comm_range_m=10.0)
+    topology = line_topology(3, spacing_m=8.0, comm_range_m=10.0)
     schedule = FaultSchedule(
         events=(FaultEvent("link-blackout", 0.0, node="n1", peer="n2",
                            duration_s=100.0),),
@@ -264,7 +265,7 @@ def test_noise_burst_inflates_loss_from_the_injector_rng():
                                per_inflation=0.5),),
             repair=False, seed=seed,
         )
-        topology = AcousticNetTopology.line(2, spacing_m=8.0, comm_range_m=10.0)
+        topology = line_topology(2, spacing_m=8.0, comm_range_m=10.0)
         simulator = NetworkSimulator(
             topology, StaticShortestPathRouting(), _lossless_link(), seed=1,
             faults=FaultInjector(schedule),
@@ -314,7 +315,7 @@ def test_energy_depletion_shuts_the_node_down_once():
                            energy_budget_j=2.0),),
         repair=False,
     )
-    topology = AcousticNetTopology.line(3, spacing_m=8.0, comm_range_m=10.0)
+    topology = line_topology(3, spacing_m=8.0, comm_range_m=10.0)
     simulator = NetworkSimulator(
         topology, StaticShortestPathRouting(), _lossless_link(), seed=1,
         faults=FaultInjector(schedule),
@@ -360,7 +361,7 @@ def test_destination_death_mid_flight_attributes_lost_segments_to_the_flow():
         events=(FaultEvent("crash", 6.0, node="n2"),),
         repair=False,
     )
-    topology = AcousticNetTopology.line(3, spacing_m=8.0, comm_range_m=10.0)
+    topology = line_topology(3, spacing_m=8.0, comm_range_m=10.0)
     simulator = NetworkSimulator(
         topology, StaticShortestPathRouting(), _lossless_link(), seed=2,
         arq=ArqConfig(mode="go-back-n"), faults=FaultInjector(schedule),
@@ -437,7 +438,7 @@ def test_relay_death_without_repair_aborts_with_plain_max_retry():
         events=(FaultEvent("crash", 2.0, node="n1"),),
         repair=False,
     )
-    topology = AcousticNetTopology.line(3, spacing_m=8.0, comm_range_m=10.0)
+    topology = line_topology(3, spacing_m=8.0, comm_range_m=10.0)
     simulator = NetworkSimulator(
         topology, StaticShortestPathRouting(), _lossless_link(), seed=2,
         arq=ArqConfig(mode="go-back-n"), faults=FaultInjector(schedule),

@@ -12,7 +12,7 @@ from repro.fec.convolutional import (
 
 @pytest.fixture(scope="module")
 def mother():
-    return ConvolutionalCode()
+    return ConvolutionalCode(7, PuncturedConvolutionalCode.POLYNOMIALS)
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +88,9 @@ def test_mother_rejects_non_binary_input(mother):
 
 def test_mother_constructor_validation():
     with pytest.raises(ValueError):
-        ConvolutionalCode(constraint_length=1)
+        ConvolutionalCode(1, (0o133, 0o171))
     with pytest.raises(ValueError):
-        ConvolutionalCode(polynomials=(0o133,))
+        ConvolutionalCode(7, (0o133,))
 
 
 def test_punctured_rate_is_two_thirds(punctured):
@@ -133,16 +133,6 @@ def test_punctured_corrects_single_error(punctured):
 def test_punctured_decode_validates_length(punctured):
     with pytest.raises(ValueError):
         punctured.decode(np.zeros(10), num_data_bits=16)
-
-
-def test_punctured_terminated_variant_roundtrip():
-    code = PuncturedConvolutionalCode(terminate=True)
-    rng = np.random.default_rng(8)
-    bits = rng.integers(0, 2, 16)
-    coded = code.encode(bits)
-    assert coded.size == code.coded_length(16) > 24  # tail bits add overhead
-    decoded = code.decode(coded, num_data_bits=16)
-    np.testing.assert_array_equal(decoded, bits)
 
 
 def test_trellis_tables_are_frozen():

@@ -91,8 +91,8 @@ def test_protocol_works_with_25hz_subcarrier_spacing():
 def test_channel_stability_probe_static_vs_motion():
     static_fwd, _ = build_link_pair(site=LAKE, distance_m=10.0, seed=31)
     moving_fwd, _ = build_link_pair(site=LAKE, distance_m=10.0, motion=FAST_MOTION, seed=31)
-    static_session = LinkSession(static_fwd, seed=1, randomize_every=0)
-    moving_session = LinkSession(moving_fwd, seed=1, randomize_every=0)
+    static_session = LinkSession(static_fwd, seed=1)
+    moving_session = LinkSession(moving_fwd, seed=1)
     static_probes = [static_session.probe_channel_stability() for _ in range(3)]
     moving_probes = [moving_session.probe_channel_stability() for _ in range(3)]
     static_probes = [p for p in static_probes if np.isfinite(p)]

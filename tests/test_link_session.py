@@ -70,8 +70,8 @@ def test_run_many_validates_count(quiet_session):
 
 
 def test_noisy_channel_selects_narrower_band(quiet_channel, noisy_channel):
-    quiet_stats = LinkSession(quiet_channel, seed=8, randomize_every=0).run_packets(3)
-    noisy_stats = LinkSession(noisy_channel, seed=8, randomize_every=0).run_packets(3)
+    quiet_stats = LinkSession(quiet_channel, seed=8).run_packets(3)
+    noisy_stats = LinkSession(noisy_channel, seed=8).run_packets(3)
     assert noisy_stats.median_bitrate_bps < quiet_stats.median_bitrate_bps
 
 
@@ -110,7 +110,7 @@ def test_empty_statistics_are_nan():
 
 
 def test_channel_stability_probe(quiet_channel):
-    session = LinkSession(quiet_channel, seed=9, randomize_every=0)
+    session = LinkSession(quiet_channel, seed=9)
     snr = session.probe_channel_stability()
     assert np.isfinite(snr)
     # On a quiet static channel the second preamble should confirm a healthy band.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.noise import AmbientNoiseModel
-from repro.mac.carrier_sense import CarrierSenseConfig, EnergyDetector
+from repro.mac.carrier_sense import EnergyDetector
 from repro.mac.simulator import (
     MacNetworkSimulator,
     MacSimulationResult,
@@ -48,12 +48,6 @@ def test_is_busy_requires_calibration():
 def test_calibrate_requires_enough_samples():
     with pytest.raises(ValueError):
         EnergyDetector().calibrate(np.zeros(100))
-
-
-def test_custom_carrier_sense_config():
-    config = CarrierSenseConfig(measurement_interval_s=0.04, threshold_margin_db=3.0)
-    detector = EnergyDetector(config)
-    assert detector.samples_per_measurement == int(0.04 * 48000)
 
 
 # ------------------------------------------------------------- MAC simulation
@@ -119,8 +113,6 @@ def test_collision_definition_symmetry():
 def test_simulator_validation():
     with pytest.raises(ValueError):
         MacNetworkSimulator([])
-    with pytest.raises(ValueError):
-        MacNetworkSimulator(_transmitters(2), packet_duration_s=0.0)
 
 
 def test_result_dataclass_counts():

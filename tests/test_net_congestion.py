@@ -3,8 +3,8 @@
 Three layers, mirroring how the subsystem is built:
 
 * Pure state machines (:class:`RenoController`, :class:`AdaptiveRto`,
-  :class:`RelayQueueConfig`, :func:`jain_fairness_index`) driven with
-  explicit time, no simulator.
+  :func:`jain_fairness_index`) driven with explicit time, no simulator,
+  and the simulator's tail-drop relay queue.
 * The ARQ sender driving a controller: Karn's rule, fast-recovery
   deflation, timeout window collapse, queue-overflow retransmission
   behaviour and max-retry abort with epoch reset.
@@ -20,6 +20,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from _topologies import grid_topology, line_topology
 from repro.experiments import NetScenario
 from repro.faults import ChurnProcess, FaultSchedule
 from repro.net.congestion import (
@@ -28,21 +29,27 @@ from repro.net.congestion import (
     CwndTrajectory,
     FixedWindow,
     MAX_CWND_SAMPLES,
-    RelayQueueConfig,
     RenoController,
     build_controller,
     jain_fairness_index,
 )
+from repro.net.routing import FloodingRouting
 from repro.net.scheduler import Scheduler
-from repro.net.topology import AcousticNetTopology
+from repro.net.simulator import NetworkSimulator
 from repro.net.traffic import convergecast_sources
 from repro.net.transport import ArqConfig, ArqReceiver, ArqSender
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "net_multiflow_24flow.json"
 
 
-def _reno(max_window=16, timeout=3.0, **kwargs) -> RenoController:
-    return RenoController(max_window=max_window, timeout_s=timeout, **kwargs)
+def _reno(max_window=16, timeout=3.0, cwnd=None, ssthresh=None) -> RenoController:
+    """A Reno controller, optionally placed at a given window state."""
+    reno = RenoController(max_window=max_window, timeout_s=timeout)
+    if cwnd is not None:
+        reno.cwnd = cwnd
+    if ssthresh is not None:
+        reno.ssthresh = ssthresh
+    return reno
 
 
 # ----------------------------------------------------------------- AdaptiveRto
@@ -67,7 +74,7 @@ def test_adaptive_rto_smooths_with_standard_gains():
 
 
 def test_adaptive_rto_backoff_is_monotone_and_capped():
-    rto = AdaptiveRto(initial_rto_s=2.0, max_rto_s=120.0)
+    rto = AdaptiveRto(initial_rto_s=2.0)
     values = []
     for _ in range(8):
         values.append(rto.current_s())
@@ -76,7 +83,7 @@ def test_adaptive_rto_backoff_is_monotone_and_capped():
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(2.0)
     assert values[1] == pytest.approx(4.0)
-    # Doubling is capped (here by max_rto_s long before max_backoff).
+    # Doubling is capped (here by MAX_RTO_S long before MAX_BACKOFF).
     assert values[-1] == pytest.approx(120.0)
     assert rto.current_s() <= 120.0
 
@@ -92,15 +99,13 @@ def test_adaptive_rto_sample_resets_backoff():
 
 
 def test_adaptive_rto_clamps_to_floor_and_validates():
-    rto = AdaptiveRto(initial_rto_s=3.0, min_rto_s=1.0)
+    rto = AdaptiveRto(initial_rto_s=3.0)
     rto.on_sample(0.1)  # tiny acoustic RTT: floor must hold
     assert rto.current_s() == pytest.approx(1.0)
     rto.on_sample(-5.0)  # negative samples are ignored
     assert rto.current_s() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         AdaptiveRto(initial_rto_s=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveRto(initial_rto_s=1.0, min_rto_s=5.0, max_rto_s=2.0)
 
 
 # ------------------------------------------------------------------ FixedWindow
@@ -146,7 +151,7 @@ def test_reno_slow_start_doubles_per_window():
 
 
 def test_reno_congestion_avoidance_grows_linearly():
-    reno = _reno(max_window=32, initial_cwnd=8.0, initial_ssthresh=8.0)
+    reno = _reno(max_window=32, cwnd=8.0, ssthresh=8.0)
     assert reno.state == "congestion-avoidance"
     # One full window of ACKs grows cwnd by ~1 segment.
     reno.on_ack(8, 1.0)
@@ -164,7 +169,7 @@ def test_reno_window_is_capped_by_max_window():
 
 
 def test_reno_fast_recovery_inflates_and_deflates():
-    reno = _reno(max_window=64, initial_cwnd=16.0, initial_ssthresh=8.0)
+    reno = _reno(max_window=64, cwnd=16.0, ssthresh=8.0)
     reno.on_fast_retransmit(1.0)
     assert reno.state == "fast-recovery"
     assert reno.ssthresh == pytest.approx(8.0)
@@ -179,13 +184,13 @@ def test_reno_fast_recovery_inflates_and_deflates():
 
 
 def test_reno_duplicate_acks_outside_recovery_do_nothing():
-    reno = _reno(max_window=16, initial_cwnd=4.0)
+    reno = _reno(max_window=16, cwnd=4.0)
     reno.on_duplicate_ack(1.0)
     assert reno.cwnd == pytest.approx(4.0)
 
 
 def test_reno_timeout_collapses_to_one_and_backs_off():
-    reno = _reno(max_window=32, initial_cwnd=20.0, initial_ssthresh=32.0)
+    reno = _reno(max_window=32, cwnd=20.0, ssthresh=32.0)
     rto_before = reno.rto_s()
     reno.on_timeout(5.0)
     assert reno.cwnd == 1.0
@@ -216,50 +221,31 @@ def test_reno_trajectory_records_and_truncates():
 def test_reno_validates_arguments():
     with pytest.raises(ValueError):
         RenoController(max_window=0, timeout_s=3.0)
-    with pytest.raises(ValueError):
-        RenoController(max_window=4, timeout_s=3.0, initial_cwnd=0.5)
 
 
 # ------------------------------------------------------------------ relay queue
-def test_relay_queue_tail_drop():
-    queue = RelayQueueConfig(capacity_packets=3)
-    rng = np.random.default_rng(0)
-    assert queue.admit(0, rng)
-    assert queue.admit(2, rng)
-    assert not queue.admit(3, rng)
-    assert not queue.admit(10, rng)
-
-
-def test_relay_queue_red_regions():
-    queue = RelayQueueConfig(
-        capacity_packets=10, red_min_fraction=0.5,
-        red_max_fraction=0.9, red_max_p=1.0,
+def _burst(queue_capacity, messages=6):
+    """``messages`` sends queued at one node at once; the run's metrics."""
+    simulator = NetworkSimulator(
+        line_topology(2, spacing_m=5.0), FloodingRouting(),
+        queue_capacity=queue_capacity, seed=0,
     )
-    rng = np.random.default_rng(0)
-    # Below the min threshold: always admitted, no RNG consumed.
-    state = rng.bit_generator.state
-    assert queue.admit(4, rng)
-    assert rng.bit_generator.state == state
-    # At or above the max threshold: always dropped.
-    assert not queue.admit(9, rng)
-    # In the ramp: probabilistic (with red_max_p=1.0 the drop probability
-    # at fill=0.8 is 0.75, so both outcomes appear over a few draws).
-    outcomes = {queue.admit(8, rng) for _ in range(64)}
-    assert outcomes == {True, False}
+    for _ in range(messages):
+        simulator.send_message("n0", "n1")
+    return simulator.run().metrics
+
+
+def test_relay_queue_tail_drop():
+    # The first send goes straight on air; the rest wait in n0's buffer,
+    # which tail-drops whatever exceeds its capacity.
+    assert _burst(None).queue_drops == 0
+    assert _burst(3).queue_drops == 2
+    assert _burst(1).queue_drops == 4
 
 
 def test_relay_queue_validation():
     with pytest.raises(ValueError):
-        RelayQueueConfig(capacity_packets=0)
-    with pytest.raises(ValueError):
-        RelayQueueConfig(capacity_packets=4, red_min_fraction=0.9,
-                         red_max_fraction=0.5)
-    with pytest.raises(ValueError):
-        RelayQueueConfig(capacity_packets=4, red_min_fraction=0.1,
-                         red_max_fraction=1.5)
-    with pytest.raises(ValueError):
-        RelayQueueConfig(capacity_packets=4, red_min_fraction=0.1,
-                         red_max_p=0.0)
+        _burst(0)
 
 
 # ------------------------------------------------------------------------ jain
@@ -421,7 +407,7 @@ def test_scheduler_key_makes_flow_timers_order_independent():
 
 # ------------------------------------------------------------ scenario plumbing
 def test_convergecast_sources_picks_farthest_nodes():
-    topology = AcousticNetTopology.grid(1, 5, spacing_m=10.0)
+    topology = grid_topology(1, 5, spacing_m=10.0)
     assert convergecast_sources(topology, 2, "n0") == ("n3", "n4")
     assert convergecast_sources(topology, 4, "n0") == ("n1", "n2", "n3", "n4")
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.links import (
+    CALIBRATION_DISTANCES_M,
     DEFAULT_LAKE_CALIBRATION,
     CalibratedLink,
     LinkCalibration,
@@ -78,15 +79,13 @@ def test_default_calibration_is_plausible():
 
 
 def test_calibrate_from_phy_smoke():
-    table = calibrate_from_phy(
-        site="bridge", distances_m=(5.0,), packets_per_point=2, seed=1
-    )
-    assert table.site_name == "bridge"
-    assert len(table.distances_m) == 1
-    assert 0.0 <= table.packet_error_rate[0] <= 1.0
-    assert np.isfinite(table.bitrate_bps[0])
+    table = calibrate_from_phy(site="park", packets_per_point=1, seed=1)
+    assert table.site_name == "park"
+    assert table.distances_m == CALIBRATION_DISTANCES_M
+    assert all(0.0 <= per <= 1.0 for per in table.packet_error_rate)
+    assert np.all(np.isfinite(table.bitrate_bps))
     with pytest.raises(ValueError):
-        calibrate_from_phy(distances_m=(5.0,), packets_per_point=0)
+        calibrate_from_phy(packets_per_point=0)
 
 
 def test_physical_link_delivers_and_caches_sessions():
@@ -105,10 +104,8 @@ def test_calibrate_from_phy_progress_callback():
 
     lines = []
     calibration = calibrate_from_phy(
-        site="lake", distances_m=(2.0, 5.0), packets_per_point=1, seed=4,
-        progress=lines.append,
+        site="lake", packets_per_point=1, seed=4, progress=lines.append,
     )
-    assert len(calibration.distances_m) == 2
-    assert len(lines) == 2
-    assert "1/2" in lines[0] and "2/2" in lines[1]
+    assert len(lines) == len(calibration.distances_m) == 6
+    assert "1/6" in lines[0] and "6/6" in lines[-1]
     assert "eta" in lines[0]

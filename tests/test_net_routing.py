@@ -2,6 +2,7 @@
 
 import pytest
 
+from _topologies import line_topology
 from repro.net.packet import NetPacket
 from repro.net.routing import (
     ROUTING_CATALOG,
@@ -14,7 +15,7 @@ from repro.net.topology import AcousticNetTopology
 
 
 def _line(num=4, spacing=5.0, comm_range=6.0):
-    return AcousticNetTopology.line(num, spacing_m=spacing, comm_range_m=comm_range)
+    return line_topology(num, spacing_m=spacing, comm_range_m=comm_range)
 
 
 def _packet(source, destination, path=()):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from _topologies import line_topology
 from repro.channel.physics import SOUND_SPEED_M_S
-from repro.environments.sites import BRIDGE, LAKE
+from repro.environments.sites import LAKE
+from repro.experiments.net_scenario import NetScenario
 from repro.net.topology import AcousticNetTopology
 
 
@@ -48,12 +50,14 @@ def test_neighbors_respect_range_and_sort_by_distance():
 
 
 def test_line_and_grid_builders():
-    line = AcousticNetTopology.line(4, spacing_m=5.0, site=BRIDGE, comm_range_m=6.0)
+    line = NetScenario(
+        site="bridge", topology="line", num_nodes=4, spacing_m=5.0, comm_range_m=6.0
+    ).build_topology()
     assert line.num_nodes == 4
     assert line.distance_m("n0", "n3") == pytest.approx(15.0)
     assert line.neighbors("n1") == ("n0", "n2")
 
-    grid = AcousticNetTopology.grid(2, 3, spacing_m=4.0, comm_range_m=5.0)
+    grid = NetScenario(num_nodes=6, spacing_m=4.0, comm_range_m=5.0).build_topology()
     assert grid.num_nodes == 6
     assert grid.distance_m("n0", "n5") == pytest.approx(np.hypot(8.0, 4.0))
 
@@ -68,23 +72,9 @@ def test_random_deployment_is_seeded_and_in_bounds():
         assert 0.2 <= first.position(name).depth_m <= LAKE.water_depth_m - 0.2
 
 
-def test_mobility_moves_nodes_and_clamps_depth():
-    topology = AcousticNetTopology(site=LAKE, comm_range_m=20.0)
-    topology.add_node("mover", 0.0, 0.0, depth_m=1.0, velocity_m_s=(1.0, 0.0, 10.0))
-    topology.add_node("anchor", 5.0, 0.0)
-    topology.step_mobility(2.0, rng=0)
-    moved = topology.position("mover")
-    assert moved.x_m == pytest.approx(2.0, abs=0.5)  # velocity plus jitter
-    assert moved.depth_m == LAKE.water_depth_m - 0.2  # clamped at the bottom
-    with pytest.raises(ValueError):
-        topology.step_mobility(0.0)
-
-
 def test_builder_validation():
     with pytest.raises(ValueError):
-        AcousticNetTopology.line(0, spacing_m=5.0)
-    with pytest.raises(ValueError):
-        AcousticNetTopology.grid(0, 3, spacing_m=5.0)
+        NetScenario(topology="line", num_nodes=1)
     with pytest.raises(ValueError):
         AcousticNetTopology.random_deployment(0, (10.0, 10.0))
     with pytest.raises(ValueError):
@@ -182,7 +172,7 @@ def test_membership_mutations_match_brute_force_rebuild(seed, ops):
 
 
 def test_greedy_memo_invalidates_on_liveness_changes():
-    topology = AcousticNetTopology.line(4, spacing_m=6.0, comm_range_m=13.0)
+    topology = line_topology(4, spacing_m=6.0, comm_range_m=13.0)
     routing = GreedyForwarding()
     packet = NetPacket(uid=0, kind="data", source="n0", destination="n3",
                        created_s=0.0, ttl=8)

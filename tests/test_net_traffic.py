@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from _topologies import line_topology
 from repro.net.packet import BROADCAST
-from repro.net.topology import AcousticNetTopology
 from repro.net.traffic import (
     CBRTraffic,
     PoissonTraffic,
@@ -14,7 +14,7 @@ from repro.net.traffic import (
 
 
 def _line(num=4):
-    return AcousticNetTopology.line(num, spacing_m=8.0, comm_range_m=10.0)
+    return line_topology(num, spacing_m=8.0, comm_range_m=10.0)
 
 
 # -------------------------------------------------------------- determinism
@@ -84,7 +84,7 @@ def test_pick_destination_never_picks_the_source():
 
 
 def test_pick_destination_requires_a_peer():
-    topology = AcousticNetTopology.line(1, spacing_m=8.0, comm_range_m=10.0)
+    topology = line_topology(1, spacing_m=8.0, comm_range_m=10.0)
     with pytest.raises(ValueError, match="at least two nodes"):
         _pick_destination("n0", None, topology, np.random.default_rng(0))
 

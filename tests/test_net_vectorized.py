@@ -6,8 +6,8 @@ a pure performance change: every scenario, validation envelope and trace
 fixture committed before it has to reproduce bit for bit.  These tests
 pin that contract from several directions -- committed golden scenario
 signatures, brute-force neighbour oracles on randomized deployments, the
-scalar routing reference in :mod:`oracles.net`, the RNG property the
-mobility draws rely on, and the metrics row list.
+scalar routing reference in :mod:`oracles.net`, and the metrics row
+list.
 """
 
 from __future__ import annotations
@@ -25,44 +25,16 @@ from repro.experiments.net_scenario import NetScenario
 from repro.net.links import CalibratedLink
 from repro.net.metrics import DeliveryRecord, NetworkMetrics
 from repro.net.packet import NetPacket
-from repro.net.routing import GreedyForwarding, build_routing
+from repro.net.routing import GreedyForwarding
 from repro.net.scheduler import Scheduler
-from repro.net.simulator import NetworkSimulator
 from repro.net.topology import AcousticNetTopology
-from repro.net.transport import ArqConfig
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "net_golden_scenarios.json"
 
 
 def _run_golden_case(case: dict) -> dict:
-    scenario = NetScenario(**case["scenario"])
-    mobility = case.get("mobility_interval_s")
-    if mobility is None:
-        result = scenario.run()
-    else:
-        arq = (
-            None
-            if scenario.arq == "none"
-            else ArqConfig(
-                window_size=scenario.window_size,
-                seq_modulus=max(2 * scenario.window_size, 8),
-                timeout_s=scenario.timeout_s,
-                max_retries=scenario.max_retries,
-                mode=scenario.arq,
-            )
-        )
-        simulator = NetworkSimulator(
-            topology=scenario.build_topology(),
-            routing=build_routing(scenario.routing),
-            link_model=scenario.build_link_model(),
-            arq=arq,
-            ttl=scenario.ttl,
-            mobility_interval_s=mobility,
-            seed=scenario.seed + 1,
-        )
-        result = simulator.run(traffic=scenario.build_traffic())
-    return result.to_dict()
+    return NetScenario(**case["scenario"]).run().to_dict()
 
 
 def _golden_entries():
@@ -138,47 +110,12 @@ def test_spatial_grid_handles_cell_boundary_straddling():
     assert "b" in topology.neighbors("a")  # <= is inclusive at the limit
 
 
-def test_spatial_grid_invalidates_after_mobility_and_add_node():
-    topology = AcousticNetTopology.random_deployment(
-        25, (60.0, 60.0), comm_range_m=15.0, seed=7
-    )
-    before = topology.neighbors("n0")
-    assert before == _brute_force_neighbors(topology, "n0")
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        topology.step_mobility(20.0, rng)
-        _assert_grid_matches_brute_force(topology, "post-mobility")
-    topology.add_node("late", 1.0, 1.0, 1.0)
-    _assert_grid_matches_brute_force(topology, "post-add")
-    assert "late" in topology.names
-
-
-# -------------------------------------------------------------- mobility rng
-def test_batched_and_legacy_mobility_draws_are_bit_identical():
-    """One (N, 2) normal draw == 2N sequential scalar draws, elementwise.
-
-    ``step_mobility`` draws every node's jitter in one call.  The
-    committed envelopes and trace fixtures were recorded with two scalar
-    draws per node in insertion order; they replay because numpy fills
-    the array in exactly that order.
-    """
-    batched_rng = np.random.default_rng(42)
-    scalar_rng = np.random.default_rng(42)
-    for _ in range(4):
-        batched = batched_rng.normal(0.0, 0.3, size=(30, 2))
-        scalar = [
-            [scalar_rng.normal(0.0, 0.3), scalar_rng.normal(0.0, 0.3)]
-            for _ in range(30)
-        ]
-        np.testing.assert_array_equal(batched, np.array(scalar))
-
-
 # ------------------------------------------------------------------ routing
 @pytest.mark.parametrize("mode", ["distance", "depth"])
 @pytest.mark.parametrize("seed", [0, 11, 23])
 def test_greedy_next_hops_matches_scalar_reference(mode, seed):
     topology = AcousticNetTopology.random_deployment(
-        30, (70.0, 70.0), comm_range_m=16.0, depth_range_m=(0.5, 6.0), seed=seed
+        30, (70.0, 70.0), comm_range_m=16.0, seed=seed
     )
     routing = GreedyForwarding(mode)
     for destination in ("n0", "n17", "n29"):
@@ -192,21 +129,6 @@ def test_greedy_next_hops_matches_scalar_reference(mode, seed):
             assert routing.next_hops(node, packet, topology) == (
                 greedy_next_hops_reference(mode, node, destination, topology)
             ), f"seed {seed} mode {mode}: {node} -> {destination}"
-
-
-def test_greedy_memo_invalidates_on_mobility():
-    topology = AcousticNetTopology.random_deployment(
-        20, (50.0, 50.0), comm_range_m=14.0, seed=5
-    )
-    routing = GreedyForwarding("distance")
-    packet = NetPacket(uid=1, kind="raw", source="n3", destination="n0", created_s=0.0)
-    first = routing.next_hops("n3", packet, topology)
-    assert routing.next_hops("n3", packet, topology) == first  # memo hit
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        topology.step_mobility(60.0, rng)
-        expected = greedy_next_hops_reference("distance", "n3", "n0", topology)
-        assert routing.next_hops("n3", packet, topology) == expected
 
 
 # ---------------------------------------------------------------- link model

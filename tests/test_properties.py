@@ -53,7 +53,7 @@ def test_single_coded_bit_flip_is_corrected(bits, flip_position):
     """Early coded-bit flips are always corrected by the unterminated code.
 
     (Flips in the final constraint length of an *unterminated* stream have
-    weaker protection; the terminated variant is tested below.)
+    weaker protection; the terminated mother code is tested below.)
     """
     coded = CODE.encode(bits).astype(float)
     coded[flip_position] = 1.0 - coded[flip_position]
@@ -65,11 +65,10 @@ def test_single_coded_bit_flip_is_corrected(bits, flip_position):
 @given(st.lists(st.integers(0, 1), min_size=16, max_size=16),
        st.integers(min_value=0, max_value=23))
 def test_single_flip_corrected_by_terminated_code(bits, flip_position):
-    code = PuncturedConvolutionalCode(terminate=True)
-    coded = code.encode(bits).astype(float)
-    position = min(flip_position, coded.size - 1)
-    coded[position] = 1.0 - coded[position]
-    decoded = code.decode(coded, num_data_bits=16)
+    code = CODE.mother
+    coded = code.encode(bits, terminate=True).astype(float)
+    coded[flip_position] = 1.0 - coded[flip_position]
+    decoded = code.decode(coded, num_data_bits=16, terminated=True)
     np.testing.assert_array_equal(decoded, np.asarray(bits))
 
 
@@ -196,12 +195,8 @@ def test_fec_roundtrip_fuzz(seed):
         # The rate-2/3 puncturing works on bit pairs, so lengths are even.
         n = 2 * int(rng.integers(1, 60))
         bits = rng.integers(0, 2, n)
-        for terminate in (False, True):
-            code = PuncturedConvolutionalCode(terminate=terminate)
-            decoded = code.decode(code.encode(bits), num_data_bits=n)
-            np.testing.assert_array_equal(decoded, bits,
-                                          err_msg=f"seed={seed} n={n} "
-                                                  f"terminate={terminate}")
+        decoded = CODE.decode(CODE.encode(bits), num_data_bits=n)
+        np.testing.assert_array_equal(decoded, bits, err_msg=f"seed={seed} n={n}")
 
 
 @_examples

@@ -251,6 +251,8 @@ def test_manifest_without_progress_record_reads_as_a_fresh_job(tmp_path):
     ("progress.json", "cache_hits", -1, "corrupt progress record"),
     ("progress.json", "state", "running", "corrupt progress record"),
     ("progress.json", "error", 0, "corrupt progress record"),
+    # A decodable scenario entry edited away from its hash (5 m -> 7 m).
+    ("manifest.json", ("scenarios", 1, "distance_m"), 7.0, "does not match its hash"),
 ])
 def test_inconsistent_job_files_are_refused(tmp_path, name, key, value, message):
     service = SweepService(tmp_path, max_workers=1)
@@ -258,9 +260,18 @@ def test_inconsistent_job_files_are_refused(tmp_path, name, key, value, message)
     job = service.submit(scenarios)
     path = service.jobs_dir / job.job_id / name
     data = json.loads(path.read_text())
-    data[key] = value
+    *parents, leaf = key if isinstance(key, tuple) else (key,)
+    target = data
+    for step in parents:
+        target = target[step]
+    target[leaf] = value
     path.write_text(json.dumps(data))
-    for call in (lambda: service.poll(job.job_id), lambda: service.submit(scenarios)):
+    calls = [lambda: list(service.stream(job.job_id))]
+    if not parents:
+        # Job-level fields are checked by every reader; scenario entries
+        # are decoded only to run them.
+        calls += [lambda: service.poll(job.job_id), lambda: service.submit(scenarios)]
+    for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
 

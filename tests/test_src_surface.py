@@ -1,8 +1,8 @@
 """Nothing in ``src/`` exists only for the tests.
 
-A top-level function or class, or a non-dunder method, of ``src/repro``
-is *test-only* when its name never appears as a ``Name`` or an
-``Attribute`` anywhere in ``src/``, ``perfbench/*.py`` or
+Definitions: a top-level function or class, or a non-dunder method, of
+``src/repro`` is *test-only* when its name never appears as a ``Name`` or
+an ``Attribute`` anywhere in ``src/``, ``perfbench/*.py`` or
 ``examples/*.py`` (f-string fields included), nor as an identifier inside
 a ``perfbench/`` string constant (``perfbench/layers.py`` names the
 methods it times as ``"Class.method"`` strings).  Import aliases and
@@ -14,6 +14,17 @@ A test-only definition belongs in ``tests/oracles/`` (a reference a test
 compares against) or nowhere.  The few that stay are listed below with
 the reason; the allowlist fails as soon as an entry is gone or gains a
 user outside the tests, so it cannot rot.
+
+Options: a parameter with a default, of a top-level function or of a
+method of a top-level class (calling a class sets its ``__init__``
+parameters; dataclass fields are out of scope), is *test-only* when no
+call in ``src/``, ``perfbench/*.py`` or ``examples/*.py`` to a callee of
+the same name passes it -- by keyword, by position, or through ``*`` or
+``**``.  Its default is then the only value any workload runs, so it is a
+constant: delete the parameter and the code only its other values
+reached.  The scan is by callee name too, so an option whose name is
+passed to a namesake escapes it.  The options that stay are listed in
+``OPTION_ALLOWLIST`` with the reason, under the same staleness rule.
 """
 
 from __future__ import annotations
@@ -47,6 +58,27 @@ ALLOWLIST: dict[str, str] = {
     "repro.experiments.sweep.Sweep.paired": (
         "documented API: README's experiments example pairs distances "
         "with seeds"
+    ),
+}
+
+#: Options only tests set that stay in ``src/``, as ``"<qualified def>(<param>)"``.
+OPTION_ALLOWLIST: dict[str, str] = {
+    "repro.cli.main(argv)": (
+        "the entry point: `python -m repro.cli` passes nothing so argparse "
+        "reads sys.argv; tests pass argument lists"
+    ),
+    "repro.channel.channel.UnderwaterAcousticChannel.transmit(include_noise)": (
+        "test seam: leaving the random noise realization out isolates the "
+        "deterministic propagation the fast-path golden pins"
+    ),
+    "repro.channel.physics.sound_speed_m_s(temperature_c)": (
+        "an input of Mackenzie's sound-speed equation, a function of the water"
+    ),
+    "repro.channel.physics.sound_speed_m_s(salinity_ppt)": (
+        "an input of Mackenzie's sound-speed equation, a function of the water"
+    ),
+    "repro.channel.physics.sound_speed_m_s(depth_m)": (
+        "an input of Mackenzie's sound-speed equation, a function of the water"
     ),
 }
 
@@ -147,3 +179,124 @@ def test_src_modules_use_every_top_level_import():
         for line, name in _unused_imports(tree)
     ]
     assert not unused, f"unused top-level imports: {unused}"
+
+
+# ------------------------------------------------------------------ options
+def _defaulted(function: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """``(name, call position)`` of each parameter with a default.
+
+    The position counts the arguments a call passes (``self``/``cls`` of a
+    bound method is not passed); keyword-only parameters have none.
+    """
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    offset = 1 if bound else 0
+    options = [
+        (arg.arg, index - offset)
+        for index, arg in enumerate(positional)
+        if index >= first_default
+    ]
+    options += [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return options
+
+
+def _src_options() -> dict[str, tuple[str, str, int | None]]:
+    """``{"<qualified def>(<param>)": (callee name, param, position)}``."""
+    options = {}
+    for path, tree in _parse("src/**/*.py"):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for node in tree.body:
+            if isinstance(node, _METHODS):
+                members = [(f"{module}.{node.name}", node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                members = [
+                    (
+                        f"{module}.{node.name}.{member.name}",
+                        node.name if member.name == "__init__" else member.name,
+                        member,
+                        not any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in member.decorator_list
+                        ),
+                    )
+                    for member in node.body
+                    if isinstance(member, _METHODS)
+                ]
+            else:
+                continue
+            for qual, callee, function, bound in members:
+                for param, position in _defaulted(function, bound):
+                    options[f"{qual}({param})"] = (callee, param, position)
+    return options
+
+
+@functools.lru_cache(maxsize=None)
+def _calls() -> dict[str, tuple[frozenset[str], int, bool]]:
+    """Per callee name: keywords passed, most positionals, any ``*``/``**``."""
+    keywords: dict[str, set[str]] = {}
+    positionals: dict[str, int] = {}
+    starred: dict[str, bool] = {}
+    for pattern in ("src/**/*.py", "perfbench/*.py", "examples/*.py"):
+        for _, tree in _parse(pattern):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    name = func.id
+                elif isinstance(func, ast.Attribute):
+                    name = func.attr
+                else:
+                    continue
+                keywords.setdefault(name, set()).update(
+                    kw.arg for kw in node.keywords if kw.arg is not None
+                )
+                plain = [a for a in node.args if not isinstance(a, ast.Starred)]
+                positionals[name] = max(positionals.get(name, 0), len(plain))
+                starred[name] = starred.get(name, False) or (
+                    len(plain) < len(node.args)
+                    or any(kw.arg is None for kw in node.keywords)
+                )
+    return {
+        name: (frozenset(keywords[name]), positionals[name], starred[name])
+        for name in keywords
+    }
+
+
+def _test_only_options() -> set[str]:
+    calls = _calls()
+    test_only = set()
+    for qual, (callee, param, position) in _src_options().items():
+        passed, most_positional, starred = calls.get(callee, (frozenset(), 0, False))
+        if not (
+            starred
+            or param in passed
+            or (position is not None and position < most_positional)
+        ):
+            test_only.add(qual)
+    return test_only
+
+
+def test_every_option_has_a_caller_outside_tests():
+    unexpected = sorted(_test_only_options() - set(OPTION_ALLOWLIST))
+    assert not unexpected, (
+        "src/ options no call outside tests/ sets; make each default a "
+        "constant (deleting the code only its other values reach) or "
+        f"allowlist it with a reason: {unexpected}"
+    )
+
+
+def test_option_allowlist_names_exist_and_stay_test_only():
+    gone = sorted(set(OPTION_ALLOWLIST) - set(_src_options()))
+    assert not gone, f"allowlisted options no longer in src/: {gone}"
+    set_outside_tests = sorted(set(OPTION_ALLOWLIST) - _test_only_options())
+    assert not set_outside_tests, (
+        "allowlisted options now set outside tests/; drop them from "
+        f"OPTION_ALLOWLIST: {set_outside_tests}"
+    )
+    assert all(reason.strip() for reason in OPTION_ALLOWLIST.values())

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _topologies import line_topology
 from repro.cli import main
 from repro.experiments.net_scenario import NetScenario
 from repro.net.links import CalibratedLink, LinkCalibration
@@ -12,7 +13,6 @@ from repro.net.metrics import DeliveryRecord, NetworkMetrics
 from repro.net.packet import BROADCAST
 from repro.net.routing import StaticShortestPathRouting
 from repro.net.simulator import NetworkSimulator
-from repro.net.topology import AcousticNetTopology
 from repro.trace.events import TRACE_VERSION
 from repro.trace import (
     PopulationWorkload,
@@ -29,6 +29,12 @@ from repro.trace import (
     save_trace,
     scenario_from_trace,
     synthesize_trace,
+)
+from repro.trace.population import (
+    IN_GROUP_FRACTION,
+    LEADER_FRACTION,
+    MAX_SIZE_BITS,
+    MIN_SIZE_BITS,
 )
 from repro.trace.replay import TraceTrafficGenerator
 
@@ -196,7 +202,7 @@ def test_recorder_records_flow_aborts():
 
     recorder = TraceRecorder()
     simulator = NetworkSimulator(
-        AcousticNetTopology.line(2, spacing_m=8.0, comm_range_m=10.0),
+        line_topology(2, spacing_m=8.0, comm_range_m=10.0),
         StaticShortestPathRouting(), lossy,
         arq=ArqConfig(window_size=2, timeout_s=2.0, max_retries=1),
         seed=5, observer=recorder,
@@ -233,7 +239,7 @@ def test_replay_through_serialization_is_still_identical(tmp_path):
 def test_replay_with_stack_override_changes_results():
     _, trace = capture_scenario(_small_scenario())
     baseline = replay_trace(trace)
-    no_arq = replay_trace(trace, arq="none")
+    no_arq = replay_trace(trace, scenario_from_trace(trace, arq="none"))
     assert no_arq.metrics.offered == baseline.metrics.offered
     assert no_arq.metrics.transmissions < baseline.metrics.transmissions
 
@@ -241,7 +247,7 @@ def test_replay_with_stack_override_changes_results():
 def test_replay_rejects_foreign_topology():
     _, trace = capture_scenario(_small_scenario())
     generator = TraceTrafficGenerator(trace)
-    tiny = AcousticNetTopology.line(2, spacing_m=8.0, comm_range_m=10.0)
+    tiny = line_topology(2, spacing_m=8.0, comm_range_m=10.0)
     with pytest.raises(ValueError, match="not in the topology"):
         generator.messages(tiny, np.random.default_rng(0))
 
@@ -284,17 +290,14 @@ def test_population_is_deterministic_per_seed():
 
 
 def test_population_messages_are_sorted_and_bounded():
-    workload = PopulationWorkload(
-        duration_s=600.0, base_rate_msgs_per_s=0.1,
-        min_size_bits=8, max_size_bits=64,
-    )
+    workload = PopulationWorkload(duration_s=600.0, base_rate_msgs_per_s=0.1)
     topology = _small_scenario(num_nodes=8).build_topology()
     messages = workload.messages(topology, np.random.default_rng(1))
     assert messages
     times = [m.time_s for m in messages]
     assert times == sorted(times)
     assert all(0.0 <= t < 600.0 for t in times)
-    assert all(8 <= m.size_bits <= 64 for m in messages)
+    assert all(MIN_SIZE_BITS <= m.size_bits <= MAX_SIZE_BITS for m in messages)
     assert all(m.destination != m.source for m in messages)
 
 
@@ -306,31 +309,47 @@ def test_population_groups_partition_the_deployment():
     assert [name for group in groups for name in group] == list(topology.names)
 
 
+class _FixedDraw:
+    """Generator stand-in: a fixed uniform draw, the last index offered."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+    def integers(self, low, high):
+        return high - 1
+
+
+_GROUP = ("n0", "n1", "n2", "n3")
+_EVERYONE = _GROUP + ("n4", "n5", "n6", "n7")
+
+
 def test_population_leader_policy_routes_to_group_leader():
-    workload = PopulationWorkload(
-        duration_s=600.0, base_rate_msgs_per_s=0.1, group_size=4,
-        leader_fraction=1.0, in_group_fraction=0.0,
-    )
-    topology = _small_scenario(num_nodes=8).build_topology()
-    groups = workload.groups_for(topology)
-    leaders = {name: group[0] for group in groups for name in group}
-    for message in workload.messages(topology, np.random.default_rng(2)):
-        if message.source != leaders[message.source]:
-            assert message.destination == leaders[message.source]
+    workload = PopulationWorkload(duration_s=60.0)
+    below = _FixedDraw(LEADER_FRACTION / 2)
+    assert workload._destination("n2", _GROUP, _EVERYONE, below) == "n0"
+    # The leader's own share goes to a group peer instead.
+    assert workload._destination("n0", _GROUP, _EVERYONE, below) == "n3"
 
 
 def test_population_in_group_policy_stays_inside_the_group():
-    workload = PopulationWorkload(
-        duration_s=600.0, base_rate_msgs_per_s=0.1, group_size=4,
-        leader_fraction=0.0, in_group_fraction=1.0,
-    )
+    workload = PopulationWorkload(duration_s=600.0, base_rate_msgs_per_s=0.1)
+    peer = _FixedDraw(LEADER_FRACTION + IN_GROUP_FRACTION / 2)
+    assert workload._destination("n1", _GROUP, _EVERYONE, peer) == "n3"
+    anyone = _FixedDraw(LEADER_FRACTION + IN_GROUP_FRACTION)
+    assert workload._destination("n1", _GROUP, _EVERYONE, anyone) == "n7"
+    # Over a run, the leader and in-group shares keep most traffic local
+    # (expected 0.94 with groups of 4 in 8 nodes).
     topology = _small_scenario(num_nodes=8).build_topology()
     member_group = {
         name: set(group)
         for group in workload.groups_for(topology) for name in group
     }
-    for message in workload.messages(topology, np.random.default_rng(2)):
-        assert message.destination in member_group[message.source]
+    messages = workload.messages(topology, np.random.default_rng(2))
+    local = sum(m.destination in member_group[m.source] for m in messages)
+    assert local >= 0.9 * len(messages)
 
 
 def test_population_diurnal_modulation_shifts_mass_to_the_peak():
@@ -349,10 +368,9 @@ def test_population_diurnal_modulation_shifts_mass_to_the_peak():
 
 
 def test_population_requires_two_users():
-    topology = AcousticNetTopology.line(2, spacing_m=8.0, comm_range_m=10.0)
+    topology = line_topology(1, spacing_m=8.0, comm_range_m=10.0)
     workload = PopulationWorkload(
         duration_s=60.0, base_rate_msgs_per_s=1.0, activity_duty=1.0,
-        sources=("n0",),
     )
     with pytest.raises(ValueError, match="at least two users"):
         workload.messages(topology, np.random.default_rng(0))
@@ -361,11 +379,8 @@ def test_population_requires_two_users():
 def test_population_rejects_invalid_parameters():
     with pytest.raises(ValueError, match="activity_duty"):
         PopulationWorkload(duration_s=60.0, activity_duty=0.0)
-    with pytest.raises(ValueError, match="must not exceed 1"):
-        PopulationWorkload(duration_s=60.0, leader_fraction=0.6,
-                           in_group_fraction=0.6)
-    with pytest.raises(ValueError, match="min_size_bits"):
-        PopulationWorkload(duration_s=60.0, min_size_bits=100, max_size_bits=8)
+    with pytest.raises(ValueError, match="size_sigma"):
+        PopulationWorkload(duration_s=60.0, size_sigma=-1.0)
 
 
 def test_synthesized_trace_replays_as_offered_load():

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.units import (
-    db_to_amplitude_ratio,
-    power_ratio_to_db,
-    signal_power,
-    snr_db,
-)
+from repro.utils.units import db_to_amplitude_ratio, power_ratio_to_db
 
 
 def test_power_ratio_roundtrip():
@@ -39,27 +34,3 @@ def test_power_ratio_to_db_handles_arrays():
 def test_power_ratio_to_db_clamps_zero():
     # Zero power should not produce -inf or raise.
     assert np.isfinite(power_ratio_to_db(0.0))
-
-
-def test_signal_power_of_unit_sine():
-    t = np.linspace(0, 1, 48000, endpoint=False)
-    sine = np.sin(2 * np.pi * 100 * t)
-    assert signal_power(sine) == pytest.approx(0.5, rel=1e-3)
-
-
-def test_signal_power_empty_is_zero():
-    assert signal_power(np.array([])) == 0.0
-
-
-def test_snr_db_of_equal_power_signals_is_zero():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(10000)
-    b = rng.standard_normal(10000)
-    assert snr_db(a, b) == pytest.approx(0.0, abs=0.2)
-
-
-def test_snr_db_scales_with_amplitude():
-    rng = np.random.default_rng(0)
-    noise = rng.standard_normal(10000)
-    signal = 10.0 * rng.standard_normal(10000)
-    assert snr_db(signal, noise) == pytest.approx(20.0, abs=0.3)
