@@ -10,6 +10,11 @@ canonical sorted-key JSON beside its content hash, with records carrying
 an integer id.  The sweep service keeps its job artifacts in this form.  A
 truncated, foreign or inconsistent file raises :class:`ValueError`, so
 callers can treat a bad artifact as a cache miss.
+
+A scenario is serialized once per instance
+(:meth:`~repro.experiments.scenario.Scenario.canonical_json`, the text
+its hash covers): saving reuses that text, and loading re-serializes
+each decoded scenario once to check it against the stored hash.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import zipfile
 import numpy as np
 
 from repro.experiments.records import ResultSet, RunRecord
-from repro.experiments.scenario import Scenario, content_hash
+from repro.experiments.scenario import Scenario
 from repro.utils.atomic import atomic_write
 
 #: ``.npz`` artifact format marker and version (bump on layout changes).
@@ -51,21 +56,18 @@ _RAGGED = (("delivered_flags", np.bool_),) + tuple(
 def _intern(scenarios) -> tuple[list[int], dict[str, tuple[int, str]]]:
     """Ids of the scenarios in a table of the distinct ones.
 
-    The table maps canonical scenario JSON to ``(id, content hash)`` in
-    first-seen order; an equal scenario seen again reuses its id without
-    being serialized again.
+    The table maps each scenario's canonical JSON
+    (:meth:`Scenario.canonical_json`, serialized once per instance) to
+    ``(id, content hash)`` in first-seen order.
     """
     table: dict[str, tuple[int, str]] = {}
-    keys: dict[Scenario, str] = {}
     ids = []
     for scenario in scenarios:
-        key = keys.get(scenario)
-        if key is None:
-            data = scenario.to_dict()
-            key = keys[scenario] = json.dumps(data, sort_keys=True)
-            if key not in table:
-                table[key] = (len(table), content_hash(data))
-        ids.append(table[key][0])
+        text = scenario.canonical_json()
+        entry = table.get(text)
+        if entry is None:
+            entry = table[text] = (len(table), scenario.scenario_hash())
+        ids.append(entry[0])
     return ids, table
 
 
@@ -112,24 +114,28 @@ class ColumnarResultSet(ResultSet):
         return path
 
     @classmethod
-    def load_npz(cls, path) -> "ColumnarResultSet":
-        """Load a :meth:`save_npz` artifact.
+    def load_npz(cls, source) -> "ColumnarResultSet":
+        """Load a :meth:`save_npz` artifact from a path or a binary file.
 
         Raises :class:`ValueError` on any corruption -- truncated zip,
         missing arrays, inconsistent offsets, undecodable scenarios --
         so callers can uniformly treat a bad artifact as a cache miss.
+        Each stored scenario must decode and re-serialize to a distinct
+        text whose hash is the stored one.
         """
-        path = pathlib.Path(path)
+        if not hasattr(source, "read"):
+            source = pathlib.Path(source)
+        name = source if isinstance(source, pathlib.Path) else "(file object)"
         try:
-            with np.load(path, allow_pickle=False) as data:
+            with np.load(source, allow_pickle=False) as data:
                 arrays = {key: data[key] for key in data.files}
         except (OSError, EOFError, KeyError, zipfile.BadZipFile, ValueError) as error:
             raise ValueError(
-                f"corrupt or unreadable columnar artifact {path}: {error}"
+                f"corrupt or unreadable columnar artifact {name}: {error}"
             ) from error
 
         def fail(reason: str):
-            raise ValueError(f"corrupt columnar artifact {path}: {reason}")
+            raise ValueError(f"corrupt columnar artifact {name}: {reason}")
 
         if "format" not in arrays or str(arrays["format"]) != NPZ_FORMAT:
             fail("missing or foreign format marker")
@@ -162,8 +168,9 @@ class ColumnarResultSet(ResultSet):
                 scenarios.append(Scenario.from_dict(json.loads(text)))
             except (TypeError, KeyError, ValueError) as error:
                 fail(f"undecodable scenario entry: {error}")
-        # Re-interning the decoded scenarios must reproduce the stored
-        # table: same hashes, no entry decoding to a duplicate.
+        # Re-interning the decoded scenarios (one serialization each) must
+        # reproduce the stored table: same hashes, no entry decoding to a
+        # duplicate.
         _, table = _intern(scenarios)
         if [digest for _, digest in table.values()] != scenario_hash:
             fail("scenario hashes disagree with scenario contents")

@@ -15,7 +15,9 @@ Scenarios are frozen dataclasses: hashable, picklable (so they can cross
 process boundaries in :class:`~repro.experiments.runner.ExperimentRunner`)
 and serializable to plain dictionaries via :meth:`Scenario.to_dict` /
 :meth:`Scenario.from_dict`.  :meth:`Scenario.scenario_hash` gives a stable
-content hash used to key the runner's on-disk result cache.
+content hash used to key the runner's on-disk result cache; it and the
+canonical JSON text it covers (:meth:`Scenario.canonical_json`) are
+computed once per instance.
 
 Catalog entries (sites, devices, cases, motion presets, fixed-band
 schemes) may be given either as the catalog objects themselves or as their
@@ -50,6 +52,15 @@ SCHEME_CATALOG: dict[str, FixedBandScheme | str] = {
 }
 
 
+def _canonical(data: dict) -> str:
+    """The sorted-key JSON text :func:`content_hash` hashes."""
+    return json.dumps(data, sort_keys=True, default=str)
+
+
+def _text_hash(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def content_hash(data: dict) -> str:
     """Stable 16-hex-digit hash of a JSON-safe dictionary.
 
@@ -57,8 +68,7 @@ def content_hash(data: dict) -> str:
     ExperimentRunner`; shared by every scenario flavour so the keying
     scheme cannot drift between them.
     """
-    canonical = json.dumps(data, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return _text_hash(_canonical(data))
 
 
 def _resolve(value, catalog: dict, kind: str):
@@ -74,7 +84,15 @@ def _resolve(value, catalog: dict, kind: str):
 
 
 def _catalog_key(value, catalog: dict) -> str | None:
-    """Return the catalog key of ``value`` or ``None`` if it is custom."""
+    """Return the catalog key of ``value`` or ``None`` if it is custom.
+
+    Resolved scenarios hold the catalog objects themselves, so identity
+    finds them without comparing every field; no catalog holds two equal
+    entries, so the equality scan behind it gives the same key.
+    """
+    for key, entry in catalog.items():
+        if entry is value:
+            return key
     for key, entry in catalog.items():
         if entry == value:
             return key
@@ -160,8 +178,14 @@ class ModemSpec:
         )
 
     def to_dict(self) -> dict:
-        """Plain-dictionary form (JSON-safe)."""
-        return dataclasses.asdict(self)
+        """Plain-dictionary form (JSON-safe), in field order."""
+        return {
+            "payload_bits": self.payload_bits,
+            "use_differential": self.use_differential,
+            "use_interleaving": self.use_interleaving,
+            "use_equalizer": self.use_equalizer,
+            "subcarrier_spacing_hz": self.subcarrier_spacing_hz,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModemSpec":
@@ -311,16 +335,29 @@ class Scenario:
         data["modem"] = ModemSpec.from_dict(data["modem"])
         return cls(**data)
 
+    def canonical_json(self) -> str:
+        """Sorted-key JSON text of :meth:`to_dict`, the text the hash covers.
+
+        Serialized once per instance: the ``.npz`` artifact stores this
+        text and keys its table of distinct scenarios on it.
+        """
+        text = self.__dict__.get("_canonical_json")
+        if text is None:
+            text = _canonical(self.to_dict())
+            object.__setattr__(self, "_canonical_json", text)
+        return text
+
     def scenario_hash(self) -> str:
         """Stable content hash of this scenario (cache key).
 
-        Computed once per instance: a service job checks each decoded
-        scenario against its manifest hash, and the runner's cache lookup
-        then reuses that hash.
+        :func:`content_hash` of :meth:`to_dict`, computed once per
+        instance from :meth:`canonical_json`: a service job checks each
+        decoded scenario against its manifest hash, and the runner's cache
+        lookup then reuses that hash.
         """
         digest = self.__dict__.get("_scenario_hash")
         if digest is None:
-            digest = content_hash(self.to_dict())
+            digest = _text_hash(self.canonical_json())
             object.__setattr__(self, "_scenario_hash", digest)
         return digest
 

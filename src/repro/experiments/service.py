@@ -19,6 +19,14 @@ SRMCA-style serving systems use for long-running simulation campaigns:
   submissions of the same sweep are served from it without simulating
   anything; :meth:`~SweepService.fetch` exports it as ``.npz`` or JSON.
 
+A resubmitted finished job reads and verifies its artifact once:
+:meth:`~SweepService.submit` decodes it (every loader check) and hands
+the set to the next :meth:`~SweepService.stream` or
+:meth:`~SweepService.result` of that job, which takes it only if the
+file still holds the bytes that were decoded and drops it after that
+one read.  Any other read decodes the file again, so a rotten or
+replaced artifact is seen as such.
+
 Everything is content-addressed by the existing scenario hash: the job id
 is the hash of the ordered scenario-hash list (plus the package version,
 so artifacts can never leak across simulation-code changes), and the
@@ -43,6 +51,7 @@ same root -- the job files and artifacts are plain files.
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 from dataclasses import dataclass
@@ -145,6 +154,9 @@ class SweepService:
         self.cache_dir = self.root / "cache"
         self.jobs_dir = self.root / "jobs"
         self.max_workers = max_workers
+        #: ``(job id, artifact bytes, result set)`` the last :meth:`submit`
+        #: verified, for the next artifact read to take once.
+        self._verified: tuple[str, bytes, ColumnarResultSet] | None = None
 
     # ------------------------------------------------------------- plumbing
     def _job_dir(self, job_id: str) -> pathlib.Path:
@@ -237,13 +249,28 @@ class SweepService:
             error=progress["error"],
         )
 
-    def _load_artifact(self, job_id: str) -> ColumnarResultSet | None:
-        """The job's result artifact, or ``None`` when absent/corrupt."""
+    def _load_artifact(self, job_id: str) -> tuple[bytes, ColumnarResultSet] | None:
+        """The job's artifact bytes and the set decoded from them.
+
+        ``None`` when the artifact is absent or corrupt (a corrupt one
+        warns).  The set :meth:`submit` verified last is taken instead of
+        decoding again when the file still holds the bytes it was decoded
+        from; it is dropped by this read either way, so each verified set
+        serves one read.
+        """
+        verified, self._verified = self._verified, None
         path = self.artifact_path(job_id)
-        if not path.exists():
-            return None
         try:
-            return ColumnarResultSet.load_npz(path)
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as error:
+            warn_cache_miss(path, "npz-corrupt", str(error))
+            return None
+        if verified is not None and verified[:2] == (job_id, data):
+            return data, verified[2]
+        try:
+            return data, ColumnarResultSet.load_npz(io.BytesIO(data))
         except ValueError as error:
             warn_cache_miss(path, "npz-corrupt", str(error))
             return None
@@ -257,8 +284,10 @@ class SweepService:
         included -- already ``done`` when its artifacts are on disk (a
         completed job with a corrupt artifact is reset to ``submitted``
         with a warning, and streaming it re-runs the sweep); a ``failed``
-        job is reset to ``submitted``.
+        job is reset to ``submitted``.  A ``done`` job's artifact is
+        verified here and handed to the next read of the job.
         """
+        self._verified = None
         ordered = list(scenarios)
         hashes = [s.scenario_hash() for s in ordered]
         job_id = self.job_id_for(hashes)
@@ -270,10 +299,14 @@ class SweepService:
             if manifest["scenario_hashes"] != hashes:
                 raise ValueError(f"job {job_id}: corrupt manifest: other scenarios")
             progress = self._read_progress(job_id, manifest["total"])
-            if progress["state"] == "done" and self._load_artifact(job_id) is None:
-                # The artifact rotted: force a re-run.
-                progress = dict(progress, state="submitted", completed=0)
-                self._write_progress(job_id, progress)
+            if progress["state"] == "done":
+                loaded = self._load_artifact(job_id)
+                if loaded is None:
+                    # The artifact rotted: force a re-run.
+                    progress = dict(progress, state="submitted", completed=0)
+                    self._write_progress(job_id, progress)
+                else:
+                    self._verified = (job_id, *loaded)
             elif progress["state"] == "failed":
                 progress = dict(_FRESH)
                 self._write_progress(job_id, progress)
@@ -320,9 +353,9 @@ class SweepService:
         """
         manifest = self._read_manifest(job_id)
         if self._read_progress(job_id, manifest["total"])["state"] == "done":
-            artifact = self._load_artifact(job_id)
-            if artifact is not None:
-                yield from artifact
+            loaded = self._load_artifact(job_id)
+            if loaded is not None:
+                yield from loaded[1]
                 return
         try:
             scenarios = [Scenario.from_dict(entry) for entry in manifest["scenarios"]]
@@ -364,9 +397,9 @@ class SweepService:
     def result(self, job_id: str) -> ColumnarResultSet:
         """The job's full result set, running the sweep if needed."""
         if self.poll(job_id).done:
-            artifact = self._load_artifact(job_id)
-            if artifact is not None:
-                return artifact
+            loaded = self._load_artifact(job_id)
+            if loaded is not None:
+                return loaded[1]
         return ColumnarResultSet(self.stream(job_id))
 
     def fetch(self, job_id: str, out: str | pathlib.Path) -> pathlib.Path:

@@ -173,12 +173,14 @@ def calibrate_from_phy(
 ) -> LinkCalibration:
     """Measure a :class:`LinkCalibration` by running the full PHY.
 
-    For each of :data:`CALIBRATION_DISTANCES_M` a fresh channel pair and
+    For each of :data:`CALIBRATION_DISTANCES_M` within the site's usable
+    range a fresh channel pair and
     :class:`~repro.link.session.LinkSession` (seeds derived from ``seed``)
     runs ``packets_per_point`` adaptive exchanges
     (:meth:`~repro.link.session.LinkSession.run_packets`);
     the observed packet error rate and median selected bitrate become one
-    table row.
+    table row.  Beyond the last row, :class:`CalibratedLink` holds the
+    last row's values.
 
     ``progress`` enables per-distance progress/ETA lines (``True`` prints
     to stderr; a callable receives each line), which makes interactive
@@ -193,12 +195,13 @@ def calibrate_from_phy(
         site = SITE_CATALOG[site]
     if packets_per_point < 1:
         raise ValueError("packets_per_point must be at least 1")
+    distances = tuple(d for d in CALIBRATION_DISTANCES_M if d <= site.max_range_m)
     emit = progress_sink(progress)
     started = time.perf_counter()
     pers: list[float] = []
     bitrates: list[float] = []
     last_bitrate = LinkModel.nominal_bitrate_bps
-    for index, distance in enumerate(CALIBRATION_DISTANCES_M):
+    for index, distance in enumerate(distances):
         forward, backward = build_link_pair(
             site=site, distance_m=distance, seed=seed + 101 * index
         )
@@ -214,15 +217,15 @@ def calibrate_from_phy(
         if emit is not None:
             done = index + 1
             elapsed = time.perf_counter() - started
-            eta = elapsed / done * (len(CALIBRATION_DISTANCES_M) - done)
+            eta = elapsed / done * (len(distances) - done)
             emit(
                 f"calibrate[{site.name}] {distance:g} m: PER {pers[-1]:.1%}, "
-                f"{last_bitrate:.0f} bps ({done}/{len(CALIBRATION_DISTANCES_M)}, "
+                f"{last_bitrate:.0f} bps ({done}/{len(distances)}, "
                 f"{elapsed:.1f}s elapsed, eta {eta:.1f}s)"
             )
     return LinkCalibration(
         site_name=site.name,
-        distances_m=CALIBRATION_DISTANCES_M,
+        distances_m=distances,
         packet_error_rate=tuple(pers),
         bitrate_bps=tuple(bitrates),
         packets_per_point=packets_per_point,

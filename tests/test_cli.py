@@ -352,6 +352,14 @@ def test_net_command_packets_per_point_rebuilds_table(capsys):
     assert "eta" in captured.err
 
 
+def test_net_command_rebuilds_a_table_at_a_short_range_site(capsys):
+    # The bridge's range ends at 20 m: its table stops there, not at 25 m.
+    assert main(["net", "--site", "bridge", "--packets-per-point", "1"]) == 0
+    err = capsys.readouterr().err
+    assert "calibrate[bridge] 20 m" in err and "(5/5," in err
+    assert "25 m" not in err
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 

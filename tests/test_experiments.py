@@ -1,13 +1,17 @@
 """Tests for the declarative experiment API (repro.experiments)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import repro.experiments.runner as runner_module
-from repro.core.baselines import FIXED_FULL_BAND, FIXED_NARROW_BAND
-from repro.environments.sites import BRIDGE, LAKE
+from repro.channel.motion import MOTION_PRESETS, MotionModel
+from repro.core.baselines import FIXED_FULL_BAND, FIXED_NARROW_BAND, FixedBandScheme
+from repro.devices.case import CASE_CATALOG, SOFT_POUCH
+from repro.devices.models import DEVICE_CATALOG, GALAXY_S9
+from repro.environments.sites import BRIDGE, LAKE, SITE_CATALOG
 from repro.experiments import (
     ExperimentRunner,
     ModemSpec,
@@ -17,6 +21,7 @@ from repro.experiments import (
     Sweep,
     run_scenario,
 )
+from repro.experiments.scenario import SCHEME_CATALOG, _catalog_key, content_hash
 
 
 # --------------------------------------------------------------- Scenario
@@ -61,18 +66,15 @@ def test_scenario_dict_roundtrip():
     assert rebuilt.scenario_hash() == scenario.scenario_hash()
 
 
+_CUSTOM_DEVICE = dataclasses.replace(GALAXY_S9, name="prototype", source_level_db=-2.0)
+_CUSTOM_CASE = dataclasses.replace(SOFT_POUCH, name="diy pouch", attenuation_db=2.5)
+
+
 def test_scenario_dict_roundtrip_with_custom_device_and_case():
-    import dataclasses
-
-    from repro.devices.case import SOFT_POUCH
-    from repro.devices.models import GALAXY_S9
-
-    custom_device = dataclasses.replace(GALAXY_S9, name="prototype", source_level_db=-2.0)
-    custom_case = dataclasses.replace(SOFT_POUCH, name="diy pouch", attenuation_db=2.5)
-    scenario = Scenario(tx_device=custom_device, case=custom_case, num_packets=3)
+    scenario = Scenario(tx_device=_CUSTOM_DEVICE, case=_CUSTOM_CASE, num_packets=3)
     rebuilt = Scenario.from_dict(scenario.to_dict())
     assert rebuilt == scenario
-    assert rebuilt.tx_device.speaker_response == custom_device.speaker_response
+    assert rebuilt.tx_device.speaker_response == _CUSTOM_DEVICE.speaker_response
 
 
 def test_scenario_hash_distinguishes_parameters():
@@ -82,6 +84,83 @@ def test_scenario_hash_distinguishes_parameters():
     assert base.scenario_hash() != base.replace(scheme="fixed-3k").scenario_hash()
     # The hash is content-based, so an equal scenario hashes identically.
     assert base.scenario_hash() == Scenario().scenario_hash()
+
+
+#: ``scenario_hash()`` of scenarios covering every catalog, custom
+#: (non-catalog) entries and a non-default modem.  Cache entries, job ids
+#: and ``.npz`` artifacts are keyed on these hashes, so one that moved
+#: would silently turn every warm cache and job directory cold.
+_PINNED_HASHES = {
+    "default": ({}, "90a4dca4c9822cbe"),
+    "bridge-4m": (dict(site="bridge", distance_m=4.0, num_packets=2, seed=7),
+                  "75e9da06eaa3669c"),
+    "park": (dict(site="park"), "4ffc3c20905bd6e9"),
+    "lake": (dict(site="lake", distance_m=12.5), "d33c55cf3d427c01"),
+    "beach": (dict(site="beach", distance_m=50.0), "ff482a3ce068f134"),
+    "museum": (dict(site="museum"), "7027959de1661ebf"),
+    "bay": (dict(site="bay", distance_m=20.0), "923e6b5b9218bd58"),
+    "slow": (dict(motion="slow"), "d7d277b1bef267ba"),
+    "fast": (dict(motion="fast"), "c318501afa6859e7"),
+    "pixel_4": (dict(tx_device="pixel_4"), "0aeb7dc896460bba"),
+    "oneplus_8_pro": (dict(rx_device="oneplus_8_pro"), "7ec70b0e742e9ee1"),
+    "galaxy_watch_4": (dict(tx_device="galaxy_watch_4", rx_device="galaxy_watch_4"),
+                       "d1b6e945aa61db0b"),
+    "no-case": (dict(case="none"), "1f58b0fabbab2c5f"),
+    "air_filled_pouch": (dict(case="air_filled_pouch"), "3723981758a122f2"),
+    "hard_case": (dict(case="hard_case"), "374c393533344d27"),
+    "fixed-3k": (dict(scheme="fixed-3k"), "abe3db88661fed61"),
+    "fixed-1.5k": (dict(scheme="fixed-1.5k"), "22ffa87587e611f1"),
+    "fixed-0.5k": (dict(scheme="fixed-0.5k"), "06f5e482e2b48b68"),
+    "custom-device-and-case": (dict(tx_device=_CUSTOM_DEVICE, case=_CUSTOM_CASE),
+                               "5a989485a35303e8"),
+    "custom-scheme": (dict(scheme=FixedBandScheme("fixed 2-3 kHz", 2000.0, 3000.0)),
+                      "ea1b1a75a1b7f22c"),
+    "custom-motion": (dict(motion=MotionModel("drifting", 0.1, 0.3, 0.02)),
+                      "3d32ac05b2460904"),
+    "modem": (dict(modem=ModemSpec(payload_bits=192, use_differential=False,
+                                   use_interleaving=False, use_equalizer=False,
+                                   subcarrier_spacing_hz=25.0)),
+              "3303171cbbc20277"),
+    "geometry-and-label": (dict(tx_depth_m=3.0, rx_depth_m=2.0, orientation_deg=90.0,
+                                label="point A", num_packets=9, seed=123),
+                           "b2521477e9e78ca4"),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_HASHES)
+def test_scenario_hash_is_pinned(name):
+    fields, digest = _PINNED_HASHES[name]
+    scenario = Scenario(**fields)
+    assert scenario.scenario_hash() == digest
+    # The memoized text is the one the hash covers, and a decoded copy
+    # serializes to it again.
+    assert scenario.canonical_json() == json.dumps(scenario.to_dict(), sort_keys=True)
+    assert content_hash(scenario.to_dict()) == digest
+    rebuilt = Scenario.from_dict(json.loads(scenario.canonical_json()))
+    assert rebuilt.canonical_json() == scenario.canonical_json()
+    assert rebuilt.scenario_hash() == digest
+
+
+def test_modem_spec_dict_is_its_fields():
+    for spec in (ModemSpec(), _PINNED_HASHES["modem"][0]["modem"]):
+        assert spec.to_dict() == dataclasses.asdict(spec)
+        assert list(spec.to_dict()) == [f.name for f in dataclasses.fields(spec)]
+
+
+@pytest.mark.parametrize("catalog", [
+    SITE_CATALOG, MOTION_PRESETS, DEVICE_CATALOG, CASE_CATALOG, SCHEME_CATALOG,
+], ids=["sites", "motions", "devices", "cases", "schemes"])
+def test_catalog_key_by_identity_matches_the_equality_scan(catalog):
+    def by_equality(value):
+        return next((key for key, entry in catalog.items() if entry == value), None)
+
+    for key, entry in catalog.items():
+        assert by_equality(entry) == key  # no catalog holds two equal entries
+        assert _catalog_key(entry, catalog) == key
+        if dataclasses.is_dataclass(entry):  # an equal copy, not the entry
+            copy = dataclasses.replace(entry)
+            assert copy is not entry
+            assert _catalog_key(copy, catalog) == key
 
 
 def test_scenario_matches_accepts_keys_and_objects():

@@ -88,6 +88,18 @@ def test_calibrate_from_phy_smoke():
         calibrate_from_phy(packets_per_point=0)
 
 
+def test_calibrate_from_phy_stops_at_the_site_range():
+    # Bridge, museum and bay end at 20 m; the 25 m row is not measured.
+    table = calibrate_from_phy(site="bridge", packets_per_point=1, seed=1)
+    assert table.site_name == "bridge"
+    assert table.distances_m == (2.0, 5.0, 10.0, 15.0, 20.0)
+    assert np.all(np.isfinite(table.bitrate_bps))
+    # Beyond the last row the link holds the last row's values.
+    link = CalibratedLink(table)
+    assert link.expected_bitrate_bps(25.0) == table.bitrate_bps[-1]
+    assert _per(link, 25.0) == table.packet_error_rate[-1]
+
+
 def test_physical_link_delivers_and_caches_sessions():
     link = PhysicalLink(site="bridge", seed=3)
     rng = np.random.default_rng(4)

@@ -153,6 +153,83 @@ def test_corrupt_artifact_is_treated_as_a_miss(tmp_path):
         assert service.submit(scenarios).done
 
 
+def _count_loads(monkeypatch):
+    """Record every ``ColumnarResultSet.load_npz`` call from now on."""
+    calls = []
+    load = ColumnarResultSet.load_npz.__func__
+
+    def counted(cls, source):
+        calls.append(source)
+        return load(cls, source)
+
+    monkeypatch.setattr(ColumnarResultSet, "load_npz", classmethod(counted))
+    return calls
+
+
+def test_a_replay_verifies_the_artifact_once(tmp_path, monkeypatch):
+    scenarios = _scenarios(2)
+    service = SweepService(tmp_path, max_workers=1)
+    job, records = _complete(service, scenarios)
+    loads = _count_loads(monkeypatch)
+    assert service.submit(scenarios).done
+    assert list(service.stream(job.job_id)) == records
+    assert len(loads) == 1
+    # The verified set serves one read; the next read verifies the file.
+    assert list(service.stream(job.job_id)) == records
+    assert len(loads) == 2
+    assert service.submit(scenarios).done
+    assert service.result(job.job_id) == ResultSet(records)
+    assert len(loads) == 3
+
+
+def test_an_artifact_rotting_after_submit_is_a_miss_for_stream(tmp_path):
+    scenarios = _scenarios(2)
+    service = SweepService(tmp_path, max_workers=1)
+    job, records = _complete(service, scenarios)
+    assert service.submit(scenarios).done
+    service.artifact_path(job.job_id).write_bytes(b"rotten bytes")
+    with pytest.warns(CacheMissWarning) as caught:
+        replayed = list(service.stream(job.job_id))
+    assert caught[0].message.reason == "npz-corrupt"
+    # Re-run from the per-scenario JSON cache, which heals the artifact.
+    assert replayed == records
+    assert service.poll(job.job_id).cache_hits == 2
+    assert ColumnarResultSet.load_npz(service.artifact_path(job.job_id)) == ResultSet(records)
+
+
+def test_an_artifact_replaced_after_submit_is_read_again(tmp_path):
+    scenarios = _scenarios(2)
+    service = SweepService(tmp_path, max_workers=1)
+    job, records = _complete(service, scenarios)
+    other = ColumnarResultSet(records[::-1]).save_npz(tmp_path / "other.npz")
+    assert service.submit(scenarios).done
+    # Written in place: the same file now holds another valid artifact.
+    service.artifact_path(job.job_id).write_bytes(other.read_bytes())
+    assert list(service.stream(job.job_id)) == records[::-1]
+
+
+def test_a_verified_set_serves_only_its_own_job(tmp_path, monkeypatch):
+    service = SweepService(tmp_path, max_workers=1)
+    first, second = _scenarios(2, seed=11), _scenarios(2, seed=12)
+    job_a, records_a = _complete(service, first)
+    job_b, records_b = _complete(service, second)
+    assert records_a != records_b
+    loads = _count_loads(monkeypatch)
+    assert service.submit(first).done
+    assert list(service.stream(job_b.job_id)) == records_b
+    assert len(loads) == 2
+    # Job B's read dropped job A's verified set: A is read again.
+    assert list(service.stream(job_a.job_id)) == records_a
+    assert len(loads) == 3
+    # Even when B's file holds A's very bytes, B's read decodes its file.
+    service.artifact_path(job_b.job_id).write_bytes(
+        service.artifact_path(job_a.job_id).read_bytes()
+    )
+    assert service.submit(first).done
+    assert list(service.stream(job_b.job_id)) == records_a
+    assert len(loads) == 5
+
+
 def test_failed_job_records_the_error_and_recovers(tmp_path, monkeypatch):
     scenarios = _scenarios(2)
     service = SweepService(tmp_path, max_workers=1)
