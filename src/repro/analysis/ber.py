@@ -8,12 +8,13 @@ point of the same curve.  These helpers provide that reference.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 
 def q_function(x: np.ndarray | float) -> np.ndarray | float:
     """The Gaussian tail probability Q(x)."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    from scipy.special import erfc
+
+    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
 def bpsk_ber_theoretical(snr_db: np.ndarray | float) -> np.ndarray | float:

@@ -814,6 +814,9 @@ def _trace_compare(args) -> int:
     base = scenario_from_trace(trace)
 
     def side_scenario(side: str):
+        # A defaults to the recorded stack, B to its full-PHY reference:
+        # the fast-path-vs-reference comparison the committed fixture is
+        # gated on.
         overrides = {
             key: value
             for key in ("link", "routing", "arq")

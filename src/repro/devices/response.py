@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.dsp.filters import design_fir_from_response
 from repro.utils.validation import require_positive
@@ -93,10 +92,12 @@ class FrequencyResponse:
 
     def apply(self, samples: np.ndarray, sample_rate_hz: float = 48000.0) -> np.ndarray:
         """Filter ``samples`` with this response (group delay compensated)."""
+        from scipy.signal import lfilter
+
         taps = self.as_fir(sample_rate_hz)
         delay = (taps.size - 1) // 2
         padded = np.concatenate([np.asarray(samples, dtype=float), np.zeros(taps.size)])
-        filtered = sp_signal.lfilter(taps, 1.0, padded)
+        filtered = lfilter(taps, 1.0, padded)
         return filtered[delay:delay + len(samples)]
 
     def combined_with(self, other: "FrequencyResponse", label: str = "") -> "FrequencyResponse":

@@ -7,8 +7,12 @@ and the resampling used to model Doppler.  The preamble detector's
 correlators (:mod:`repro.dsp.correlation`), the cached-spectrum FFT
 convolutions (:mod:`repro.dsp.fastconv`) and the equalizer's Toeplitz
 solver (:mod:`repro.dsp.levinson`) are imported from their modules.
+
+None of them imports SciPy at import time: each SciPy kernel loads on its
+first call, and :func:`load_scipy_kernels` loads them all at once.
 """
 
+from repro.dsp import fastconv, levinson
 from repro.dsp.chirp import lfm_chirp
 from repro.dsp.filters import FIRBandpassFilter, design_bandpass_fir
 from repro.dsp.resample import apply_doppler
@@ -22,4 +26,18 @@ __all__ = [
     "FIRBandpassFilter",
     "band_power",
     "apply_doppler",
+    "load_scipy_kernels",
 ]
+
+
+def load_scipy_kernels() -> None:
+    """Import every SciPy kernel the PHY calls, in this process.
+
+    A process that is about to fork PHY workers calls this first, so the
+    workers inherit the loaded kernels instead of each importing SciPy on
+    its first packet.
+    """
+    import scipy.signal  # noqa: F401 -- filter design (firwin, firwin2, lfilter)
+
+    fastconv.load_kernels()
+    levinson.load_kernel()

@@ -20,6 +20,13 @@ All helpers return results numerically equivalent to
 ``next_fast_len`` padding); tiny differences (~1e-13 relative) come only
 from reassociated floating-point rounding and are pinned by the golden
 equivalence tests.
+
+Importing this module does not import SciPy: :func:`next_fast_len`,
+:func:`rfft_n` and :func:`irfft_n` bind SciPy's kernels into module
+globals on their first call (:func:`load_kernels`), so the processes
+that never run the PHY (``cli net``, ``chaos``, ``trace replay``,
+``jobs``) never pay SciPy's import.  Every later call costs one global
+check.
 """
 
 from __future__ import annotations
@@ -28,44 +35,71 @@ import hashlib
 from collections import OrderedDict
 
 import numpy as np
-from scipy.fft import next_fast_len as _next_fast_len
+
+#: SciPy's ``next_fast_len`` and the transform pair, bound by
+#: :func:`load_kernels` on the first call that needs one.
+_scipy_next_fast_len = None
+_rfft = None
+_irfft = None
+
+
+def load_kernels() -> None:
+    """Import SciPy's FFT kernels and bind them into this module.
+
+    The raw pocketfft bindings are bit-identical to ``scipy.fft.rfft`` /
+    ``irfft`` but skip the per-call backend dispatch, shape fixing and
+    dtype checks (~10 us each, which matters at ~40 transforms per
+    simulated packet).  They are private API, so the public functions
+    serve when that module moves.
+    """
+    global _scipy_next_fast_len, _rfft, _irfft
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    try:
+        from scipy.fft._pocketfft import pypocketfft as ppf
+    except ImportError:
+        from scipy.fft import irfft, rfft
+
+        def forward(x: np.ndarray, n_fft: int) -> np.ndarray:
+            return rfft(np.asarray(x, dtype=float), n_fft)
+
+        def inverse(spectrum: np.ndarray, n_fft: int) -> np.ndarray:
+            return irfft(spectrum, n_fft)
+    else:
+        def forward(x: np.ndarray, n_fft: int) -> np.ndarray:
+            x = np.asarray(x, dtype=np.float64)
+            if x.size != n_fft:
+                buffer = np.zeros(n_fft)
+                buffer[: min(x.size, n_fft)] = x[:n_fft]
+                x = buffer
+            return ppf.r2c(x, axes=(0,), forward=True, inorm=0)
+
+        def inverse(spectrum: np.ndarray, n_fft: int) -> np.ndarray:
+            spectrum = np.ascontiguousarray(spectrum, dtype=np.complex128)
+            return ppf.c2r(spectrum, axes=(0,), lastsize=n_fft, forward=False, inorm=2)
+
+    _scipy_next_fast_len, _rfft, _irfft = scipy_next_fast_len, forward, inverse
 
 
 def next_fast_len(n: int) -> int:
     """Smallest efficient (5-smooth) real-FFT length >= ``n``."""
-    return int(_next_fast_len(int(n), real=True))
+    if _scipy_next_fast_len is None:
+        load_kernels()
+    return int(_scipy_next_fast_len(int(n), real=True))
 
 
-try:
-    # Raw pocketfft bindings: bit-identical to scipy.fft.rfft/irfft but
-    # without the per-call backend dispatch, shape fixing and dtype checks
-    # (~10 us each, which matters at ~40 transforms per simulated packet).
-    # Private API, so everything falls back to the public functions.
-    from scipy.fft._pocketfft import pypocketfft as _ppf
+def rfft_n(x: np.ndarray, n_fft: int) -> np.ndarray:
+    """``rfft(x, n_fft)`` for 1-D float input."""
+    if _rfft is None:
+        load_kernels()
+    return _rfft(x, n_fft)
 
-    def rfft_n(x: np.ndarray, n_fft: int) -> np.ndarray:
-        """``rfft(x, n_fft)`` for 1-D float input via raw pocketfft."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.size != n_fft:
-            buffer = np.zeros(n_fft)
-            buffer[: min(x.size, n_fft)] = x[:n_fft]
-            x = buffer
-        return _ppf.r2c(x, axes=(0,), forward=True, inorm=0)
 
-    def irfft_n(spectrum: np.ndarray, n_fft: int) -> np.ndarray:
-        """``irfft(spectrum, n_fft)`` for 1-D complex input via raw pocketfft."""
-        spectrum = np.ascontiguousarray(spectrum, dtype=np.complex128)
-        return _ppf.c2r(spectrum, axes=(0,), lastsize=n_fft, forward=False, inorm=2)
-except ImportError:  # pragma: no cover - depends on scipy internals
-    from scipy.fft import irfft, rfft
-
-    def rfft_n(x: np.ndarray, n_fft: int) -> np.ndarray:
-        """``rfft(x, n_fft)`` fallback through the public API."""
-        return rfft(np.asarray(x, dtype=float), n_fft)
-
-    def irfft_n(spectrum: np.ndarray, n_fft: int) -> np.ndarray:
-        """``irfft(spectrum, n_fft)`` fallback through the public API."""
-        return irfft(spectrum, n_fft)
+def irfft_n(spectrum: np.ndarray, n_fft: int) -> np.ndarray:
+    """``irfft(spectrum, n_fft)`` for 1-D complex input."""
+    if _irfft is None:
+        load_kernels()
+    return _irfft(spectrum, n_fft)
 
 
 def _kernel_key(kernel: np.ndarray) -> tuple:

@@ -4,12 +4,16 @@ The receiver applies a 128-order FIR band-pass filter with a 1-4 kHz
 passband to the incoming audio before any further processing (paper
 section 2.3.2); device and case frequency responses are also realized as
 FIR filters designed by frequency sampling.
+
+The designs run :func:`scipy.signal.firwin` / ``firwin2``, imported at the
+call: ``scipy.signal`` pulls in most of SciPy, and importing it here would
+make every ``import repro`` pay for it, although only building a modem or
+a device response designs a filter.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.dsp.fastconv import convolve_full
 from repro.utils.validation import require_positive
@@ -28,13 +32,15 @@ def design_bandpass_fir(low_hz: float, high_hz: float, sample_rate_hz: float) ->
     The paper's "128 order" filter has 129 taps, an odd count, so the
     band-pass response is realizable as a type-I linear phase filter.
     """
+    from scipy.signal import firwin
+
     require_positive(sample_rate_hz, "sample_rate_hz")
     if not 0 < low_hz < high_hz < sample_rate_hz / 2:
         raise ValueError(
             f"band edges must satisfy 0 < low < high < Nyquist, got "
             f"({low_hz}, {high_hz}) at fs={sample_rate_hz}"
         )
-    return sp_signal.firwin(129, [low_hz, high_hz], pass_zero=False, fs=sample_rate_hz)
+    return firwin(129, [low_hz, high_hz], pass_zero=False, fs=sample_rate_hz)
 
 
 def design_fir_from_response(
@@ -50,6 +56,8 @@ def design_fir_from_response(
     specified as gains in dB at the given frequencies and interpolated onto
     a dense frequency grid before the frequency-sampling design.
     """
+    from scipy.signal import firwin2
+
     require_positive(sample_rate_hz, "sample_rate_hz")
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     gains_db = np.asarray(gains_db, dtype=float)
@@ -66,7 +74,7 @@ def design_fir_from_response(
     # audio-band work; the communication band (1-4 kHz) is far from both.
     gains_linear[0] = 0.0
     gains_linear[-1] = 0.0
-    return sp_signal.firwin2(num_taps, grid, gains_linear, fs=sample_rate_hz)
+    return firwin2(num_taps, grid, gains_linear, fs=sample_rate_hz)
 
 
 class FIRBandpassFilter:

@@ -43,6 +43,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator
 
+from repro.dsp import load_scipy_kernels
 from repro.experiments.columnar import ColumnarResultSet
 from repro.experiments.records import ResultSet, RunRecord
 from repro.experiments.scenario import Scenario, run_scenario
@@ -133,7 +134,13 @@ class ExperimentRunner:
             warn_cache_miss(path, "os-error", str(error))
             return None
         # Hash collisions are unlikely but cheap to rule out.
-        return record if record.scenario == scenario else None
+        if record.scenario != scenario:
+            return None
+        # Bind the record to the requested instance, whose memoized
+        # canonical text the artifact writer reuses, and let the decoded
+        # copy go.
+        record.scenario = scenario
+        return record
 
     def _store_cached(self, record: RunRecord) -> None:
         if self.cache_dir is None:
@@ -198,6 +205,9 @@ class ExperimentRunner:
                     record_iter = map(_execute_scenario, to_run)
                 else:
                     chunk = max(1, len(pending) // (4 * workers))
+                    # Forked workers inherit the parent's modules: load the
+                    # PHY's SciPy kernels once here, not once per worker.
+                    load_scipy_kernels()
                     pool = stack.enter_context(
                         ProcessPoolExecutor(max_workers=workers)
                     )

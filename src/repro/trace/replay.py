@@ -126,24 +126,17 @@ def check_roundtrip(trace: Trace) -> tuple[bool, dict, dict]:
 
 def compare_stacks(
     trace: Trace,
-    scenario_a=None,
-    scenario_b=None,
+    scenario_a,
+    scenario_b,
     latency_tau_s: float = DEFAULT_LATENCY_TAU_S,
     sos_deadline_s: float = DEFAULT_SOS_DEADLINE_S,
 ) -> QoeDelta:
     """Replay one trace against two stacks and score the QoE deltas.
 
-    ``scenario_a`` defaults to the trace's recorded stack, ``scenario_b``
-    to the full-PHY reference of the same deployment (``link="physical"``)
-    -- the fast-path-vs-reference comparison the committed fixture is
-    gated on.  Both replays run the identical message stream with the
-    identical scenario seed, so every difference in the report is the
-    stacks', not the workload's.
+    Both replays run the identical message stream with the identical
+    scenario seed, so every difference in the report is the stacks', not
+    the workload's.
     """
-    if scenario_a is None:
-        scenario_a = scenario_from_trace(trace)
-    if scenario_b is None:
-        scenario_b = scenario_a.replace(link="physical")
     result_a = replay_trace(trace, scenario=scenario_a)
     result_b = replay_trace(trace, scenario=scenario_b)
 

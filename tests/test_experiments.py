@@ -305,6 +305,18 @@ def test_runner_cache_hits_skip_execution(tmp_path, monkeypatch):
     assert second == first
 
 
+def test_a_cache_hit_returns_the_requested_scenario_instance(tmp_path):
+    cache = tmp_path / "cache"
+    ExperimentRunner(max_workers=1, cache_dir=cache).run(_tiny_sweep(4))
+    scenarios = _tiny_sweep(4).scenarios()  # equal contents, new instances
+    runner = ExperimentRunner(max_workers=1, cache_dir=cache)
+    records = runner.run(scenarios)
+    assert runner.last_cache_hits == len(scenarios)
+    # Not the copy decoded from the cache file: the caller's instance, with
+    # its memoized serialization.
+    assert all(r.scenario is s for r, s in zip(records, scenarios))
+
+
 def test_runner_cache_ignores_corrupt_entries(tmp_path):
     cache = tmp_path / "cache"
     scenario = Scenario(site="bridge", num_packets=1, seed=9)

@@ -115,6 +115,24 @@ def test_scenario_cache_is_shared_with_runner(tmp_path):
     assert service.poll(job.job_id).cache_hits == 2
 
 
+def test_a_warm_job_serializes_each_scenario_three_times(tmp_path, monkeypatch):
+    service = SweepService(tmp_path, max_workers=1)
+    ExperimentRunner(max_workers=1, cache_dir=service.cache_dir).run(_scenarios(4))
+    calls = []
+    to_dict = Scenario.to_dict
+
+    def counted(scenario):
+        calls.append(scenario)
+        return to_dict(scenario)
+
+    monkeypatch.setattr(Scenario, "to_dict", counted)
+    _complete(service, _scenarios(4))
+    # Per scenario: submit's hash, the manifest entry and stream's check of
+    # the decoded manifest entry against its hash.  The cache hits and the
+    # artifact's scenario table reuse the hashed instances' serialization.
+    assert len(calls) == 3 * 4
+
+
 # ---------------------------------------------------------------- fetches
 def test_fetch_exports_both_artifact_forms(tmp_path):
     scenarios = _scenarios(2)

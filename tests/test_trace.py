@@ -442,7 +442,11 @@ def test_qoe_delta_markdown_reports_percentile_rows():
 
 def test_compare_stacks_pairs_the_same_workload():
     _, trace = capture_scenario(_small_scenario())
-    delta = compare_stacks(trace, scenario_b=_small_scenario(arq="none"))
+    delta = compare_stacks(
+        trace,
+        scenario_a=scenario_from_trace(trace),
+        scenario_b=_small_scenario(arq="none"),
+    )
     assert delta.a.offered == delta.b.offered == len(trace.sends())
     assert delta.label_a == "calibrated+greedy+go-back-n"
     assert delta.label_b == "calibrated+greedy+none"
