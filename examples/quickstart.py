@@ -105,8 +105,8 @@ def main() -> None:
 
     # --- The declarative way --------------------------------------------
     # The same experiment as a Scenario, plus a two-distance mini sweep run
-    # through the experiment runner (this is what the figure validation
-    # does at scale, with worker processes and a result cache).
+    # through the experiment runner (a link figure of the validation runs
+    # one such Scenario per trial, through the same process pool).
     print("\nThe same link, declaratively (repro.experiments):")
     sweep = (
         Sweep(Scenario(site=LAKE, distance_m=5.0, num_packets=4))

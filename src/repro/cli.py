@@ -381,9 +381,8 @@ def _add_validate_parser(subparsers) -> None:
                         help="directory of the VALID_*.json envelopes "
                              "(default: current directory)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for link figures")
-    parser.add_argument("--cache", metavar="DIR", default=None,
-                        help="experiment-runner result cache directory")
+                        help="worker processes for the trials (default: one "
+                             "per CPU; 1 runs them in this process)")
     parser.add_argument("--json", metavar="FILE", dest="json_path", default=None,
                         help="also write the validation report to FILE as JSON")
 
@@ -627,7 +626,6 @@ def _run_validate(args) -> int:
             trials=trials,
             base_seed=args.seed,
             max_workers=args.workers,
-            cache_dir=args.cache,
             progress=lambda message: print(f"  [mc] {message}", file=sys.stderr),
         )
     except ValueError as error:

@@ -4,9 +4,11 @@
 :class:`~repro.experiments.sweep.Sweep`) into run records:
 
 * scenarios are independent -- each carries its own seed and builds its
-  own channels -- so they are dispatched to a
-  :class:`concurrent.futures.ProcessPoolExecutor` in chunks and the
-  records are reassembled in submission order;
+  own channels -- so :func:`ordered_map` dispatches them to a
+  :class:`concurrent.futures.ProcessPoolExecutor` in chunks and yields
+  the records in submission order; it is the package's one process
+  pool, and :mod:`repro.validation` runs its Monte-Carlo trials
+  through it too;
 * because seeding is per scenario, a parallel run is bit-identical to a
   serial run of the same scenarios (``max_workers=1`` short-circuits the
   pool entirely, which is also the fallback when only one scenario is
@@ -34,7 +36,6 @@ which can also be saved as ``.npz``.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import pathlib
@@ -81,6 +82,32 @@ def _execute_scenario(scenario: Scenario) -> RunRecord:
     return RunRecord.from_statistics(scenario, stats, elapsed_s=time.perf_counter() - started)
 
 
+def ordered_map(function: Callable, items: list, max_workers: int | None) -> Iterator:
+    """``function`` over ``items``, yielded lazily in input order.
+
+    The one place work fans out to worker processes.  ``max_workers`` of
+    ``None`` picks ``min(len(items), cpu count)``; at most one worker, or
+    at most one item, runs a plain in-process ``map``.  Otherwise the
+    items go to a :class:`ProcessPoolExecutor` in balanced chunks, so
+    every worker receives a few: pickling overhead is amortized on large
+    batches without starving workers on small ones.  ``function`` must be
+    a module-level callable and its items picklable.
+    """
+    workers = max_workers
+    if workers is None:
+        workers = min(len(items), os.cpu_count() or 1)
+    if workers <= 1 or len(items) <= 1:
+        yield from map(function, items)
+        return
+    chunk = max(1, len(items) // (4 * workers))
+    # Forked workers inherit the parent's modules: load the PHY's SciPy
+    # kernels once here, not once per worker.
+    load_scipy_kernels()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # pool.map yields in submission order as chunks finish.
+        yield from pool.map(function, items, chunksize=chunk)
+
+
 class ExperimentRunner:
     """Executes scenarios, in parallel when it pays off.
 
@@ -91,10 +118,6 @@ class ExperimentRunner:
         cpu count)``; ``0`` or ``1`` forces serial in-process execution.
     cache_dir:
         Directory for the JSON result cache; ``None`` disables caching.
-
-    Parallel runs dispatch balanced chunks, so every worker receives a
-    few: pickling overhead is amortized on large sweeps without starving
-    workers on small ones.
     """
 
     def __init__(
@@ -192,48 +215,32 @@ class ExperimentRunner:
         emit: Callable[[str], None] | None,
     ) -> Iterator[RunRecord]:
         total = len(ordered)
-        workers = self.max_workers
-        if workers is None:
-            workers = min(len(pending), os.cpu_count() or 1)
-
         started = time.perf_counter()
         done = 0
-        with contextlib.ExitStack() as stack:
-            if pending:
-                to_run = [scenario for _, scenario in pending]
-                if workers <= 1 or len(pending) == 1:
-                    record_iter = map(_execute_scenario, to_run)
-                else:
-                    chunk = max(1, len(pending) // (4 * workers))
-                    # Forked workers inherit the parent's modules: load the
-                    # PHY's SciPy kernels once here, not once per worker.
-                    load_scipy_kernels()
-                    pool = stack.enter_context(
-                        ProcessPoolExecutor(max_workers=workers)
-                    )
-                    # pool.map yields in submission order as chunks finish,
-                    # which is exactly the streaming order we guarantee.
-                    record_iter = pool.map(_execute_scenario, to_run, chunksize=chunk)
-                pending_results = zip(pending, record_iter)
-            else:
-                pending_results = iter(())
-
-            for index in range(total):
-                record = slots[index]
-                if record is None:
-                    (slot_index, _), record = next(pending_results)
-                    assert slot_index == index
-                    slots[index] = record
-                    self._store_cached(record)
-                done += 1
-                if emit is not None:
-                    elapsed = time.perf_counter() - started
-                    eta = elapsed / done * (total - done)
-                    emit(
-                        f"sweep {done}/{total}: {record.scenario.describe()} "
-                        f"({elapsed:.1f}s elapsed, eta {eta:.1f}s)"
-                    )
-                yield record
+        pending_results = zip(
+            pending,
+            ordered_map(
+                _execute_scenario,
+                [scenario for _, scenario in pending],
+                self.max_workers,
+            ),
+        )
+        for index in range(total):
+            record = slots[index]
+            if record is None:
+                (slot_index, _), record = next(pending_results)
+                assert slot_index == index
+                slots[index] = record
+                self._store_cached(record)
+            done += 1
+            if emit is not None:
+                elapsed = time.perf_counter() - started
+                eta = elapsed / done * (total - done)
+                emit(
+                    f"sweep {done}/{total}: {record.scenario.describe()} "
+                    f"({elapsed:.1f}s elapsed, eta {eta:.1f}s)"
+                )
+            yield record
 
     def run(
         self,

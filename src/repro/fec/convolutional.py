@@ -8,10 +8,9 @@ of the second bit.  The decoder runs a hard/soft-decision Viterbi algorithm
 and treats punctured positions as erasures (zero branch-metric
 contribution).
 
-The mother code can be terminated: ``constraint_length - 1`` zero tail
-bits flush the encoder so the decoder can end in the all-zero state.  The
-modem's :class:`PuncturedConvolutionalCode` runs it unterminated, which is
-how the 16-bit AquaApp packets become exactly the paper's 24 coded bits.
+The mother code runs unterminated: no tail bits flush the encoder, and
+the decoder traces back from the best final state.  That is how the
+16-bit AquaApp packets become exactly the paper's 24 coded bits.
 
 The decoder is fully vectorized: all branch metrics are computed up front
 with one ``einsum`` over ``(steps, bits, states)`` and the add-compare-
@@ -166,25 +165,9 @@ class ConvolutionalCode:
         self._outputs = self._trellis.outputs
 
     # ------------------------------------------------------------------ encode
-    @property
-    def rate(self) -> float:
-        """Nominal code rate (ignoring tail bits)."""
-        return 1.0 / self.num_outputs
-
-    @property
-    def num_tail_bits(self) -> int:
-        """Number of zero bits appended to flush the encoder."""
-        return self.constraint_length - 1
-
-    def encode(self, bits: np.ndarray | list[int], terminate: bool = True) -> np.ndarray:
-        """Encode ``bits`` and return the coded bit stream.
-
-        With ``terminate=True`` (the default) the encoder is flushed with
-        zero tail bits so the trellis ends in the all-zero state.
-        """
+    def encode(self, bits: np.ndarray | list[int]) -> np.ndarray:
+        """Encode ``bits`` (unterminated) and return the coded bit stream."""
         data = _bits_array(bits)
-        if terminate:
-            data = np.concatenate([data, np.zeros(self.num_tail_bits, dtype=int)])
         if data.size == 0:
             return np.array([], dtype=int)
         # The shift register at step i holds bits b[i-K+1..i]; building all
@@ -201,7 +184,6 @@ class ConvolutionalCode:
         self,
         soft_bits: np.ndarray | list[float],
         num_data_bits: int | None = None,
-        terminated: bool = True,
     ) -> np.ndarray:
         """Viterbi-decode a stream of soft coded bits.
 
@@ -213,10 +195,8 @@ class ConvolutionalCode:
             and mapped to -1/+1).  ``NaN`` marks an erasure (used for
             punctured positions).
         num_data_bits:
-            Number of *data* bits to return (excluding tail bits).  When
-            omitted it is inferred from the stream length and termination.
-        terminated:
-            Whether the encoder was flushed to the zero state.
+            Number of leading data bits to return (default: one per
+            trellis step).
         """
         soft = np.asarray(soft_bits, dtype=float).ravel()
         if soft.size % self.num_outputs != 0:
@@ -227,10 +207,9 @@ class ConvolutionalCode:
         num_steps = soft.size // self.num_outputs
         if num_steps == 0:
             return np.array([], dtype=int)
-        tail = self.num_tail_bits if terminated else 0
         if num_data_bits is None:
-            num_data_bits = num_steps - tail
-        if num_data_bits < 0 or num_data_bits + tail > num_steps:
+            num_data_bits = num_steps
+        if num_data_bits < 0 or num_data_bits > num_steps:
             raise ValueError("num_data_bits inconsistent with coded stream length")
 
         # Branch metrics for every (step, input bit, state) at once:
@@ -260,11 +239,8 @@ class ConvolutionalCode:
             decisions[step] = take_odd
             path_metric = np.where(take_odd, candidates[:, 1], candidates[:, 0])
 
-        # Trace back from the zero state (terminated) or the best state.
-        if terminated and path_metric[0] > -np.inf:
-            state = 0
-        else:
-            state = int(np.argmax(path_metric))
+        # Trace back from the best final state.
+        state = int(np.argmax(path_metric))
         survivors = decisions.tolist()
         decoded = np.empty(num_steps, dtype=int)
         for step in range(num_steps - 1, -1, -1):
@@ -299,16 +275,6 @@ class PuncturedConvolutionalCode:
         self._period = pattern.shape[0]
         self._kept_per_period = int(pattern.sum())
 
-    @property
-    def rate(self) -> float:
-        """Effective code rate after puncturing (2/3)."""
-        return self._period / self._kept_per_period
-
-    @property
-    def constraint_length(self) -> int:
-        """Constraint length of the mother code."""
-        return self.mother.constraint_length
-
     def coded_length(self, num_data_bits: int) -> int:
         """Return the number of coded bits produced for ``num_data_bits``."""
         full_periods, remainder = divmod(num_data_bits, self._period)
@@ -326,7 +292,7 @@ class PuncturedConvolutionalCode:
     def encode(self, bits: np.ndarray | list[int]) -> np.ndarray:
         """Encode and puncture ``bits``, returning the transmitted coded bits."""
         data = _bits_array(bits)
-        mother_out = self.mother.encode(data, terminate=False)
+        mother_out = self.mother.encode(data)
         return mother_out[self._puncture_mask(data.size)]
 
     def decode(self, soft_bits: np.ndarray | list[float], num_data_bits: int) -> np.ndarray:
@@ -341,4 +307,4 @@ class PuncturedConvolutionalCode:
         mask = self._puncture_mask(num_data_bits)
         depunctured = np.full(mask.size, np.nan)
         depunctured[mask] = soft
-        return self.mother.decode(depunctured, num_data_bits=num_data_bits, terminated=False)
+        return self.mother.decode(depunctured, num_data_bits=num_data_bits)

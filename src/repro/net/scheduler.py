@@ -124,33 +124,12 @@ class Scheduler:
         self._num_cancelled_pending += 1
 
     # ---------------------------------------------------------------- running
-    def _discard_cancelled_top(self) -> None:
-        """Drop lazily-cancelled entries from the heap top."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            event = heapq.heappop(heap)[3]
-            event._done = True
-            self._num_cancelled_pending -= 1
-
-    def step(self) -> bool:
-        """Run the next pending event; return ``False`` when none remain."""
-        self._discard_cancelled_top()
-        if not self._heap:
-            return False
-        time_s, _, _, event = heapq.heappop(self._heap)
-        event._done = True
-        self._now_s = time_s
-        self._num_processed += 1
-        event.action()
-        return True
-
     def run(self, until_s: float | None = None, max_events: int | None = None) -> int:
         """Process events in time order.
 
-        Pops directly off the heap (no per-event re-entry through
-        :meth:`step`, which would scan for cancelled tops a second time)
-        and drains *cohorts* of same-time events in one sweep: the heap
-        is consulted once per distinct timestamp, not once per event.
+        Pops directly off the heap and drains *cohorts* of same-time
+        events in one sweep: the heap is consulted once per distinct
+        timestamp, not once per event.
         Events an earlier cohort member schedules for the same instant
         carry larger sequence numbers and form the next cohort, so
         execution order is identical to the one-at-a-time loop.

@@ -10,8 +10,9 @@ releases:
   (:class:`~repro.validation.claims.Claim`), run by the per-kind trial
   executors of :mod:`~repro.validation.executors`;
 * :class:`~repro.validation.montecarlo.MonteCarloRunner` -- N seeded
-  trials per grid point through :mod:`repro.experiments`, pooled into
-  95% Wilson / normal confidence intervals per metric;
+  trials per grid point, every kind through the experiment runner's
+  process pool, pooled into 95% Wilson / normal confidence intervals per
+  metric;
 * :mod:`~repro.validation.report` -- committed ``VALID_<figure>.json``
   envelopes (the expected behaviour) plus JSON/markdown
   :class:`~repro.validation.report.ValidationReport` rendering with the

@@ -3,19 +3,20 @@
 An executor runs one seeded trial of a :class:`~repro.validation.\
 figures.FigureSpec` at one axis value and returns a :class:`TrialOutcome`
 of Bernoulli counts and continuous values; :data:`EXECUTORS` maps each
-spec ``kind`` to its executor.  The runner calls it once per (axis
-value, trial, variant), handing it the spec with the variant's
-parameters merged in, so executors never see variants.
+spec ``kind`` to its executor.  The Monte-Carlo runner calls it once per
+(axis value, trial, variant), handing it the spec with the variant's
+parameters merged in, so executors never see variants; every kind runs
+the same way, in process or in a worker of the runner's pool.
 
-``link`` figures run :class:`~repro.experiments.Scenario` grids through
-the experiment runner; ``sos``, ``net``, ``cc`` and ``faults`` run beacon
-broadcasts and network simulations.  The rest measure what is not a link,
-beacon or network run: the probed channel response (``response``,
-``reciprocity``, ``case``), ambient noise (``noise``), per-subcarrier BER
-against SNR (``bins``), second-preamble stability (``stability``), the
-carrier-sense MAC (``mac``), protocol airtime (``airtime``) and the
-band-selection parameters no :class:`~repro.experiments.ModemSpec` field
-expresses (``protocol``).
+``link`` trials run one :class:`~repro.experiments.Scenario` each;
+``sos``, ``net``, ``cc`` and ``faults`` run beacon broadcasts and network
+simulations.  The rest measure what is not a link, beacon or network
+run: the probed channel response (``response``, ``reciprocity``,
+``case``), ambient noise (``noise``), per-subcarrier BER against SNR
+(``bins``), second-preamble stability (``stability``), the carrier-sense
+MAC (``mac``), protocol airtime (``airtime``) and the band-selection
+parameters no :class:`~repro.experiments.ModemSpec` field expresses
+(``protocol``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.experiments.records import RunRecord
 from repro.experiments.scenario import Scenario
 
 if TYPE_CHECKING:
@@ -64,13 +66,8 @@ def link_scenario(
 
     Every parameter of the spec (or of its variant) that names a
     :class:`Scenario` field is passed through -- ``site``, ``scheme``,
-    ``num_packets``, ``modem``, depths, motion, devices, case.
-
-    The label deliberately names only the grid cell, not the figure:
-    figures sweeping the same grid (``ber_vs_snr`` and
-    ``throughput_vs_distance`` read different metrics off identical
-    scenarios) then produce identical scenario hashes, so the Monte-Carlo
-    runner's record memo and the on-disk cache simulate each cell once.
+    ``num_packets``, ``modem``, depths, motion, devices, case.  The label
+    names the grid cell.
     """
     fields = {
         key: spec.param(key, quick=quick)
@@ -91,7 +88,7 @@ def link_scenario(
 BITRATE_PERCENTILES = (10, 25, 75, 90)
 
 
-def link_outcome(record) -> TrialOutcome:
+def link_outcome(record: RunRecord) -> TrialOutcome:
     """Extract metric samples from one link trial's :class:`RunRecord`.
 
     Bit totals are reconstructed from the protocol configuration (every
@@ -160,6 +157,14 @@ def link_outcome(record) -> TrialOutcome:
             },
         },
     )
+
+
+def run_link_trial(
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
+) -> TrialOutcome:
+    """Run one link-figure trial: the cell's :class:`Scenario`, whole."""
+    scenario = link_scenario(spec, axis_value, trial, base_seed, quick)
+    return link_outcome(RunRecord.from_statistics(scenario, scenario.run()))
 
 
 # ------------------------------------------------------------- sos executor
@@ -642,9 +647,8 @@ def run_protocol_trial(
 ) -> TrialOutcome:
     """Band-selection ablation: a link trial under the spec's SNR
     threshold and conservative factor, which no ``ModemSpec`` field
-    expresses, so it runs in-process rather than through the runner."""
+    expresses, so the trial builds its own modem for the scenario."""
     from repro.core.modem import AquaModem
-    from repro.experiments.records import RunRecord
 
     scenario = link_scenario(spec, axis_value, trial, base_seed, quick)
     protocol = ProtocolConfig(
@@ -656,10 +660,9 @@ def run_protocol_trial(
     return link_outcome(RunRecord.from_statistics(scenario, stats))
 
 
-#: Trial executor of every figure kind but ``link``, which the runner
-#: batches through the experiment runner (``link_scenario`` then
-#: ``link_outcome``).
+#: Trial executor of every figure kind.
 EXECUTORS = {
+    "link": run_link_trial,
     "sos": run_sos_trial,
     "net": run_net_trial,
     "cc": run_cc_trial,
@@ -676,4 +679,4 @@ EXECUTORS = {
 }
 
 #: Every figure kind.
-KINDS = ("link", *EXECUTORS)
+KINDS = tuple(EXECUTORS)

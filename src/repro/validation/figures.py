@@ -48,7 +48,8 @@ class FigureSpec:
         Human-readable figure title for reports.
     kind:
         Which executor runs a trial (see :mod:`repro.validation.executors`):
-        ``"link"`` (scenario sweep through the experiment runner),
+        ``"link"`` (one link :class:`~repro.experiments.Scenario` per
+        trial),
         ``"sos"`` (beacon broadcasts), ``"net"`` (multi-hop runs), ...
     axis:
         Name of the swept parameter (``"distance_m"``, ``"num_nodes"``).

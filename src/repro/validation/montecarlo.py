@@ -7,13 +7,17 @@ Bernoulli counts and continuous values are pooled, and each metric is
 summarized into a :class:`~repro.validation.stats.MetricSummary` with a
 95% Wilson (proportions) or normal (continuous) confidence interval.
 
-Link figures expand into ordinary :class:`~repro.experiments.Scenario`
-grids and run through :class:`~repro.experiments.ExperimentRunner`, so
-they inherit its process-pool parallelism and on-disk result cache; every
-other kind runs its trials in-process (each trial is already a whole
-simulation, cheap relative to a link grid).  A figure's variants run at
-every (point, trial) on that cell's seed, and their metrics are pooled
-under ``metric@variant`` names.
+Every figure kind runs one way: each (point, trial, variant) cell is one
+call of the kind's executor (:data:`~repro.validation.executors.\
+EXECUTORS`), and the cells a runner has not run yet go through
+:func:`~repro.experiments.runner.ordered_map`, in worker processes when
+``max_workers`` allows.  Outcomes are memoized by what a trial depends
+on -- kind, axis, axis value, cell seed, mode and the variant's
+parameters resolved for the mode -- so figures sharing a cell
+(``ber_vs_snr`` and ``throughput_vs_distance`` sweep one link grid) run
+it once per runner.  A figure's variants run at every (point, trial) on
+that cell's seed, and their metrics are pooled under ``metric@variant``
+names.
 """
 
 from __future__ import annotations
@@ -22,14 +26,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ordered_map
 from repro.validation.claims import variant_metric
-from repro.validation.executors import (
-    EXECUTORS,
-    TrialOutcome,
-    link_outcome,
-    link_scenario,
-)
+from repro.validation.executors import EXECUTORS, TrialOutcome
 from repro.validation.figures import FigureSpec, get_figure
 from repro.validation.stats import (
     MetricSummary,
@@ -86,16 +85,6 @@ class FigureResult:
     points: tuple[PointEstimate, ...]
     elapsed_s: float = field(default=0.0, compare=False)
 
-    def point(self, axis_value: float) -> PointEstimate:
-        """The estimate at one axis value; raises if absent."""
-        for point in self.points:
-            if point.axis_value == axis_value:
-                return point
-        raise LookupError(
-            f"figure {self.figure} has no point at {axis_value:g}; "
-            f"axis values: {[p.axis_value for p in self.points]}"
-        )
-
     def to_dict(self) -> dict:
         return {
             "figure": self.figure,
@@ -145,11 +134,13 @@ class MonteCarloRunner:
     base_seed:
         Offset added to every per-(point, trial) seed, so independent
         campaigns can be drawn without touching the specs.
-    max_workers, cache_dir:
-        Forwarded to the :class:`ExperimentRunner` behind link figures.
+    max_workers:
+        Worker processes for the trials, as in
+        :func:`~repro.experiments.runner.ordered_map` (``None``: one per
+        CPU; ``0`` or ``1``: in process).
     progress:
-        Optional callback ``progress(message)`` invoked per grid point
-        (and per completed link scenario batch) for CLI feedback.
+        Optional callback ``progress(message)`` invoked per trial run
+        and per figure for CLI feedback.
     """
 
     def __init__(
@@ -157,7 +148,6 @@ class MonteCarloRunner:
         trials: int = 5,
         base_seed: int = 0,
         max_workers: int | None = None,
-        cache_dir=None,
         progress: Callable[[str], None] | None = None,
     ) -> None:
         if trials < 1:
@@ -167,43 +157,52 @@ class MonteCarloRunner:
         self.trials = int(trials)
         self.base_seed = int(base_seed)
         self.max_workers = max_workers
-        self.cache_dir = cache_dir
         self.progress = progress
-        # In-process record memo keyed by scenario hash, shared across
-        # every run() call on this runner: figures with identical grids
-        # (ber_vs_snr and throughput_vs_distance sweep the same scenarios)
-        # reuse records instead of re-simulating the link PHY.
-        self._memo: dict[str, object] = {}
+        # Trial outcomes by _trial_key, shared across every run() call on
+        # this runner, so a cell two figures share runs once.
+        self._memo: dict[tuple, TrialOutcome] = {}
 
     def _emit(self, message: str) -> None:
         if self.progress is not None:
             self.progress(message)
 
-    # ---------------------------------------------------------------- running
     def run(self, figure: FigureSpec | str, quick: bool = False) -> FigureResult:
         """Execute one figure and summarize it per grid point."""
         spec = get_figure(figure) if isinstance(figure, str) else figure
         started = time.perf_counter()
         grid = spec.grid(quick=quick)
         variants = {name: spec.for_variant(name) for name in spec.variant_names(quick)}
-        if spec.kind == "link":
-            outcomes = self._run_link(spec, grid, variants, quick)
-        else:
-            execute = EXECUTORS[spec.kind]
-            outcomes = {}
-            for axis_value in grid:
-                outcomes[axis_value] = [
-                    _merge_variants({
-                        name: execute(variant, axis_value, trial, self.base_seed, quick)
-                        for name, variant in variants.items()
-                    })
-                    for trial in range(self.trials)
-                ]
-                self._emit(
-                    f"{spec.name}: {spec.axis}={axis_value:g} done "
-                    f"({self.trials} trials)"
-                )
-        points = [summarize_point(value, outcomes[value]) for value in grid]
+        cells = {
+            (axis_value, trial, name): (variant, axis_value, trial, self.base_seed, quick)
+            for axis_value in grid
+            for trial in range(self.trials)
+            for name, variant in variants.items()
+        }
+        keys = {cell: _trial_key(*task) for cell, task in cells.items()}
+        pending = {}
+        for cell, key in keys.items():
+            if key not in self._memo:
+                pending.setdefault(key, cells[cell])
+        outcomes = ordered_map(_run_trial, list(pending.values()), self.max_workers)
+        for done, (key, outcome) in enumerate(zip(pending, outcomes), start=1):
+            self._memo[key] = outcome
+            self._emit(
+                f"{spec.name}: trial {done}/{len(pending)} done "
+                f"({spec.axis}={pending[key][1]:g})"
+            )
+        self._emit(
+            f"{spec.name}: {len(cells)} trials "
+            f"({len(cells) - len(pending)} reused from this run)"
+        )
+        points = [
+            summarize_point(axis_value, [
+                _merge_variants({
+                    name: self._memo[keys[axis_value, trial, name]] for name in variants
+                })
+                for trial in range(self.trials)
+            ])
+            for axis_value in grid
+        ]
         return FigureResult(
             figure=spec.name,
             axis=spec.axis,
@@ -213,59 +212,30 @@ class MonteCarloRunner:
             elapsed_s=time.perf_counter() - started,
         )
 
-    # ------------------------------------------------------------------- link
-    def run_link_records(self, scenarios) -> list:
-        """Run link scenarios through the runner, reusing memoized records.
 
-        Only scenarios whose hash is not in the in-process memo are
-        simulated; results come back in input order.
-        """
-        pending = []
-        seen = set()
-        for scenario in scenarios:
-            key = scenario.scenario_hash()
-            if key not in self._memo and key not in seen:
-                pending.append(scenario)
-                seen.add(key)
-        if pending:
-            runner = ExperimentRunner(
-                max_workers=self.max_workers, cache_dir=self.cache_dir
-            )
-            # Stream rather than block: each record enters the memo the
-            # moment it completes, so a progress consumer (or an exception
-            # later in the sweep) still leaves the finished prefix reusable.
-            for record in runner.iter_run(pending, progress=self.progress):
-                self._memo[record.scenario.scenario_hash()] = record
-        return [self._memo[s.scenario_hash()] for s in scenarios]
+def _trial_key(
+    spec: FigureSpec, axis_value, trial: int, base_seed: int, quick: bool
+) -> tuple:
+    """Everything one trial's outcome depends on.
 
-    def _run_link(
-        self, spec: FigureSpec, grid, variants: dict, quick: bool
-    ) -> dict:
-        cells = [
-            (axis_value, name, trial)
-            for axis_value in grid
-            for name in variants
-            for trial in range(self.trials)
-        ]
-        scenarios = [
-            link_scenario(variants[name], axis_value, trial, self.base_seed, quick)
-            for axis_value, name, trial in cells
-        ]
-        known = sum(1 for s in scenarios if s.scenario_hash() in self._memo)
-        records = self.run_link_records(scenarios)
-        self._emit(
-            f"{spec.name}: {len(scenarios)} scenarios "
-            f"({known} reused from this run)"
-        )
-        trials: dict = {}
-        for (axis_value, name, trial), record in zip(cells, records):
-            trials.setdefault((axis_value, trial), {})[name] = link_outcome(record)
-        return {
-            axis_value: [
-                _merge_variants(trials[axis_value, trial]) for trial in range(self.trials)
-            ]
-            for axis_value in grid
-        }
+    An executor reads only its spec's kind, axis and parameters (resolved
+    for the mode), the axis value and the cell seed, so two cells -- of
+    one figure or of two -- that agree on these have equal outcomes.
+    """
+    params = {
+        key: spec.param(key, quick=quick)
+        for key in spec.params
+        if not key.startswith("quick_")
+    }
+    seed = spec.point_seed(axis_value, trial, base_seed)
+    return (spec.kind, spec.axis, axis_value, seed, quick, tuple(sorted(params.items())))
+
+
+def _run_trial(task: tuple) -> TrialOutcome:
+    """Run one ``(spec, axis value, trial, base seed, quick)`` trial
+    with its kind's executor (a process-pool target)."""
+    spec = task[0]
+    return EXECUTORS[spec.kind](*task)
 
 
 def _merge_variants(outcomes: dict[str, TrialOutcome]) -> TrialOutcome:

@@ -4,7 +4,7 @@ The production decoder in :mod:`repro.fec.convolutional` is fully
 vectorized; this module keeps a per-state/per-bit Python loop
 implementation as an executable specification.  The golden equivalence
 tests assert the two produce bit-identical decisions for every input
-class (hard, soft, erasures, punctured, terminated or not).
+class (hard, soft, erasures, punctured).
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ from repro.fec.convolutional import (
 )
 
 
-def reference_encode(
-    code: ConvolutionalCode, bits: np.ndarray | list[int], terminate: bool = True
-) -> np.ndarray:
+def reference_encode(code: ConvolutionalCode, bits: np.ndarray | list[int]) -> np.ndarray:
     """Encode ``bits`` by stepping the shift register one input bit at a time."""
     data = np.asarray(bits, dtype=int).ravel()
     if data.size and not np.all((data == 0) | (data == 1)):
         raise ValueError("bits must contain only 0s and 1s")
-    if terminate:
-        data = np.concatenate([data, np.zeros(code.num_tail_bits, dtype=int)])
     state = 0
     out = np.empty(data.size * code.num_outputs, dtype=int)
     for i, bit in enumerate(data):
@@ -39,7 +35,6 @@ def reference_decode(
     code: ConvolutionalCode,
     soft_bits: np.ndarray | list[float],
     num_data_bits: int | None = None,
-    terminated: bool = True,
 ) -> np.ndarray:
     """Viterbi-decode with explicit per-state add-compare-select loops.
 
@@ -56,10 +51,9 @@ def reference_decode(
     num_steps = soft.size // code.num_outputs
     if num_steps == 0:
         return np.array([], dtype=int)
-    tail = code.num_tail_bits if terminated else 0
     if num_data_bits is None:
-        num_data_bits = num_steps - tail
-    if num_data_bits < 0 or num_data_bits + tail > num_steps:
+        num_data_bits = num_steps
+    if num_data_bits < 0 or num_data_bits > num_steps:
         raise ValueError("num_data_bits inconsistent with coded stream length")
 
     observations = soft.reshape(num_steps, code.num_outputs)
@@ -94,10 +88,7 @@ def reference_decode(
         decisions[step] = new_decision
         predecessors[step] = new_pred
 
-    if terminated and path_metric[0] > -np.inf:
-        state = 0
-    else:
-        state = int(np.argmax(path_metric))
+    state = int(np.argmax(path_metric))
     decoded = np.zeros(num_steps, dtype=int)
     for step in range(num_steps - 1, -1, -1):
         decoded[step] = decisions[step, state]
@@ -121,4 +112,4 @@ def reference_punctured_decode(
     mask = code._puncture_mask(num_data_bits)
     depunctured = np.full(mask.size, np.nan)
     depunctured[mask] = soft
-    return reference_decode(code.mother, depunctured, num_data_bits=num_data_bits, terminated=False)
+    return reference_decode(code.mother, depunctured, num_data_bits=num_data_bits)

@@ -3,9 +3,9 @@
 The vectorized decoder in :mod:`repro.fec.convolutional` must make the
 *same decisions* as the loop implementation in :mod:`oracles.fec` --
 not just decode correctly, but be bit-identical on every input class:
-random codewords, hard and soft inputs, erasure (NaN) patterns, the
-punctured rate-2/3 configuration, and terminated as well as unterminated
-trellises.  Noise levels are chosen
+random codewords, hard and soft inputs, erasure (NaN) patterns and the
+punctured rate-2/3 configuration, all on the unterminated trellis the
+modem runs.  Noise levels are chosen
 high enough that many decodes contain residual errors, so the tests also
 pin down tie-breaking and traceback behaviour, not only the easy
 error-free paths.
@@ -43,60 +43,63 @@ def code():
     return ConvolutionalCode(7, PuncturedConvolutionalCode.POLYNOMIALS)
 
 
-@pytest.mark.parametrize("terminate", [True, False])
-def test_encode_matches_reference(code, terminate):
+def _skip_tail_leg(rng, n, tail_steps, noise_std, erasures=False):
+    """Draw what a former zero-tail leg drew from ``rng`` before the
+    unterminated one, so the unterminated case keeps its inputs."""
+    rng.integers(0, 2, n)
+    rng.normal(0.0, noise_std, 2 * (n + tail_steps))
+    if erasures:
+        rng.random(2 * (n + tail_steps))
+
+
+def test_encode_matches_reference(code):
     rng = np.random.default_rng(100)
     for n in (1, 2, 7, 16, 63, 200):
         bits = rng.integers(0, 2, n)
-        np.testing.assert_array_equal(
-            code.encode(bits, terminate=terminate),
-            reference_encode(code, bits, terminate=terminate),
-        )
+        np.testing.assert_array_equal(code.encode(bits), reference_encode(code, bits))
 
 
-@pytest.mark.parametrize("terminated", [True, False])
-def test_decode_hard_bits_matches_reference(code, terminated):
+def test_decode_hard_bits_matches_reference(code):
     rng = np.random.default_rng(101)
     for iteration in range(15):
         n = int(rng.integers(1, 100))
-        coded = code.encode(rng.integers(0, 2, n), terminate=terminated).astype(float)
+        coded = code.encode(rng.integers(0, 2, n)).astype(float)
         flips = rng.random(coded.size) < 0.08
         coded[flips] = 1 - coded[flips]
         assert_bit_identical_seeded(
-            code.decode(coded, num_data_bits=n, terminated=terminated),
-            reference_decode(code, coded, num_data_bits=n, terminated=terminated),
+            code.decode(coded, num_data_bits=n),
+            reference_decode(code, coded, num_data_bits=n),
             seed=(101, iteration), label="viterbi hard-bit decode vs reference",
-            detail=f"n={n} terminated={terminated}",
+            detail=f"n={n}",
         )
 
 
-@pytest.mark.parametrize("terminated", [True, False])
-def test_decode_soft_values_matches_reference(code, terminated):
+def test_decode_soft_values_matches_reference(code):
     rng = np.random.default_rng(102)
     for iteration in range(15):
         n = int(rng.integers(1, 100))
-        coded = code.encode(rng.integers(0, 2, n), terminate=terminated)
+        coded = code.encode(rng.integers(0, 2, n))
         soft = (coded * 2.0 - 1.0) + rng.normal(0.0, 0.8, coded.size)
         assert_bit_identical_seeded(
-            code.decode(soft, num_data_bits=n, terminated=terminated),
-            reference_decode(code, soft, num_data_bits=n, terminated=terminated),
+            code.decode(soft, num_data_bits=n),
+            reference_decode(code, soft, num_data_bits=n),
             seed=(102, iteration), label="viterbi soft decode vs reference",
-            detail=f"n={n} terminated={terminated}",
+            detail=f"n={n}",
         )
 
 
 @pytest.mark.parametrize("erasure_fraction", [0.1, 0.3, 0.6])
 def test_decode_with_erasures_matches_reference(code, erasure_fraction):
     rng = np.random.default_rng(103)
-    for terminated in (True, False):
-        n = 80
-        coded = code.encode(rng.integers(0, 2, n), terminate=terminated)
-        soft = (coded * 2.0 - 1.0) + rng.normal(0.0, 0.5, coded.size)
-        soft[rng.random(soft.size) < erasure_fraction] = np.nan
-        np.testing.assert_array_equal(
-            code.decode(soft, num_data_bits=n, terminated=terminated),
-            reference_decode(code, soft, num_data_bits=n, terminated=terminated),
-        )
+    n = 80
+    _skip_tail_leg(rng, n, tail_steps=6, noise_std=0.5, erasures=True)
+    coded = code.encode(rng.integers(0, 2, n))
+    soft = (coded * 2.0 - 1.0) + rng.normal(0.0, 0.5, coded.size)
+    soft[rng.random(soft.size) < erasure_fraction] = np.nan
+    np.testing.assert_array_equal(
+        code.decode(soft, num_data_bits=n),
+        reference_decode(code, soft, num_data_bits=n),
+    )
 
 
 def test_decode_fully_erased_steps_match_reference(code):
@@ -168,14 +171,14 @@ def test_other_code_parameters_match_reference():
     # generic trellis construction, not just the cached (7, 133/171) case.
     small = ConvolutionalCode(constraint_length=5, polynomials=(0o23, 0o35))
     rng = np.random.default_rng(107)
-    for terminated in (True, False):
-        n = 50
-        coded = small.encode(rng.integers(0, 2, n), terminate=terminated)
-        soft = (coded * 2.0 - 1.0) + rng.normal(0.0, 0.6, coded.size)
-        np.testing.assert_array_equal(
-            small.decode(soft, num_data_bits=n, terminated=terminated),
-            reference_decode(small, soft, num_data_bits=n, terminated=terminated),
-        )
+    n = 50
+    _skip_tail_leg(rng, n, tail_steps=4, noise_std=0.6)
+    coded = small.encode(rng.integers(0, 2, n))
+    soft = (coded * 2.0 - 1.0) + rng.normal(0.0, 0.6, coded.size)
+    np.testing.assert_array_equal(
+        small.decode(soft, num_data_bits=n),
+        reference_decode(small, soft, num_data_bits=n),
+    )
 
 
 def test_three_output_code_matches_reference():

@@ -52,23 +52,12 @@ def test_convolutional_code_roundtrip_property(bits):
 def test_single_coded_bit_flip_is_corrected(bits, flip_position):
     """Early coded-bit flips are always corrected by the unterminated code.
 
-    (Flips in the final constraint length of an *unterminated* stream have
-    weaker protection; the terminated mother code is tested below.)
+    (Flips in the final constraint length of an unterminated stream have
+    weaker protection.)
     """
     coded = CODE.encode(bits).astype(float)
     coded[flip_position] = 1.0 - coded[flip_position]
     decoded = CODE.decode(coded, num_data_bits=16)
-    np.testing.assert_array_equal(decoded, np.asarray(bits))
-
-
-@_examples
-@given(st.lists(st.integers(0, 1), min_size=16, max_size=16),
-       st.integers(min_value=0, max_value=23))
-def test_single_flip_corrected_by_terminated_code(bits, flip_position):
-    code = CODE.mother
-    coded = code.encode(bits, terminate=True).astype(float)
-    coded[flip_position] = 1.0 - coded[flip_position]
-    decoded = code.decode(coded, num_data_bits=16, terminated=True)
     np.testing.assert_array_equal(decoded, np.asarray(bits))
 
 

@@ -1,14 +1,17 @@
 """Nothing in ``src/`` exists only for the tests.
 
-Definitions: a top-level function or class, or a non-dunder method, of
-``src/repro`` is *test-only* when its name never appears as a ``Name`` or
-an ``Attribute`` anywhere in ``src/``, ``perfbench/*.py`` or
-``examples/*.py`` (f-string fields included), nor as an identifier inside
-a ``perfbench/`` string constant (``perfbench/layers.py`` names the
-methods it times as ``"Class.method"`` strings).  Import aliases and
-``__all__`` entries are not uses.  The scan is by name, so a definition
-whose name collides with a used name (``median``, a dataclass field)
-escapes it; the guard catches the common case, not every one.
+Definitions: a non-dunder method of a top-level ``src/repro`` class is
+*test-only* when nothing in ``src/``, ``perfbench/*.py`` or
+``examples/*.py`` (f-string fields included) reaches its name through an
+attribute access (``obj.name``) or a string constant that is a whole
+dotted identifier (``perfbench/layers.py`` names the methods it times as
+``"Class.method"`` strings; ``getattr(routing, "has_route")``).  A
+top-level function or class is test-only when its name appears there in
+neither of these ways nor as a bare ``Name``.  A local variable or a word
+of prose that shares a method's name therefore does not hide it.  Import
+aliases and ``__all__`` entries are not uses.  The scan is by name, so a
+definition whose name collides with a used one (``median``, a dataclass
+field) escapes it; the guard catches the common case, not every one.
 
 A test-only definition belongs in ``tests/oracles/`` (a reference a test
 compares against) or nowhere.  The few that stay are listed below with
@@ -55,6 +58,10 @@ ALLOWLIST: dict[str, str] = {
     "repro.core.modem.AquaModem.decode_header": (
         "the paper's receiver-ID step, listed in AquaModem's protocol table"
     ),
+    "repro.experiments.records.ResultSet.lookup": (
+        "documented API: the experiments examples of README and of the "
+        "repro.experiments docstring look a record up by scenario fields"
+    ),
     "repro.experiments.sweep.Sweep.paired": (
         "documented API: README's experiments example pairs distances "
         "with seeds"
@@ -82,7 +89,7 @@ OPTION_ALLOWLIST: dict[str, str] = {
     ),
 }
 
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED_IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", re.ASCII)
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -94,46 +101,59 @@ def _parse(pattern: str) -> tuple[tuple[Path, ast.Module], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _used_names() -> frozenset[str]:
-    used: set[str] = set()
+def _used_names() -> tuple[frozenset[str], frozenset[str]]:
+    """``(bare names, names reached as attributes)`` outside the tests.
+
+    An attribute access ``obj.name`` or a string constant that is a whole
+    dotted identifier (``"Class.method"``, ``"has_route"``) reaches each
+    of its parts as an attribute.
+    """
+    bare: set[str] = set()
+    attributes: set[str] = set()
     for pattern in ("src/**/*.py", "perfbench/*.py", "examples/*.py"):
-        in_perfbench = pattern.startswith("perfbench")
         for _, tree in _parse(pattern):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    used.add(node.id)
+                    bare.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+                    attributes.add(node.attr)
                 elif (
-                    in_perfbench
-                    and isinstance(node, ast.Constant)
+                    isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
+                    and _DOTTED_IDENTIFIER.fullmatch(node.value)
                 ):
-                    used.update(_IDENTIFIER.findall(node.value))
-    return frozenset(used)
+                    attributes.update(node.value.split("."))
+    return frozenset(bare), frozenset(attributes)
 
 
-def _src_definitions() -> dict[str, str]:
-    """``{qualified name: bare name}`` of every scanned ``src/`` definition."""
-    definitions: dict[str, str] = {}
+def _src_definitions() -> dict[str, tuple[str, bool]]:
+    """``{qualified name: (bare name, is a method)}`` of every scanned
+    ``src/`` definition."""
+    definitions: dict[str, tuple[str, bool]] = {}
     for path, tree in _parse("src/**/*.py"):
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
         for node in tree.body:
             if not isinstance(node, _DEFS):
                 continue
-            definitions[f"{module}.{node.name}"] = node.name
+            definitions[f"{module}.{node.name}"] = (node.name, False)
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, _METHODS) and not (
                         member.name.startswith("__") and member.name.endswith("__")
                     ):
-                        definitions[f"{module}.{node.name}.{member.name}"] = member.name
+                        definitions[f"{module}.{node.name}.{member.name}"] = (
+                            member.name, True,
+                        )
     return definitions
 
 
 def _test_only() -> set[str]:
-    used = _used_names()
-    return {qual for qual, name in _src_definitions().items() if name not in used}
+    bare, attributes = _used_names()
+    return {
+        qual
+        for qual, (name, method) in _src_definitions().items()
+        if name not in attributes and (method or name not in bare)
+    }
 
 
 def test_no_src_definition_is_reached_only_from_tests():

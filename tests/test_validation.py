@@ -265,50 +265,81 @@ def test_montecarlo_sos_and_net_figures_run():
     assert pdr.total > 0 and 0.0 <= pdr.mean <= 1.0
 
 
+def _count_trials(monkeypatch, kind: str) -> list:
+    """Record ``(spec, axis value, trial)`` of every call of one kind's
+    executor; the runner must be serial for the calls to be seen."""
+    calls = []
+    real = EXECUTORS[kind]
+
+    def counting(spec, axis_value, trial, base_seed, quick):
+        calls.append((spec, axis_value, trial))
+        return real(spec, axis_value, trial, base_seed, quick)
+
+    monkeypatch.setitem(EXECUTORS, kind, counting)
+    return calls
+
+
 def test_montecarlo_memo_reuses_records_across_figures(monkeypatch):
-    """ber_vs_snr and throughput_vs_distance sweep identical scenarios;
-    one shared runner must simulate each grid cell exactly once."""
-    import repro.validation.montecarlo as mc_module
-
-    executed = []
-    real_runner = mc_module.ExperimentRunner
-
-    class CountingRunner(real_runner):
-        def iter_run(self, scenarios, progress=None):
-            scenarios = list(scenarios)
-            executed.extend(s.scenario_hash() for s in scenarios)
-            return super().iter_run(scenarios, progress=progress)
-
-    monkeypatch.setattr(mc_module, "ExperimentRunner", CountingRunner)
+    """ber_vs_snr and throughput_vs_distance sweep identical link cells;
+    one shared runner must run each cell exactly once."""
+    calls = _count_trials(monkeypatch, "link")
     runner = MonteCarloRunner(trials=1, max_workers=1)
     first = runner.run("ber_vs_snr", quick=True)
-    count_after_first = len(executed)
+    assert len(calls) == 2  # 2 quick points x 1 trial
     second = runner.run("throughput_vs_distance", quick=True)
-    assert count_after_first == 2  # 2 quick points x 1 trial
-    assert len(executed) == count_after_first  # fully served from the memo
-    assert first.points[0].axis_value == second.points[0].axis_value
+    assert len(calls) == 2  # fully served from the memo
+    assert [p.axis_value for p in first.points] == [p.axis_value for p in second.points]
+    for a, b in zip(first.points, second.points):
+        assert a.summary("per") == b.summary("per")
 
 
 def test_montecarlo_variants_share_each_cell_seed(monkeypatch):
     """Every variant of a (point, trial) cell runs on that cell's seed and
     reports its metrics as ``metric@variant``."""
-    import repro.validation.montecarlo as mc_module
-
-    executed = []
-    real_runner = mc_module.ExperimentRunner
-
-    class RecordingRunner(real_runner):
-        def iter_run(self, scenarios, progress=None):
-            executed.extend(scenarios)
-            return super().iter_run(scenarios, progress=progress)
-
-    monkeypatch.setattr(mc_module, "ExperimentRunner", RecordingRunner)
+    calls = _count_trials(monkeypatch, "link")
     spec = get_figure("receive_chain")
     spec = dataclasses.replace(spec, params={**spec.params, "quick_num_packets": 1})
     result = MonteCarloRunner(trials=2, max_workers=1).run(spec, quick=True)
-    assert [s.seed for s in executed] == [spec.point_seed(20.0, t) for t in (0, 1)] * 2
-    assert {s.modem.use_equalizer for s in executed} == {True, False}
+    scenarios = [link_scenario(s, value, trial, 0, True) for s, value, trial in calls]
+    seeds = [spec.point_seed(20.0, t) for t in (0, 1)]
+    assert sorted((s.seed, s.modem.use_equalizer) for s in scenarios) == sorted(
+        (seed, equalizer) for seed in seeds for equalizer in (True, False)
+    )
     assert {"per@full", "per@no-equalizer"} <= set(result.points[0].summaries)
+
+
+def _shrunk(name: str, **params):
+    spec = get_figure(name)
+    return dataclasses.replace(spec, params={**spec.params, **params})
+
+
+def test_montecarlo_points_do_not_depend_on_the_worker_count():
+    """A trial's outcome depends only on its cell, so a pooled run and an
+    in-process run of the same figures report equal points."""
+    specs = [
+        _shrunk("ber_vs_snr", quick_num_packets=1),
+        _shrunk("sos_range", quick_repetitions=1),
+        dataclasses.replace(get_figure("ambient_noise"), values=(0.25,),
+                            quick_values=(0.25,)),
+        _shrunk("net_pdr_vs_hops", quick_duration_s=20.0),
+    ]
+    serial, pooled = (MonteCarloRunner(trials=1, max_workers=workers)
+                      for workers in (1, 2))
+    for spec in specs:
+        assert pooled.run(spec, quick=True).points == serial.run(spec, quick=True).points
+
+
+def test_ambient_noise_twin_cell_runs_once(monkeypatch):
+    """The lake site and the galaxy_s9 device variants of Fig. 4 are the
+    same trial (the spec's defaults); it runs once and both report it."""
+    calls = _count_trials(monkeypatch, "noise")
+    spec = dataclasses.replace(get_figure("ambient_noise"), values=(0.25,),
+                               quick_values=(0.25,))
+    result = MonteCarloRunner(trials=1, max_workers=1).run(spec)
+    assert len(spec.variants) == 9 and len(calls) == 8
+    lake, s9 = (result.points[0].summary(f"band_1k_4k5_db@{name}")
+                for name in ("lake", "galaxy_s9"))
+    assert dataclasses.replace(lake, name=s9.name) == s9
 
 
 def test_montecarlo_rejects_bad_trials():
