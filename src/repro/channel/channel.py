@@ -18,6 +18,7 @@ swapped *and* a slightly perturbed geometry, rather than a mirror image.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.channel.multipath import ImageMethodGeometry, MultipathModel
 from repro.channel.noise import AmbientNoiseModel
 from repro.devices.case import SOFT_POUCH, WaterproofCase
 from repro.devices.models import GALAXY_S9, DeviceModel
+from repro.devices.response import FrequencyResponse
 from repro.dsp.fastconv import convolve_cascade, convolve_full, convolve_shared
 from repro.dsp.resample import apply_doppler, doppler_factor
 from repro.utils.rng import ensure_rng
@@ -54,6 +56,30 @@ class ChannelOutput:
     motion: MotionState
     doppler: float
     in_band_snr_db: float
+
+
+@functools.lru_cache(maxsize=32)
+def _device_chain(
+    tx_device: DeviceModel,
+    tx_case: WaterproofCase,
+    rx_device: DeviceModel,
+    rx_case: WaterproofCase,
+    sample_rate_hz: float,
+) -> tuple[FrequencyResponse, np.ndarray]:
+    """The speaker-case-microphone-case response and its read-only FIR.
+
+    Designed once per process per chain, keyed by value (the device and
+    case dataclasses are frozen): a sweep builds a channel per scenario
+    from a handful of catalog devices and cases.
+    """
+    combined = tx_device.speaker_response.combined_with(
+        tx_case.response, label="tx chain"
+    ).combined_with(
+        rx_device.microphone_response, label="tx+rx chain"
+    ).combined_with(rx_case.response, label="device chain")
+    fir = combined.as_fir(sample_rate_hz, num_taps=257)
+    fir.setflags(write=False)
+    return combined, fir
 
 
 class UnderwaterAcousticChannel:
@@ -90,14 +116,11 @@ class UnderwaterAcousticChannel:
 
     # ------------------------------------------------------------------ setup
     def _rebuild_filters(self) -> None:
-        """Precompute the cascaded device/case FIR and the multipath taps."""
-        combined = self.tx_device.speaker_response.combined_with(
-            self.tx_case.response, label="tx chain"
-        ).combined_with(
-            self.rx_device.microphone_response, label="tx+rx chain"
-        ).combined_with(self.rx_case.response, label="device chain")
-        self._device_response = combined
-        self._device_fir = combined.as_fir(self.sample_rate_hz, num_taps=257)
+        """Look up the cascaded device/case FIR and build the multipath taps."""
+        self._device_response, self._device_fir = _device_chain(
+            self.tx_device, self.tx_case, self.rx_device, self.rx_case,
+            self.sample_rate_hz,
+        )
         self._device_fir_delay = (self._device_fir.size - 1) // 2
         self._impulse_response = self.multipath.impulse_response(self.sample_rate_hz)
 

@@ -620,6 +620,18 @@ def _run_validate(args) -> int:
     # Each named figure runs once, in first-seen order.
     figures = list(dict.fromkeys(args.figure or available_figures()))
     trials = args.trials if args.trials is not None else (2 if args.quick else 5)
+    # Read every envelope before the first trial, so a missing one fails
+    # at once rather than after the figures before it have run.
+    envelopes = {}
+    if args.compare_reference:
+        for name in figures:
+            envelope_path = valid_json_path(name, args.reference_dir)
+            try:
+                envelopes[name] = load_envelope(envelope_path)
+            except (OSError, ValueError, KeyError) as error:
+                print(f"error: cannot read envelope {envelope_path}: {error}",
+                      file=sys.stderr)
+                return 2
 
     try:
         runner = MonteCarloRunner(
@@ -639,14 +651,7 @@ def _run_validate(args) -> int:
             result=result, claims=evaluate_claims(spec, result)
         )
         if args.compare_reference:
-            envelope_path = valid_json_path(name, args.reference_dir)
-            try:
-                envelope = load_envelope(envelope_path)
-            except (OSError, ValueError, KeyError) as error:
-                print(f"error: cannot read envelope {envelope_path}: {error}",
-                      file=sys.stderr)
-                return 2
-            figure_report.checks = check_against_envelope(result, envelope, spec)
+            figure_report.checks = check_against_envelope(result, envelopes[name], spec)
             figure_report.compared = True
         if args.write_reference:
             path = write_envelope(result, args.reference_dir)

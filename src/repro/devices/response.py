@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dsp.fastconv import convolve_full
 from repro.dsp.filters import design_fir_from_response
 from repro.utils.validation import require_positive
 
@@ -91,14 +92,15 @@ class FrequencyResponse:
         return design_fir_from_response(grid, self.gain_db(grid), sample_rate_hz, num_taps)
 
     def apply(self, samples: np.ndarray, sample_rate_hz: float = 48000.0) -> np.ndarray:
-        """Filter ``samples`` with this response (group delay compensated)."""
-        from scipy.signal import lfilter
+        """Filter ``samples`` with this response (group delay compensated).
 
+        An FFT convolution, equal to direct FIR filtering within ~1e-13
+        relative.
+        """
         taps = self.as_fir(sample_rate_hz)
         delay = (taps.size - 1) // 2
-        padded = np.concatenate([np.asarray(samples, dtype=float), np.zeros(taps.size)])
-        filtered = lfilter(taps, 1.0, padded)
-        return filtered[delay:delay + len(samples)]
+        samples = np.asarray(samples, dtype=float)
+        return convolve_full(samples, taps)[delay:delay + samples.size]
 
     def combined_with(self, other: "FrequencyResponse", label: str = "") -> "FrequencyResponse":
         """Return the cascade of two responses (gains added in dB)."""

@@ -8,8 +8,10 @@ correlators (:mod:`repro.dsp.correlation`), the cached-spectrum FFT
 convolutions (:mod:`repro.dsp.fastconv`) and the equalizer's Toeplitz
 solver (:mod:`repro.dsp.levinson`) are imported from their modules.
 
-None of them imports SciPy at import time: each SciPy kernel loads on its
-first call, and :func:`load_scipy_kernels` loads them all at once.
+The PHY's two SciPy kernels are the FFTs of :mod:`repro.dsp.fastconv` and
+the Levinson solver of :mod:`repro.dsp.levinson`; the filter designs are
+numpy.  No module here imports SciPy at import time: each kernel loads on
+its first call, and :func:`load_scipy_kernels` loads both at once.
 """
 
 from repro.dsp import fastconv, levinson
@@ -35,9 +37,8 @@ def load_scipy_kernels() -> None:
 
     A process that is about to fork PHY workers calls this first, so the
     workers inherit the loaded kernels instead of each importing SciPy on
-    its first packet.
+    its first packet; a serial run calls it too, so its first scenario is
+    not timed with the import.
     """
-    import scipy.signal  # noqa: F401 -- filter design (firwin, firwin2, lfilter)
-
     fastconv.load_kernels()
     levinson.load_kernel()

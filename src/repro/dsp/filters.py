@@ -1,22 +1,32 @@
-"""FIR filtering helpers.
+"""FIR filter design and application.
 
 The receiver applies a 128-order FIR band-pass filter with a 1-4 kHz
 passband to the incoming audio before any further processing (paper
 section 2.3.2); device and case frequency responses are also realized as
 FIR filters designed by frequency sampling.
 
-The designs run :func:`scipy.signal.firwin` / ``firwin2``, imported at the
-call: ``scipy.signal`` pulls in most of SciPy, and importing it here would
-make every ``import repro`` pay for it, although only building a modem or
-a device response designs a filter.
+Both designs are numpy code that repeats SciPy's ``firwin`` / ``firwin2``
+operation for operation, so the taps are bit-identical to SciPy's on the
+same machine (``tests/test_dsp_filters.py`` checks them against SciPy),
+and no PHY process imports ``scipy.signal``, whose import, with the
+``stats``, ``interpolate`` and ``optimize`` modules it loads, was half of
+a link sweep's start-up.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-from repro.dsp.fastconv import convolve_full
+from repro.dsp.fastconv import convolve_full, irfft_n
 from repro.utils.validation import require_positive
+
+
+def _hamming(num_taps: int) -> np.ndarray:
+    """Symmetric Hamming window, as SciPy's ``general_cosine`` computes it."""
+    return 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, num_taps))
 
 
 def design_bandpass_fir(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
@@ -32,15 +42,20 @@ def design_bandpass_fir(low_hz: float, high_hz: float, sample_rate_hz: float) ->
     The paper's "128 order" filter has 129 taps, an odd count, so the
     band-pass response is realizable as a type-I linear phase filter.
     """
-    from scipy.signal import firwin
-
     require_positive(sample_rate_hz, "sample_rate_hz")
     if not 0 < low_hz < high_hz < sample_rate_hz / 2:
         raise ValueError(
             f"band edges must satisfy 0 < low < high < Nyquist, got "
             f"({low_hz}, {high_hz}) at fs={sample_rate_hz}"
         )
-    return firwin(129, [low_hz, high_hz], pass_zero=False, fs=sample_rate_hz)
+    num_taps = 129
+    left, right = np.array([low_hz, high_hz], dtype=float) / float(0.5 * sample_rate_hz)
+    m = np.arange(num_taps, dtype=float) - 0.5 * (num_taps - 1)
+    taps = right * np.sinc(right * m) - left * np.sinc(left * m)
+    taps *= _hamming(num_taps)
+    # Unit gain at the passband centre.
+    taps /= np.sum(taps * np.cos(np.pi * m * (0.5 * (left + right))))
+    return taps
 
 
 def design_fir_from_response(
@@ -56,8 +71,6 @@ def design_fir_from_response(
     specified as gains in dB at the given frequencies and interpolated onto
     a dense frequency grid before the frequency-sampling design.
     """
-    from scipy.signal import firwin2
-
     require_positive(sample_rate_hz, "sample_rate_hz")
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     gains_db = np.asarray(gains_db, dtype=float)
@@ -74,7 +87,23 @@ def design_fir_from_response(
     # audio-band work; the communication band (1-4 kHz) is far from both.
     gains_linear[0] = 0.0
     gains_linear[-1] = 0.0
-    return firwin2(num_taps, grid, gains_linear, fs=sample_rate_hz)
+    # Frequency sampling: the target on a uniform mesh of 1 + 2**k points,
+    # delayed by half the filter length so that the first ``num_taps``
+    # samples of the inverse transform are the linear-phase taps.
+    num_freqs = 1 + 2 ** int(math.ceil(math.log(num_taps, 2)))
+    mesh = np.linspace(0.0, nyquist, num_freqs)
+    target = np.interp(mesh, grid, gains_linear)
+    shift = np.exp(-(num_taps - 1) / 2.0 * 1j * np.pi * mesh / nyquist)
+    impulse = irfft_n(target * shift, 2 * (num_freqs - 1))
+    return impulse[:num_taps] * _hamming(num_taps)
+
+
+@functools.lru_cache(maxsize=8)
+def _bandpass_taps(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
+    """:func:`design_bandpass_fir`, designed once per process and read-only."""
+    taps = design_bandpass_fir(low_hz, high_hz, sample_rate_hz)
+    taps.setflags(write=False)
+    return taps
 
 
 class FIRBandpassFilter:
@@ -82,7 +111,8 @@ class FIRBandpassFilter:
 
     Instances are reusable and stateless between calls (each call filters a
     complete buffer, mirroring the packet-at-a-time processing of the
-    modem's receive path).
+    modem's receive path).  Filters with the same band and rate share one
+    read-only taps array.
     """
 
     def __init__(
@@ -94,7 +124,7 @@ class FIRBandpassFilter:
         self.low_hz = float(low_hz)
         self.high_hz = float(high_hz)
         self.sample_rate_hz = float(sample_rate_hz)
-        self.taps = design_bandpass_fir(low_hz, high_hz, sample_rate_hz)
+        self.taps = _bandpass_taps(self.low_hz, self.high_hz, self.sample_rate_hz)
 
     @property
     def num_taps(self) -> int:

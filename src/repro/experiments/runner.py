@@ -92,7 +92,14 @@ def ordered_map(function: Callable, items: list, max_workers: int | None) -> Ite
     every worker receives a few: pickling overhead is amortized on large
     batches without starving workers on small ones.  ``function`` must be
     a module-level callable and its items picklable.
+
+    With any item to run, the PHY's SciPy kernels load first, so forked
+    workers inherit them and a serial run's first item is not timed with
+    the import.
     """
+    if not items:
+        return
+    load_scipy_kernels()
     workers = max_workers
     if workers is None:
         workers = min(len(items), os.cpu_count() or 1)
@@ -100,9 +107,6 @@ def ordered_map(function: Callable, items: list, max_workers: int | None) -> Ite
         yield from map(function, items)
         return
     chunk = max(1, len(items) // (4 * workers))
-    # Forked workers inherit the parent's modules: load the PHY's SciPy
-    # kernels once here, not once per worker.
-    load_scipy_kernels()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # pool.map yields in submission order as chunks finish.
         yield from pool.map(function, items, chunksize=chunk)

@@ -23,6 +23,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
+_INF = float("inf")
+
 
 class Event:
     """One scheduled action.
@@ -102,13 +104,15 @@ class Scheduler:
         ``key`` is a stable same-time tie-break (compared before the
         insertion counter); it must be a tuple of mutually comparable
         elements across all callers that can collide in time.  The
-        default empty tuple preserves pure insertion ordering.
+        default empty tuple preserves pure insertion ordering.  A time
+        before the current one or not finite raises ``ValueError`` (a NaN
+        would pass a bare ``<`` test and turn the clock into NaN).
         """
         time_s = float(time_s)
-        if time_s < self._now_s:
+        if not self._now_s <= time_s < _INF:
             raise ValueError(
-                f"cannot schedule at {time_s} s: simulation time is already "
-                f"{self._now_s} s"
+                f"cannot schedule at {time_s} s: event times must be finite "
+                f"and not before the simulation time {self._now_s} s"
             )
         sequence = self._sequence
         self._sequence = sequence + 1

@@ -1,4 +1,5 @@
-"""Loop and dense-matrix references for the DSP fast paths and sequences."""
+"""Loop, dense-matrix and SciPy references for the DSP fast paths, filter
+designs and sequences."""
 
 from __future__ import annotations
 
@@ -106,3 +107,54 @@ def periodic_autocorrelation(sequence: np.ndarray) -> np.ndarray:
     for lag in range(n):
         lags[lag] = np.sum(sequence * np.conj(np.roll(sequence, lag))) / energy
     return lags
+
+
+def firwin_bandpass(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
+    """SciPy's ``firwin`` design of the 129-tap receive band-pass.
+
+    The reference for :func:`repro.dsp.filters.design_bandpass_fir`.
+    """
+    return sp_signal.firwin(129, [low_hz, high_hz], pass_zero=False, fs=sample_rate_hz)
+
+
+def firwin2_design(
+    freqs_hz: np.ndarray,
+    gains_db: np.ndarray,
+    sample_rate_hz: float,
+    num_taps: int = 257,
+) -> np.ndarray:
+    """SciPy's ``firwin2`` design of a response given in dB.
+
+    The reference for :func:`repro.dsp.filters.design_fir_from_response`,
+    with the same arguments and the same 512-point linear target (zeroed
+    at DC and Nyquist).
+    """
+    freqs_hz = np.asarray(freqs_hz, dtype=float)
+    gains_db = np.asarray(gains_db, dtype=float)
+    nyquist = sample_rate_hz / 2.0
+    if num_taps % 2 == 0:
+        num_taps += 1
+    grid = np.linspace(0.0, nyquist, 512)
+    gains_linear = 10.0 ** (
+        np.interp(grid, freqs_hz, gains_db, left=gains_db[0], right=gains_db[-1]) / 20.0
+    )
+    gains_linear[0] = 0.0
+    gains_linear[-1] = 0.0
+    return sp_signal.firwin2(num_taps, grid, gains_linear, fs=sample_rate_hz)
+
+
+def response_fir(response, sample_rate_hz: float = 48000.0, num_taps: int = 257) -> np.ndarray:
+    """A :class:`~repro.devices.response.FrequencyResponse` as an FIR, by
+    :func:`firwin2_design` on the grid ``FrequencyResponse.as_fir`` samples."""
+    grid = np.linspace(50.0, sample_rate_hz / 2.0 - 50.0, 256)
+    return firwin2_design(grid, response.gain_db(grid), sample_rate_hz, num_taps)
+
+
+def lfilter_compensated(taps: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Direct-form FIR filtering (``lfilter``) with the group delay removed.
+
+    The reference for :meth:`repro.devices.response.FrequencyResponse.apply`.
+    """
+    delay = (taps.size - 1) // 2
+    padded = np.concatenate([np.asarray(samples, dtype=float), np.zeros(taps.size)])
+    return sp_signal.lfilter(taps, 1.0, padded)[delay:delay + len(samples)]

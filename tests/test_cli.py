@@ -305,12 +305,25 @@ def test_validate_command_refuses_quick_reference_write(capsys, tmp_path):
     assert not (tmp_path / "VALID_sos_range.json").exists()
 
 
-def test_validate_command_missing_envelope_errors(capsys, tmp_path):
-    code = main(["validate", "--figure", "net_pdr_vs_hops", "--trials", "1",
-                 "--quick", "--compare-reference",
+def test_validate_command_missing_envelope_errors(capsys, tmp_path, monkeypatch):
+    # The envelopes are read before any trial runs, so a missing one fails
+    # fast, even when it belongs to the last figure named.
+    from repro.validation import MonteCarloRunner
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("ran a figure before reading every envelope")
+
+    monkeypatch.setattr(MonteCarloRunner, "run", no_trials)
+    (tmp_path / "VALID_band_parameters.json").write_text(
+        (pathlib.Path(__file__).parents[1] / "VALID_band_parameters.json").read_text()
+    )
+    code = main(["validate", "--figure", "band_parameters", "net_pdr_vs_hops",
+                 "--trials", "1", "--quick", "--compare-reference",
                  "--reference-dir", str(tmp_path)])
     assert code == 2
-    assert "cannot read envelope" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot read envelope" in err
+    assert "VALID_net_pdr_vs_hops.json" in err
 
 
 def test_validate_command_fails_on_shifted_envelope(capsys, tmp_path):

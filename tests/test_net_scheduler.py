@@ -34,6 +34,17 @@ def test_cannot_schedule_in_the_past():
         scheduler.at(0.5, lambda: None)
 
 
+@pytest.mark.parametrize("time_s", [float("nan"), float("inf"), float("-inf")])
+def test_cannot_schedule_at_a_non_finite_time(time_s):
+    scheduler = Scheduler()
+    scheduler.at(1.0, lambda: None)
+    with pytest.raises(ValueError):
+        scheduler.at(time_s, lambda: None)
+    assert scheduler.num_pending == 1
+    scheduler.run()
+    assert scheduler.now_s == 1.0
+
+
 def test_cancelled_events_are_skipped():
     scheduler = Scheduler()
     fired = []

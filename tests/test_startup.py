@@ -1,15 +1,18 @@
-"""The start-up contract: only the PHY loads SciPy.
+"""The start-up contract: only the PHY loads SciPy, and never its signal stack.
 
-Importing SciPy's signal stack costs well over a second, so ``import
-repro`` and the commands that never run the PHY (``net``, ``jobs``,
-``trace replay``) must not load any ``scipy`` module; the PHY's kernels
-load on their first call.  Each check runs in a fresh interpreter, since
-this test process holds SciPy already.  The probes start together and run
-side by side, which keeps the module at a few seconds.
+Importing SciPy costs a large share of a short run's wall time, so
+``import repro`` and the commands that never run the PHY (``net``,
+``jobs``, ``trace replay``) must not load any ``scipy`` module; the PHY's
+FFT and Toeplitz kernels load on their first call, and no PHY run loads
+``scipy.signal`` (the filter designs are numpy).  Each check runs in a
+fresh interpreter, since this test process holds SciPy already.  The
+probes start together and run side by side, which keeps the module at a
+few seconds.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
@@ -125,9 +128,36 @@ def test_commands_without_the_phy_load_no_scipy(probes, command):
 def test_prefork_load_covers_every_subpackage_a_phy_run_loads(probes):
     run = _report(probes, "run")
     assert run["before"] == []
-    assert "scipy.signal" in run["after"]  # the PHY does load SciPy
+    assert "scipy.fft" in run["after"]  # the PHY does load SciPy's FFT
     missing = sorted(set(run["after"]) - set(_report(probes, "prefork")))
     assert not missing, f"workers would import these after the fork: {missing}"
+
+
+@pytest.mark.parametrize(
+    "subpackage", ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize"]
+)
+def test_a_phy_run_loads_no_signal_stack(probes, subpackage):
+    # The filter designs are numpy: a packet needs only SciPy's FFT and
+    # Toeplitz kernels, not the signal stack and what it pulls in.
+    assert subpackage not in _report(probes, "run")["after"]
+
+
+def test_no_src_module_imports_scipy_signal():
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(name == "scipy.signal" or name.startswith("scipy.signal.")
+                   for name in names):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not offenders, f"scipy.signal imported at {offenders}"
 
 
 def test_runner_loads_the_kernels_before_it_forks(monkeypatch):
@@ -154,3 +184,24 @@ def test_runner_loads_the_kernels_before_it_forks(monkeypatch):
     records = runner_module.ExperimentRunner(max_workers=2).run(scenarios)
     assert len(records) == 2
     assert events == ["load", "fork"]
+
+
+def test_serial_runner_loads_the_kernels_before_its_first_scenario(monkeypatch, tmp_path):
+    events = []
+    execute = runner_module._execute_scenario
+
+    def recording_execute(scenario):
+        events.append("run")
+        return execute(scenario)
+
+    monkeypatch.setattr(runner_module, "load_scipy_kernels", lambda: events.append("load"))
+    monkeypatch.setattr(runner_module, "_execute_scenario", recording_execute)
+    scenarios = [Scenario(distance_m=d, num_packets=1) for d in (4.0, 5.0)]
+    runner = runner_module.ExperimentRunner(max_workers=1, cache_dir=tmp_path)
+    assert len(runner.run(scenarios)) == 2
+    assert events == ["load", "run", "run"]
+    # Served wholly from the cache, a run has no work and loads nothing.
+    events.clear()
+    assert len(runner.run(scenarios)) == 2
+    assert runner.last_cache_hits == 2
+    assert events == []
