@@ -20,11 +20,18 @@ Two determinism rules shape everything here:
   soaking up wasted transmissions, until the beacon-liveness tracker
   observes enough silence to evict it (repair on) or forever (repair
   off).  Time-to-repair is the gap between those two moments.
+
+The injector refers to its simulator through a weak proxy.  The
+simulator holds the injector (``faults``, ``_fault_hooks``), so a strong
+back-reference would make a cycle that keeps every finished faults run
+alive until a full garbage collection; with the proxy the run is freed
+as soon as its caller drops it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 
@@ -60,7 +67,7 @@ class FaultInjector:
         schedule = self.schedule
         if schedule.is_empty:
             return
-        self._sim = sim
+        self._sim = weakref.proxy(sim)
         self._rng = np.random.default_rng(schedule.seed)
         names = tuple(sim.topology.names)
         schedule.validate_names(names)

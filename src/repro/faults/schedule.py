@@ -38,12 +38,19 @@ Event kinds
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.utils.atomic import atomic_write
-from repro.utils.validation import require_positive
+from repro.utils.validation import (
+    require_dict,
+    require_finite,
+    require_int,
+    require_positive,
+    require_str,
+)
 
 #: Format marker written into every serialized schedule.
 FAULTS_FORMAT = "repro.faults"
@@ -143,17 +150,29 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultEvent":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            kind=str(data["kind"]),
-            time_s=float(data["time_s"]),
-            node=str(data.get("node", "")),
-            peer=str(data.get("peer", "")),
-            duration_s=float(data.get("duration_s", 0.0)),
-            per_inflation=float(data.get("per_inflation", 0.0)),
-            snr_penalty_db=float(data.get("snr_penalty_db", 0.0)),
-            energy_budget_j=float(data.get("energy_budget_j", 0.0)),
+        """Rebuild from :meth:`to_dict` output.
+
+        Raises ``ValueError`` for a missing or mistyped field and for a
+        non-finite number.
+        """
+        data = require_dict(data, "fault event")
+
+        def number(key: str, default: float | None = None) -> float:
+            return require_finite(data.get(key, default), f"fault event {key}")
+
+        event = cls(
+            kind=require_str(data.get("kind"), "fault event kind"),
+            time_s=number("time_s"),
+            node=require_str(data.get("node", ""), "fault event node"),
+            peer=require_str(data.get("peer", ""), "fault event peer"),
+            duration_s=number("duration_s", 0.0),
+            per_inflation=number("per_inflation", 0.0),
+            snr_penalty_db=number("snr_penalty_db", 0.0),
+            energy_budget_j=number("energy_budget_j", 0.0),
         )
+        if not math.isfinite(event.end_s):
+            raise ValueError(f"fault event ends at {event.end_s} s")
+        return event
 
 
 @dataclass(frozen=True)
@@ -224,17 +243,38 @@ class ChurnProcess:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChurnProcess":
-        """Rebuild from :meth:`to_dict` output."""
+        """Rebuild from :meth:`to_dict` output (``ValueError`` for a
+        missing, mistyped or non-finite field)."""
+        data = require_dict(data, "churn process")
         nodes = data.get("nodes")
         return cls(
-            rate_per_node_per_s=float(data["rate_per_node_per_s"]),
-            mean_downtime_s=float(data["mean_downtime_s"]),
-            start_s=float(data.get("start_s", 0.0)),
-            end_s=float(data["end_s"]),
-            seed=int(data.get("seed", 0)),
-            nodes=tuple(str(n) for n in nodes) if nodes is not None else None,
-            protect=tuple(str(n) for n in data.get("protect", ())),
+            rate_per_node_per_s=require_finite(
+                data.get("rate_per_node_per_s"), "churn rate_per_node_per_s"
+            ),
+            mean_downtime_s=require_finite(
+                data.get("mean_downtime_s"), "churn mean_downtime_s"
+            ),
+            start_s=require_finite(data.get("start_s", 0.0), "churn start_s"),
+            end_s=require_finite(data.get("end_s"), "churn end_s"),
+            seed=_seed(data.get("seed", 0), "churn seed"),
+            nodes=None if nodes is None else _names(nodes, "churn nodes"),
+            protect=_names(data.get("protect", []), "churn protect"),
         )
+
+
+def _names(value, name: str) -> tuple[str, ...]:
+    """A JSON list of node names as a tuple (``ValueError`` otherwise)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of node names, got {value!r}")
+    return tuple(require_str(item, name) for item in value)
+
+
+def _seed(value, name: str) -> int:
+    """A generator seed: a non-negative integer (``ValueError`` otherwise)."""
+    seed = require_int(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -319,27 +359,42 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSchedule":
-        """Rebuild from :meth:`to_dict` output (format/version checked)."""
+        """Rebuild from :meth:`to_dict` output.
+
+        The format and version are checked, and every field is read
+        defensively: a missing required field, a mistyped value or a
+        non-finite number raises ``ValueError``, never another exception
+        type and never a schedule that would fail mid-run.
+        """
+        data = require_dict(data, "fault schedule")
         if data.get("format") != FAULTS_FORMAT:
             raise ValueError(
                 f"not a {FAULTS_FORMAT} document (format={data.get('format')!r})"
             )
-        version = int(data.get("version", -1))
+        version = require_int(data.get("version", -1), "fault-schedule version")
         if version != FAULTS_VERSION:
             raise ValueError(
                 f"unsupported fault-schedule version {version} "
                 f"(supported: {FAULTS_VERSION})"
             )
+        events = data.get("events", [])
+        if not isinstance(events, list):
+            raise ValueError(f"fault-schedule events must be a list, got {events!r}")
+        repair = data.get("repair", True)
+        if not isinstance(repair, bool):
+            raise ValueError(
+                f"fault-schedule repair must be true or false, got {repair!r}"
+            )
         churn = data.get("churn")
         return cls(
-            events=tuple(
-                FaultEvent.from_dict(event) for event in data.get("events", ())
-            ),
+            events=tuple(FaultEvent.from_dict(event) for event in events),
             churn=ChurnProcess.from_dict(churn) if churn is not None else None,
-            repair=bool(data.get("repair", True)),
-            beacon_interval_s=float(data.get("beacon_interval_s", 10.0)),
-            miss_threshold=int(data.get("miss_threshold", 3)),
-            seed=int(data.get("seed", 0)),
+            repair=repair,
+            beacon_interval_s=require_finite(
+                data.get("beacon_interval_s", 10.0), "beacon_interval_s"
+            ),
+            miss_threshold=require_int(data.get("miss_threshold", 3), "miss_threshold"),
+            seed=_seed(data.get("seed", 0), "fault-schedule seed"),
         )
 
     def to_json(self) -> str:
@@ -363,7 +418,11 @@ class FaultSchedule:
 
     @classmethod
     def load(cls, path) -> "FaultSchedule":
-        """Read a schedule written by :meth:`save`."""
+        """Read a schedule written by :meth:`save`.
+
+        A corrupt document raises ``ValueError`` (see :meth:`from_dict`);
+        an unreadable path raises ``OSError``.
+        """
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 
-import numpy as np
-
 from repro.net.packet import NetPacket
 from repro.net.topology import AcousticNetTopology
 
@@ -173,20 +171,20 @@ class GreedyForwarding(RoutingProtocol):
             if destination not in topology or not topology.is_active(destination):
                 return ()
             own = topology.distance_m(node, destination)
-            # One vectorized distance sweep over the cached neighbour set;
-            # argmin takes the first minimum, matching ``min`` over the
-            # same (nearest-first) neighbour order.
+            # One distance sweep over the cached neighbour set; ``min``
+            # and ``index`` take the first minimum, so ties go to the
+            # nearer neighbour of the (nearest-first) table order.
             dist = topology.distances_to(table.indices, destination)
-            best = int(np.argmin(dist))
-            if dist[best] < own:
-                return (table.names[best],)
+            best = min(dist)
+            if best < own:
+                return (table.names[dist.index(best)],)
             return ()
         # Depth mode: move strictly shallower, toward a surface sink.
         own_depth = topology.position(node).depth_m
         depths = topology.depths_of(table.indices)
-        best = int(np.argmin(depths))
-        if depths[best] < own_depth:
-            return (table.names[best],)
+        best = min(depths)
+        if best < own_depth:
+            return (table.names[depths.index(best)],)
         return ()
 
 

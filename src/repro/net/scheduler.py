@@ -16,6 +16,13 @@ which keeps :meth:`Scheduler.cancel` O(1) -- ARQ timers are rescheduled
 far more often than they fire.  A skip-cancel counter tracks how many
 cancelled entries remain queued so :attr:`Scheduler.num_pending` is O(1)
 instead of a heap scan.
+
+An event lets go of its action the moment it fires or is cancelled.
+Callers keep finished events around (the simulator's reception lists,
+its per-flow timers), and their actions are closures over the
+simulator; dropping them leaves no reference cycle behind, so a
+finished simulation is freed by reference counting as soon as its
+caller drops it, without waiting for a full garbage collection.
 """
 
 from __future__ import annotations
@@ -43,12 +50,13 @@ class Event:
         Insertion counter; orders events scheduled for the same instant
         and key.
     action:
-        Zero-argument callable executed when the event fires.
+        Zero-argument callable executed when the event fires; ``None``
+        once the event has fired or been cancelled.
     cancelled:
         Lazily-cancelled events are skipped when they reach the heap top.
     """
 
-    __slots__ = ("time_s", "key", "sequence", "action", "cancelled", "_done")
+    __slots__ = ("time_s", "key", "sequence", "action", "cancelled")
 
     def __init__(
         self,
@@ -60,12 +68,14 @@ class Event:
         self.time_s = time_s
         self.key = key
         self.sequence = sequence
-        self.action = action
+        self.action: Callable[[], None] | None = action
         self.cancelled = False
-        self._done = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "cancelled" if self.cancelled else ("done" if self._done else "pending")
+        if self.cancelled:
+            state = "cancelled"
+        else:
+            state = "done" if self.action is None else "pending"
         return f"Event(time_s={self.time_s}, sequence={self.sequence}, {state})"
 
 
@@ -121,9 +131,10 @@ class Scheduler:
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a pending event (no-op if it already ran)."""
-        if event.cancelled or event._done:
+        """Cancel a pending event (no-op if it already ran or was cancelled)."""
+        if event.action is None:
             return
+        event.action = None
         event.cancelled = True
         self._num_cancelled_pending += 1
 
@@ -156,10 +167,8 @@ class Scheduler:
         while heap:
             if max_events is not None and processed >= max_events:
                 break
-            top = heap[0][3]
-            if top.cancelled:
+            if heap[0][3].cancelled:
                 heapq.heappop(heap)
-                top._done = True
                 self._num_cancelled_pending -= 1
                 continue
             time_s = heap[0][0]
@@ -172,10 +181,11 @@ class Scheduler:
                 # jittered continuous time): dispatch without building a
                 # cohort list.
                 self._now_s = time_s
-                first._done = True
+                action = first.action
+                first.action = None
                 self._num_processed += 1
                 processed += 1
-                first.action()
+                action()
                 continue
             # Collect the cohort scheduled for exactly this instant,
             # bounded by the remaining event budget.
@@ -186,7 +196,6 @@ class Scheduler:
                     break
                 event = heapq.heappop(heap)[3]
                 if event.cancelled:
-                    event._done = True
                     self._num_cancelled_pending -= 1
                     continue
                 cohort.append(event)
@@ -194,11 +203,11 @@ class Scheduler:
             for event in cohort:
                 if event.cancelled:
                     # Cancelled by an earlier event in this same cohort.
-                    event._done = True
                     self._num_cancelled_pending -= 1
                     continue
-                event._done = True
+                action = event.action
+                event.action = None
                 self._num_processed += 1
                 processed += 1
-                event.action()
+                action()
         return processed

@@ -7,17 +7,22 @@ for per-pair distance, and the simulator asks for propagation delays
 Nodes stay where they are placed; the geometry changes only when a node
 joins, or leaves and rejoins under fault injection.
 
-The geometry core is *array-backed*: positions live in a persistent
-``(N, 3)`` float64 array behind an interned name<->index table, neighbour
-lookup runs through a spatial-hash grid (cell size = ``comm_range_m``, so
-a 3x3 cell neighbourhood covers the range ball) and every node's active
-neighbour set is cached as a :class:`NeighborTable` of aligned
-distance/delay arrays.  A membership change bumps a version counter --
-cached tables invalidate lazily, O(1), instead of a dict-wide clear -- and
-moves one node in or out of its grid bucket, so a 1000-node deployment
-never pays O(N^2).  All distances are computed with the same operation
-order as the original per-node loops, so results are bit-identical to the
-scalar path.
+Positions are kept twice, behind one interned name<->index table: in a
+persistent ``(N, 3)`` float64 array for the vectorized neighbour-table
+builds, and as a list of ``(x, y, depth)`` tuples of Python floats for the
+per-hop queries (:meth:`~AcousticNetTopology.distance_m`,
+:meth:`~AcousticNetTopology.distances_to`,
+:meth:`~AcousticNetTopology.depths_of`).  Those run on about seven
+neighbours per call, where numpy's per-call overhead dominates, so they
+compute in plain Python.  Neighbour lookup runs through a spatial-hash
+grid (cell size = ``comm_range_m``, so a 3x3 cell neighbourhood covers
+the range ball) and every node's active neighbour set is cached as a
+:class:`NeighborTable` of aligned distance/delay arrays.  A membership
+change bumps a version counter -- cached tables invalidate lazily, O(1),
+instead of a dict-wide clear -- and moves one node in or out of its grid
+bucket, so a 1000-node deployment never pays O(N^2).  Every distance, in
+either form, is computed with the same operation order as the original
+per-node loops, so results are bit-identical to the scalar path.
 """
 
 from __future__ import annotations
@@ -50,11 +55,12 @@ class NeighborTable:
 
     All fields are aligned: slot ``i`` describes the ``i``-th in-range
     neighbour, sorted nearest first (ties broken by name, matching the
-    original per-node sorted scan).  ``distances_m``/``delays_s`` are
-    read-only float64 views the simulator and routing consume without
-    re-deriving geometry per packet; ``delays_list`` is the same delay
-    column as plain floats so the event scheduler never sees numpy
-    scalars.
+    original per-node sorted scan).  ``indices`` are the neighbours'
+    position indices as plain ints, what the per-hop geometry queries
+    take.  ``distances_m``/``delays_s`` are read-only float64 views the
+    simulator and routing consume without re-deriving geometry per
+    packet; ``delays_list`` is the same delay column as plain floats so
+    the event scheduler never sees numpy scalars.
     """
 
     __slots__ = ("names", "indices", "distances_m", "delays_s", "delays_list", "slot")
@@ -62,7 +68,7 @@ class NeighborTable:
     def __init__(
         self,
         names: tuple[str, ...],
-        indices: np.ndarray,
+        indices: list[int],
         distances_m: np.ndarray,
         delays_s: np.ndarray,
     ) -> None:
@@ -102,6 +108,9 @@ class AcousticNetTopology:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
         self._xyz = np.empty((_INITIAL_CAPACITY, 3), dtype=float)
+        #: The same positions as ``(x, y, depth)`` tuples of Python
+        #: floats, one per node in index order (positions never move).
+        self._points: list[tuple[float, float, float]] = []
         #: Liveness mask: inactive nodes keep their slot but vanish from
         #: the spatial grid and every neighbour table until
         #: :meth:`reactivate`.
@@ -136,7 +145,9 @@ class AcousticNetTopology:
             self._active = np.concatenate([self._active, np.ones_like(self._active)])
             if self._cells is not None:
                 self._cells = np.concatenate([self._cells, np.empty_like(self._cells)])
-        self._xyz[index] = (float(x_m), float(y_m), self._clamp_depth(depth_m))
+        point = (float(x_m), float(y_m), self._clamp_depth(depth_m))
+        self._xyz[index] = point
+        self._points.append(point)
         self._active[index] = True
         self._names.append(name)
         self._index[name] = index
@@ -217,18 +228,14 @@ class AcousticNetTopology:
 
     def position(self, name: str) -> NodePosition:
         """Current position of ``name``."""
-        row = self._xyz[self.index_of(name)]
-        return NodePosition(float(row[0]), float(row[1]), float(row[2]))
+        return NodePosition(*self._points[self.index_of(name)])
 
     # --------------------------------------------------------------- geometry
     def distance_m(self, a: str, b: str) -> float:
         """3-D distance between two nodes."""
-        xyz = self._xyz
-        pa = xyz[self.index_of(a)]
-        pb = xyz[self.index_of(b)]
-        return math.sqrt(
-            (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 + (pa[2] - pb[2]) ** 2
-        )
+        ax, ay, az = self._points[self.index_of(a)]
+        bx, by, bz = self._points[self.index_of(b)]
+        return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         """Names of all nodes within range of ``name``, nearest first."""
@@ -243,22 +250,28 @@ class AcousticNetTopology:
         self._tables[name] = (self._version, table)
         return table
 
-    def distances_to(self, indices: np.ndarray, target: str) -> np.ndarray:
-        """Distances from the nodes at ``indices`` to ``target`` (vector).
+    def distances_to(self, indices: list[int], target: str) -> list[float]:
+        """Distances from the nodes at ``indices`` to ``target``.
 
-        Same operation order as :meth:`distance_m`, so each entry is
-        bit-identical to the scalar computation.
+        Same operation order as the neighbour-table builds (``dx * dx``,
+        summed x + y + z), so each entry is bit-identical to the table's
+        distance for the same pair.
         """
-        xyz = self._xyz
-        tx, ty, tz = xyz[self.index_of(target)]
-        dx = xyz[indices, 0] - tx
-        dy = xyz[indices, 1] - ty
-        dz = xyz[indices, 2] - tz
-        return np.sqrt(dx * dx + dy * dy + dz * dz)
+        points = self._points
+        tx, ty, tz = points[self.index_of(target)]
+        distances = []
+        for index in indices:
+            x, y, z = points[index]
+            dx = x - tx
+            dy = y - ty
+            dz = z - tz
+            distances.append(math.sqrt(dx * dx + dy * dy + dz * dz))
+        return distances
 
-    def depths_of(self, indices: np.ndarray) -> np.ndarray:
+    def depths_of(self, indices: list[int]) -> list[float]:
         """Depths (m) of the nodes at ``indices``."""
-        return self._xyz[indices, 2]
+        points = self._points
+        return [points[index][2] for index in indices]
 
     # ----------------------------------------------------------- spatial hash
     def _cell_of(self, index: int) -> tuple[int, int]:
@@ -310,10 +323,10 @@ class AcousticNetTopology:
         # Nearest first, ties by name -- the exact order of the original
         # per-node ``sorted((distance, other) ...)`` generator.
         order = np.lexsort((self._name_keys[cand], distances))
-        cand = cand[order]
+        indices = cand[order].tolist()
         distances = distances[order]
-        names = tuple(self._names[position] for position in cand)
-        return NeighborTable(names, cand, distances, distances / SOUND_SPEED_M_S)
+        names = tuple(self._names[position] for position in indices)
+        return NeighborTable(names, indices, distances, distances / SOUND_SPEED_M_S)
 
     def _clamp_depth(self, depth_m: float) -> float:
         return float(np.clip(depth_m, 0.2, self.site.water_depth_m - 0.2))

@@ -26,11 +26,20 @@ New *optional* header metadata may be added freely under ``meta``.
 from __future__ import annotations
 
 import json
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.utils.atomic import atomic_write
+from repro.utils.validation import (
+    require_dict,
+    require_finite,
+    require_int,
+    require_str,
+)
 
 #: Format marker written into every trace header.
 TRACE_FORMAT = "repro.trace"
@@ -125,18 +134,23 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
-        """Rebuild from :meth:`to_dict` output."""
+        """Rebuild from :meth:`to_dict` output.
+
+        Raises ``ValueError`` for a missing or mistyped field, a
+        non-integer ``uid`` and a non-finite time.
+        """
+        data = require_dict(data, "trace event")
         return cls(
-            time_s=float(data["t"]),
-            event=str(data["ev"]),
-            uid=int(data["uid"]),
-            source=str(data["src"]),
-            destination=str(data["dst"]),
-            size_bits=int(data.get("bits", 0)),
-            hop_count=int(data.get("hops", 0)),
-            kind=str(data.get("kind", "")),
-            flow_id=str(data.get("flow", "")),
-            reason=str(data.get("reason", "")),
+            time_s=require_finite(data.get("t"), "trace event time t"),
+            event=require_str(data.get("ev"), "trace event ev"),
+            uid=require_int(data.get("uid"), "trace event uid"),
+            source=require_str(data.get("src"), "trace event src"),
+            destination=require_str(data.get("dst"), "trace event dst"),
+            size_bits=require_int(data.get("bits", 0), "trace event bits"),
+            hop_count=require_int(data.get("hops", 0), "trace event hops"),
+            kind=require_str(data.get("kind", ""), "trace event kind"),
+            flow_id=require_str(data.get("flow", ""), "trace event flow"),
+            reason=require_str(data.get("reason", ""), "trace event reason"),
         )
 
 
@@ -191,29 +205,23 @@ class Trace:
 
     @classmethod
     def loads(cls, text: str) -> "Trace":
-        """Parse the JSON-lines form produced by :meth:`dumps`."""
+        """Parse the JSON-lines form produced by :meth:`dumps`.
+
+        A corrupt document raises ``ValueError`` and nothing else.
+        """
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("empty trace document")
         header = json.loads(lines[0])
-        if header.get("format") != TRACE_FORMAT:
-            raise ValueError(
-                f"not a {TRACE_FORMAT} document (format={header.get('format')!r})"
-            )
-        version = int(header.get("version", -1))
-        if version not in SUPPORTED_TRACE_VERSIONS:
-            supported = ", ".join(str(v) for v in SUPPORTED_TRACE_VERSIONS)
-            raise ValueError(
-                f"unsupported trace version {version} (supported: {supported})"
-            )
+        version, meta = _read_header(header, "document")
         events = [TraceEvent.from_dict(json.loads(line)) for line in lines[1:]]
         declared = header.get("num_events")
-        if declared is not None and int(declared) != len(events):
+        if declared is not None and require_int(declared, "num_events") != len(events):
             raise ValueError(
                 f"truncated trace: header declares {declared} events, "
                 f"found {len(events)}"
             )
-        return cls(events=events, meta=dict(header.get("meta", {})), version=version)
+        return cls(events=events, meta=meta, version=version)
 
     def save_jsonl(self, path) -> str:
         """Write the JSON-lines form to ``path``, atomically; returns the path."""
@@ -223,7 +231,8 @@ class Trace:
 
     @classmethod
     def load_jsonl(cls, path) -> "Trace":
-        """Read a trace written by :meth:`save_jsonl`."""
+        """Read a trace written by :meth:`save_jsonl` (``ValueError`` when
+        the document is corrupt, ``OSError`` when the path is unreadable)."""
         with open(path, "r", encoding="utf-8") as handle:
             return cls.loads(handle.read())
 
@@ -282,7 +291,18 @@ class Trace:
         cls, columns: dict[str, np.ndarray], meta: dict | None = None
     ) -> "Trace":
         """Rebuild from :meth:`to_columns` output (``reason`` columns are
-        optional, so v1 archives load with empty reasons)."""
+        optional, so v1 archives load with empty reasons).
+
+        Raises ``ValueError`` unless ``time_s`` holds finite floats and
+        ``uid`` integers.
+        """
+        times = columns["time_s"]
+        if times.dtype.kind != "f" or not np.isfinite(times).all():
+            raise ValueError("trace column time_s must hold finite times")
+        if columns["uid"].dtype.kind not in "iu":
+            raise ValueError(
+                f"trace column uid must hold integers, not {columns['uid'].dtype}"
+            )
         names = [str(name) for name in columns["nodes"]]
         flows = [str(flow) for flow in columns["flows"]]
         reasons = [str(reason) for reason in columns.get("reasons", ())]
@@ -324,24 +344,53 @@ class Trace:
 
     @classmethod
     def load_npz(cls, path) -> "Trace":
-        """Read a trace written by :meth:`save_npz`."""
-        with np.load(path, allow_pickle=False) as archive:
-            header = json.loads(str(archive["__header__"]))
-            if header.get("format") != TRACE_FORMAT:
+        """Read a trace written by :meth:`save_npz`.
+
+        A missing file raises ``OSError``; a corrupt archive -- truncated
+        or damaged zip, missing or mistyped columns, a bad header --
+        raises ``ValueError``.  The zip and ``.npy`` readers report damage
+        under many exception types (single-bit flips of a saved trace
+        raise every one caught here but ``IndexError``, which an
+        out-of-range name or kind code raises), so all of them become
+        ``ValueError``.
+        """
+        with open(path, "rb") as handle:
+            try:
+                with np.load(handle, allow_pickle=False) as archive:
+                    header = json.loads(str(archive["__header__"]))
+                    version, meta = _read_header(header, "archive")
+                    columns = {
+                        key: archive[key]
+                        for key in archive.files
+                        if key != "__header__"
+                    }
+                trace = cls.from_columns(columns, meta=meta)
+            except (
+                EOFError, IndexError, KeyError, NotImplementedError, OSError,
+                RuntimeError, tokenize.TokenError, zipfile.BadZipFile,
+                zlib.error,
+            ) as error:
                 raise ValueError(
-                    f"not a {TRACE_FORMAT} archive (format={header.get('format')!r})"
-                )
-            version = int(header.get("version", -1))
-            if version not in SUPPORTED_TRACE_VERSIONS:
-                supported = ", ".join(str(v) for v in SUPPORTED_TRACE_VERSIONS)
-                raise ValueError(
-                    f"unsupported trace version {version} "
-                    f"(supported: {supported})"
-                )
-            columns = {key: archive[key] for key in archive.files if key != "__header__"}
-        trace = cls.from_columns(columns, meta=header.get("meta", {}))
+                    f"corrupt trace archive {path}: {type(error).__name__}: {error}"
+                ) from error
         trace.version = version
         return trace
+
+
+def _read_header(header, what: str) -> tuple[int, dict]:
+    """Check a trace header; returns its (version, meta)."""
+    header = require_dict(header, f"trace {what} header")
+    if header.get("format") != TRACE_FORMAT:
+        raise ValueError(
+            f"not a {TRACE_FORMAT} {what} (format={header.get('format')!r})"
+        )
+    version = require_int(header.get("version", -1), "trace version")
+    if version not in SUPPORTED_TRACE_VERSIONS:
+        supported = ", ".join(str(v) for v in SUPPORTED_TRACE_VERSIONS)
+        raise ValueError(
+            f"unsupported trace version {version} (supported: {supported})"
+        )
+    return version, dict(require_dict(header.get("meta", {}), "trace meta"))
 
 
 def load_trace(path) -> Trace:

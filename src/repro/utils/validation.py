@@ -7,6 +7,7 @@ NaN that surfaces three modules later.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 
@@ -21,4 +22,48 @@ def require_one_of(value: Any, options: tuple, name: str) -> Any:
     """Raise ``ValueError`` unless ``value`` is one of ``options``."""
     if value not in options:
         raise ValueError(f"{name} must be one of {options}, got {value!r}")
+    return value
+
+
+# Readers of on-disk documents (fault schedules, traces) take each field
+# through one of these, so a corrupt file fails with ``ValueError`` at
+# load time instead of a ``TypeError`` or a NaN surfacing mid-run.
+def require_finite(value: Any, name: str) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a finite number.
+
+    Booleans and strings are refused, not converted.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def require_int(value: Any, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer.
+
+    A float with an integral value is accepted; booleans are refused.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_str(value: Any, name: str) -> str:
+    """``value`` itself; ``ValueError`` unless it is a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def require_dict(value: Any, name: str) -> dict:
+    """``value`` itself; ``ValueError`` unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
     return value

@@ -2,11 +2,23 @@
 
 import dataclasses
 import json
+import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _corruption import (
+    BYTE_DAMAGE,
+    FIELD_VALUES,
+    damage_bytes,
+    json_paths,
+    replace_at,
+)
 from _topologies import line_topology
+from repro.cli import main
 from repro.experiments.net_scenario import NetScenario
 from repro.faults import (
     FAULTS_FORMAT,
@@ -511,3 +523,65 @@ def test_net_scenario_fault_round_trip_and_hash():
         NetScenario(faults_json="{}")
     metrics = with_faults.run().metrics
     assert metrics.node_crashes == 1
+
+
+# ------------------------------------------------------------- fail closed
+CHURN_FIXTURE = Path(__file__).parent / "data" / "faults_churn_24node.json"
+_CHURN_DOCUMENT = json.loads(CHURN_FIXTURE.read_text())
+
+
+@pytest.fixture(scope="module")
+def schedule_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("faults") / "schedule.json"
+
+
+def _load_or_value_error(path):
+    """Load ``path``: a schedule, or ``None`` when it raised ValueError (any
+    other exception fails the test).  What loads is finite and round-trips."""
+    try:
+        schedule = FaultSchedule.load(path)
+    except ValueError:
+        return None
+    for event in schedule.events:
+        numbers = (
+            event.end_s, event.per_inflation, event.snr_penalty_db,
+            event.energy_budget_j,
+        )
+        assert all(map(math.isfinite, numbers)), event
+    assert FaultSchedule.from_json(schedule.to_json()) == schedule
+    return schedule
+
+
+@settings(max_examples=100)
+@given(path=st.sampled_from(json_paths(_CHURN_DOCUMENT, depth=3)), value=FIELD_VALUES)
+@example(path=("events", 0, "time_s"), value=float("nan"))
+@example(path=("events", 0, "duration_s"), value=None)
+@example(path=("events", 0, "time_s"), value=1e308)
+@example(path=("seed",), value=-1)
+def test_corrupt_schedule_fields_raise_only_value_errors(schedule_file, path, value):
+    schedule_file.write_text(json.dumps(replace_at(_CHURN_DOCUMENT, path, value)))
+    _load_or_value_error(schedule_file)
+
+
+@settings(max_examples=60)
+@given(**BYTE_DAMAGE)
+@example(flip=False, where=0.5, bit=0)
+@example(flip=True, where=48.5 / 830, bit=0)  # renames the churn's end_s key
+def test_damaged_schedule_files_raise_only_value_errors(schedule_file, flip, where, bit):
+    schedule_file.write_bytes(damage_bytes(CHURN_FIXTURE.read_bytes(), flip, where, bit))
+    _load_or_value_error(schedule_file)
+
+
+@pytest.mark.parametrize("field, value", [("time_s", math.nan), ("duration_s", None)])
+def test_cli_refuses_a_schedule_with_a_bad_time(tmp_path, capsys, field, value):
+    document = replace_at(_CHURN_DOCUMENT, ("events", 0, field), value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    for command in ("net", "chaos"):
+        code = main([
+            command, "--faults", str(bad), "--nodes", "24", "--duration", "60",
+        ])
+        assert code == 2
+        assert f"error: fault event {field} must be a finite number" in (
+            capsys.readouterr().err
+        )

@@ -118,3 +118,23 @@ def test_cancelled_then_rescheduled_pattern():
     scheduler.run()
     assert fired == ["new"]
     assert scheduler.num_pending == 0
+
+
+def test_fired_and_cancelled_events_drop_their_action():
+    scheduler = Scheduler()
+    fired = scheduler.at(1.0, lambda: None)
+    # An earlier member of a same-time cohort cancels a later one.
+    scheduler.at(2.0, lambda: scheduler.cancel(victim))
+    cohort = [scheduler.at(2.0, lambda: None) for _ in range(2)]
+    victim = scheduler.at(2.0, lambda: None)
+    cancelled = scheduler.at(3.0, lambda: None)
+    pending = scheduler.at(5.0, lambda: None)
+    scheduler.cancel(cancelled)
+    assert cancelled.action is None  # dropped when cancelled, not when popped
+    assert scheduler.run(until_s=4.0) == 4
+    assert fired.action is None and all(event.action is None for event in cohort)
+    assert victim.cancelled and victim.action is None
+    assert pending.action is not None
+    scheduler.cancel(fired)  # no-op on an event that already ran
+    assert not fired.cancelled
+    assert scheduler.num_pending == 1

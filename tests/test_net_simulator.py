@@ -1,11 +1,15 @@
 """Tests for the multi-hop network simulator."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from _topologies import grid_topology, line_topology
+from repro.experiments.net_scenario import NetScenario
+from repro.faults import load_schedule
 from repro.net.links import CalibratedLink, LinkCalibration, PhysicalLink
 from repro.net.metrics import DeliveryRecord, NetworkMetrics
 from repro.net.packet import BROADCAST
@@ -347,3 +351,33 @@ def test_dive_group_over_physical_link_collides_then_delivers():
     # floor leaves room for one lost message.
     assert result.metrics.packet_delivery_ratio >= 0.8
     assert run().to_dict() == result.to_dict()
+
+
+@pytest.mark.parametrize("config", ["greedy-go-back-n", "flooding-no-arq", "faults"])
+def test_finished_simulator_is_freed_without_the_cycle_collector(config):
+    # Nothing a finished run keeps -- fired events in the reception lists,
+    # per-flow timers, the fault injector -- may refer back to the
+    # simulator, so dropping it frees it by reference counting alone.
+    scenario = {
+        "greedy-go-back-n": NetScenario(num_nodes=25, seed=5),
+        "flooding-no-arq": NetScenario(
+            num_nodes=12, routing="flooding", arq="none", seed=5
+        ),
+        "faults": NetScenario(
+            num_nodes=24, routing="shortest-path", duration_s=300.0,
+            rate_msgs_per_s=0.03, destination="n23", seed=7,
+        ).with_faults(load_schedule("tests/data/faults_churn_24node.json")),
+    }[config]
+    gc.collect()
+    gc.disable()
+    try:
+        simulator = scenario.build_simulator()
+        result = simulator.run(traffic=scenario.build_traffic())
+        assert result.metrics.offered > 0
+        if config == "faults":
+            assert result.metrics.node_crashes > 0
+        finished = weakref.ref(simulator)
+        del simulator
+        assert finished() is None
+    finally:
+        gc.enable()

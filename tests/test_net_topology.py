@@ -118,11 +118,11 @@ def _assert_consistent(topology):
             f"grid/table disagree with brute force at {name!r}: "
             f"{table.names} != {expected}"
         )
-        # Table distances/delays must be bit-identical to the vectorized
-        # recomputation (distance_m's scalar ``**2`` can differ from the
-        # vector ``x*x`` in the last ulp, so compare same-path exactly
-        # and cross-path approximately).
-        recomputed = topology.distances_to(table.indices, name)
+        # Table distances/delays must be bit-identical to distances_to,
+        # which repeats the table build's ``x*x`` order (distance_m's
+        # ``**2`` can differ in the last ulp, so compare same-order
+        # exactly and cross-order approximately).
+        recomputed = np.array(topology.distances_to(table.indices, name))
         assert np.array_equal(table.distances_m, recomputed)
         assert np.array_equal(table.delays_s, recomputed / SOUND_SPEED_M_S)
         for neighbor, distance in zip(table.names, table.distances_m):

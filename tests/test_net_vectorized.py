@@ -118,8 +118,28 @@ def test_greedy_next_hops_matches_scalar_reference(mode, seed):
         30, (70.0, 70.0), comm_range_m=16.0, seed=seed
     )
     routing = GreedyForwarding(mode)
+    # The per-hop geometry is scalar Python; it must equal the numpy
+    # expressions it replaced bit for bit.
+    xyz = np.array([
+        (p.x_m, p.y_m, p.depth_m) for p in map(topology.position, topology.names)
+    ])
     for destination in ("n0", "n17", "n29"):
+        target = xyz[topology.index_of(destination)]
         for node in topology.names:
+            indices = topology.neighbor_table(node).indices
+            dx = xyz[indices, 0] - target[0]
+            dy = xyz[indices, 1] - target[1]
+            dz = xyz[indices, 2] - target[2]
+            assert np.array(topology.distances_to(indices, destination)).tobytes() == (
+                np.sqrt(dx * dx + dy * dy + dz * dz).tobytes()
+            )
+            assert np.array(topology.depths_of(indices)).tobytes() == (
+                xyz[indices, 2].tobytes()
+            )
+            pa, pb = xyz[topology.index_of(node)], target
+            assert topology.distance_m(node, destination) == math.sqrt(
+                (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 + (pa[2] - pb[2]) ** 2
+            )
             if node == destination:
                 continue
             packet = NetPacket(

@@ -1,10 +1,21 @@
 """Tests for the repro.trace subsystem: capture, replay, synthesis, QoE."""
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _corruption import (
+    BYTE_DAMAGE,
+    FIELD_VALUES,
+    damage_bytes,
+    json_paths,
+    replace_at,
+)
 from _topologies import line_topology
 from repro.cli import main
 from repro.experiments.net_scenario import NetScenario
@@ -536,3 +547,91 @@ def test_cli_trace_errors_are_reported(tmp_path, capsys):
     bad.write_text('{"format": "other"}\n')
     assert main(["trace", "replay", "--trace", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- fail closed
+_FIXTURE_LINES = [json.loads(line) for line in FIXTURE.read_text().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def trace_files(tmp_path_factory):
+    """A scratch path per form, and the fixture saved as an archive."""
+    root = tmp_path_factory.mktemp("traces")
+    archive = root / "fixture.npz"
+    Trace.load_jsonl(FIXTURE).save_npz(archive)
+    return root / "scratch.jsonl", root / "scratch.npz", archive.read_bytes()
+
+
+def _load_or_value_error(load, path):
+    """``load(path)``: a trace, or ``None`` when it raised ValueError (any
+    other exception fails the test).  What loads has integer uids and
+    finite times."""
+    try:
+        trace = load(path)
+    except ValueError:
+        return None
+    for event in trace.events:
+        assert type(event.uid) is int and math.isfinite(event.time_s), event
+    return trace
+
+
+@settings(max_examples=100)
+@given(path=st.sampled_from(json_paths(_FIXTURE_LINES, depth=2)), value=FIELD_VALUES)
+@example(path=(1, "uid"), value=None)
+@example(path=(1, "uid"), value=1.5)
+@example(path=(1, "t"), value=float("nan"))
+@example(path=(0, "meta"), value=[])
+def test_corrupt_trace_fields_raise_only_value_errors(trace_files, path, value):
+    scratch = trace_files[0]
+    lines = replace_at(_FIXTURE_LINES, path, value)
+    scratch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    _load_or_value_error(Trace.load_jsonl, scratch)
+
+
+@settings(max_examples=60)
+@given(**BYTE_DAMAGE)
+@example(flip=False, where=0.5, bit=0)
+@example(flip=True, where=3853.5 / 6161, bit=0)  # renames an event's "t" key
+def test_damaged_trace_files_raise_only_value_errors(trace_files, flip, where, bit):
+    scratch = trace_files[0]
+    scratch.write_bytes(damage_bytes(FIXTURE.read_bytes(), flip, where, bit))
+    _load_or_value_error(Trace.load_jsonl, scratch)
+
+
+@settings(max_examples=60)
+@given(**BYTE_DAMAGE)
+@example(flip=False, where=0.0, bit=0)
+@example(flip=True, where=0.25, bit=0)
+@example(flip=True, where=28.5 / 4228, bit=0)  # a deflate stream zlib rejects
+def test_damaged_trace_archives_raise_only_value_errors(trace_files, flip, where, bit):
+    _, scratch, original = trace_files
+    scratch.write_bytes(damage_bytes(original, flip, where, bit))
+    trace = _load_or_value_error(Trace.load_npz, scratch)
+    if trace is not None:  # the zip's checksums leave nothing silently changed
+        assert trace.events == Trace.load_jsonl(FIXTURE).events
+
+
+@pytest.mark.parametrize("column, values, message", [
+    ("uid", [1.5], "uid must hold integers"),
+    ("uid", ["7"], "uid must hold integers"),
+    ("time_s", [math.nan], "time_s must hold finite times"),
+    ("time_s", [-math.inf], "time_s must hold finite times"),
+    ("time_s", ["0.5"], "time_s must hold finite times"),
+])
+def test_trace_archive_with_a_bad_column_is_refused(tmp_path, column, values, message):
+    columns = _sample_trace().to_columns()
+    columns[column] = np.resize(np.array(values), columns[column].shape)
+    header = json.dumps({"format": "repro.trace", "version": TRACE_VERSION, "meta": {}})
+    path = tmp_path / "bad.npz"
+    np.savez_compressed(path, __header__=np.array(header), **columns)
+    with pytest.raises(ValueError, match=message):
+        Trace.load_npz(path)
+
+
+@pytest.mark.parametrize("field, value", [("uid", None), ("t", math.nan)])
+def test_cli_trace_replay_refuses_a_bad_event(tmp_path, capsys, field, value):
+    lines = replace_at(_FIXTURE_LINES, (1, field), value)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    assert main(["trace", "replay", "--trace", str(bad)]) == 2
+    assert "error: trace event" in capsys.readouterr().err
