@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.app.codec import MessageCodec
 from repro.app.messages import get_message
+from repro.core.config import BAND_HIGH_HZ, BAND_LOW_HZ, SAMPLE_RATE_HZ
 from repro.core.modem import AquaModem
 from repro.environments import LAKE, build_link_pair
 from repro.experiments import ExperimentRunner, Scenario, Sweep
@@ -38,7 +39,7 @@ def main() -> None:
     print("AquaApp quickstart -- one packet, step by step")
     print(f"  OFDM: {config.num_data_bins} subcarriers of "
           f"{config.subcarrier_spacing_hz:.0f} Hz between "
-          f"{config.band_low_hz:.0f} and {config.band_high_hz:.0f} Hz, "
+          f"{BAND_LOW_HZ:.0f} and {BAND_HIGH_HZ:.0f} Hz, "
           f"{config.symbol_duration_s * 1000:.0f} ms symbols\n")
 
     forward, backward = build_link_pair(site=LAKE, distance_m=5.0, seed=7)
@@ -57,7 +58,7 @@ def main() -> None:
     header = modem.build_preamble_and_header(receiver_id=1)
     print(f"\nStep 1: Alice transmits the preamble + header "
           f"({header.waveform.size} samples, "
-          f"{header.waveform.size / config.sample_rate_hz * 1000:.0f} ms)")
+          f"{header.waveform.size / SAMPLE_RATE_HZ * 1000:.0f} ms)")
     received = modem.filter_received(forward.transmit(header.waveform, rng).samples)
 
     # --- Step 2: Bob detects and selects a band ---------------------------

@@ -23,7 +23,7 @@ reflection losses change -- reproducing the location dependence of Fig. 3b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,40 +38,46 @@ from repro.utils.validation import require_positive
 #: tests/test_fastpath_golden.py pins the identity against the oracle.
 _ALPHA_2500_DB_PER_KM = absorption_db_per_km(2500.0)
 
-#: Static image-family structure per ``max_bounces``: interleaved image
-#: orders, the per-slot family flag and bounce counts, pre-filtered by the
-#: bounce budget.  Only the vertical separations depend on the geometry, so
-#: the per-packet drifted-channel rebuilds reuse these arrays.
-_FAMILY_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+#: Speed of sound that turns path lengths into delays: Mackenzie's
+#: equation for the default water of :func:`~repro.channel.physics.sound_speed_m_s`.
+MACKENZIE_SOUND_SPEED_M_S = sound_speed_m_s()
+
+#: Maximum total number of boundary interactions per modelled path.
+MAX_BOUNCES = 4
 
 
-def _family_structure(max_bounces: int):
-    cached = _FAMILY_CACHE.get(max_bounces)
-    if cached is None:
-        max_order = max(1, (max_bounces + 1) // 2)
-        orders = np.arange(-max_order, max_order + 1, dtype=float)
-        abs_orders = np.abs(orders).astype(int)
-        # Interleave (family 1, family 2) per order, matching the original
-        # nested-loop enumeration order exactly.
-        orders_interleaved = np.repeat(orders, 2)
-        is_family2 = np.tile(np.array([False, True]), orders.size)
-        surfaces = np.where(
-            is_family2,
-            np.repeat(np.where(orders >= 0, abs_orders + 1, abs_orders - 1), 2),
-            np.repeat(abs_orders, 2),
-        )
-        bottoms = np.repeat(abs_orders, 2)
-        keep = surfaces + bottoms <= max_bounces
-        cached = (
-            orders_interleaved[keep],
-            is_family2[keep],
-            surfaces[keep],
-            bottoms[keep],
-        )
-        for array in cached:
-            array.setflags(write=False)
-        _FAMILY_CACHE[max_bounces] = cached
-    return cached
+def _family_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Interleaved image orders, the per-slot family flag and the bounce
+    counts of every image within :data:`MAX_BOUNCES`."""
+    max_order = max(1, (MAX_BOUNCES + 1) // 2)
+    orders = np.arange(-max_order, max_order + 1, dtype=float)
+    abs_orders = np.abs(orders).astype(int)
+    # Interleave (family 1, family 2) per order, matching the original
+    # nested-loop enumeration order exactly.
+    orders_interleaved = np.repeat(orders, 2)
+    is_family2 = np.tile(np.array([False, True]), orders.size)
+    surfaces = np.where(
+        is_family2,
+        np.repeat(np.where(orders >= 0, abs_orders + 1, abs_orders - 1), 2),
+        np.repeat(abs_orders, 2),
+    )
+    bottoms = np.repeat(abs_orders, 2)
+    keep = surfaces + bottoms <= MAX_BOUNCES
+    structure = (
+        orders_interleaved[keep],
+        is_family2[keep],
+        surfaces[keep],
+        bottoms[keep],
+    )
+    for array in structure:
+        array.setflags(write=False)
+    return structure
+
+
+#: The image-family structure.  Only the vertical separations depend on the
+#: geometry, so every tap computation (the per-packet drifted-channel
+#: rebuilds included) reuses these arrays.
+_ORDERS, _IS_FAMILY2, _SURFACES, _BOTTOMS = _family_structure()
 
 
 @dataclass(frozen=True)
@@ -140,14 +146,10 @@ class MultipathModel:
         nearly lossless but flips polarity).
     bottom_loss_db:
         Loss per bottom reflection (sediment-dependent).
-    max_bounces:
-        Maximum total number of boundary interactions per modelled path.
     extra_reflectors:
         Number of additional discrete reflectors (walls, pillars, moored
         boats) to add as randomized late arrivals -- the lake and museum
         sites of the paper show this behaviour.
-    sound_speed_m_s:
-        Speed of sound used to convert path lengths into delays.
     seed:
         Seed for the randomized extra reflectors.
     """
@@ -155,9 +157,7 @@ class MultipathModel:
     geometry: ImageMethodGeometry
     surface_loss_db: float = 1.0
     bottom_loss_db: float = 6.0
-    max_bounces: int = 4
     extra_reflectors: int = 0
-    sound_speed_m_s: float = field(default_factory=sound_speed_m_s)
     seed: int | None = None
 
     def _tap_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -175,15 +175,9 @@ class MultipathModel:
         zs, zr = geom.tx_depth_m, geom.rx_depth_m
         # Both image families for every order m at once, interleaved in the
         # same (m, family) order the original nested loop produced so the
-        # stable sort below breaks delay ties identically.  The bounce
-        # structure is static per max_bounces; only the vertical separations
-        # depend on the geometry.
-        orders_interleaved, is_family2, surfaces_arr, bottoms_arr = (
-            _family_structure(self.max_bounces)
-        )
-        verticals = 2.0 * depth * orders_interleaved + np.where(
-            is_family2, zr + zs, zr - zs
-        )
+        # stable sort below breaks delay ties identically.
+        surfaces_arr, bottoms_arr = _SURFACES, _BOTTOMS
+        verticals = 2.0 * depth * _ORDERS + np.where(_IS_FAMILY2, zr + zs, zr - zs)
 
         lengths = np.hypot(geom.horizontal_range_m, verticals)
         clamped = np.maximum(lengths, 1.0)
@@ -207,7 +201,7 @@ class MultipathModel:
             amplitude = math.pow(10.0, -loss / 20.0) * math.pow(10.0, -bounce_loss / 20.0)
             amplitude_list.append(-amplitude if flip else amplitude)
         amplitudes = np.asarray(amplitude_list)
-        delays = lengths / self.sound_speed_m_s
+        delays = lengths / MACKENZIE_SOUND_SPEED_M_S
 
         extra_delays, extra_amplitudes, extra_lengths = self._extra_reflector_data()
         if extra_delays.size:
@@ -303,7 +297,7 @@ class MultipathModel:
             amplitude = math.pow(10.0, -loss / 20.0) * math.pow(10.0, -reflection_loss / 20.0)
             amplitude_list.append(-amplitude if flip else amplitude)
         amplitudes = np.asarray(amplitude_list)
-        return lengths / self.sound_speed_m_s, amplitudes, lengths
+        return lengths / MACKENZIE_SOUND_SPEED_M_S, amplitudes, lengths
 
     # ------------------------------------------------------------------ output
     def impulse_response(self, sample_rate_hz: float) -> np.ndarray:

@@ -26,12 +26,60 @@ from repro.utils.rng import ensure_rng
 from repro.utils.units import db_to_amplitude_ratio
 from repro.utils.validation import require_positive
 
-#: Cache of spectral amplitude shapes keyed by (shape parameters, length,
-#: sample rate).  The shape is deterministic given those inputs, so reusing
-#: it is bit-identical to recomputing; the per-packet noise synthesis then
-#: only pays for the white-noise draw and one FFT round trip.
+#: The spectral shape of the ambient noise, the same at every site: extra
+#: power below the low-frequency corner (the flow/bubble noise the paper
+#: observes under 1 kHz) and a roll-off above ``ROLLOFF_START_HZ``.
+LOW_FREQUENCY_EMPHASIS_DB = 18.0
+LOW_FREQUENCY_CUTOFF_HZ = 1000.0
+ROLLOFF_START_HZ = 4500.0
+ROLLOFF_DB_PER_OCTAVE = 9.0
+#: Amplitude of impulsive transients relative to the stationary noise.
+IMPULSIVE_GAIN_DB = 8.0
+
+#: Cache of spectral amplitude shapes keyed by (length, sample rate).  The
+#: shape is deterministic given those inputs, so reusing it is bit-identical
+#: to recomputing; the per-packet noise synthesis then only pays for the
+#: white-noise draw and one FFT round trip.
 _SHAPE_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _SHAPE_CACHE_MAX = 32
+
+
+def spectral_shape_db(frequencies_hz: np.ndarray) -> np.ndarray:
+    """Return the relative noise power spectral density shape in dB."""
+    frequencies_hz = np.asarray(frequencies_hz, dtype=float)
+    shape = np.zeros_like(frequencies_hz)
+    # Low-frequency emphasis: smooth step below the cutoff.  The wide
+    # transition (several hundred Hz) matches the paper's observation
+    # that flow/bubble noise remains elevated up to roughly 1.5 kHz.
+    lf = LOW_FREQUENCY_EMPHASIS_DB / (
+        1.0 + np.exp((frequencies_hz - LOW_FREQUENCY_CUTOFF_HZ) / 350.0)
+    )
+    shape += lf
+    # High-frequency roll-off above ROLLOFF_START_HZ.
+    above = frequencies_hz > ROLLOFF_START_HZ
+    octaves = np.zeros_like(frequencies_hz)
+    octaves[above] = np.log2(frequencies_hz[above] / ROLLOFF_START_HZ)
+    shape -= ROLLOFF_DB_PER_OCTAVE * octaves
+    return shape
+
+
+def _shape_amplitude(num_samples: int, sample_rate_hz: float) -> np.ndarray:
+    """Cached amplitude shaping vector for the one-sided spectrum.
+
+    :func:`spectral_shape_db` is a power shape; amplitude scaling uses /20.
+    """
+    key = (int(num_samples), float(sample_rate_hz))
+    cached = _SHAPE_CACHE.get(key)
+    if cached is not None:
+        _SHAPE_CACHE.move_to_end(key)
+        return cached
+    freqs = np.fft.rfftfreq(num_samples, d=1.0 / sample_rate_hz)
+    shape_amplitude = 10.0 ** (spectral_shape_db(freqs) / 20.0)
+    shape_amplitude.setflags(write=False)
+    _SHAPE_CACHE[key] = shape_amplitude
+    if len(_SHAPE_CACHE) > _SHAPE_CACHE_MAX:
+        _SHAPE_CACHE.popitem(last=False)
+    return shape_amplitude
 
 
 @dataclass
@@ -44,47 +92,13 @@ class AmbientNoiseModel:
         Overall noise level in dB relative to the simulator's unit
         reference pressure (what a transmit waveform of RMS 1.0 corresponds
         to at 1 m).  More negative is quieter.
-    low_frequency_emphasis_db:
-        Extra noise power below ``low_frequency_cutoff_hz``, capturing the
-        flow/bubble noise the paper observes under 1 kHz.
-    low_frequency_cutoff_hz:
-        Corner frequency for the low-frequency emphasis.
-    rolloff_start_hz:
-        Frequency above which the noise starts to fall off.
-    rolloff_db_per_octave:
-        Slope of the high-frequency roll-off.
     impulsive_rate_hz:
         Expected number of impulsive transients (bubbles, impacts) per
         second; zero disables them.
-    impulsive_gain_db:
-        Amplitude of impulsive transients relative to the stationary noise.
     """
 
     level_db: float = -40.0
-    low_frequency_emphasis_db: float = 18.0
-    low_frequency_cutoff_hz: float = 1000.0
-    rolloff_start_hz: float = 4500.0
-    rolloff_db_per_octave: float = 9.0
     impulsive_rate_hz: float = 0.0
-    impulsive_gain_db: float = 8.0
-
-    def spectral_shape_db(self, frequencies_hz: np.ndarray) -> np.ndarray:
-        """Return the relative noise power spectral density shape in dB."""
-        frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-        shape = np.zeros_like(frequencies_hz)
-        # Low-frequency emphasis: smooth step below the cutoff.  The wide
-        # transition (several hundred Hz) matches the paper's observation
-        # that flow/bubble noise remains elevated up to roughly 1.5 kHz.
-        lf = self.low_frequency_emphasis_db / (
-            1.0 + np.exp((frequencies_hz - self.low_frequency_cutoff_hz) / 350.0)
-        )
-        shape += lf
-        # High-frequency roll-off above rolloff_start_hz.
-        above = frequencies_hz > self.rolloff_start_hz
-        octaves = np.zeros_like(frequencies_hz)
-        octaves[above] = np.log2(frequencies_hz[above] / self.rolloff_start_hz)
-        shape -= self.rolloff_db_per_octave * octaves
-        return shape
 
     def generate(
         self,
@@ -114,7 +128,7 @@ class AmbientNoiseModel:
         spectrum = np.empty(half, dtype=complex)
         spectrum.real = draws[:half]
         spectrum.imag = draws[half:]
-        shape_amplitude = self._shape_amplitude(n_fft, sample_rate_hz)
+        shape_amplitude = _shape_amplitude(n_fft, sample_rate_hz)
         colored = irfft_n(spectrum * shape_amplitude, n_fft)[:num_samples]
         rms = np.sqrt(np.dot(colored, colored) / colored.size)
         if rms > 0:
@@ -123,31 +137,6 @@ class AmbientNoiseModel:
         if self.impulsive_rate_hz > 0:
             noise = noise + self._impulsive_component(num_samples, sample_rate_hz, rng)
         return noise
-
-    def _shape_amplitude(self, num_samples: int, sample_rate_hz: float) -> np.ndarray:
-        """Cached amplitude shaping vector for the one-sided spectrum.
-
-        ``spectral_shape_db`` is a power shape; amplitude scaling uses /20.
-        """
-        key = (
-            int(num_samples),
-            float(sample_rate_hz),
-            self.low_frequency_emphasis_db,
-            self.low_frequency_cutoff_hz,
-            self.rolloff_start_hz,
-            self.rolloff_db_per_octave,
-        )
-        cached = _SHAPE_CACHE.get(key)
-        if cached is not None:
-            _SHAPE_CACHE.move_to_end(key)
-            return cached
-        freqs = np.fft.rfftfreq(num_samples, d=1.0 / sample_rate_hz)
-        shape_amplitude = 10.0 ** (self.spectral_shape_db(freqs) / 20.0)
-        shape_amplitude.setflags(write=False)
-        _SHAPE_CACHE[key] = shape_amplitude
-        if len(_SHAPE_CACHE) > _SHAPE_CACHE_MAX:
-            _SHAPE_CACHE.popitem(last=False)
-        return shape_amplitude
 
     def _impulsive_component(
         self, num_samples: int, sample_rate_hz: float, rng: np.random.Generator
@@ -161,7 +150,7 @@ class AmbientNoiseModel:
             return impulses
         burst_length = max(int(0.003 * sample_rate_hz), 8)
         envelope = np.exp(-np.arange(burst_length) / (burst_length / 4.0))
-        amplitude = db_to_amplitude_ratio(self.level_db + self.impulsive_gain_db)
+        amplitude = db_to_amplitude_ratio(self.level_db + IMPULSIVE_GAIN_DB)
         for _ in range(count):
             start = int(rng.integers(0, max(num_samples - burst_length, 1)))
             burst = rng.standard_normal(burst_length) * envelope * amplitude

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import SAMPLE_RATE_HZ
 from repro.utils.validation import require_one_of
 
 #: Bit rates supported by the beacon mode and their symbol durations.
@@ -62,8 +63,6 @@ class FSKBeacon:
     #: Tone of a 0 bit and of a 1 bit (Hz), inside the phones' 1.5-4 kHz band.
     F0_HZ = 2000.0
     F1_HZ = 3000.0
-    #: Audio sample rate (Hz).
-    SAMPLE_RATE_HZ = 48000.0
 
     def __init__(self, bit_rate_bps: int = 10) -> None:
         require_one_of(bit_rate_bps, SUPPORTED_RATES_BPS, "bit_rate_bps")
@@ -77,7 +76,7 @@ class FSKBeacon:
     @property
     def samples_per_symbol(self) -> int:
         """Number of audio samples per FSK symbol."""
-        return int(round(self.SAMPLE_RATE_HZ / self.bit_rate_bps))
+        return int(round(SAMPLE_RATE_HZ / self.bit_rate_bps))
 
     def encode(self, bits: np.ndarray | list[int]) -> np.ndarray:
         """Return the FSK waveform for ``bits``."""
@@ -87,7 +86,7 @@ class FSKBeacon:
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("bits must be 0 or 1")
         n = self.samples_per_symbol
-        t = np.arange(n) / self.SAMPLE_RATE_HZ
+        t = np.arange(n) / SAMPLE_RATE_HZ
         # Unit RMS: the beacon uses the same average transmit power as the
         # OFDM mode (whose symbols are normalized to unit mean power).
         peak = np.sqrt(2.0)
@@ -114,8 +113,8 @@ class FSKBeacon:
         confidence = np.empty(num_bits, dtype=float)
         for i in range(num_bits):
             frame = received[i * n:(i + 1) * n]
-            p0 = _goertzel_power(frame, self.F0_HZ, self.SAMPLE_RATE_HZ)
-            p1 = _goertzel_power(frame, self.F1_HZ, self.SAMPLE_RATE_HZ)
+            p0 = _goertzel_power(frame, self.F0_HZ, SAMPLE_RATE_HZ)
+            p1 = _goertzel_power(frame, self.F1_HZ, SAMPLE_RATE_HZ)
             bits[i] = 1 if p1 > p0 else 0
             stronger, weaker = (p1, p0) if p1 > p0 else (p0, p1)
             confidence[i] = 10.0 * np.log10(max(stronger, 1e-30) / max(weaker, 1e-30))

@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.adaptation import BandSelection
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import (
+    BAND_HIGH_HZ,
+    BAND_LOW_HZ,
+    EQUALIZER_NUM_TAPS,
+    SAMPLE_RATE_HZ,
+    OFDMConfig,
+)
 from repro.core.equalizer import MMSEEqualizer
 from repro.core.ofdm import OFDMModulator
 from repro.dsp.filters import FIRBandpassFilter
@@ -91,18 +97,14 @@ class DataEncoder:
     def __init__(
         self,
         ofdm_config: OFDMConfig | None = None,
-        protocol_config: ProtocolConfig | None = None,
         use_differential: bool = True,
         use_interleaving: bool = True,
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
-        self.protocol_config = protocol_config or ProtocolConfig()
         self.use_differential = bool(use_differential)
         self.use_interleaving = bool(use_interleaving)
         self._modulator = OFDMModulator(self.ofdm_config)
-        self._code = PuncturedConvolutionalCode(
-            constraint_length=self.protocol_config.constraint_length
-        )
+        self._code = PuncturedConvolutionalCode()
         # Per-band caches: the training waveform and its CAZAC values are
         # deterministic for a band, and band selections repeat heavily
         # across the packets of a session.  Entries are read-only arrays.
@@ -184,31 +186,22 @@ class DataDecoder:
     def __init__(
         self,
         ofdm_config: OFDMConfig | None = None,
-        protocol_config: ProtocolConfig | None = None,
         use_differential: bool = True,
         use_interleaving: bool = True,
         use_equalizer: bool = True,
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
-        self.protocol_config = protocol_config or ProtocolConfig()
         self.use_differential = bool(use_differential)
         self.use_interleaving = bool(use_interleaving)
         self.use_equalizer = bool(use_equalizer)
         self._modulator = OFDMModulator(self.ofdm_config)
-        self._code = PuncturedConvolutionalCode(
-            constraint_length=self.protocol_config.constraint_length
-        )
+        self._code = PuncturedConvolutionalCode()
         self._encoder = DataEncoder(
             self.ofdm_config,
-            self.protocol_config,
             use_differential=use_differential,
             use_interleaving=use_interleaving,
         )
-        self._bandpass = FIRBandpassFilter(
-            self.ofdm_config.band_low_hz,
-            self.ofdm_config.band_high_hz,
-            self.ofdm_config.sample_rate_hz,
-        )
+        self._bandpass = FIRBandpassFilter(BAND_LOW_HZ, BAND_HIGH_HZ, SAMPLE_RATE_HZ)
 
     def expected_length(self, num_payload_bits: int, band: BandSelection) -> int:
         """Number of samples the data burst occupies for a given payload."""
@@ -241,7 +234,7 @@ class DataDecoder:
 
         if self.use_equalizer:
             equalizer = MMSEEqualizer(
-                num_taps=min(self.protocol_config.equalizer_num_taps, extended - 1),
+                num_taps=min(EQUALIZER_NUM_TAPS, extended - 1),
             )
             equalizer.fit(burst[:extended], reference_training)
             burst = equalizer.apply(burst)

@@ -1,18 +1,26 @@
-"""Configuration objects for the AquaApp modem and protocol.
+"""Configuration objects and fixed parameters of the AquaApp modem.
 
-The numeric defaults follow the paper exactly:
+The paper fixes most of the PHY by design, so those values are module
+constants here:
 
-* 48 kHz audio sampling rate, 960-sample (20 ms) OFDM symbols, 50 Hz
-  subcarrier spacing, 67-sample cyclic prefix (6.9 % overhead);
-* a 1-4 kHz communication band giving 60 usable data subcarriers;
+* 48 kHz audio sampling rate (:data:`SAMPLE_RATE_HZ`);
+* a 1-4 kHz communication band (:data:`BAND_LOW_HZ`,
+  :data:`BAND_HIGH_HZ`) giving 60 usable data subcarriers at the default
+  50 Hz spacing;
 * a preamble of eight CAZAC-filled OFDM symbols with the PN sign pattern
-  ``[-1, 1, 1, 1, 1, 1, -1, 1]``;
-* band-adaptation SNR threshold of 7 dB and conservative factor 0.8;
-* a rate-2/3, constraint-length-7 convolutional code;
-* a time-domain MMSE equalizer with a 480-sample channel length.
+  ``[-1, 1, 1, 1, 1, 1, -1, 1]`` and its two detector thresholds;
+* a time-domain MMSE equalizer with a 480-sample channel length;
+* a rate-2/3 convolutional code (constraint length 7, fixed by
+  :class:`~repro.fec.PuncturedConvolutionalCode`);
+* the MAC's 80 ms carrier-sense interval.
 
-Alternative subcarrier spacings (25 Hz / 10 Hz, used by the Fig. 17
-experiment) are obtained with :meth:`OFDMConfig.with_subcarrier_spacing`.
+What the modem adapts at run time, or what a figure sweeps, stays in a
+dataclass: :class:`OFDMConfig` (960-sample, i.e. 20 ms, symbols at 50 Hz
+subcarrier spacing with a 67-sample cyclic prefix, 6.9 % overhead) and
+:class:`ProtocolConfig` (band-adaptation SNR threshold of 7 dB and
+conservative factor 0.8, 16-bit payloads).  Alternative subcarrier spacings
+(25 Hz / 10 Hz, used by the Fig. 17 experiment) are obtained with
+:meth:`OFDMConfig.with_subcarrier_spacing`.
 """
 
 from __future__ import annotations
@@ -24,6 +32,49 @@ import numpy as np
 
 from repro.utils.validation import require_positive
 
+#: Audio sampling rate of the mobile devices (Hz).
+SAMPLE_RATE_HZ = 48000.0
+#: Edges of the communication band (Hz).  Subcarriers whose centre
+#: frequency ``f`` satisfies ``BAND_LOW_HZ <= f < BAND_HIGH_HZ`` carry data.
+BAND_LOW_HZ = 1000.0
+BAND_HIGH_HZ = 4000.0
+
+#: Sign pattern applied to the repeated preamble symbols.
+PREAMBLE_PN_SIGNS = (-1, 1, 1, 1, 1, 1, -1, 1)
+#: Number of repeated OFDM symbols in the preamble.
+NUM_PREAMBLE_SYMBOLS = len(PREAMBLE_PN_SIGNS)
+#: Normalized cross-correlation threshold of the coarse preamble detector.
+COARSE_DETECTION_THRESHOLD = 0.15
+#: Normalized sliding-correlation threshold of the fine preamble detector.
+#: The paper quotes 0.6 (with impulsive noise staying below 0.2); 0.55 is
+#: used because the simulated 30 m channel sits at a slightly lower in-band
+#: SNR than the measured one and the metric is about ``SNR / (SNR + 1)``.
+SLIDING_CORRELATION_THRESHOLD = 0.55
+#: Step in samples of the fine preamble detector.
+SLIDING_CORRELATION_STEP = 8
+
+#: Length of the time-domain MMSE equalizer (the "channel length L of 480
+#: samples" in the paper).
+EQUALIZER_NUM_TAPS = 480
+#: Rate of the convolutional code: the information bits per coded bit.
+CODE_RATE = 2.0 / 3.0
+
+#: Step in samples of the sliding FFT that locates the feedback symbol at
+#: the original sender.
+FEEDBACK_SEARCH_STEP = 16
+#: Maximum operating range that bounds the feedback search window (30 m in
+#: the paper).
+MAX_RANGE_M = 30.0
+#: Minimum fraction of the in-band energy the ACK tone must carry for a
+#: received single-tone symbol to count as an acknowledgement.  Noise
+#: spreads energy over all 60 data bins, so a genuine ACK dominates its bin;
+#: 0.2 rejects noise-only symbols while tolerating frequency-selective
+#: fading of the tone itself.
+ACK_DOMINANCE_THRESHOLD = 0.2
+
+#: How often the MAC layer measures in-band energy (80 ms in the paper).
+CARRIER_SENSE_INTERVAL_S = 0.08
+
 
 @dataclass(frozen=True)
 class OFDMConfig:
@@ -31,47 +82,30 @@ class OFDMConfig:
 
     Attributes
     ----------
-    sample_rate_hz:
-        Audio sampling rate of the mobile device.
     symbol_length:
         OFDM symbol length in samples (FFT size).
     cyclic_prefix_length:
         Cyclic prefix length in samples.
-    band_low_hz, band_high_hz:
-        Edges of the communication band.  Subcarriers whose centre
-        frequency ``f`` satisfies ``band_low_hz <= f < band_high_hz`` are
-        usable for data.
     """
 
-    sample_rate_hz: float = 48000.0
     symbol_length: int = 960
     cyclic_prefix_length: int = 67
-    band_low_hz: float = 1000.0
-    band_high_hz: float = 4000.0
 
     def __post_init__(self) -> None:
-        require_positive(self.sample_rate_hz, "sample_rate_hz")
         require_positive(self.symbol_length, "symbol_length")
         if self.cyclic_prefix_length < 0:
             raise ValueError("cyclic_prefix_length must be non-negative")
-        if not 0 < self.band_low_hz < self.band_high_hz <= self.sample_rate_hz / 2:
-            raise ValueError(
-                "band edges must satisfy 0 < low < high <= Nyquist, got "
-                f"({self.band_low_hz}, {self.band_high_hz})"
-            )
-        if self.num_data_bins < 1:
-            raise ValueError("the configured band contains no usable subcarriers")
 
     # ------------------------------------------------------------ derived
     @property
     def subcarrier_spacing_hz(self) -> float:
         """Spacing between adjacent OFDM subcarriers in Hz."""
-        return self.sample_rate_hz / self.symbol_length
+        return SAMPLE_RATE_HZ / self.symbol_length
 
     @property
     def symbol_duration_s(self) -> float:
         """Duration of the OFDM symbol (without cyclic prefix) in seconds."""
-        return self.symbol_length / self.sample_rate_hz
+        return self.symbol_length / SAMPLE_RATE_HZ
 
     @property
     def extended_symbol_length(self) -> int:
@@ -81,7 +115,7 @@ class OFDMConfig:
     @property
     def extended_symbol_duration_s(self) -> float:
         """Duration of the OFDM symbol including the cyclic prefix."""
-        return self.extended_symbol_length / self.sample_rate_hz
+        return self.extended_symbol_length / SAMPLE_RATE_HZ
 
     # cached_property stores straight into __dict__, which bypasses the
     # frozen-dataclass setattr guard -- these derived values are immutable
@@ -89,12 +123,12 @@ class OFDMConfig:
     @cached_property
     def first_data_bin(self) -> int:
         """Index of the first usable data subcarrier."""
-        return int(np.ceil(self.band_low_hz / self.subcarrier_spacing_hz))
+        return int(np.ceil(BAND_LOW_HZ / self.subcarrier_spacing_hz))
 
     @cached_property
     def last_data_bin(self) -> int:
         """Index of the last usable data subcarrier (inclusive)."""
-        last = int(np.ceil(self.band_high_hz / self.subcarrier_spacing_hz)) - 1
+        last = int(np.ceil(BAND_HIGH_HZ / self.subcarrier_spacing_hz)) - 1
         return max(last, self.first_data_bin)
 
     @property
@@ -126,7 +160,7 @@ class OFDMConfig:
         configuration (67 / 960 samples, roughly 7 %).
         """
         require_positive(spacing_hz, "spacing_hz")
-        symbol_length = int(round(self.sample_rate_hz / spacing_hz))
+        symbol_length = int(round(SAMPLE_RATE_HZ / spacing_hz))
         if symbol_length < 8:
             raise ValueError("subcarrier spacing too large for the sample rate")
         prefix = int(round(symbol_length * 67.0 / 960.0))
@@ -137,83 +171,25 @@ class OFDMConfig:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Protocol-level parameters for the post-preamble feedback scheme.
+    """Protocol-level parameters of the band adaptation and the payload.
 
     Attributes
     ----------
-    num_preamble_symbols:
-        Number of repeated OFDM symbols in the preamble.
-    preamble_pn_signs:
-        Sign pattern applied to the preamble symbols.
     snr_threshold_db:
         Band-adaptation SNR threshold (epsilon, 7 dB in the paper).
     conservative_lambda:
         Band-adaptation conservative factor (lambda, 0.8 in the paper).
-    coarse_detection_threshold:
-        Normalized cross-correlation threshold for the coarse detector.
-    sliding_correlation_threshold:
-        Normalized sliding-correlation threshold for the fine detector.
-        The paper quotes 0.6 (with impulsive noise staying below 0.2); the
-        default here is 0.55 because the simulated 30 m channel sits at a
-        slightly lower in-band SNR than the measured one and the metric is
-        approximately ``SNR / (SNR + 1)``.  Benchmarks that study the
-        detector sweep this value explicitly.
-    sliding_correlation_step:
-        Step size in samples for the fine detector.
-    equalizer_num_taps:
-        Length of the time-domain MMSE equalizer (the "channel length L of
-        480 samples" in the paper).
     payload_bits:
         Number of data bits per packet (16 in the messaging app).
-    feedback_search_step:
-        Step in samples of the sliding FFT used to locate the feedback
-        symbol at the original sender.
-    ack_dominance_threshold:
-        Minimum fraction of the in-band energy the ACK tone must carry for
-        a received single-tone symbol to count as an acknowledgement.
-        Noise spreads energy over all 60 data bins, so a genuine ACK
-        dominates its bin; 0.2 rejects noise-only symbols while tolerating
-        frequency-selective fading of the tone itself.
-    carrier_sense_interval_s:
-        How often the MAC layer measures in-band energy (80 ms).
-    max_range_m:
-        Maximum operating range assumed when bounding the feedback search
-        window (30 m in the paper).
     """
 
-    num_preamble_symbols: int = 8
-    preamble_pn_signs: tuple[int, ...] = (-1, 1, 1, 1, 1, 1, -1, 1)
     snr_threshold_db: float = 7.0
     conservative_lambda: float = 0.8
-    coarse_detection_threshold: float = 0.15
-    sliding_correlation_threshold: float = 0.55
-    sliding_correlation_step: int = 8
-    equalizer_num_taps: int = 480
     payload_bits: int = 16
-    feedback_search_step: int = 16
-    ack_dominance_threshold: float = 0.2
-    carrier_sense_interval_s: float = 0.08
-    max_range_m: float = 30.0
-    code_rate: float = 2.0 / 3.0
-    constraint_length: int = 7
 
     def __post_init__(self) -> None:
-        if self.num_preamble_symbols != len(self.preamble_pn_signs):
-            raise ValueError(
-                "preamble_pn_signs must have num_preamble_symbols entries"
-            )
         if not 0 < self.conservative_lambda <= 1:
             raise ValueError("conservative_lambda must be in (0, 1]")
         if self.snr_threshold_db < 0:
             raise ValueError("snr_threshold_db must be non-negative")
-        require_positive(self.equalizer_num_taps, "equalizer_num_taps")
         require_positive(self.payload_bits, "payload_bits")
-        if not 0 < self.sliding_correlation_threshold < 1:
-            raise ValueError("sliding_correlation_threshold must be in (0, 1)")
-        if not 0 < self.ack_dominance_threshold < 1:
-            raise ValueError("ack_dominance_threshold must be in (0, 1)")
-
-    @property
-    def pn_signs_array(self) -> np.ndarray:
-        """Preamble sign pattern as a float array."""
-        return np.array(self.preamble_pn_signs, dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.channel.physics import SOUND_SPEED_M_S
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import FEEDBACK_SEARCH_STEP, MAX_RANGE_M, SAMPLE_RATE_HZ, OFDMConfig
 from repro.core.ofdm import OFDMModulator
 
 
@@ -48,13 +48,8 @@ class FeedbackDecodeResult:
 class FeedbackCodec:
     """Encodes and decodes the two-tone band feedback symbol."""
 
-    def __init__(
-        self,
-        ofdm_config: OFDMConfig | None = None,
-        protocol_config: ProtocolConfig | None = None,
-    ) -> None:
+    def __init__(self, ofdm_config: OFDMConfig | None = None) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
-        self.protocol_config = protocol_config or ProtocolConfig()
         self._modulator = OFDMModulator(self.ofdm_config)
         # Band selections repeat across a session's packets; the two-tone
         # symbol for a band is deterministic, so modulate it once.
@@ -96,22 +91,21 @@ class FeedbackCodec:
         ``received`` is the audio captured by the original transmitter after
         it finished sending the preamble (it stays silent while listening).
         Candidate symbol starts run from the first sample up to the maximum
-        round-trip time for the protocol's ``max_range_m`` plus one symbol,
+        round-trip time at :data:`~repro.core.config.MAX_RANGE_M` plus one symbol,
         as the paper describes.
         """
         config = self.ofdm_config
         received = np.asarray(received, dtype=float)
         window = config.symbol_length
-        max_round_trip_s = 2.0 * self.protocol_config.max_range_m / SOUND_SPEED_M_S
+        max_round_trip_s = 2.0 * MAX_RANGE_M / SOUND_SPEED_M_S
         search_stop = min(
-            int(max_round_trip_s * config.sample_rate_hz) + config.extended_symbol_length,
+            int(max_round_trip_s * SAMPLE_RATE_HZ) + config.extended_symbol_length,
             received.size - window,
         )
         if search_stop < 0:
             return FeedbackDecodeResult(False, -1, -1, -1, 0.0)
 
-        step = max(1, int(self.protocol_config.feedback_search_step))
-        offsets = np.arange(0, search_stop + 1, step)
+        offsets = np.arange(0, search_stop + 1, FEEDBACK_SEARCH_STEP)
         data_bins = config.data_bins
         # Two-pass search.  The first pass finds how much two-tone energy any
         # window captures; the second pass restricts attention to windows that

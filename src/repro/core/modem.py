@@ -27,7 +27,14 @@ import numpy as np
 
 from repro.core.adaptation import BandSelection, select_frequency_band, selection_from_bins
 from repro.core.coding import DataDecoder, DataEncoder, DecodedPacket, EncodedPacket
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import (
+    ACK_DOMINANCE_THRESHOLD,
+    BAND_HIGH_HZ,
+    BAND_LOW_HZ,
+    SAMPLE_RATE_HZ,
+    OFDMConfig,
+    ProtocolConfig,
+)
 from repro.core.feedback import FeedbackCodec, FeedbackDecodeResult
 from repro.core.preamble import PreambleDetection, PreambleDetector, PreambleGenerator
 from repro.core.rates import bitrate_for_selection
@@ -68,28 +75,22 @@ class AquaModem:
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
         self.protocol_config = protocol_config or ProtocolConfig()
-        self.preamble_generator = PreambleGenerator(self.ofdm_config, self.protocol_config)
+        self.preamble_generator = PreambleGenerator(self.ofdm_config)
         self.preamble_detector = PreambleDetector(self.preamble_generator)
-        self.feedback_codec = FeedbackCodec(self.ofdm_config, self.protocol_config)
+        self.feedback_codec = FeedbackCodec(self.ofdm_config)
         self.tone_codec = ToneCodec(self.ofdm_config)
         self.encoder = DataEncoder(
             self.ofdm_config,
-            self.protocol_config,
             use_differential=use_differential,
             use_interleaving=use_interleaving,
         )
         self.decoder = DataDecoder(
             self.ofdm_config,
-            self.protocol_config,
             use_differential=use_differential,
             use_interleaving=use_interleaving,
             use_equalizer=use_equalizer,
         )
-        self.bandpass = FIRBandpassFilter(
-            self.ofdm_config.band_low_hz,
-            self.ofdm_config.band_high_hz,
-            self.ofdm_config.sample_rate_hz,
-        )
+        self.bandpass = FIRBandpassFilter(BAND_LOW_HZ, BAND_HIGH_HZ, SAMPLE_RATE_HZ)
 
     # --------------------------------------------------------------- transmit
     def build_preamble_and_header(self, receiver_id: int) -> PreambleHeader:
@@ -166,9 +167,9 @@ class AquaModem:
     def decode_ack(self, received_symbol: np.ndarray) -> bool:
         """Return whether the received single-tone symbol is an ACK."""
         result = self.tone_codec.decode(received_symbol)
-        return result.is_ack and result.dominance > self.protocol_config.ack_dominance_threshold
+        return result.is_ack and result.dominance > ACK_DOMINANCE_THRESHOLD
 
     # ------------------------------------------------------------- accounting
     def bitrate_for_band(self, band: BandSelection) -> float:
         """Coded bitrate implied by a selected band (bps)."""
-        return bitrate_for_selection(band, self.ofdm_config, self.protocol_config)
+        return bitrate_for_selection(band, self.ofdm_config)

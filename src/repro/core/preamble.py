@@ -24,13 +24,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import (
+    COARSE_DETECTION_THRESHOLD,
+    NUM_PREAMBLE_SYMBOLS,
+    PREAMBLE_PN_SIGNS,
+    SAMPLE_RATE_HZ,
+    SLIDING_CORRELATION_STEP,
+    SLIDING_CORRELATION_THRESHOLD,
+    OFDMConfig,
+)
 from repro.core.ofdm import OFDMModulator
 from repro.dsp.correlation import (
     TemplateCorrelator,
     sliding_correlation_curve,
 )
 from repro.dsp.sequences import zadoff_chu
+
+#: The preamble's PN sign pattern as a read-only float array.
+_PN_SIGNS = np.array(PREAMBLE_PN_SIGNS, dtype=float)
+_PN_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -58,13 +70,8 @@ class PreambleDetection:
 class PreambleGenerator:
     """Builds the CAZAC preamble waveform and its reference symbols."""
 
-    def __init__(
-        self,
-        ofdm_config: OFDMConfig | None = None,
-        protocol_config: ProtocolConfig | None = None,
-    ) -> None:
+    def __init__(self, ofdm_config: OFDMConfig | None = None) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
-        self.protocol_config = protocol_config or ProtocolConfig()
         self._modulator = OFDMModulator(self.ofdm_config)
         self._bin_values = zadoff_chu(self.ofdm_config.num_data_bins)
         self._base_symbol_cache: np.ndarray | None = None
@@ -78,7 +85,7 @@ class PreambleGenerator:
     @property
     def num_symbols(self) -> int:
         """Number of OFDM symbols in the preamble."""
-        return self.protocol_config.num_preamble_symbols
+        return NUM_PREAMBLE_SYMBOLS
 
     @property
     def symbol_length(self) -> int:
@@ -93,7 +100,7 @@ class PreambleGenerator:
     @property
     def duration_s(self) -> float:
         """Duration of the preamble in seconds."""
-        return self.total_length / self.ofdm_config.sample_rate_hz
+        return self.total_length / SAMPLE_RATE_HZ
 
     def base_symbol(self) -> np.ndarray:
         """Return one un-signed preamble symbol (with cyclic prefix).
@@ -118,8 +125,7 @@ class PreambleGenerator:
         """
         if self._waveform_cache is None:
             base = self.base_symbol()
-            signs = self.protocol_config.pn_signs_array
-            waveform = np.concatenate([sign * base for sign in signs])
+            waveform = np.concatenate([sign * base for sign in _PN_SIGNS])
             waveform.setflags(write=False)
             self._waveform_cache = waveform
         return self._waveform_cache
@@ -133,7 +139,6 @@ class PreambleDetector:
 
     def __init__(self, generator: PreambleGenerator) -> None:
         self.generator = generator
-        self.protocol_config = generator.protocol_config
         self.ofdm_config = generator.ofdm_config
         self._template = generator.waveform()
         # Conjugate spectrum of the template, cached for the FFT coarse
@@ -153,8 +158,7 @@ class PreambleDetector:
         if received.size < self._template.size:
             return []
         correlation = self._correlator.correlate(received)
-        threshold = self.protocol_config.coarse_detection_threshold
-        above = np.flatnonzero(correlation >= threshold)
+        above = np.flatnonzero(correlation >= COARSE_DETECTION_THRESHOLD)
         if above.size == 0:
             return []
         order = above[np.argsort(correlation[above])[::-1]]
@@ -173,7 +177,6 @@ class PreambleDetector:
         if not candidates:
             return PreambleDetection(False, -1, 0.0, 0.0)
         segment_length = self.generator.symbol_length
-        signs = self.protocol_config.pn_signs_array
         best = PreambleDetection(False, -1, 0.0, 0.0)
         half_symbol = self.ofdm_config.symbol_length // 2
         for offset, coarse_metric in candidates:
@@ -184,15 +187,15 @@ class PreambleDetector:
                 start,
                 stop,
                 segment_length,
-                signs,
-                step=self.protocol_config.sliding_correlation_step,
+                _PN_SIGNS,
+                step=SLIDING_CORRELATION_STEP,
             )
             if indices.size == 0:
                 continue
             peak = int(np.argmax(metric))
             fine_metric = float(metric[peak])
             if fine_metric > best.fine_metric:
-                detected = fine_metric >= self.protocol_config.sliding_correlation_threshold
+                detected = fine_metric >= SLIDING_CORRELATION_THRESHOLD
                 best = PreambleDetection(detected, int(indices[peak]), coarse_metric, fine_metric)
         return best
 
@@ -207,10 +210,9 @@ class PreambleDetector:
         total = self.generator.total_length
         if start_index < 0 or start_index + total > received.size:
             raise ValueError("preamble does not fit in the received buffer at that offset")
-        signs = self.protocol_config.pn_signs_array
         prefix = self.ofdm_config.cyclic_prefix_length
         length = self.ofdm_config.symbol_length
         frames = received[start_index:start_index + total].reshape(
             self.generator.num_symbols, step
         )[:, prefix:prefix + length]
-        return frames * signs[:, None]
+        return frames * _PN_SIGNS[:, None]

@@ -12,17 +12,13 @@ evaluation (133.3 bps, 633.3 bps, ...) are exact multiples of
 from __future__ import annotations
 
 from repro.core.adaptation import BandSelection
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import CODE_RATE, NUM_PREAMBLE_SYMBOLS, OFDMConfig
 
 #: Silent symbol slots the transmitter waits for feedback after the header.
 SILENCE_SYMBOLS = 2
 
 
-def coded_bitrate_bps(
-    num_bins: int,
-    config: OFDMConfig | None = None,
-    protocol: ProtocolConfig | None = None,
-) -> float:
+def coded_bitrate_bps(num_bins: int, config: OFDMConfig | None = None) -> float:
     """Return the coded (information) bitrate for a band of ``num_bins``.
 
     This is the rate the paper's bitrate CDFs quote; it leaves out the
@@ -31,17 +27,14 @@ def coded_bitrate_bps(
     if num_bins < 1:
         raise ValueError("num_bins must be at least 1")
     config = config or OFDMConfig()
-    protocol = protocol or ProtocolConfig()
-    return num_bins * config.subcarrier_spacing_hz * protocol.code_rate
+    return num_bins * config.subcarrier_spacing_hz * CODE_RATE
 
 
 def bitrate_for_selection(
-    selection: BandSelection,
-    config: OFDMConfig | None = None,
-    protocol: ProtocolConfig | None = None,
+    selection: BandSelection, config: OFDMConfig | None = None
 ) -> float:
     """Return the coded bitrate implied by a band selection."""
-    return coded_bitrate_bps(selection.num_bins, config, protocol)
+    return coded_bitrate_bps(selection.num_bins, config)
 
 
 def packet_airtime_s(num_payload_bits: int, num_bins: int) -> float:
@@ -55,11 +48,10 @@ def packet_airtime_s(num_payload_bits: int, num_bins: int) -> float:
     import numpy as np
 
     config = OFDMConfig()
-    protocol = ProtocolConfig()
-    coded_bits = int(np.ceil(num_payload_bits / protocol.code_rate))
+    coded_bits = int(np.ceil(num_payload_bits / CODE_RATE))
     data_symbols = int(np.ceil(coded_bits / max(num_bins, 1)))
     total_symbols = (
-        protocol.num_preamble_symbols  # preamble
+        NUM_PREAMBLE_SYMBOLS           # preamble
         + 1                            # receiver ID symbol
         + SILENCE_SYMBOLS              # silence while waiting for feedback
         + 1                            # feedback from the receiver

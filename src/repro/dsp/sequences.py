@@ -5,7 +5,7 @@ because such sequences have constant amplitude (unit peak-to-average power
 ratio in the frequency domain) and an ideal periodic autocorrelation, which
 makes them well suited both for detection by correlation and for channel
 estimation.  (The pseudo-noise sign pattern over the eight preamble
-symbols is ``ProtocolConfig.preamble_pn_signs``.)
+symbols is :data:`repro.core.config.PREAMBLE_PN_SIGNS`.)
 """
 
 from __future__ import annotations

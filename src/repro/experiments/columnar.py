@@ -22,13 +22,13 @@ from __future__ import annotations
 import itertools
 import json
 import pathlib
-import zipfile
 
 import numpy as np
 
 from repro.experiments.records import ResultSet, RunRecord
 from repro.experiments.scenario import Scenario
 from repro.utils.atomic import atomic_write
+from repro.utils.npz import read_npz
 
 #: ``.npz`` artifact format marker and version (bump on layout changes).
 NPZ_FORMAT = "repro.columnar-results"
@@ -126,13 +126,7 @@ class ColumnarResultSet(ResultSet):
         if not hasattr(source, "read"):
             source = pathlib.Path(source)
         name = source if isinstance(source, pathlib.Path) else "(file object)"
-        try:
-            with np.load(source, allow_pickle=False) as data:
-                arrays = {key: data[key] for key in data.files}
-        except (OSError, EOFError, KeyError, zipfile.BadZipFile, ValueError) as error:
-            raise ValueError(
-                f"corrupt or unreadable columnar artifact {name}: {error}"
-            ) from error
+        arrays = read_npz(source, f"columnar artifact {name}")
 
         def fail(reason: str):
             raise ValueError(f"corrupt columnar artifact {name}: {reason}")

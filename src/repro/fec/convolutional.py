@@ -260,14 +260,16 @@ class PuncturedConvolutionalCode:
     anyway).
     """
 
-    #: Generator polynomials (octal) of the rate-1/2 mother code.
+    #: Constraint length and generator polynomials (octal) of the
+    #: rate-1/2 mother code.
+    CONSTRAINT_LENGTH = 7
     POLYNOMIALS = (0o133, 0o171)
 
     #: Standard rate-2/3 puncturing pattern for the rate-1/2 mother code.
     PUNCTURE_PATTERN = ((1, 1), (1, 0))
 
-    def __init__(self, constraint_length: int = 7) -> None:
-        self.mother = ConvolutionalCode(constraint_length, self.POLYNOMIALS)
+    def __init__(self) -> None:
+        self.mother = ConvolutionalCode(self.CONSTRAINT_LENGTH, self.POLYNOMIALS)
         pattern = np.asarray(self.PUNCTURE_PATTERN, dtype=int)
         if pattern.shape[1] != self.mother.num_outputs:
             raise ValueError("puncture pattern width must equal the number of outputs")

@@ -10,22 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import (
+    BAND_HIGH_HZ,
+    BAND_LOW_HZ,
+    CARRIER_SENSE_INTERVAL_S,
+    SAMPLE_RATE_HZ,
+)
 from repro.dsp.spectrum import band_power
 from repro.utils.units import power_ratio_to_db
 
 
 class EnergyDetector:
-    """Measures in-band energy and decides whether the channel is busy."""
+    """Measures the energy in the communication band, once per
+    carrier-sense interval, and decides whether the channel is busy."""
 
-    #: Frequency band monitored for energy (Hz).
-    BAND_LOW_HZ = 1000.0
-    BAND_HIGH_HZ = 4000.0
-    #: How often the channel is sampled (80 ms in the paper).
-    MEASUREMENT_INTERVAL_S = 0.08
     #: The busy threshold sits this many dB above the ambient noise floor.
     THRESHOLD_MARGIN_DB = 6.0
-    #: Audio sample rate (Hz).
-    SAMPLE_RATE_HZ = 48000.0
 
     def __init__(self) -> None:
         self.threshold_db: float | None = None
@@ -33,11 +33,11 @@ class EnergyDetector:
     @property
     def samples_per_measurement(self) -> int:
         """Number of samples in one 80 ms measurement window."""
-        return int(round(self.MEASUREMENT_INTERVAL_S * self.SAMPLE_RATE_HZ))
+        return int(round(CARRIER_SENSE_INTERVAL_S * SAMPLE_RATE_HZ))
 
     def measure_db(self, samples: np.ndarray) -> float:
         """Return the in-band energy of a measurement window in dB."""
-        power = band_power(samples, self.SAMPLE_RATE_HZ, self.BAND_LOW_HZ, self.BAND_HIGH_HZ)
+        power = band_power(samples, SAMPLE_RATE_HZ, BAND_LOW_HZ, BAND_HIGH_HZ)
         return power_ratio_to_db(max(power, 1e-30))
 
     def calibrate(self, ambient_samples: np.ndarray) -> float:

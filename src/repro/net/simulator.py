@@ -88,11 +88,11 @@ class _NodeState:
     """Runtime state of one node."""
 
     name: str
-    queue: deque = field(default_factory=deque)
+    queue: deque = field(default_factory=deque, init=False)
     tx_busy_until_s: float = 0.0
-    seen_uids: set = field(default_factory=set)
+    seen_uids: set = field(default_factory=set, init=False)
     #: Pending/recent reception intervals: [start, end, event-or-None].
-    receptions: list = field(default_factory=list)
+    receptions: list = field(default_factory=list, init=False)
     #: Physical liveness (fault injection); a dead node neither receives
     #: nor transmits, but stays in routing views until *observed* dead.
     alive: bool = True

@@ -42,6 +42,9 @@ from dataclasses import dataclass
 
 from repro.net.congestion import CongestionController, FixedWindow
 
+#: Consecutive duplicate ACKs that trigger one Go-Back-N fast retransmit.
+DUP_ACK_THRESHOLD = 3
+
 
 @dataclass(frozen=True)
 class ArqConfig:
@@ -61,9 +64,6 @@ class ArqConfig:
         Retransmissions allowed per segment before the flow aborts.
     mode:
         ``"go-back-n"`` or ``"selective-repeat"``.
-    dup_ack_threshold:
-        Consecutive duplicate ACKs that trigger one fast retransmit
-        (Go-Back-N only).
     """
 
     window_size: int = 4
@@ -71,7 +71,6 @@ class ArqConfig:
     timeout_s: float = 3.0
     max_retries: int = 4
     mode: str = "go-back-n"
-    dup_ack_threshold: int = 3
 
     def __post_init__(self) -> None:
         if self.mode not in ("go-back-n", "selective-repeat"):
@@ -88,8 +87,6 @@ class ArqConfig:
             raise ValueError("timeout_s must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.dup_ack_threshold < 1:
-            raise ValueError("dup_ack_threshold must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -314,7 +311,7 @@ class ArqSender:
         self._dup_acks += 1
         self.controller.on_duplicate_ack(now_s)
         if (
-            self._dup_acks >= self.config.dup_ack_threshold
+            self._dup_acks >= DUP_ACK_THRESHOLD
             and not self._fast_retransmitted
             and self._base in self._in_flight
         ):

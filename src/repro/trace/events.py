@@ -26,14 +26,12 @@ New *optional* header metadata may be added freely under ``meta``.
 from __future__ import annotations
 
 import json
-import tokenize
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.utils.atomic import atomic_write
+from repro.utils.npz import read_npz
 from repro.utils.validation import (
     require_dict,
     require_finite,
@@ -348,31 +346,20 @@ class Trace:
 
         A missing file raises ``OSError``; a corrupt archive -- truncated
         or damaged zip, missing or mistyped columns, a bad header --
-        raises ``ValueError``.  The zip and ``.npy`` readers report damage
-        under many exception types (single-bit flips of a saved trace
-        raise every one caught here but ``IndexError``, which an
-        out-of-range name or kind code raises), so all of them become
-        ``ValueError``.
+        raises ``ValueError``: :func:`~repro.utils.npz.read_npz` turns
+        the readers' damage into it, and an out-of-range name or kind code
+        (``IndexError``) or a missing header becomes it here.
         """
         with open(path, "rb") as handle:
-            try:
-                with np.load(handle, allow_pickle=False) as archive:
-                    header = json.loads(str(archive["__header__"]))
-                    version, meta = _read_header(header, "archive")
-                    columns = {
-                        key: archive[key]
-                        for key in archive.files
-                        if key != "__header__"
-                    }
-                trace = cls.from_columns(columns, meta=meta)
-            except (
-                EOFError, IndexError, KeyError, NotImplementedError, OSError,
-                RuntimeError, tokenize.TokenError, zipfile.BadZipFile,
-                zlib.error,
-            ) as error:
-                raise ValueError(
-                    f"corrupt trace archive {path}: {type(error).__name__}: {error}"
-                ) from error
+            columns = read_npz(handle, f"trace archive {path}")
+        try:
+            header = json.loads(str(columns.pop("__header__")))
+            version, meta = _read_header(header, "archive")
+            trace = cls.from_columns(columns, meta=meta)
+        except (IndexError, KeyError) as error:
+            raise ValueError(
+                f"corrupt trace archive {path}: {type(error).__name__}: {error}"
+            ) from error
         trace.version = version
         return trace
 

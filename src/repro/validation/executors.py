@@ -28,15 +28,12 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import SAMPLE_RATE_HZ, OFDMConfig, ProtocolConfig
 from repro.experiments.records import RunRecord
 from repro.experiments.scenario import Scenario
 
 if TYPE_CHECKING:
     from repro.validation.figures import FigureSpec
-
-#: Sample rate of every probe and recording.
-SAMPLE_RATE_HZ = 48000.0
 
 _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(Scenario)} - {"seed", "label"}
 
@@ -103,13 +100,8 @@ def link_outcome(record: RunRecord) -> TrialOutcome:
 
     scenario = record.scenario
     payload_bits = scenario.modem.payload_bits
-    # Same code parameters as DataDecoder (ModemSpec keeps the protocol's
-    # constraint length), so the reconstructed totals track any future
-    # ProtocolConfig change instead of silently desynchronizing.
-    code = PuncturedConvolutionalCode(
-        constraint_length=ProtocolConfig().constraint_length
-    )
-    coded_per_packet = code.coded_length(payload_bits)
+    # The code DataDecoder runs, so the reconstructed totals track it.
+    coded_per_packet = PuncturedConvolutionalCode().coded_length(payload_bits)
     packets = record.num_packets
     packet_errors = packets - record.delivered
     total_coded = packets * coded_per_packet

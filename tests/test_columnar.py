@@ -19,6 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _corruption import BYTE_DAMAGE, damage_bytes
+
 from repro.experiments import (
     ColumnarResultSet,
     ExperimentRunner,
@@ -252,6 +254,23 @@ def test_load_npz_rejects_truncated_file(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="corrupt or unreadable"):
         ColumnarResultSet.load_npz(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**BYTE_DAMAGE)
+@example(flip=True, where=28.5 / GOLDEN.with_suffix(".npz").stat().st_size, bit=0)
+def test_damaged_golden_artifacts_raise_only_value_errors(flip, where, bit):
+    golden = GOLDEN.with_suffix(".npz")
+    damaged = damage_bytes(golden.read_bytes(), flip, where, bit)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = pathlib.Path(scratch) / "results.npz"
+        path.write_bytes(damaged)
+        try:
+            loaded = ColumnarResultSet.load_npz(path)
+        except ValueError:
+            return
+    # The zip's checksums leave nothing silently changed.
+    _assert_identical(loaded, ColumnarResultSet.load_npz(golden))
 
 
 def test_load_npz_rejects_garbage_and_missing_files(tmp_path):

@@ -6,7 +6,7 @@ from scipy import signal as sp_signal
 
 from repro.core.adaptation import selection_from_bins
 from repro.core.coding import DataDecoder, DataEncoder
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import OFDMConfig
 
 
 CONFIG = OFDMConfig()
@@ -83,7 +83,7 @@ def test_loopback_single_bin_band(encoder, decoder, rng):
 def test_roundtrip_through_multipath_channel(rng):
     """The equalizer + cyclic prefix must handle a modest multipath channel."""
     encoder = DataEncoder()
-    decoder = DataDecoder(protocol_config=ProtocolConfig(equalizer_num_taps=200))
+    decoder = DataDecoder()
     payload = _payload(rng)
     packet = encoder.encode(payload, FULL_BAND)
     channel = np.zeros(120)

@@ -79,15 +79,11 @@ def test_ack_roundtrip(static_modem, rng):
     assert not static_modem.decode_ack(rng.standard_normal(ack.size))
 
 
-def test_ack_dominance_threshold_is_configurable(static_modem):
-    from repro.core.config import ProtocolConfig
-
+def test_ack_survives_a_weaker_interfering_tone(static_modem):
     # An ACK tone plus a half-amplitude interfering tone: the ACK bin holds
-    # 1 / (1 + 0.25) = 80 % of the in-band energy.
+    # 1 / (1 + 0.25) = 80 % of the in-band energy, above the 0.2 threshold.
     mixed = static_modem.build_ack() + 0.5 * static_modem.tone_codec.encode_id(5)
-    assert static_modem.decode_ack(mixed)  # default threshold 0.2
-    strict = AquaModem(protocol_config=ProtocolConfig(ack_dominance_threshold=0.9))
-    assert not strict.decode_ack(mixed)
+    assert static_modem.decode_ack(mixed)
 
 
 def test_bitrate_for_band(static_modem):

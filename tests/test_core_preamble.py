@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import OFDMConfig, ProtocolConfig
+from repro.core.config import PREAMBLE_PN_SIGNS, SLIDING_CORRELATION_STEP, OFDMConfig
 from repro.core.preamble import PreambleDetector, PreambleGenerator
 
 
@@ -29,8 +29,7 @@ def test_preamble_dimensions(generator):
 def test_preamble_symbols_follow_pn_signs(generator):
     base = generator.base_symbol()
     waveform = generator.waveform()
-    signs = ProtocolConfig().pn_signs_array
-    for i, sign in enumerate(signs):
+    for i, sign in enumerate(PREAMBLE_PN_SIGNS):
         segment = waveform[i * base.size:(i + 1) * base.size]
         np.testing.assert_allclose(segment, sign * base)
 
@@ -56,7 +55,7 @@ def test_clean_detection_at_known_offset(detector, generator, rng):
     ]) + 0.001 * rng.standard_normal(offset + generator.total_length + 2000)
     detection = detector.detect(received)
     assert detection.detected
-    assert abs(detection.start_index - offset) <= detector.protocol_config.sliding_correlation_step
+    assert abs(detection.start_index - offset) <= SLIDING_CORRELATION_STEP
     assert detection.fine_metric > 0.9
 
 
@@ -68,7 +67,7 @@ def test_detection_in_moderate_noise(detector, generator, rng):
     received[offset:offset + preamble.size] += preamble
     detection = detector.detect(received)
     assert detection.detected
-    assert abs(detection.start_index - offset) <= 2 * detector.protocol_config.sliding_correlation_step
+    assert abs(detection.start_index - offset) <= 2 * SLIDING_CORRELATION_STEP
 
 
 def test_no_detection_on_pure_noise(detector, rng):

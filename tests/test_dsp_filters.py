@@ -14,7 +14,7 @@ from scipy import signal as sp_signal
 
 from oracles.dsp import firwin_bandpass, lfilter_compensated, response_fir
 from repro.channel.channel import _device_chain
-from repro.core.config import OFDMConfig
+from repro.core.config import BAND_HIGH_HZ, BAND_LOW_HZ
 from repro.devices.case import CASE_CATALOG, SOFT_POUCH
 from repro.devices.models import DEVICE_CATALOG, GALAXY_S9
 from repro.dsp.filters import FIRBandpassFilter, design_bandpass_fir, design_fir_from_response
@@ -97,8 +97,7 @@ def test_group_delay_property():
 
 @pytest.mark.parametrize("sample_rate_hz", [48000.0, 44100.0])
 def test_bandpass_design_equals_scipy_bit_for_bit(sample_rate_hz):
-    config = OFDMConfig()
-    bands = [(config.band_low_hz, config.band_high_hz)] + [
+    bands = [(BAND_LOW_HZ, BAND_HIGH_HZ)] + [
         (float(low), float(high))
         for low in np.arange(100.0, 12000.0, 370.0)
         for high in np.arange(low + 50.0, sample_rate_hz / 2.0, 1130.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles.dsp import periodic_autocorrelation
-from repro.core.config import ProtocolConfig
+from repro.core.config import PREAMBLE_PN_SIGNS
 from repro.dsp.sequences import zadoff_chu
 
 
@@ -55,7 +55,7 @@ def test_zadoff_chu_rejects_bad_args():
 def test_preamble_pn_signs_match_paper():
     # Paper section 2.2.1: the eight preamble symbols' sign pattern.
     np.testing.assert_array_equal(
-        ProtocolConfig().pn_signs_array, np.array([-1, 1, 1, 1, 1, 1, -1, 1], dtype=float)
+        np.array(PREAMBLE_PN_SIGNS, dtype=float), np.array([-1, 1, 1, 1, 1, 1, -1, 1], dtype=float)
     )
 
 

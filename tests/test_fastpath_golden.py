@@ -447,8 +447,6 @@ def test_tap_amplitudes_match_physics_path_amplitude():
     geometry = ImageMethodGeometry(
         water_depth_m=10.0, tx_depth_m=2.2, rx_depth_m=3.7, horizontal_range_m=25.0
     )
-    model = MultipathModel(
-        geometry=geometry, surface_loss_db=0.0, bottom_loss_db=0.0, max_bounces=3
-    )
+    model = MultipathModel(geometry=geometry, surface_loss_db=0.0, bottom_loss_db=0.0)
     for path in model.paths():
         assert abs(path.amplitude) == path_amplitude(path.length_m)

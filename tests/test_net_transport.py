@@ -11,9 +11,9 @@ import pytest
 from repro.net.transport import ArqConfig, ArqReceiver, ArqSender, Segment
 
 
-def _gbn(window=3, modulus=4, timeout=1.0, retries=2, dup=3) -> ArqConfig:
+def _gbn(window=3, modulus=4, timeout=1.0, retries=2) -> ArqConfig:
     return ArqConfig(window_size=window, seq_modulus=modulus, timeout_s=timeout,
-                     max_retries=retries, mode="go-back-n", dup_ack_threshold=dup)
+                     max_retries=retries, mode="go-back-n")
 
 
 def _sr(window=3, modulus=8, timeout=1.0, retries=2) -> ArqConfig:
@@ -55,8 +55,6 @@ def test_config_validation():
         ArqConfig(timeout_s=0.0)
     with pytest.raises(ValueError):
         ArqConfig(max_retries=-1)
-    with pytest.raises(ValueError):
-        ArqConfig(dup_ack_threshold=0)
 
 
 # ---------------------------------------------------------------- Go-Back-N
@@ -109,7 +107,7 @@ def test_gbn_receiver_discards_out_of_order_and_reacks():
 
 
 def test_gbn_duplicate_ack_suppression_and_single_fast_retransmit():
-    sender, receiver = _pair(_gbn(window=3, dup=3), list(range(3)))
+    sender, receiver = _pair(_gbn(window=3), list(range(3)))
     seg0, seg1, seg2 = sender.window_transmissions(0.0)
     _, dup1 = receiver.on_data(seg1)
     _, dup2 = receiver.on_data(seg2)

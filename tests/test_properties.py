@@ -231,8 +231,8 @@ def test_data_pipeline_roundtrip_fuzz(seed):
     payload lengths and random bands (the high-SNR recovery guarantee)."""
     from repro.core.coding import DataDecoder, DataEncoder
 
-    encoder = DataEncoder(CONFIG, PROTOCOL)
-    decoder = DataDecoder(CONFIG, PROTOCOL)
+    encoder = DataEncoder(CONFIG)
+    decoder = DataDecoder(CONFIG)
     rng = np.random.default_rng(2000 + seed)
     for _ in range(3):
         n = int(rng.integers(1, 41))
@@ -258,9 +258,9 @@ def test_data_pipeline_roundtrip_all_toggles(use_differential, use_interleaving,
     """Every ablation combination (Fig. 14 / Table 2 knobs) round-trips."""
     from repro.core.coding import DataDecoder, DataEncoder
 
-    encoder = DataEncoder(CONFIG, PROTOCOL, use_differential=use_differential,
+    encoder = DataEncoder(CONFIG, use_differential=use_differential,
                           use_interleaving=use_interleaving)
-    decoder = DataDecoder(CONFIG, PROTOCOL, use_differential=use_differential,
+    decoder = DataDecoder(CONFIG, use_differential=use_differential,
                           use_interleaving=use_interleaving,
                           use_equalizer=use_equalizer)
     rng = np.random.default_rng(17)
@@ -277,8 +277,8 @@ def test_message_to_waveform_roundtrip_fuzz(seed):
     OFDM waveform -> decode -> message ids, bit-exact on a clean link."""
     from repro.core.coding import DataDecoder, DataEncoder
 
-    encoder = DataEncoder(CONFIG, PROTOCOL)
-    decoder = DataDecoder(CONFIG, PROTOCOL)
+    encoder = DataEncoder(CONFIG)
+    decoder = DataDecoder(CONFIG)
     rng = np.random.default_rng(3000 + seed)
     ids = [int(v) for v in rng.integers(0, 240, rng.integers(1, 3))]
     payload = MESSAGE_CODEC.encode_ids(ids)

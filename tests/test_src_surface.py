@@ -20,14 +20,26 @@ user outside the tests, so it cannot rot.
 
 Options: a parameter with a default, of a top-level function or of a
 method of a top-level class (calling a class sets its ``__init__``
-parameters; dataclass fields are out of scope), is *test-only* when no
-call in ``src/``, ``perfbench/*.py`` or ``examples/*.py`` to a callee of
-the same name passes it -- by keyword, by position, or through ``*`` or
-``**``.  Its default is then the only value any workload runs, so it is a
-constant: delete the parameter and the code only its other values
-reached.  The scan is by callee name too, so an option whose name is
-passed to a namesake escapes it.  The options that stay are listed in
-``OPTION_ALLOWLIST`` with the reason, under the same staleness rule.
+parameters), is *test-only* when no call in ``src/``, ``perfbench/*.py``
+or ``examples/*.py`` to a callee of the same name passes it -- by
+keyword, by position, or through ``*`` or ``**``.  Its default is then
+the only value any workload runs, so it is a constant: delete the
+parameter and the code only its other values reached.  The scan is by
+callee name too, so an option whose name is passed to a namesake
+escapes it.  The options that stay are listed in ``OPTION_ALLOWLIST``
+with the reason, under the same staleness rule.
+
+Fields: a field with a default that the ``__init__`` of a top-level
+``src/`` dataclass takes is an option of that class.  It is test-only
+when no call there passes it: by keyword or position, or through ``*``
+or ``**``, in a call to the class (by name) or to ``cls(...)`` in the
+class's own body, or by keyword to any ``replace(...)``.  State is
+exempt: a field of a non-frozen dataclass that ``src/`` assigns after
+construction (``obj.name = ...``, or ``self.name = ...`` in that class's
+own body).  A container the class fills as it runs, and that not even a
+test passes, is declared ``field(init=False)``.  The fields that stay
+are listed in ``FIELD_ALLOWLIST`` with the reason, under the same
+staleness rule.
 """
 
 from __future__ import annotations
@@ -320,3 +332,172 @@ def test_option_allowlist_names_exist_and_stay_test_only():
         f"OPTION_ALLOWLIST: {set_outside_tests}"
     )
     assert all(reason.strip() for reason in OPTION_ALLOWLIST.values())
+
+
+# ------------------------------------------------------------------- fields
+#: Dataclass fields only tests pass that stay in ``src/``, as
+#: ``"<qualified class>.<field>"``.
+FIELD_ALLOWLIST: dict[str, str] = {
+    "repro.link.session.LinkStatistics.results": (
+        "state: `add` appends every packet's outcome to a statistics object "
+        "that starts empty"
+    ),
+    "repro.net.metrics.NetworkMetrics.records": (
+        "state: the simulator appends the fate of every payload as its run "
+        "settles it"
+    ),
+    "repro.net.packet.NetPacket.path": (
+        "state: `forwarded` extends each relayed copy's hop record; a new "
+        "packet has taken no hop"
+    ),
+    "repro.validation.report.ValidationReport.figures": (
+        "state: `add` appends each figure's report as `validate` runs"
+    ),
+}
+
+
+def _dataclass(node: ast.ClassDef) -> tuple[bool, bool] | None:
+    """``(frozen, kw_only)`` of a ``@dataclass`` class, else ``None``."""
+    for decorator in node.decorator_list:
+        call = decorator if isinstance(decorator, ast.Call) else None
+        target = call.func if call else decorator
+        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+        if name != "dataclass":
+            continue
+        flags = {
+            kw.arg: kw.value.value
+            for kw in (call.keywords if call else ())
+            if isinstance(kw.value, ast.Constant)
+        }
+        return bool(flags.get("frozen")), bool(flags.get("kw_only"))
+    return None
+
+
+def _is_classvar(annotation: ast.expr) -> bool:
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value.startswith(("ClassVar", "typing.ClassVar"))
+    target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return getattr(target, "id", getattr(target, "attr", None)) == "ClassVar"
+
+
+def _src_fields() -> dict[str, tuple[str, str, int | None, bool]]:
+    """``{"<qualified class>.<field>": (class, field, call position, frozen)}``
+    of every defaulted field a top-level ``src/`` dataclass's ``__init__``
+    takes."""
+    fields = {}
+    for path, tree in _parse("src/**/*.py"):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for node in tree.body:
+            flags = _dataclass(node) if isinstance(node, ast.ClassDef) else None
+            if flags is None:
+                continue
+            frozen, kw_only = flags
+            position = 0
+            for member in node.body:
+                if not (
+                    isinstance(member, ast.AnnAssign)
+                    and isinstance(member.target, ast.Name)
+                    and not _is_classvar(member.annotation)
+                ):
+                    continue
+                value = member.value
+                defaulted = value is not None
+                if isinstance(value, ast.Call) and getattr(
+                    value.func, "id", getattr(value.func, "attr", None)
+                ) == "field":
+                    keywords = {kw.arg: kw.value for kw in value.keywords}
+                    init = keywords.get("init")
+                    if isinstance(init, ast.Constant) and init.value is False:
+                        continue
+                    defaulted = "default" in keywords or "default_factory" in keywords
+                if defaulted:
+                    fields[f"{module}.{node.name}.{member.target.id}"] = (
+                        node.name, member.target.id,
+                        None if kw_only else position, frozen,
+                    )
+                position += 1
+    return fields
+
+
+def _call_shape(call: ast.Call) -> tuple[set[str], int, bool]:
+    plain = [a for a in call.args if not isinstance(a, ast.Starred)]
+    starred = len(plain) < len(call.args) or any(kw.arg is None for kw in call.keywords)
+    return {kw.arg for kw in call.keywords if kw.arg is not None}, len(plain), starred
+
+
+@functools.lru_cache(maxsize=None)
+def _field_uses() -> tuple[dict[str, tuple[frozenset[str], int, bool]], frozenset, frozenset[str]]:
+    """``(cls(...) calls per class, attributes src/ stores, replace keywords)``.
+
+    A store to ``self.name`` counts for the top-level class it sits in
+    (``(class, name)``); any other attribute store counts for every class
+    (``(None, name)``).
+    """
+    cls_calls: dict[str, tuple[frozenset[str], int, bool]] = {}
+    stored: set[tuple[str | None, str]] = set()
+    replaced: set[str] = set()
+    for pattern in ("src/**/*.py", "perfbench/*.py", "examples/*.py"):
+        for _, tree in _parse(pattern):
+            for top in tree.body:
+                owner = top.name if isinstance(top, ast.ClassDef) else None
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = getattr(func, "id", getattr(func, "attr", None))
+                        if name == "replace":
+                            replaced.update(_call_shape(node)[0])
+                        elif owner and isinstance(func, ast.Name) and name == "cls":
+                            keywords, positional, starred = _call_shape(node)
+                            before = cls_calls.get(owner, (frozenset(), 0, False))
+                            cls_calls[owner] = (
+                                before[0] | keywords,
+                                max(before[1], positional),
+                                before[2] or starred,
+                            )
+                    elif (
+                        pattern.startswith("src/")
+                        and isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                    ):
+                        is_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                        stored.add((owner if is_self else None, node.attr))
+    return cls_calls, frozenset(stored), frozenset(replaced)
+
+
+def _test_only_fields() -> set[str]:
+    calls = _calls()
+    cls_calls, stored, replaced = _field_uses()
+    unused = (frozenset(), 0, False)
+    test_only = set()
+    for qual, (owner, name, position, frozen) in _src_fields().items():
+        passed = name in replaced or any(
+            starred or name in keywords or (position is not None and position < positional)
+            for keywords, positional, starred in (
+                calls.get(owner, unused), cls_calls.get(owner, unused)
+            )
+        )
+        state = not frozen and ((owner, name) in stored or (None, name) in stored)
+        if not (passed or state):
+            test_only.add(qual)
+    return test_only
+
+
+def test_every_dataclass_field_has_a_caller_outside_tests():
+    unexpected = sorted(_test_only_fields() - set(FIELD_ALLOWLIST))
+    assert not unexpected, (
+        "src/ dataclass fields no call outside tests/ passes; make each "
+        "default a constant (deleting the code only its other values "
+        "reach), declare a container the class fills field(init=False), or "
+        f"allowlist it with a reason: {unexpected}"
+    )
+
+
+def test_field_allowlist_names_exist_and_stay_test_only():
+    gone = sorted(set(FIELD_ALLOWLIST) - set(_src_fields()))
+    assert not gone, f"allowlisted fields no longer in src/: {gone}"
+    passed_outside_tests = sorted(set(FIELD_ALLOWLIST) - _test_only_fields())
+    assert not passed_outside_tests, (
+        "allowlisted fields now passed outside tests/; drop them from "
+        f"FIELD_ALLOWLIST: {passed_outside_tests}"
+    )
+    assert all(reason.strip() for reason in FIELD_ALLOWLIST.values())
