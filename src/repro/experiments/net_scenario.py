@@ -33,6 +33,13 @@ from repro.net.traffic import (
     convergecast_sources,
 )
 from repro.net.transport import ArqConfig
+from repro.utils.validation import (
+    require_bool,
+    require_dict,
+    require_finite,
+    require_int,
+    require_str,
+)
 
 #: Deployment shapes :meth:`NetScenario.build_topology` understands.
 TOPOLOGY_KINDS = ("line", "grid", "random")
@@ -377,8 +384,23 @@ class NetScenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetScenario":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
+        """Rebuild from :meth:`to_dict` output, failing closed.
+
+        Every field is read once through :mod:`repro.utils.validation`, by
+        its declared type: an unknown key, a wrong type or a non-finite
+        number raises :class:`ValueError`, as the scenario's own checks do
+        for a bad value.  A key the document lacks keeps its default, so
+        a trace captured before a field existed still replays as it ran.
+        """
+        data = require_dict(data, "scenario")
+        unknown = sorted(set(data) - set(_FIELD_READERS))
+        if unknown:
+            raise ValueError(f"scenario: unknown field(s) {', '.join(map(repr, unknown))}")
+        values = {}
+        for name, value in data.items():
+            read, nullable = _FIELD_READERS[name]
+            values[name] = None if nullable and value is None else read(value, f"scenario {name}")
+        return cls(**values)
 
     def scenario_hash(self) -> str:
         """Stable content hash (cache key)."""
@@ -410,3 +432,17 @@ class NetScenario:
     def run(self) -> NetworkResult:
         """Run the scenario in this process."""
         return self.build_simulator().run(traffic=self.build_traffic())
+
+
+#: How :meth:`NetScenario.from_dict` reads each field: the reader of its
+#: declared type (annotations are strings under postponed evaluation) and
+#: whether ``null`` is allowed.
+_FIELD_READERS = {
+    field.name: (
+        {"str": require_str, "int": require_int, "float": require_finite, "bool": require_bool}[
+            field.type.removesuffix(" | None")
+        ],
+        field.type.endswith(" | None"),
+    )
+    for field in dataclasses.fields(NetScenario)
+}

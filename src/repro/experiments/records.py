@@ -28,7 +28,14 @@ from repro.experiments.scenario import Scenario
 from repro.link.session import LinkStatistics
 from repro.utils.atomic import atomic_write
 from repro.utils.jsonsafe import nan_to_none as _nan_to_none
-from repro.utils.jsonsafe import none_to_nan as _none_to_nan
+from repro.utils.validation import (
+    require_bool,
+    require_dict,
+    require_finite,
+    require_int,
+    require_list,
+    require_real,
+)
 
 #: Columns of :meth:`ResultSet.to_table`.
 DEFAULT_TABLE_COLUMNS = (
@@ -166,23 +173,55 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
-        return cls(
-            scenario=Scenario.from_dict(data["scenario"]),
-            num_packets=int(data["num_packets"]),
-            delivered=int(data["delivered"]),
-            packet_error_rate=_none_to_nan(data["packet_error_rate"]),
-            payload_bit_error_rate=_none_to_nan(data["payload_bit_error_rate"]),
-            coded_bit_error_rate=_none_to_nan(data["coded_bit_error_rate"]),
-            preamble_detection_rate=_none_to_nan(data["preamble_detection_rate"]),
-            feedback_error_rate=_none_to_nan(data["feedback_error_rate"]),
-            bitrates_bps=tuple(_none_to_nan(v) for v in data["bitrates_bps"]),
-            band_starts_hz=tuple(_none_to_nan(v) for v in data["band_starts_hz"]),
-            band_ends_hz=tuple(_none_to_nan(v) for v in data["band_ends_hz"]),
-            min_band_snrs_db=tuple(_none_to_nan(v) for v in data["min_band_snrs_db"]),
-            delivered_flags=tuple(bool(v) for v in data["delivered_flags"]),
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
+        """Rebuild a record from :meth:`to_dict` output.
+
+        Every field is read once through :mod:`repro.utils.validation`: a
+        wrong type, a count that is not an integer, a metric that is
+        neither ``null`` (NaN) nor a number, a per-packet series that
+        does not hold ``num_packets`` entries or a ``delivered`` count
+        outside ``[0, num_packets]`` raises :class:`ValueError` (a missing
+        field :class:`KeyError`), so a damaged cache entry is a miss, not
+        a crash.
+        """
+        data = require_dict(data, "record")
+
+        def number(value, name: str) -> float:
+            return float("nan") if value is None else require_real(value, name)
+
+        def metric(name: str) -> float:
+            return number(data[name], name)
+
+        def series(name: str, read=number) -> tuple:
+            return tuple(read(value, name) for value in require_list(data[name], name))
+
+        record = cls(
+            scenario=Scenario.from_dict(require_dict(data["scenario"], "scenario")),
+            num_packets=require_int(data["num_packets"], "num_packets"),
+            delivered=require_int(data["delivered"], "delivered"),
+            packet_error_rate=metric("packet_error_rate"),
+            payload_bit_error_rate=metric("payload_bit_error_rate"),
+            coded_bit_error_rate=metric("coded_bit_error_rate"),
+            preamble_detection_rate=metric("preamble_detection_rate"),
+            feedback_error_rate=metric("feedback_error_rate"),
+            bitrates_bps=series("bitrates_bps"),
+            band_starts_hz=series("band_starts_hz"),
+            band_ends_hz=series("band_ends_hz"),
+            min_band_snrs_db=series("min_band_snrs_db"),
+            delivered_flags=series("delivered_flags", require_bool),
+            elapsed_s=require_finite(data.get("elapsed_s", 0.0), "elapsed_s"),
         )
+        per_packet = (
+            record.bitrates_bps,
+            record.band_starts_hz,
+            record.band_ends_hz,
+            record.min_band_snrs_db,
+            record.delivered_flags,
+        )
+        if any(len(series) != record.num_packets for series in per_packet):
+            raise ValueError("per-packet series do not hold num_packets entries")
+        if not 0 <= record.delivered <= record.num_packets:
+            raise ValueError("delivered must lie in [0, num_packets]")
+        return record
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunRecord):

@@ -14,15 +14,17 @@
   pool entirely, which is also the fallback when only one scenario is
   pending);
 * with ``cache_dir`` set, finished records are written to
-  ``<cache_dir>/<scenario_hash>-<package version>.json`` and later runs
-  of the same scenario (same hash, same version) are served from disk
-  without re-simulating.  Keying by the package version invalidates every
-  entry when the simulation code changes, so a cached sweep can never
-  silently report numbers computed by older code.  Entries are replaced
-  atomically (:func:`~repro.utils.atomic.atomic_write`), so two workers
-  writing one entry, or a killed run, leave a whole file; a corrupt
-  entry is still treated as a miss -- re-simulated and rewritten --
-  with a reason-coded :class:`CacheMissWarning`.
+  ``<cache_dir>/<scenario_hash>-<code digest>.json`` and later runs of
+  the same scenario (same hash, same code) are served from disk without
+  re-simulating.  The code digest (:func:`code_digest`) is a SHA-256 over
+  every source file of the package, so any edit to the code -- a
+  docstring included -- invalidates every entry, and a cached sweep can
+  never silently report numbers computed by other code.  Entries are
+  replaced atomically (:func:`~repro.utils.atomic.atomic_write`), so two
+  workers writing one entry, or a killed run, leave a whole file; an
+  entry that does not decode into a record of its scenario is a miss --
+  re-simulated and rewritten -- with a reason-coded
+  :class:`CacheMissWarning`.
 
 The primitive API is :meth:`ExperimentRunner.iter_run`: a generator that
 yields records one by one as pool futures complete, in deterministic
@@ -36,6 +38,8 @@ which can also be saved as ``.npz``.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import pathlib
@@ -73,6 +77,24 @@ class CacheMissWarning(UserWarning):
 def warn_cache_miss(path, reason: str, detail: str = "") -> None:
     """Emit a :class:`CacheMissWarning` (shared by runner and service)."""
     warnings.warn(CacheMissWarning(path, reason, detail), stacklevel=3)
+
+
+@functools.cache
+def code_digest() -> str:
+    """Hex SHA-256 over the package's source: every ``repro/**/*.py``.
+
+    Each file enters as its path relative to the package root, its size
+    and its bytes, in path order, so the digest names the code a result
+    came from.  Computed on first use, once per process, and never at
+    import: a run that keys nothing on the code does not pay for it.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for relative in sorted(path.relative_to(root).as_posix() for path in root.rglob("*.py")):
+        data = (root / relative).read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _execute_scenario(scenario: Scenario) -> RunRecord:
@@ -133,15 +155,19 @@ class ExperimentRunner:
             raise ValueError("max_workers must be non-negative")
         self.max_workers = max_workers
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir is not None else None
-        #: Number of cache hits during the most recent run/iter_run.
-        self.last_cache_hits = 0
+        #: Per scenario of the most recent run/iter_run, in order, whether
+        #: it was served from the cache.
+        self.last_cached: tuple[bool, ...] = ()
+
+    @property
+    def last_cache_hits(self) -> int:
+        """Number of cache hits during the most recent run/iter_run."""
+        return sum(self.last_cached)
 
     # -------------------------------------------------------------- caching
     def _cache_path(self, scenario: Scenario) -> pathlib.Path:
         assert self.cache_dir is not None
-        from repro import __version__  # deferred: repro imports this module
-
-        return self.cache_dir / f"{scenario.scenario_hash()}-{__version__}.json"
+        return self.cache_dir / f"{scenario.scenario_hash()}-{code_digest()}.json"
 
     def _load_cached(self, scenario: Scenario) -> RunRecord | None:
         if self.cache_dir is None:
@@ -160,8 +186,10 @@ class ExperimentRunner:
         except OSError as error:
             warn_cache_miss(path, "os-error", str(error))
             return None
-        # Hash collisions are unlikely but cheap to rule out.
+        # The entry must hold the scenario its name promises: anything else
+        # is damage (or, far less likely, a hash collision).
         if record.scenario != scenario:
+            warn_cache_miss(path, "schema", "entry holds another scenario")
             return None
         # Bind the record to the requested instance, whose memoized
         # canonical text the artifact writer reuses, and let the decoded
@@ -189,26 +217,22 @@ class ExperimentRunner:
         results while later scenarios are still executing.
 
         The cache is resolved eagerly when ``iter_run`` is called (so
-        :attr:`last_cache_hits` is correct immediately); simulation work
-        happens lazily as the generator is consumed.
+        :attr:`last_cached` and :attr:`last_cache_hits` are correct
+        immediately); simulation work happens lazily as the generator is
+        consumed.
 
         ``progress`` emits one line per record (cache hits included)
         with elapsed/ETA: ``True`` prints it to stderr, a callable
         receives it, ``None`` is silent.
         """
         ordered = list(scenarios)
-        slots: list[RunRecord | None] = [None] * len(ordered)
-        self.last_cache_hits = 0
-
-        pending: list[tuple[int, Scenario]] = []
-        for index, scenario in enumerate(ordered):
-            cached = self._load_cached(scenario)
-            if cached is not None:
-                slots[index] = cached
-                self.last_cache_hits += 1
-            else:
-                pending.append((index, scenario))
-
+        slots = [self._load_cached(scenario) for scenario in ordered]
+        self.last_cached = tuple(record is not None for record in slots)
+        pending = [
+            (index, scenario)
+            for index, scenario in enumerate(ordered)
+            if slots[index] is None
+        ]
         return self._stream(ordered, slots, pending, progress_sink(progress))
 
     def _stream(

@@ -11,8 +11,10 @@ SRMCA-style serving systems use for long-running simulation campaigns:
 * :meth:`~SweepService.stream` drives the runner's
   :meth:`~repro.experiments.runner.ExperimentRunner.iter_run` and yields
   records as they complete, replacing the job's small ``progress.json``
-  after every record so a concurrent :meth:`~SweepService.poll` sees the
-  job advance;
+  wherever a concurrent :meth:`~SweepService.poll` could see the job
+  wait -- before each record that must be simulated, and after the
+  last -- while a record served from the per-scenario cache is yielded
+  at once and reaches the file with the next write;
 * on completion the service writes one artifact beside the manifest,
   ``results.npz`` (the ``.npz`` form of
   :class:`~repro.experiments.columnar.ColumnarResultSet`), and later
@@ -28,16 +30,19 @@ one read.  Any other read decodes the file again, so a rotten or
 replaced artifact is seen as such.
 
 Everything is content-addressed by the existing scenario hash: the job id
-is the hash of the ordered scenario-hash list (plus the package version,
-so artifacts can never leak across simulation-code changes), and the
+is the hash of the ordered scenario-hash list (plus the package's code
+digest, so artifacts can never leak across code changes), and the
 per-scenario JSON cache under ``<root>/cache`` is the same cache
 :class:`ExperimentRunner` uses everywhere else, so a sweep run through
 the CLI warms the service and vice versa.
 
 The manifest is written once, at submission; what changes while a job
 runs lives in the progress record (state, counters, error), a few dozen
-bytes whatever the job size, so streaming costs the same per record at
-any size.  Every job file is written through
+bytes whatever the job size.  A job whose records all come from the
+cache replaces it a fixed handful of times whatever its size, and one
+that simulates every record replaces it once per record.  Its
+``completed`` count only tells observers how far the job has got: every
+stream counts from 0 again.  Every job file is written through
 :func:`~repro.utils.atomic.atomic_write`, so a killed service leaves each
 file whole, old or new, and the next stream of the job finishes it.  A
 manifest without a progress record (a kill between submission's two
@@ -59,7 +64,7 @@ from typing import Iterator
 
 from repro.experiments.columnar import ColumnarResultSet
 from repro.experiments.records import RunRecord
-from repro.experiments.runner import ExperimentRunner, warn_cache_miss
+from repro.experiments.runner import ExperimentRunner, code_digest, warn_cache_miss
 from repro.experiments.scenario import Scenario, content_hash
 from repro.utils.atomic import atomic_write
 
@@ -104,7 +109,7 @@ class SweepJob:
     Attributes
     ----------
     job_id:
-        Content hash of the ordered scenario hashes + package version.
+        Content hash of the ordered scenario hashes + code digest.
     state:
         ``"submitted"`` (work remains), ``"done"`` (artifacts on disk) or
         ``"failed"`` (a scenario raised; see :attr:`error`).
@@ -177,14 +182,14 @@ class SweepService:
         """Content-addressed job id of an ordered scenario-hash list.
 
         Takes :meth:`Scenario.scenario_hash` values, not scenarios, so a
-        submission hashes each scenario once.
+        submission hashes each scenario once.  The id also covers the
+        package's :func:`~repro.experiments.runner.code_digest`, so a job
+        run by other code is another job.
         """
-        from repro import __version__
-
         hashes = list(scenario_hashes)
         if not all(isinstance(digest, str) for digest in hashes):
             raise TypeError("job_id_for takes scenario hashes, not scenarios")
-        return content_hash({"scenario_hashes": hashes, "version": __version__})
+        return content_hash({"scenario_hashes": hashes, "code": code_digest()})
 
     def _read_manifest(self, job_id: str) -> dict:
         """The job's manifest, checked for version and consistency.
@@ -343,13 +348,17 @@ class SweepService:
 
         A ``done`` job streams straight from its on-disk artifact (no
         simulation).  Otherwise the runner's ``iter_run`` drives the
-        sweep -- per-scenario cache hits included -- the progress
-        record's ``completed`` counter advances after every yielded
-        record, and the ``results.npz`` artifact is written when the last
-        record lands.  Each scenario decoded from the manifest must hash
-        to the manifest's entry for it, or the manifest is refused as
-        corrupt.  On an execution error the job is marked ``failed``
-        (with the error recorded) and the exception re-raised.
+        sweep -- per-scenario cache hits included -- and the progress
+        record is replaced at stream start, after each record the next
+        of which must be simulated (so while record ``k + 1`` runs,
+        :meth:`poll` reads ``completed == k``), after the last record and
+        at ``done`` or ``failed``.  Records served from the cache are
+        yielded at once and counted in memory until the next write.  The
+        ``results.npz`` artifact is written when the last record lands.
+        Each scenario decoded from the manifest must hash to the
+        manifest's entry for it, or the manifest is refused as corrupt.
+        On an execution error the job is marked ``failed`` (with the
+        error recorded) and the exception re-raised.
         """
         manifest = self._read_manifest(job_id)
         if self._read_progress(job_id, manifest["total"])["state"] == "done":
@@ -378,12 +387,18 @@ class SweepService:
         status = dict(_FRESH)
         try:
             records = runner.iter_run(scenarios)
+            # A record from the cache arrives at once, so a reader can see
+            # the job wait only while a record is simulated: the count is
+            # written before each simulation and after the last record,
+            # and cached records reach the file with the next write.
+            next_is_cached = runner.last_cached[1:] + (False,)
             status["cache_hits"] = runner.last_cache_hits
             self._write_progress(job_id, status)
-            for record in records:
+            for record, skip_write in zip(records, next_is_cached):
                 results.append(record)
                 status["completed"] = len(results)
-                self._write_progress(job_id, status)
+                if not skip_write:
+                    self._write_progress(job_id, status)
                 yield record
         except Exception as error:
             status["state"] = "failed"

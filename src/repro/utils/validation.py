@@ -43,6 +43,20 @@ def require_finite(value: Any, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def require_real(value: Any, name: str) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a number.
+
+    NaN and the infinities are accepted; booleans, strings and integers
+    too large for a float are refused.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def require_int(value: Any, name: str) -> int:
     """``value`` as an int; ``ValueError`` unless it is an integer.
 
@@ -53,6 +67,13 @@ def require_int(value: Any, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_bool(value: Any, name: str) -> bool:
+    """``value`` itself; ``ValueError`` unless it is a boolean."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+    return value
 
 
 def require_str(value: Any, name: str) -> str:
@@ -66,4 +87,11 @@ def require_dict(value: Any, name: str) -> dict:
     """``value`` itself; ``ValueError`` unless it is a JSON object."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def require_list(value: Any, name: str) -> list:
+    """``value`` itself; ``ValueError`` unless it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {type(value).__name__}")
     return value

@@ -2,9 +2,21 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import textwrap
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from _corruption import BYTE_DAMAGE, FIELD_VALUES, damage_bytes, json_paths, replace_at
 
 import repro.experiments.runner as runner_module
 from repro.channel.motion import MOTION_PRESETS, MotionModel
@@ -356,20 +368,132 @@ def test_runner_progress_callback_counts():
         "sweep 1/4", "sweep 2/4", "sweep 3/4", "sweep 4/4"]
 
 
-def test_runner_cache_is_invalidated_by_package_version(tmp_path, monkeypatch):
-    import repro
-
+def test_runner_cache_is_invalidated_by_the_code_digest(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     scenario = Scenario(site="bridge", num_packets=1, seed=9)
     runner = ExperimentRunner(max_workers=1, cache_dir=cache)
     runner.run([scenario])
     runner.run([scenario])
     assert runner.last_cache_hits == 1
-    # Entries written by a different package version must not be served:
-    # stale simulation code would otherwise leak old numbers silently.
-    monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+    assert runner.last_cached == (True,)
+    # Entries written by other code must not be served: stale simulation
+    # code would otherwise leak old numbers silently.
+    monkeypatch.setattr(runner_module, "code_digest", lambda: "0" * 64)
     runner.run([scenario])
     assert runner.last_cache_hits == 0
+    assert runner.last_cached == (False,)
+
+
+def test_a_one_byte_edit_in_the_package_changes_the_code_digest(tmp_path):
+    # A copy of the package digests like the original wherever it lives,
+    # and one edited byte (LAKE's noise level, -33 -> -13 dB) changes the
+    # digest.  The copy is imported in a subprocess, so the digest covers
+    # the package that is running.
+    import repro
+
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        pathlib.Path(repro.__file__).parent, copy,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    script = textwrap.dedent("""
+        import pathlib, sys
+        import repro
+        from repro.experiments.runner import code_digest
+        root = pathlib.Path(sys.argv[1])
+        assert pathlib.Path(repro.__file__).resolve().parent == root.resolve()
+        before = code_digest()
+        sites = root / "environments" / "sites.py"
+        text = sites.read_text()
+        assert text.count("noise_level_db=-33.0") == 1
+        sites.write_text(text.replace("noise_level_db=-33.0", "noise_level_db=-13.0"))
+        code_digest.cache_clear()
+        print(before, code_digest())
+    """)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(copy)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert before == runner_module.code_digest()
+    assert after != before
+
+
+# The cache entry the fail-closed tests damage: a one-packet scenario, its
+# record and the link statistics it was built from.
+@pytest.fixture(scope="module")
+def cache_entry(tmp_path_factory):
+    scenario = Scenario(site="bridge", distance_m=4.0, num_packets=1, seed=1)
+    stats = run_scenario(scenario)
+    cache = tmp_path_factory.mktemp("entry")
+    runner = ExperimentRunner(max_workers=1, cache_dir=cache)
+    with mock.patch.object(runner_module, "run_scenario", lambda _: stats):
+        [record] = runner.run([scenario])
+    path = next(cache.glob("*.json"))
+    return scenario, stats, record, path, path.read_bytes()
+
+
+def _serve_damaged_entry(cache_entry, damaged: bytes) -> bool:
+    """Run the entry's scenario over ``damaged`` cache bytes: either the
+    entry is refused -- one reason-coded warning, and the scenario is
+    simulated again into the original record -- or it still decodes into
+    a record of the scenario, which is served exactly as it decodes.
+    Returns whether it was refused."""
+    scenario, stats, original, path, _ = cache_entry
+    path.write_bytes(damaged)
+    simulated = []
+
+    def simulate(requested):
+        simulated.append(requested)
+        return stats
+
+    runner = ExperimentRunner(max_workers=1, cache_dir=path.parent)
+    with warnings.catch_warnings(record=True) as caught, mock.patch.object(
+        runner_module, "run_scenario", simulate
+    ):
+        warnings.simplefilter("always")
+        [record] = runner.run([scenario])
+    misses = [w.message for w in caught if isinstance(w.message, runner_module.CacheMissWarning)]
+    if simulated:
+        assert len(misses) == 1 and misses[0].reason in ("json-decode", "schema"), misses
+        assert runner.last_cached == (False,)
+        assert record == original
+    else:
+        # No checksum guards an entry, so a damaged value that still reads
+        # as a record of this scenario is what the entry now says.
+        assert not misses and runner.last_cached == (True,)
+        assert record == RunRecord.from_dict(json.loads(damaged.decode("utf-8"))[0])
+        assert type(record.num_packets) is int and type(record.delivered) is int
+    return bool(simulated)
+
+
+@pytest.mark.parametrize("field", ["num_packets", "delivered"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 1.5, "1", True])
+def test_a_cache_entry_with_a_count_that_is_not_an_integer_is_a_miss(cache_entry, field, value):
+    # int() of Infinity raises OverflowError, which no cache reader
+    # expects: the count must be refused as a schema miss instead.
+    document = json.loads(cache_entry[-1])
+    document[0][field] = value
+    assert _serve_damaged_entry(cache_entry, json.dumps(document).encode())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value=FIELD_VALUES)
+def test_damaged_cache_entry_fields_are_misses_or_read_as_written(cache_entry, data, value):
+    document = json.loads(cache_entry[-1])
+    path = data.draw(st.sampled_from(json_paths(document, depth=4)), label="path")
+    damaged = replace_at(document, path, value)
+    _serve_damaged_entry(cache_entry, json.dumps(damaged).encode())
+
+
+@settings(max_examples=60, deadline=None)
+@given(**BYTE_DAMAGE)
+@example(flip=False, where=0.0, bit=0)
+@example(flip=False, where=0.5, bit=0)
+def test_damaged_cache_entry_bytes_are_misses_or_read_as_written(cache_entry, flip, where, bit):
+    _serve_damaged_entry(cache_entry, damage_bytes(cache_entry[-1], flip, where, bit))
 
 
 def test_runner_progress_counts_cache_hits(tmp_path):

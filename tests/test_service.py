@@ -90,6 +90,65 @@ def test_poll_sees_progress_between_records(tmp_path):
     assert service.poll(job.job_id).done
 
 
+def test_poll_reads_the_records_yielded_before_each_simulation(tmp_path, monkeypatch):
+    # Cold at 0, 3 and 4, warm at 1, 2 and 5: cached records are yielded
+    # without a write, yet whenever a record is simulated, poll reads as
+    # many completed records as the stream has yielded.
+    scenarios = _scenarios(6, packets=1)
+    service = SweepService(tmp_path, max_workers=1)
+    warm = [scenarios[i] for i in (1, 2, 5)]
+    ExperimentRunner(max_workers=1, cache_dir=service.cache_dir).run(warm)
+    job = service.submit(scenarios)
+    yielded, seen = [], []
+    simulate = runner_module.run_scenario
+
+    def polling(scenario):
+        seen.append((len(yielded), service.poll(job.job_id).completed))
+        return simulate(scenario)
+
+    monkeypatch.setattr(runner_module, "run_scenario", polling)
+    for record in service.stream(job.job_id):
+        yielded.append(record)
+    assert seen == [(0, 0), (3, 3), (4, 4)]
+    final = service.poll(job.job_id)
+    assert final.done and final.completed == final.total == 6
+    assert final.cache_hits == 3
+
+
+def test_a_warm_job_replaces_progress_a_fixed_number_of_times(tmp_path, monkeypatch):
+    import repro.experiments.service as service_module
+
+    scenarios = [Scenario(site="bridge", num_packets=1, seed=k) for k in range(40)]
+    service = SweepService(tmp_path, max_workers=1)
+    # Warm the cache with one simulation's statistics for every scenario:
+    # the entries only have to exist.
+    stats = runner_module.run_scenario(scenarios[0])
+    monkeypatch.setattr(runner_module, "run_scenario", lambda scenario: stats)
+    ExperimentRunner(max_workers=1, cache_dir=service.cache_dir).run(scenarios)
+
+    def _boom(scenario):
+        raise AssertionError("a warm job must not simulate")
+
+    monkeypatch.setattr(runner_module, "run_scenario", _boom)
+    writes = []
+    write_json = service_module._write_json
+
+    def counted(path, data):
+        writes.append(path.name)
+        write_json(path, data)
+
+    monkeypatch.setattr(service_module, "_write_json", counted)
+    counts = []
+    for n in (4, 40):
+        writes.clear()
+        job, records = _complete(service, scenarios[:n])
+        final = service.poll(job.job_id)
+        assert len(records) == n and final.done and final.cache_hits == n
+        counts.append(writes.count("progress.json"))
+    # Submission, stream start, after the last record, done.
+    assert counts == [4, 4]
+
+
 def test_done_job_streams_from_artifact_without_simulating(tmp_path, monkeypatch):
     scenarios = _scenarios(2)
     service = SweepService(tmp_path, max_workers=1)

@@ -4,7 +4,8 @@ Importing SciPy costs a large share of a short run's wall time, so
 ``import repro`` and the commands that never run the PHY (``net``,
 ``jobs``, ``trace replay``) must not load any ``scipy`` module; the PHY's
 FFT and Toeplitz kernels load on their first call, and no PHY run loads
-``scipy.signal`` (the filter designs are numpy).  Each check runs in a
+``scipy.signal`` (the filter designs are numpy).  Neither do they hash
+the package source: the code digest is computed by the first cache use.  Each check runs in a
 fresh interpreter, since this test process holds SciPy already.  The
 probes start together and run side by side, which keeps the module at a
 few seconds.
@@ -49,6 +50,8 @@ for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = repro.cli.main(argv)
     report[name] = [code, scipy_modules()]
+from repro.experiments.runner import code_digest
+report["code digests"] = code_digest.cache_info().currsize
 print(json.dumps(report))
 """
 
@@ -123,6 +126,12 @@ def test_commands_without_the_phy_load_no_scipy(probes, command):
     code, modules = _report(probes, "cli")[command]
     assert code == 0
     assert modules == []
+
+
+def test_import_and_commands_without_a_cache_compute_no_code_digest(probes):
+    # The digest keys cache entries and job ids only; hashing the package
+    # source at import, or in a net run, would charge every process.
+    assert _report(probes, "cli")["code digests"] == 0
 
 
 def test_prefork_load_covers_every_subpackage_a_phy_run_loads(probes):

@@ -1,5 +1,6 @@
 """Tests for the repro.trace subsystem: capture, replay, synthesis, QoE."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -609,6 +610,66 @@ def test_damaged_trace_archives_raise_only_value_errors(trace_files, flip, where
     trace = _load_or_value_error(Trace.load_npz, scratch)
     if trace is not None:  # the zip's checksums leave nothing silently changed
         assert trace.events == Trace.load_jsonl(FIXTURE).events
+
+
+# The scenario a trace's header records.  The fixture predates the cc,
+# num_flows, queue_capacity and faults_json fields, so it also covers
+# documents that lack a key.
+_RECORDED_SCENARIO = _FIXTURE_LINES[0]["meta"]["scenario"]
+_DECLARED = {
+    field.name: field.type for field in dataclasses.fields(NetScenario)
+}
+
+
+@settings(max_examples=100)
+@given(path=st.sampled_from(json_paths(_RECORDED_SCENARIO, depth=1)), value=FIELD_VALUES)
+@example(path=("num_nodes",), value=None)
+@example(path=("num_nodes",), value=float("nan"))
+@example(path=("spacing_m",), value=float("inf"))
+@example(path=("calibration_progress",), value=0)
+@example(path=("seed",), value=True)
+def test_corrupt_recorded_scenario_fields_raise_only_value_errors(path, value):
+    try:
+        scenario = NetScenario.from_dict(replace_at(_RECORDED_SCENARIO, path, value))
+    except ValueError:
+        return
+    # What decodes holds its declared types and finite numbers.
+    for name, kind in _DECLARED.items():
+        field_value = getattr(scenario, name)
+        if kind.endswith(" | None") and field_value is None:
+            continue
+        expected = {"str": str, "int": int, "float": float, "bool": bool}[
+            kind.removesuffix(" | None")
+        ]
+        assert type(field_value) is expected, (name, field_value)
+        if expected is float:
+            assert math.isfinite(field_value), (name, field_value)
+
+
+def test_recorded_scenario_keys_are_checked():
+    assert NetScenario.from_dict(_RECORDED_SCENARIO).seed == 42
+    with pytest.raises(ValueError, match="unknown field"):
+        NetScenario.from_dict(dict(_RECORDED_SCENARIO, num_nodez=9))
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        NetScenario.from_dict([])
+    # A key the document lacks keeps its default.
+    lacking = {k: v for k, v in _RECORDED_SCENARIO.items() if k != "ttl"}
+    assert NetScenario.from_dict(lacking).ttl == NetScenario().ttl
+
+
+@pytest.mark.parametrize("command", [["replay"], ["replay", "--check-roundtrip"], ["compare"]])
+@pytest.mark.parametrize("edit", ["renamed key", "null count"])
+def test_cli_refuses_a_damaged_recorded_scenario(tmp_path, capsys, command, edit):
+    lines = json.loads(json.dumps(_FIXTURE_LINES))
+    scenario = lines[0]["meta"]["scenario"]
+    if edit == "renamed key":
+        scenario["num_nodez"] = scenario.pop("num_nodes")
+    else:
+        scenario["num_nodes"] = None
+    path = tmp_path / "damaged.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    assert main(["trace", command[0], "--trace", str(path), *command[1:]]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column, values, message", [
