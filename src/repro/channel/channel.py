@@ -47,15 +47,11 @@ class ChannelOutput:
         The motion state drawn for this transmission.
     doppler:
         The Doppler time-scaling factor that was applied.
-    in_band_snr_db:
-        Crude overall SNR estimate: received signal power over noise power
-        (diagnostic only; the modem makes its own per-bin estimate).
     """
 
     samples: np.ndarray
     motion: MotionState
     doppler: float
-    in_band_snr_db: float
 
 
 @functools.lru_cache(maxsize=32)
@@ -245,27 +241,14 @@ class UnderwaterAcousticChannel:
         else:
             received = received[:total_length]
 
-        # np.dot is the fastest way to a sum of squares; the SNR here is a
-        # diagnostic (the modem makes its own per-bin estimate), so the
-        # different reduction order versus np.mean(x**2) is irrelevant.
-        signal_power = float(np.dot(received, received) / received.size) if received.size else 0.0
         if include_noise:
             ambient = self.noise.generate(total_length, self.sample_rate_hz, rng)
             mic_noise = rng.standard_normal(total_length) * db_to_amplitude_ratio(
                 self.rx_device.microphone_noise_db
             )
             noise = np.add(ambient, mic_noise, out=mic_noise)
-            noise_power = float(np.dot(noise, noise) / noise.size)
             received = np.add(received, noise, out=noise)
-        else:
-            noise_power = 1e-30
-        snr_db = 10.0 * np.log10(max(signal_power, 1e-30) / max(noise_power, 1e-30))
-        return ChannelOutput(
-            samples=received,
-            motion=motion_state,
-            doppler=doppler,
-            in_band_snr_db=snr_db,
-        )
+        return ChannelOutput(samples=received, motion=motion_state, doppler=doppler)
 
     def _drift_mix(
         self,

@@ -130,7 +130,9 @@ class AmbientNoiseModel:
         spectrum.imag = draws[half:]
         shape_amplitude = _shape_amplitude(n_fft, sample_rate_hz)
         colored = irfft_n(spectrum * shape_amplitude, n_fft)[:num_samples]
-        rms = np.sqrt(np.dot(colored, colored) / colored.size)
+        # einsum's own loop, not BLAS: a threaded ``ddot`` sums in an order
+        # that depends on the thread count, and so would every result.
+        rms = np.sqrt(np.einsum("i,i->", colored, colored) / colored.size)
         if rms > 0:
             colored = colored / rms
         noise = colored * db_to_amplitude_ratio(self.level_db)

@@ -628,7 +628,7 @@ def _run_validate(args) -> int:
             envelope_path = valid_json_path(name, args.reference_dir)
             try:
                 envelopes[name] = load_envelope(envelope_path)
-            except (OSError, ValueError, KeyError) as error:
+            except (OSError, ValueError) as error:
                 print(f"error: cannot read envelope {envelope_path}: {error}",
                       file=sys.stderr)
                 return 2

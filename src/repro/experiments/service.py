@@ -254,15 +254,17 @@ class SweepService:
             error=progress["error"],
         )
 
-    def _load_artifact(self, job_id: str) -> tuple[bytes, ColumnarResultSet] | None:
+    def _load_artifact(self, manifest: dict) -> tuple[bytes, ColumnarResultSet] | None:
         """The job's artifact bytes and the set decoded from them.
 
-        ``None`` when the artifact is absent or corrupt (a corrupt one
-        warns).  The set :meth:`submit` verified last is taken instead of
-        decoding again when the file still holds the bytes it was decoded
-        from; it is dropped by this read either way, so each verified set
-        serves one read.
+        ``None`` when the artifact is absent, corrupt, or holds other
+        scenarios than the manifest lists, in its order (the last two
+        warn ``npz-corrupt``).  The set :meth:`submit` verified last is
+        taken instead of decoding again when the file still holds the
+        bytes it was decoded from; it is dropped by this read either way,
+        so each verified set serves one read.
         """
+        job_id = manifest["job_id"]
         verified, self._verified = self._verified, None
         path = self.artifact_path(job_id)
         try:
@@ -275,10 +277,15 @@ class SweepService:
         if verified is not None and verified[:2] == (job_id, data):
             return data, verified[2]
         try:
-            return data, ColumnarResultSet.load_npz(io.BytesIO(data))
+            results = ColumnarResultSet.load_npz(io.BytesIO(data))
         except ValueError as error:
             warn_cache_miss(path, "npz-corrupt", str(error))
             return None
+        # Decoded scenarios carry the hash load_npz checked them against.
+        if [r.scenario.scenario_hash() for r in results] != manifest["scenario_hashes"]:
+            warn_cache_miss(path, "npz-corrupt", "not the scenarios of the job's manifest")
+            return None
+        return data, results
 
     # ------------------------------------------------------------ lifecycle
     def submit(self, scenarios, label: str = "") -> SweepJob:
@@ -305,7 +312,7 @@ class SweepService:
                 raise ValueError(f"job {job_id}: corrupt manifest: other scenarios")
             progress = self._read_progress(job_id, manifest["total"])
             if progress["state"] == "done":
-                loaded = self._load_artifact(job_id)
+                loaded = self._load_artifact(manifest)
                 if loaded is None:
                     # The artifact rotted: force a re-run.
                     progress = dict(progress, state="submitted", completed=0)
@@ -362,7 +369,7 @@ class SweepService:
         """
         manifest = self._read_manifest(job_id)
         if self._read_progress(job_id, manifest["total"])["state"] == "done":
-            loaded = self._load_artifact(job_id)
+            loaded = self._load_artifact(manifest)
             if loaded is not None:
                 yield from loaded[1]
                 return
@@ -411,8 +418,9 @@ class SweepService:
 
     def result(self, job_id: str) -> ColumnarResultSet:
         """The job's full result set, running the sweep if needed."""
-        if self.poll(job_id).done:
-            loaded = self._load_artifact(job_id)
+        manifest = self._read_manifest(job_id)
+        if self._read_progress(job_id, manifest["total"])["state"] == "done":
+            loaded = self._load_artifact(manifest)
             if loaded is not None:
                 return loaded[1]
         return ColumnarResultSet(self.stream(job_id))

@@ -274,7 +274,8 @@ class CalibratedLink(LinkModel):
         self._lookup_cache: dict[
             float, tuple[float, float, LinkOutcome, LinkOutcome]
         ] = {}
-        #: (size_bits, distance) -> airtime; same bounded-memo rationale.
+        #: (size_bits, distance) -> airtime; same bounded-memo rationale
+        #: (net-250, seeds 52-55: 16 computes for 20,399 transmits).
         self._airtime_cache: dict[tuple[int, float], float] = {}
 
     def _lookup(self, distance_m: float) -> tuple[float, float, LinkOutcome, LinkOutcome]:
@@ -331,7 +332,10 @@ class CalibratedLink(LinkModel):
         resolved = [lookup(float(d)) for d in distances_m]
         # One batched draw consumes the generator stream exactly as the
         # per-receiver scalar ``rng.random()`` loop would, so outcomes are
-        # bit-identical to LinkModel.deliver_many.
+        # bit-identical to LinkModel.deliver_many.  A flood's fan-out needs
+        # the batch: it beats that loop from about five receivers (10.9
+        # against 13.8 us at 7, 22.9 against 50.0 us at 30, on the VM of
+        # perfbench/README.md).
         draws = rng.random(len(resolved))
         return [
             entry[2] if draw >= entry[0] else entry[3]

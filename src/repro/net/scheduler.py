@@ -13,9 +13,12 @@ names as the key, making many-flow runs reproducible even if flows are
 created in a different order -- and cancellation is
 *lazy* (a cancelled event stays in the heap but is skipped when popped),
 which keeps :meth:`Scheduler.cancel` O(1) -- ARQ timers are rescheduled
-far more often than they fire.  A skip-cancel counter tracks how many
-cancelled entries remain queued so :attr:`Scheduler.num_pending` is O(1)
-instead of a heap scan.
+far more often than they fire.  :meth:`Scheduler.run` pops and fires one
+event at a time, in heap order, so an event scheduled for the current
+instant runs in its key and insertion order among the events already
+queued there.  :attr:`Scheduler.num_pending` counts the live entries
+when read; its one reader outside the tests is the net run's progress
+line, once per ``PROGRESS_CHUNK_EVENTS``.
 
 An event lets go of its action the moment it fires or is cancelled.
 Callers keep finished events around (the simulator's reception lists,
@@ -87,7 +90,6 @@ class Scheduler:
         self._sequence = 0
         self._now_s = 0.0
         self._num_processed = 0
-        self._num_cancelled_pending = 0
 
     # ------------------------------------------------------------- properties
     @property
@@ -102,8 +104,8 @@ class Scheduler:
 
     @property
     def num_pending(self) -> int:
-        """Events still queued (cancelled ones excluded)."""
-        return len(self._heap) - self._num_cancelled_pending
+        """Events still queued (cancelled ones excluded), counted on read."""
+        return sum(not entry[3].cancelled for entry in self._heap)
 
     # ------------------------------------------------------------- scheduling
     def at(
@@ -132,22 +134,19 @@ class Scheduler:
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if it already ran or was cancelled)."""
-        if event.action is None:
-            return
-        event.action = None
-        event.cancelled = True
-        self._num_cancelled_pending += 1
+        if event.action is not None:
+            event.action = None
+            event.cancelled = True
 
     # ---------------------------------------------------------------- running
     def run(self, until_s: float | None = None, max_events: int | None = None) -> int:
-        """Process events in time order.
+        """Process events in time order, one at a time.
 
-        Pops directly off the heap and drains *cohorts* of same-time
-        events in one sweep: the heap is consulted once per distinct
-        timestamp, not once per event.
-        Events an earlier cohort member schedules for the same instant
-        carry larger sequence numbers and form the next cohort, so
-        execution order is identical to the one-at-a-time loop.
+        Each step pops the heap's head: the earliest time, then the
+        smallest key, then the lowest sequence number.  An event that an
+        action schedules for the current instant therefore runs before
+        the queued same-time events its key sorts ahead of, and an event
+        cancelled by an earlier one never runs.
 
         Parameters
         ----------
@@ -167,47 +166,18 @@ class Scheduler:
         while heap:
             if max_events is not None and processed >= max_events:
                 break
-            if heap[0][3].cancelled:
+            time_s, _, _, event = heap[0]
+            if event.cancelled:
                 heapq.heappop(heap)
-                self._num_cancelled_pending -= 1
                 continue
-            time_s = heap[0][0]
             if until_s is not None and time_s > until_s:
                 self._now_s = max(self._now_s, float(until_s))
                 break
-            first = heapq.heappop(heap)[3]
-            if not (heap and heap[0][0] == time_s):
-                # Lone event at this instant (the common case under
-                # jittered continuous time): dispatch without building a
-                # cohort list.
-                self._now_s = time_s
-                action = first.action
-                first.action = None
-                self._num_processed += 1
-                processed += 1
-                action()
-                continue
-            # Collect the cohort scheduled for exactly this instant,
-            # bounded by the remaining event budget.
-            budget = None if max_events is None else max_events - processed
-            cohort: list[Event] = [first]
-            while heap and heap[0][0] == time_s:
-                if budget is not None and len(cohort) >= budget:
-                    break
-                event = heapq.heappop(heap)[3]
-                if event.cancelled:
-                    self._num_cancelled_pending -= 1
-                    continue
-                cohort.append(event)
+            heapq.heappop(heap)
             self._now_s = time_s
-            for event in cohort:
-                if event.cancelled:
-                    # Cancelled by an earlier event in this same cohort.
-                    self._num_cancelled_pending -= 1
-                    continue
-                action = event.action
-                event.action = None
-                self._num_processed += 1
-                processed += 1
-                action()
+            action = event.action
+            event.action = None
+            self._num_processed += 1
+            processed += 1
+            action()
         return processed

@@ -236,11 +236,10 @@ class NetworkSimulator:
         self._nodes = {name: _NodeState(name) for name in topology.names}
         # Per-sender fan-out cache: the neighbour table's receiver states
         # in table order, keyed by table identity (a membership change
-        # yields a new table object, invalidating the entry).
+        # yields a new table object, invalidating the entry).  Rebuilding
+        # the list costs 0.85 us a transmit against 0.10 us for the lookup
+        # (net-250: 7.3 receivers; on the VM of perfbench/README.md).
         self._fanout: dict[str, tuple[object, list[_NodeState]]] = {}
-        # (sender, target, size_bits) -> cached unicast transmit plan
-        # (see _transmit); validated against the topology version.
-        self._txplans: dict[tuple[str, str, int], tuple] = {}
         self._uids = itertools.count()
         self._metrics = NetworkMetrics()
         self._pending: dict[tuple[str, int], _PendingDelivery] = {}
@@ -715,84 +714,54 @@ class NetworkSimulator:
         link_model = self.link_model
         topology = self.topology
         metrics = self._metrics
-        # ARQ traffic re-transmits the same (sender, relay, size) hop over
-        # and over, so the geometry-derived parts of a unicast transmit --
-        # receiver states in table order, delays, the target's slot and
-        # distance, the airtime -- are cached as a *plan* validated
-        # against the topology version.  Only the delivery draw (which
-        # must consume the RNG stream per transmission) stays live.
-        plan = None
+        table = topology.neighbor_table(node.name)
+        slot = table.slot
+        distances = table.distances_m
+        names = table.names
+        delays = table.delays_list
+        fanout = self._fanout.get(node.name)
+        if fanout is None or fanout[0] is not table:
+            nodes = self._nodes
+            receivers = [nodes[name] for name in names]
+            self._fanout[node.name] = (table, receivers)
+        else:
+            receivers = fanout[1]
+        outcome_row: list = [None] * len(names)
         if len(targets) == 1:
-            plan_key = (node.name, targets[0], packet.size_bits)
-            plan = self._txplans.get(plan_key)
-            if plan is not None and plan[0] != topology._version:
-                plan = None
-        else:
-            plan_key = None
-        if plan is not None:
-            _, receivers, delays, target_slot, farthest, airtime = plan
-            outcome_row: list = [None] * len(receivers)
-            outcome_row[target_slot] = link_model.deliver(
-                farthest, self._rng, size_bits=packet.size_bits
-            )
-        else:
-            table = topology.neighbor_table(node.name)
-            slot = table.slot
-            distances = table.distances_m
-            names = table.names
-            delays = table.delays_list
-            fanout = self._fanout.get(node.name)
-            if fanout is None or fanout[0] is not table:
-                nodes = self._nodes
-                receivers = [nodes[name] for name in names]
-                self._fanout[node.name] = (table, receivers)
-            else:
-                receivers = fanout[1]
-            outcome_row = [None] * len(names)
-            target_slot = None
-            if plan_key is not None:
-                # Routing targets are in-range neighbours, so the cached
-                # table answers their distances; the scalar fallback only
-                # covers a target that left range between route choice and
-                # transmission.  A single scalar deliver consumes the RNG
-                # stream identically to a batch of one.
-                target = targets[0]
-                target_slot = slot.get(target)
-                if target_slot is not None:
-                    farthest = float(distances[target_slot])
-                    outcome_row[target_slot] = link_model.deliver(
-                        farthest, self._rng, size_bits=packet.size_bits
-                    )
-                else:
-                    farthest = topology.distance_m(node.name, target)
-            else:
-                target_set = set(targets)
-                farthest = max(
-                    float(distances[slot[t]])
-                    if t in slot
-                    else topology.distance_m(node.name, t)
-                    for t in targets
-                )
-                target_slots = [
-                    position for position, name in enumerate(names)
-                    if name in target_set
-                ]
-                if target_slots:
-                    resolved = link_model.deliver_many(
-                        distances[target_slots], self._rng,
-                        size_bits=packet.size_bits,
-                    )
-                    for position, outcome in zip(target_slots, resolved):
-                        outcome_row[position] = outcome
-            # airtime_s draws no RNG and is a pure function of
-            # (size, distance) for every link model, so the plan may
-            # carry its value.
-            airtime = link_model.airtime_s(packet.size_bits, farthest)
+            # Routing targets are in-range neighbours, so the cached table
+            # answers their distances; the scalar fallback only covers a
+            # target that left range between route choice and
+            # transmission.  A single scalar deliver consumes the RNG
+            # stream identically to a batch of one.
+            target = targets[0]
+            target_slot = slot.get(target)
             if target_slot is not None:
-                self._txplans[plan_key] = (
-                    topology._version, receivers, delays, target_slot,
-                    farthest, airtime,
+                farthest = float(distances[target_slot])
+                outcome_row[target_slot] = link_model.deliver(
+                    farthest, self._rng, size_bits=packet.size_bits
                 )
+            else:
+                farthest = topology.distance_m(node.name, target)
+        else:
+            target_set = set(targets)
+            farthest = max(
+                float(distances[slot[t]])
+                if t in slot
+                else topology.distance_m(node.name, t)
+                for t in targets
+            )
+            target_slots = [
+                position for position, name in enumerate(names)
+                if name in target_set
+            ]
+            if target_slots:
+                resolved = link_model.deliver_many(
+                    distances[target_slots], self._rng,
+                    size_bits=packet.size_bits,
+                )
+                for position, outcome in zip(target_slots, resolved):
+                    outcome_row[position] = outcome
+        airtime = link_model.airtime_s(packet.size_bits, farthest)
         if self._fault_hooks is not None:
             # Link blackout/degradation windows, noise bursts and the
             # per-node energy ledger all live behind this one call; the

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+from repro.utils.validation import require_finite
+
 
 def nan_to_none(value):
     """Strict-JSON value: NaN becomes ``None``.
@@ -29,6 +31,9 @@ def nan_to_none(value):
     return value
 
 
-def none_to_nan(value) -> float:
-    """Inverse of :func:`nan_to_none` for loaders."""
-    return float("nan") if value is None else float(value)
+def none_to_nan(value, name: str = "value") -> float:
+    """Inverse of :func:`nan_to_none` for loaders: ``None`` reads as NaN.
+
+    Anything else must be a finite number; ``ValueError`` otherwise.
+    """
+    return math.nan if value is None else require_finite(value, name)

@@ -69,6 +69,14 @@ def require_int(value: Any, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_count(value: Any, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a non-negative integer."""
+    count = require_int(value, name)
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return count
+
+
 def require_bool(value: Any, name: str) -> bool:
     """``value`` itself; ``ValueError`` unless it is a boolean."""
     if not isinstance(value, bool):

@@ -27,6 +27,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.experiments.runner import ordered_map
+from repro.utils.validation import (
+    require_bool,
+    require_count,
+    require_dict,
+    require_finite,
+    require_list,
+    require_str,
+)
 from repro.validation.claims import variant_metric
 from repro.validation.executors import EXECUTORS, TrialOutcome
 from repro.validation.figures import FigureSpec, get_figure
@@ -64,12 +72,16 @@ class PointEstimate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointEstimate":
+        """Rebuild a point from :meth:`to_dict` output; ``ValueError`` on
+        a missing or mistyped field, as :meth:`MetricSummary.from_dict`."""
+        data = require_dict(data, "point")
+        summaries = require_dict(data.get("summaries"), "point summaries")
         return cls(
-            axis_value=float(data["axis_value"]),
-            n_trials=int(data["n_trials"]),
+            axis_value=require_finite(data.get("axis_value"), "point axis_value"),
+            n_trials=require_count(data.get("n_trials"), "point n_trials"),
             summaries={
                 name: MetricSummary.from_dict(entry)
-                for name, entry in data["summaries"].items()
+                for name, entry in summaries.items()
             },
         )
 
@@ -97,13 +109,17 @@ class FigureResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FigureResult":
+        """Rebuild a result from :meth:`to_dict` output; ``ValueError`` on
+        a missing or mistyped field, as :meth:`MetricSummary.from_dict`."""
+        data = require_dict(data, "figure result")
+        points = require_list(data.get("points"), "figure result points")
         return cls(
-            figure=str(data["figure"]),
-            axis=str(data["axis"]),
-            trials=int(data["trials"]),
-            quick=bool(data["quick"]),
-            points=tuple(PointEstimate.from_dict(p) for p in data["points"]),
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
+            figure=require_str(data.get("figure"), "figure result figure"),
+            axis=require_str(data.get("axis"), "figure result axis"),
+            trials=require_count(data.get("trials"), "figure result trials"),
+            quick=require_bool(data.get("quick"), "figure result quick"),
+            points=tuple(PointEstimate.from_dict(p) for p in points),
+            elapsed_s=require_finite(data.get("elapsed_s", 0.0), "figure result elapsed_s"),
         )
 
 

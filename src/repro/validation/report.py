@@ -61,7 +61,12 @@ def write_envelope(
 
 
 def load_envelope(path: str | Path) -> FigureResult:
-    """Load the reference :class:`FigureResult` from a ``VALID_*.json``."""
+    """Load the reference :class:`FigureResult` from a ``VALID_*.json``.
+
+    A damaged file raises only ``ValueError`` (``OSError`` when it cannot
+    be read): undecodable text, a document that is no envelope, or a
+    field that :meth:`FigureResult.from_dict` refuses.
+    """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or "result" not in data:
         raise ValueError(f"{path} is not a VALID_*.json envelope")

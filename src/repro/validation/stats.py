@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from repro.utils.jsonsafe import nan_to_none, none_to_nan
+from repro.utils.validation import require_count, require_dict, require_str
 
 #: z of the 95% confidence level every interval uses.
 Z_95 = 1.959963984540054
@@ -139,17 +140,33 @@ class MetricSummary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricSummary":
-        """Rebuild a summary from :meth:`to_dict` output."""
+        """Rebuild a summary from :meth:`to_dict` output.
+
+        Raises ``ValueError`` on a missing or mistyped field, a negative
+        count or a non-finite statistic: ``null`` reads as NaN, as
+        :meth:`to_dict` writes it, and an infinite bound would pass every
+        measurement against it.
+        """
+        data = require_dict(data, "metric summary")
+
+        def statistic(key: str) -> float:
+            if key not in data:
+                raise ValueError(f"metric summary has no {key}")
+            return none_to_nan(data[key], f"metric summary {key}")
+
+        def count(key: str, default=None) -> int:
+            return require_count(data.get(key, default), f"metric summary {key}")
+
         return cls(
-            name=str(data["name"]),
-            kind=str(data["kind"]),
-            mean=none_to_nan(data["mean"]),
-            std=none_to_nan(data["std"]),
-            ci_low=none_to_nan(data["ci_low"]),
-            ci_high=none_to_nan(data["ci_high"]),
-            n_trials=int(data["n_trials"]),
-            successes=int(data.get("successes", 0)),
-            total=int(data.get("total", 0)),
+            name=require_str(data.get("name"), "metric summary name"),
+            kind=require_str(data.get("kind"), "metric summary kind"),
+            mean=statistic("mean"),
+            std=statistic("std"),
+            ci_low=statistic("ci_low"),
+            ci_high=statistic("ci_high"),
+            n_trials=count("n_trials"),
+            successes=count("successes", 0),
+            total=count("total", 0),
         )
 
 

@@ -46,17 +46,34 @@ def test_received_level_decreases_with_distance(rng):
     assert np.std(near.samples) > 2 * np.std(far.samples)
 
 
+def _snr_db(signal, noise):
+    return 10.0 * np.log10(np.mean(signal ** 2) / max(np.mean(noise ** 2), 1e-300))
+
+
+def _received_snr_db(channel_kwargs, x, seed):
+    """SNR of one noisy transmission: the noise-free transmission on the
+    same draws is its signal, and the difference is its noise."""
+    noisy = _channel(**channel_kwargs).transmit(x, np.random.default_rng(seed))
+    clean = _channel(**channel_kwargs).transmit(
+        x, np.random.default_rng(seed), include_noise=False
+    )
+    return _snr_db(clean.samples, noisy.samples - clean.samples)
+
+
 def test_snr_decreases_with_distance(rng):
     x = lfm_chirp(1000, 4000, 0.2, 48000)
-    near = _channel(distance=5.0, noise_db=-40.0).transmit(x, np.random.default_rng(1))
-    far = _channel(distance=25.0, noise_db=-40.0).transmit(x, np.random.default_rng(1))
-    assert near.in_band_snr_db > far.in_band_snr_db + 5.0
+    near = _received_snr_db(dict(distance=5.0, noise_db=-40.0), x, 1)
+    far = _received_snr_db(dict(distance=25.0, noise_db=-40.0), x, 1)
+    assert near > far + 5.0
 
 
 def test_noise_free_transmission_has_high_snr(rng):
+    """Without noise the channel is linear: doubling the input doubles the
+    output, leaving no residual to count as noise."""
     x = lfm_chirp(1000, 4000, 0.1, 48000)
-    out = _channel().transmit(x, rng, include_noise=False)
-    assert out.in_band_snr_db > 100.0
+    out = _channel().transmit(x, np.random.default_rng(0), include_noise=False)
+    doubled = _channel().transmit(2 * x, np.random.default_rng(0), include_noise=False)
+    assert _snr_db(out.samples, doubled.samples / 2 - out.samples) > 100.0
 
 
 def test_static_motion_has_no_doppler(rng):

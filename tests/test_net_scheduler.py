@@ -138,3 +138,20 @@ def test_fired_and_cancelled_events_drop_their_action():
     scheduler.cancel(fired)  # no-op on an event that already ran
     assert not fired.cancelled
     assert scheduler.num_pending == 1
+
+
+def test_an_event_scheduled_for_now_runs_in_key_order():
+    """Heap order holds at one instant: an event that an action schedules
+    for the current time runs before the queued same-time events whose
+    key sorts after its own."""
+    scheduler = Scheduler()
+    order = []
+
+    def a():
+        order.append("A")
+        scheduler.at(scheduler.now_s, lambda: order.append("C"))
+
+    scheduler.at(1.0, a)
+    scheduler.at(1.0, lambda: order.append("B"), key=("n1", "n2"))
+    scheduler.run()
+    assert order == ["A", "C", "B"]

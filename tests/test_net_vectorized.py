@@ -1,13 +1,14 @@
 """Equivalence gates for the vectorized topology/scheduler/metrics engine.
 
 The vectorized engine (array-backed topology with a spatial-hash grid,
-batched same-time event dispatch, cached unicast transmit plans) must be
-a pure performance change: every scenario, validation envelope and trace
+cached neighbour tables and fan-out lists, batched link draws) must be a
+pure performance change: every scenario, validation envelope and trace
 fixture committed before it has to reproduce bit for bit.  These tests
 pin that contract from several directions -- committed golden scenario
 signatures, brute-force neighbour oracles on randomized deployments, the
-scalar routing reference in :mod:`oracles.net`, and the metrics row
-list.
+scalar routing reference in :mod:`oracles.net`, the scheduler's
+same-instant order (several events at one time run in key, then
+insertion order, one at a time) and the metrics row list.
 """
 
 from __future__ import annotations

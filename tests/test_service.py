@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -278,11 +279,26 @@ def test_an_artifact_replaced_after_submit_is_read_again(tmp_path):
     scenarios = _scenarios(2)
     service = SweepService(tmp_path, max_workers=1)
     job, records = _complete(service, scenarios)
-    other = ColumnarResultSet(records[::-1]).save_npz(tmp_path / "other.npz")
+    # Other values for the job's own scenarios, in the manifest's order.
+    altered = [replace(record, feedback_error_rate=0.5) for record in records]
+    assert altered != records
+    other = ColumnarResultSet(altered).save_npz(tmp_path / "other.npz")
     assert service.submit(scenarios).done
     # Written in place: the same file now holds another valid artifact.
     service.artifact_path(job.job_id).write_bytes(other.read_bytes())
-    assert list(service.stream(job.job_id)) == records[::-1]
+    assert list(service.stream(job.job_id)) == altered
+
+
+def test_an_artifact_of_the_scenarios_in_another_order_is_a_miss(tmp_path):
+    scenarios = _scenarios(2)
+    service = SweepService(tmp_path, max_workers=1)
+    job, records = _complete(service, scenarios)
+    reordered = ColumnarResultSet(records[::-1]).save_npz(tmp_path / "other.npz")
+    service.artifact_path(job.job_id).write_bytes(reordered.read_bytes())
+    with pytest.warns(CacheMissWarning) as caught:
+        assert list(service.stream(job.job_id)) == records
+    assert [w.message.reason for w in caught] == ["npz-corrupt"]
+    assert service.poll(job.job_id).cache_hits == 2
 
 
 def test_a_verified_set_serves_only_its_own_job(tmp_path, monkeypatch):
@@ -298,12 +314,15 @@ def test_a_verified_set_serves_only_its_own_job(tmp_path, monkeypatch):
     # Job B's read dropped job A's verified set: A is read again.
     assert list(service.stream(job_a.job_id)) == records_a
     assert len(loads) == 3
-    # Even when B's file holds A's very bytes, B's read decodes its file.
+    # Even when B's file holds A's very bytes, B's read decodes its file,
+    # finds job A's scenarios there and re-runs job B.
     service.artifact_path(job_b.job_id).write_bytes(
         service.artifact_path(job_a.job_id).read_bytes()
     )
     assert service.submit(first).done
-    assert list(service.stream(job_b.job_id)) == records_a
+    with pytest.warns(CacheMissWarning) as caught:
+        assert list(service.stream(job_b.job_id)) == records_b
+    assert [w.message.reason for w in caught] == ["npz-corrupt"]
     assert len(loads) == 5
 
 

@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
+from _corruption import BYTE_DAMAGE, FIELD_VALUES, damage_bytes, json_paths, replace_at
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.validation import (
     EXECUTORS,
     FIGURE_REGISTRY,
@@ -530,6 +535,73 @@ def test_load_envelope_rejects_non_envelope(tmp_path):
     bad.write_text("[1, 2, 3]")
     with pytest.raises(ValueError):
         load_envelope(bad)
+
+
+# ------------------------------------------------- envelopes fail closed
+ROOT = Path(__file__).resolve().parent.parent
+SOS_ENVELOPE = ROOT / "VALID_sos_range.json"
+_SOS_DOCUMENT = json.loads(SOS_ENVELOPE.read_text())
+
+
+def test_every_committed_envelope_loads_as_written():
+    paths = sorted(ROOT.glob("VALID_*.json"))
+    assert [valid_json_path(name, ROOT) for name in sorted(available_figures())] == paths
+    for path in paths:
+        # A null statistic reads as NaN and is written back as null.
+        assert load_envelope(path).to_dict() == json.loads(path.read_text())["result"]
+
+
+@pytest.fixture(scope="module")
+def envelope_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("envelopes") / "VALID_sos_range.json"
+
+
+def _load_or_value_error(path):
+    """Load ``path``: an envelope, or ``None`` when it raised ValueError (any
+    other exception fails the test).  What loads writes back as strict JSON
+    (every statistic finite or null) and round-trips."""
+    try:
+        envelope = load_envelope(path)
+    except ValueError:
+        return None
+    document = envelope.to_dict()
+    json.dumps(document, allow_nan=False)
+    assert FigureResult.from_dict(document).to_dict() == document
+    return envelope
+
+
+@settings(max_examples=100)
+@given(path=st.sampled_from(json_paths(_SOS_DOCUMENT, depth=6)), value=FIELD_VALUES)
+@example(path=("result", "trials"), value=math.inf)
+@example(path=("result", "points", 0, "summaries"), value=None)
+@example(path=("result", "points", 0, "summaries", "id_detection_rate", "ci_high"), value=math.inf)
+@example(path=("result", "points", 0, "n_trials"), value=-1)
+def test_corrupt_envelope_fields_raise_only_value_errors(envelope_file, path, value):
+    envelope_file.write_text(json.dumps(replace_at(_SOS_DOCUMENT, path, value)))
+    _load_or_value_error(envelope_file)
+
+
+@settings(max_examples=60)
+@given(**BYTE_DAMAGE)
+@example(flip=False, where=0.5, bit=0)
+def test_damaged_envelope_files_raise_only_value_errors(envelope_file, flip, where, bit):
+    envelope_file.write_bytes(damage_bytes(SOS_ENVELOPE.read_bytes(), flip, where, bit))
+    _load_or_value_error(envelope_file)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("result", "trials"), math.inf),
+    (("result", "points", 0, "summaries"), None),
+])
+def test_validate_refuses_a_damaged_envelope(tmp_path, capsys, path, value):
+    damaged = valid_json_path("sos_range", tmp_path)
+    damaged.write_text(json.dumps(replace_at(_SOS_DOCUMENT, path, value)))
+    code = main([
+        "validate", "--quick", "--figure", "sos_range", "--trials", "1",
+        "--compare-reference", "--reference-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read envelope {damaged}")
 
 
 def test_validation_report_markdown_and_save(tiny_link_result, tmp_path):
